@@ -55,6 +55,5 @@ from .jspa import (
     select_items,
 )
 from .ops import count_ops, tally
-from .cli import ExperimentConfig, RunRecord, run_experiment
 
 __version__ = "0.1.0"

@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LN2, Instance
+from .model import Instance
 from .ops import tally
-from .single_carrier import ScusTables, fn_left_derivative, fn_value_many, iscus_eval
+from .single_carrier import (ScusTables, candidate_values, fn_value_many, iscus_eval,
+                             left_derivatives)
 
 _C_KNAP_W = 2   # DP by weights, per candidate item
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per bisection iteration
-_C_LOOKUP = 6   # batched collection lookup, per tensor element
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 BRUTE_FORCE_LIMIT = 10 ** 7
@@ -116,40 +116,23 @@ class BudgetObjective:
     """
 
     def __init__(self, tables: list):
-        self.tables = list(tables)
         self.entry_x = np.stack([t.entry_x for t in tables])   # (N, E, K)
         self.wp = np.stack([t.wp for t in tables])             # (N, K)
         self.ep = np.stack([t.ep for t in tables])
         self.w_n = np.array([t.w_n for t in tables])
         self.offset = np.array([t.offset for t in tables])
-        self.p_max = tables[0].p_max
 
     def entry_values(self, budgets: np.ndarray) -> np.ndarray:
-        clipped = np.minimum(self.entry_x, budgets[:, None, None])
-        t1 = np.sum(self.wp[:, None, :] * np.log2(clipped + self.ep[:, None, :]), axis=2)
-        t2 = np.sum(self.wp[:, None, :-1] * np.log2(clipped[..., 1:] + self.ep[:, None, :-1]),
-                    axis=2)
-        vals = self.w_n[:, None] * (t1 - t2) + self.offset[:, None]
-        vals[budgets <= 0.0, :] = 0.0
-        tally(self.entry_x.size * _C_LOOKUP)
-        return vals
+        return candidate_values(self.w_n[:, None], self.wp[:, None, :], self.ep[:, None, :],
+                                self.offset[:, None], self.entry_x, budgets[:, None])
 
     def value(self, budgets: np.ndarray) -> float:
         return float(self.entry_values(budgets).max(axis=1).sum())
 
     def derivatives(self, budgets: np.ndarray) -> np.ndarray:
         """Left derivative of every F_n at its budget, as one vector."""
-        n_carriers, _, n_users = self.entry_x.shape
-        selected = np.argmax(self.entry_values(budgets), axis=1)
-        x_sel = self.entry_x[np.arange(n_carriers), selected]     # (N, K)
-        pinned = x_sel >= budgets[:, None]
-        # last pinned position per row; position 0 is always pinned
-        last = n_users - 1 - np.argmax(pinned[:, ::-1], axis=1)
-        rows = np.arange(n_carriers)
-        out = self.w_n * self.wp[rows, last] / ((budgets + self.ep[rows, last]) * LN2)
-        for n in np.nonzero(budgets <= 0.0)[0]:
-            out[n] = fn_left_derivative(self.tables[n], 0.0)
-        return out
+        return left_derivatives(self.w_n, self.wp, self.ep, self.entry_x,
+                                self.entry_values(budgets), budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +368,8 @@ def _hull_increments(weights: np.ndarray, profits: np.ndarray):
 def estimate_upper_bound(instance: Instance, tables: list) -> float:
     """Bracket the optimal grid value: returns U with U >= OPT >= U / 4.
 
-    Works on a coarse side problem with only 2N + 1 items per class (grid
-    stride floor(J/N), doubled capacity) so its cost does not grow with J.
+    Works on a coarse side problem with 2N + 1 items per class (grid stride
+    max(1, floor(J/N)), doubled capacity) so its cost does not grow with J.
     A greedy half-approximation of that problem, doubled, upper-bounds the
     true optimum, while the true optimum stays above a quarter of it by
     monotonicity and sublinearity of the budget-value functions. Oversized
@@ -395,9 +378,7 @@ def estimate_upper_bound(instance: Instance, tables: list) -> float:
     """
     N = instance.n_carriers
     J = instance.n_power_levels
-    if J < N:
-        raise ValueError("need at least one grid step per subcarrier (J >= N)")
-    stride = J // N
+    stride = max(1, J // N)
     caps_units = class_unit_caps(instance)
     capacity = 2.0 * instance.p_max
 

@@ -267,57 +267,74 @@ def wsr_from_rates(instance: Instance, order: DecodingOrder, p: np.ndarray) -> f
     return total
 
 
+def utility(w_n, wp, ep, offset, x):
+    """Weighted rate of cumulative-power columns x via the separable utilities.
+
+    Sums out the position axis (the last one of x, wp and ep); all arguments
+    broadcast, so one call values a column, a stack or a grid of candidates.
+    """
+    t1 = np.sum(wp * np.log2(x + ep), axis=-1)
+    t2 = np.sum(wp[..., :-1] * np.log2(x[..., 1:] + ep[..., :-1]), axis=-1)
+    return w_n * (t1 - t2) + offset
+
+
 def wsr_from_x(instance: Instance, order: DecodingOrder, x: np.ndarray) -> float:
     """Weighted sum-rate evaluated through the separable utilities.
 
     Equals wsr_from_rates(p_from_x(x)) up to rounding; this is the form the
     solvers optimize.
     """
-    total = 0.0
-    for n in range(instance.n_carriers):
-        w_n, wp, ep = carrier_view(instance, order, n)
-        col = x[:, n]
-        t1 = float(np.sum(wp * np.log2(col + ep)))
-        t2 = float(np.sum(wp[:-1] * np.log2(col[1:] + ep[:-1])))
-        total += w_n * (t1 - t2) + a_const(instance, order, n)
-    return total
+    return sum(float(utility(*carrier_view(instance, order, n), a_const(instance, order, n),
+                             x[:, n])) for n in range(instance.n_carriers))
 
 
 # ---------------------------------------------------------------------------
 # Merged-block utilities f_{j,i} and their closed-form maximizer.
 
 
-def f_eval(instance: Instance, order: DecodingOrder, n: int, j: int, i: int, x: float) -> float:
-    """Utility of decoding positions j..i sharing the cumulative power x.
+def f_blocks(w_n: float, wp: np.ndarray, ep: np.ndarray, i: int, x: np.ndarray) -> np.ndarray:
+    """f_{j,i}(x[j]) for every block start j = 0..i; x has length i + 1.
 
-    For j = 0 there is no predecessor term and the function is increasing
-    in x; summing f_eval over singleton blocks [i, i] telescopes to the
+    f_{j,i} is the utility of decoding positions j..i sharing one cumulative
+    power. For j = 0 there is no predecessor term and the function is
+    increasing in x; summing over singleton blocks [i, i] telescopes to the
     weighted sum-rate minus the subcarrier offset.
     """
+    out = w_n * wp[i] * np.log2(x + ep[i])
+    if i >= 1:
+        out[1:] -= w_n * wp[:i] * np.log2(x[1:] + ep[:i])
+    return out
+
+
+def f_eval(instance: Instance, order: DecodingOrder, n: int, j: int, i: int, x: float) -> float:
+    """Utility f_{j,i}(x) of decoding positions j..i on subcarrier n (see f_blocks)."""
     if not 0 <= j <= i < instance.n_users:
         raise ValueError("need 0 <= j <= i < K")
-    w_n, wp, ep = carrier_view(instance, order, n)
-    val = w_n * wp[i] * math.log2(x + ep[i])
-    if j > 0:
-        val -= w_n * wp[j - 1] * math.log2(x + ep[j - 1])
-    return val
+    return float(f_blocks(*carrier_view(instance, order, n), i, np.full(i + 1, float(x)))[j])
 
 
-def argmax_f(instance: Instance, order: DecodingOrder, n: int, j: int, i: int,
-             p_bar: float) -> float:
-    """Maximizer of f_{j,i} on [0, p_bar].
+def argmax_blocks(wp: np.ndarray, ep: np.ndarray, i: int, p_bar: float) -> np.ndarray:
+    """Maximizers of f_{j,i} on [0, p_bar] for every block start j = 0..i.
 
     The block utility is increasing when j = 0 or when position i's weight
     dominates the predecessor's, so the budget is returned; otherwise it is
     unimodal with an interior stationary point that is clamped to the range.
     """
-    w_n, wp, ep = carrier_view(instance, order, n)
-    if j == 0 or wp[i] >= wp[j - 1]:
-        return float(p_bar)
-    wa, wb = wp[i], wp[j - 1]
-    ea, eb = ep[i], ep[j - 1]
-    c1 = (wb * ea - wa * eb) / (wa - wb)
-    return float(min(max(c1, 0.0), p_bar))
+    out = np.full(i + 1, float(p_bar))
+    if i >= 1:
+        wa, ea = wp[i], ep[i]
+        wb, eb = wp[:i], ep[:i]
+        interior = wa < wb
+        denom = np.where(interior, wa - wb, 1.0)
+        c1 = (wb * ea - wa * eb) / denom
+        out[1:] = np.where(interior, np.clip(c1, 0.0, p_bar), p_bar)
+    return out
+
+
+def argmax_f(instance: Instance, order: DecodingOrder, n: int, j: int, i: int,
+             p_bar: float) -> float:
+    """Maximizer of f_{j,i} on [0, p_bar] for one block on subcarrier n."""
+    return float(argmax_blocks(*carrier_view(instance, order, n)[1:], i, p_bar)[j])
 
 
 # ---------------------------------------------------------------------------

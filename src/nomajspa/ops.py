@@ -15,11 +15,13 @@ closed-form block maximizer   6    merged block evaluated
 block utility evaluation      6    merged block evaluated
 power-control sweep           6    outer/backtrack iteration
 user-selection DP cell        8    (m, j, i) table cell
-collection lookup             6    (entry, budget, position) triple
+collection lookup             6    (entry, budget, position) triple, charged
+                                   only in single_carrier.candidate_values
 budget-split DP by weights    2    candidate item inspected
 budget-split DP by profits    3    candidate item inspected
 simplex projection            3    coordinate per bisection iteration
-gradient/derivative lookup    4    scalar derivative evaluation
+gradient/derivative lookup    4    fn_left_derivative call, or zero-budget
+                                   subcarrier in a stacked derivative
 ==========================  =====  ==============================================
 
 Counting is disabled by default; the disabled path is a single attribute

@@ -17,12 +17,12 @@ derivative in closed form.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, DecodingOrder, Instance, a_const, argmax_f, carrier_view
+from .model import (LN2, DecodingOrder, Instance, a_const, argmax_blocks, carrier_view,
+                    f_blocks, utility)
 from .ops import tally
 
 # per-step tally constants, see ops module docstring
@@ -34,35 +34,9 @@ _C_LOOKUP = 6
 _C_DERIV = 4
 
 
-def _argmax_blocks(wp: np.ndarray, ep: np.ndarray, i: int, p_bar: float) -> np.ndarray:
-    """Maximizers of f_{j,i} on [0, p_bar] for every block start j = 0..i."""
-    out = np.full(i + 1, float(p_bar))
-    if i >= 1:
-        wa, ea = wp[i], ep[i]
-        wb, eb = wp[:i], ep[:i]
-        interior = wa < wb
-        denom = np.where(interior, wa - wb, 1.0)
-        c1 = (wb * ea - wa * eb) / denom
-        out[1:] = np.where(interior, np.clip(c1, 0.0, p_bar), p_bar)
-    tally((i + 1) * _C_ARGMAX)
-    return out
-
-
-def _f_blocks(wp: np.ndarray, ep: np.ndarray, w_n: float, i: int, x: np.ndarray) -> np.ndarray:
-    """f_{j,i}(x[j]) for every block start j = 0..i; x has length i + 1."""
-    out = w_n * wp[i] * np.log2(x + ep[i])
-    if i >= 1:
-        out[1:] -= w_n * wp[:i] * np.log2(x[1:] + ep[:i])
-    tally((i + 1) * _C_BLOCK)
-    return out
-
-
 def sc_value(instance: Instance, order: DecodingOrder, n: int, x_col: np.ndarray) -> float:
     """Weighted rate achieved on subcarrier n by a cumulative-power column."""
-    w_n, wp, ep = carrier_view(instance, order, n)
-    t1 = float(np.sum(wp * np.log2(x_col + ep)))
-    t2 = float(np.sum(wp[:-1] * np.log2(x_col[1:] + ep[:-1])))
-    return w_n * (t1 - t2) + a_const(instance, order, n)
+    return float(utility(*carrier_view(instance, order, n), a_const(instance, order, n), x_col))
 
 
 def expand_active(active: tuple, x_active: np.ndarray, n_users: int) -> np.ndarray:
@@ -100,21 +74,20 @@ def scpc(instance: Instance, order: DecodingOrder, n: int, active: tuple,
     if active[-1] >= K:
         raise ValueError("active position out of range")
 
-    def block_argmax(j: int, i: int) -> float:
-        # merged block spans underlying positions (prev active + 1) .. active[i]
-        lo = 0 if j == 0 else active[j - 1] + 1
-        tally(_C_ARGMAX)
-        return argmax_f(instance, order, n, lo, active[i], p_bar)
-
+    _, wp, ep = carrier_view(instance, order, n)
+    # merged block j..i spans underlying positions starts[j] .. active[i]
+    starts = (0,) + tuple(a + 1 for a in active[:-1])
     count = len(active)
     x = np.zeros(count)
     for i in range(count):
-        x_star = block_argmax(i, i)
+        by_start = argmax_blocks(wp, ep, active[i], p_bar)
+        x_star = by_start[starts[i]]
+        tally(_C_ARGMAX)
         j = i - 1
         while j >= 0 and x[j] < x_star:
-            x_star = block_argmax(j, i)
+            x_star = by_start[starts[j]]
             j -= 1
-            tally(_C_SWEEP)
+            tally(_C_ARGMAX + _C_SWEEP)
         x[j + 1:i + 1] = x_star
         tally(_C_SWEEP)
     return x
@@ -197,21 +170,24 @@ def _scus_dp(instance: Instance, order: DecodingOrder, n: int, max_active: int,
     par_j = np.full((M + 1, K, K), -1, dtype=np.int64)
 
     # m = 0: nothing may be active, every position stays at zero power.
-    zero_tail = _f_blocks(wp, ep, w_n, K - 1, np.zeros(K))
+    zero_tail = f_blocks(w_n, wp, ep, K - 1, np.zeros(K))
+    tally(K * _C_BLOCK)
     for i in range(K):
         value[0, :i + 1, i] = zero_tail[:i + 1]
     tally(K * K // 2 * _C_CELL)
 
     # i = K-1: the shared value covers the whole tail, costing one active slot.
-    x_last = _argmax_blocks(wp, ep, K - 1, p_bar)
-    v_last = _f_blocks(wp, ep, w_n, K - 1, x_last)
+    x_last = argmax_blocks(wp, ep, K - 1, p_bar)
+    v_last = f_blocks(w_n, wp, ep, K - 1, x_last)
+    tally(K * (_C_ARGMAX + _C_BLOCK))
     value[1:, :, K - 1] = v_last
     xopt[1:, :, K - 1] = x_last
     tally(M * K * _C_CELL)
 
     for i in range(K - 2, -1, -1):
-        x_star = _argmax_blocks(wp, ep, i, p_bar)
-        gain = _f_blocks(wp, ep, w_n, i, x_star)
+        x_star = argmax_blocks(wp, ep, i, p_bar)
+        gain = f_blocks(w_n, wp, ep, i, x_star)
+        tally((i + 1) * (_C_ARGMAX + _C_BLOCK))
         js = np.arange(i + 1)
         for m in range(1, M + 1):
             v_act = gain + value[m - 1, i + 1, i + 1]
@@ -277,16 +253,24 @@ def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
     )
 
 
+def candidate_values(w_n, wp, ep, offset, entry_x: np.ndarray,
+                     budgets: np.ndarray) -> np.ndarray:
+    """Weighted rate of candidate columns entry_x truncated at budgets.
+
+    budgets broadcasts against entry_x without its position axis. Every F_n
+    evaluator looks its candidates up here.
+    """
+    clipped = np.minimum(entry_x, budgets[..., None])
+    vals = utility(w_n, wp, ep, offset, clipped)
+    tally(clipped.size * _C_LOOKUP)
+    # no power, no rate: avoid cancellation residue
+    return np.where(budgets <= 0.0, 0.0, vals)
+
+
 def _entry_values(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
     """Weighted rate of every truncated candidate at every budget, (E, L)."""
-    wp, ep = tables.wp, tables.ep
-    clipped = np.minimum(tables.entry_x[:, None, :], budgets[None, :, None])
-    t1 = np.sum(wp * np.log2(clipped + ep), axis=2)
-    t2 = np.sum(wp[:-1] * np.log2(clipped[..., 1:] + ep[:-1]), axis=2)
-    vals = tables.w_n * (t1 - t2) + tables.offset
-    vals[:, budgets <= 0.0] = 0.0  # no power, no rate: avoid cancellation residue
-    tally(tables.entry_x.size * budgets.size * _C_LOOKUP)
-    return vals
+    return candidate_values(tables.w_n, tables.wp, tables.ep, tables.offset,
+                            tables.entry_x[:, None, :], budgets[None, :])
 
 
 def iscus_eval(tables: ScusTables, p_bar: float):
@@ -314,31 +298,39 @@ def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
     return vals.max(axis=0)
 
 
-def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
-    """Left derivative of F_n at p_bar.
+def left_derivatives(w_n: np.ndarray, wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray,
+                     vals: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Left derivative of F_n at its budget, for N stacked subcarriers.
 
-    In the selected candidate, let l be the last position still pinned at
-    the budget; only that leading merged block moves with the budget, so the
-    slope is the first-block marginal rate at position l. At p_bar = 0 the
-    selection is resolved in the limit from above, i.e. by the candidate
-    with the steepest such slope.
+    entry_x (N, E, K) holds the candidates and vals (N, E) their values at
+    the budgets (N,). In a candidate, let l be the last powered position
+    still pinned at the budget; only that leading merged block moves with
+    the budget, so the slope is the first-block marginal rate at l. The
+    selected candidate gives the derivative; at a zero budget the selection
+    is resolved in the limit from above, by the steepest candidate.
     """
+    # position 0 of every candidate holds the full budget, so l always exists
+    moving = (entry_x >= budgets[:, None, None]) & (entry_x > 0.0)
+    last = entry_x.shape[-1] - 1 - np.argmax(moving[..., ::-1], axis=2)     # (N, E)
+    rows = np.arange(entry_x.shape[0])
+    r = rows[:, None]
+    slopes = w_n[:, None] * wp[r, last] / ((budgets[:, None] + ep[r, last]) * LN2)
+    zero = budgets <= 0.0
+    tally(int(np.count_nonzero(zero)) * _C_DERIV)
+    return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
+
+
+def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
+    """Left derivative of F_n at p_bar (see left_derivatives)."""
     if p_bar < 0 or p_bar > tables.p_max * (1 + 1e-12):
         raise ValueError("budget out of range")
-    p_bar = min(p_bar, tables.p_max)
-    wp, ep = tables.wp, tables.ep
-    tally(_C_DERIV)
-    if p_bar == 0.0:
-        best = -math.inf
-        for e in range(tables.n_users):
-            pos = np.nonzero(tables.entry_x[e] > 0.0)[0]
-            l = int(pos[-1]) if pos.size else 0
-            best = max(best, tables.w_n * wp[l] / (ep[l] * LN2))
-        return best
-    vals = _entry_values(tables, np.array([float(p_bar)]))[:, 0]
-    e = int(np.argmax(vals))
-    l = int(np.nonzero(tables.entry_x[e] >= p_bar)[0][-1])
-    return tables.w_n * wp[l] / ((p_bar + ep[l]) * LN2)
+    budgets = np.array([min(p_bar, tables.p_max)], dtype=float)
+    vals = np.zeros((1, tables.n_users))  # a zero budget needs no lookup
+    if p_bar > 0.0:
+        tally(_C_DERIV)
+        vals = _entry_values(tables, budgets).T
+    return float(left_derivatives(np.array([tables.w_n]), tables.wp[None], tables.ep[None],
+                                  tables.entry_x[None], vals, budgets)[0])
 
 
 def dump_tables_csv(tables: ScusTables, path) -> None:

@@ -1,6 +1,13 @@
 """Experiment runner: config parsing, CSV contract, determinism, op counting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import nomajspa
 
 from nomajspa.cli import (
     CSV_HEADER,
@@ -190,6 +197,31 @@ class TestMain:
                      "--out", str(tmp_path / "missing" / "r.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_grid_coarser_than_carriers_finishes_campaign(self, tmp_path, capsys):
+        # delta_w = 1 gives J = 10 power levels for N = 20 subcarriers
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(
+            "subcarriers = 20\ndelta_w = 1\nsolvers = opt,eps\nepsilons = 0.1\n"
+            "k_sweep = 3,4\nm_sweep = 1,2\nseeds = 2\ntiming = false\n")
+        out = tmp_path / "coarse.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        # 2 seeds x 2 K x 2 M x 2 solvers
+        assert len(rows) == 16
+        assert "wrote 16 rows" in capsys.readouterr().out
+        assert all(r["N"] == 20 for r in rows)
+        assert all(r["loss"] <= 0.1 for r in rows if r["solver"] == "eps:0.1")
+
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        src = str(Path(nomajspa.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "nomajspa.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "noma-jspa" in proc.stdout
 
     def test_parser_knows_documented_flags(self):
         parser = build_arg_parser()

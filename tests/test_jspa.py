@@ -14,9 +14,11 @@ from nomajspa.model import (
     generate_instance,
     wsr_from_x,
 )
-from nomajspa.single_carrier import fn_value, fn_value_many, iscus_precompute
+from nomajspa.single_carrier import (fn_left_derivative, fn_value, fn_value_many,
+                                     iscus_precompute)
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
+    BudgetObjective,
     brute_force_jspa,
     budget_feasible,
     build_knapsack,
@@ -246,6 +248,69 @@ class TestEstimation:
         upper = estimate_upper_bound(inst, tables)
         assert upper < 1e-3
         assert opt_jspa(inst, tables).wsr <= upper
+
+
+    def test_bracket_and_guarantee_with_fewer_levels_than_carriers(self):
+        # J = 4 < N = 6: the coarse stride bottoms out at one grid step
+        for seed in range(6):
+            inst = small_instance(seed + 520, users=3, carriers=6, max_mux=2, levels=4)
+            _, tables = make_tables(inst, 2)
+            upper = estimate_upper_bound(inst, tables)
+            opt = opt_jspa(inst, tables).wsr
+            assert upper >= opt * (1 - 1e-9)
+            assert opt >= upper / 4.0 * (1 - 1e-9)
+            for eps in (0.5, 0.1):
+                sol = eps_jspa(inst, tables, eps, upper=upper)
+                assert budget_feasible(inst, sol.budgets)
+                assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+
+
+class TestBudgetObjective:
+    """The stacked objective agrees with the per-carrier evaluators."""
+
+    def cases(self):
+        capped = SystemConfig(users=3, subcarriers=3, max_mux=2, p_max_carrier_w=2.5,
+                              delta_w=0.25)
+        for seed in range(3):
+            yield small_instance(seed + 950, users=1, carriers=3, max_mux=1)
+            yield small_instance(seed + 960, users=4, carriers=3, max_mux=4)
+            yield generate_instance(capped, seed + 970)
+
+    def budget_vectors(self, inst, rng):
+        caps = inst.p_max_carrier
+        N = inst.n_carriers
+        yield np.zeros(N)
+        yield caps.copy()
+        yield np.where(np.arange(N) % 2 == 0, 0.0, caps)
+        for _ in range(5):
+            b = rng.uniform(0.0, caps)
+            b[rng.random(N) < 0.3] = 0.0
+            b[rng.random(N) < 0.3] = caps[0]
+            yield np.minimum(b, caps)
+
+    def test_matches_per_carrier_value_and_derivative(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for inst in self.cases():
+            _, tables = make_tables(inst)
+            objective = BudgetObjective(tables)
+            for b in self.budget_vectors(inst, rng):
+                expected = [fn_left_derivative(t, float(bn)) for t, bn in zip(tables, b)]
+                assert np.array_equal(objective.derivatives(b), np.array(expected))
+                total = sum(fn_value(t, float(bn)) for t, bn in zip(tables, b))
+                assert rel_err(objective.value(b), total) <= 1e-12
+                checked += 1
+        assert checked == 9 * 8
+
+    def test_derivative_operation_count(self):
+        # one lookup per (carrier, candidate, position), one derivative per zero budget
+        inst = small_instance(955, users=3, carriers=4, max_mux=2)
+        _, tables = make_tables(inst)
+        objective = BudgetObjective(tables)
+        with count_ops() as counter:
+            objective.derivatives(np.array([0.0, 1.0, 0.0, 2.5]))
+        assert type(counter.total) is int
+        assert counter.total == objective.entry_x.size * 6 + 2 * 4
 
 
 class TestSelectItems:
