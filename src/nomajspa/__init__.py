@@ -26,7 +26,6 @@ from .model import (
 from .single_carrier import (
     IscpcTable,
     ScusTables,
-    dump_tables_csv,
     expand_active,
     fn_left_derivative,
     fn_value,

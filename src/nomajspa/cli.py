@@ -16,18 +16,17 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .jspa import brute_force_jspa, eps_jspa, grad_jspa, opt_jspa
-from .model import SystemConfig, build_decoding_order, generate_instance, read_kv_file
+from .model import (DEFAULTS, SystemConfig, build_decoding_order, generate_instance,
+                    read_kv_file)
 from .ops import count_ops
 from .single_carrier import iscus_precompute
 
 KNOWN_SOLVERS = ("opt", "grad", "eps", "brute")
 CSV_HEADER = "seed,K,N,M,solver,wsr,loss,ops,seconds"
-
-_EXPERIMENT_KEYS = ("solvers", "k_sweep", "m_sweep", "seeds", "seed_base",
-                    "epsilons", "xi", "out", "count_ops", "timing", "jobs")
 
 
 def _parse_bool(text: str) -> bool:
@@ -42,6 +41,22 @@ def _parse_bool(text: str) -> bool:
 def _parse_list(text: str, cast):
     items = [part.strip() for part in str(text).split(",") if part.strip()]
     return tuple(cast(part) for part in items)
+
+
+# config-file key -> parser of its text value
+_EXPERIMENT_KEYS = {
+    "solvers": lambda v: _parse_list(v, str),
+    "k_sweep": lambda v: _parse_list(v, int),
+    "m_sweep": lambda v: _parse_list(v, int),
+    "seeds": int,
+    "seed_base": int,
+    "epsilons": lambda v: _parse_list(v, float),
+    "xi": float,
+    "out": str,
+    "count_ops": _parse_bool,
+    "timing": _parse_bool,
+    "jobs": int,
+}
 
 
 @dataclass(frozen=True)
@@ -80,25 +95,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        system = SystemConfig.from_mapping(raw)
-        kwargs = {"system": system}
-        casts = {
-            "solvers": lambda v: _parse_list(v, str),
-            "k_sweep": lambda v: _parse_list(v, int),
-            "m_sweep": lambda v: _parse_list(v, int),
-            "seeds": int,
-            "seed_base": int,
-            "epsilons": lambda v: _parse_list(v, float),
-            "xi": float,
-            "out": str,
-            "count_ops": _parse_bool,
-            "timing": _parse_bool,
-            "jobs": int,
-        }
-        for key in _EXPERIMENT_KEYS:
-            if key in raw:
-                kwargs[key] = casts[key](raw[key])
-        return cls(**kwargs)
+        unknown = [key for key in raw if key not in DEFAULTS and key not in _EXPERIMENT_KEYS]
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        kwargs = {key: cast(raw[key]) for key, cast in _EXPERIMENT_KEYS.items() if key in raw}
+        return cls(system=SystemConfig.from_mapping(raw), **kwargs)
 
 
 @dataclass
@@ -189,16 +190,9 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None):
     records = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                batches = pool.map(_run_task, tasks)
-                for batch in batches:
-                    for record in batch:
-                        fh.write(record.csv_row(config.timing) + "\n")
-                    records.extend(batch)
-        else:
-            for task in tasks:
-                batch = _run_task(task)
+        with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
+              else nullcontext()) as pool:
+            for batch in (pool.map if pool else map)(_run_task, tasks):
                 for record in batch:
                     fh.write(record.csv_row(config.timing) + "\n")
                 records.extend(batch)

@@ -403,6 +403,18 @@ def estimate_upper_bound(instance: Instance, tables: list) -> float:
     return 2.0 * max(greedy, best_single)
 
 
+def _profit_lookup(tables: ScusTables, delta: float):
+    """Memoized profit lookup l -> F_n(l * delta) of one class."""
+    memo = {0: 0.0}
+
+    def profit(l: int) -> float:
+        if l not in memo:
+            memo[l] = float(fn_value_many(tables, np.array([l * delta]))[0])
+        return memo[l]
+
+    return profit
+
+
 def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
                  eps: float, profit_fn=None) -> list:
     """Grid items of class n that first reach each profit threshold.
@@ -420,13 +432,7 @@ def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
     N = instance.n_carriers
     lmax = int(class_unit_caps(instance)[n])
     if profit_fn is None:
-        memo = {0: 0.0}
-
-        def profit_fn(l: int) -> float:
-            if l not in memo:
-                memo[l] = float(fn_value_many(tables, np.array([l * instance.delta]))[0])
-            return memo[l]
-
+        profit_fn = _profit_lookup(tables, instance.delta)
     thresholds = int(math.floor(4.0 * N / eps))
     step = eps * upper / (4.0 * N)
     chosen = []
@@ -472,9 +478,10 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
 
     items = []  # per class: list of (units, scaled_profit, true_profit)
     for n in range(N):
+        profit = _profit_lookup(tables[n], instance.delta)
         per_class = []
-        for l in select_items(instance, tables[n], n, upper, eps):
-            true_c = float(fn_value_many(tables[n], np.array([l * instance.delta]))[0])
+        for l in select_items(instance, tables[n], n, upper, eps, profit):
+            true_c = profit(l)
             per_class.append((l, int(math.floor(true_c / scale)), true_c))
         items.append(per_class)
 

@@ -327,7 +327,7 @@ def argmax_blocks(wp: np.ndarray, ep: np.ndarray, i: int, p_bar: float) -> np.nd
         interior = wa < wb
         denom = np.where(interior, wa - wb, 1.0)
         c1 = (wb * ea - wa * eb) / denom
-        out[1:] = np.where(interior, np.clip(c1, 0.0, p_bar), p_bar)
+        out[1:] = np.where(interior, np.minimum(np.maximum(c1, 0.0), p_bar), p_bar)
     return out
 
 

@@ -16,7 +16,6 @@ derivative in closed form.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +96,6 @@ def scpc(instance: Instance, order: DecodingOrder, n: int, active: tuple,
 class IscpcTable:
     """Full-budget power control solution reused for any smaller budget."""
 
-    n: int
-    active: tuple
     p_max: float
     x_max: np.ndarray
 
@@ -108,7 +105,7 @@ def iscpc_precompute(instance: Instance, order: DecodingOrder, n: int,
     """Solve power control once at the full budget and keep the solution."""
     x_max = scpc(instance, order, n, active, instance.p_max)
     x_max.flags.writeable = False
-    return IscpcTable(n=n, active=active, p_max=instance.p_max, x_max=x_max)
+    return IscpcTable(p_max=instance.p_max, x_max=x_max)
 
 
 def iscpc_eval(table: IscpcTable, p_bar: float) -> np.ndarray:
@@ -129,28 +126,19 @@ def iscpc_eval(table: IscpcTable, p_bar: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScusTables:
-    """User-selection DP tables plus the candidate solutions they induce.
+    """Candidate solutions of the selection DP, all F_n needs of a subcarrier.
 
-    value[m, j, i] is the best utility of positions j..K-1 with at most m
-    active, positions j..i forced equal; xopt[m, j, i] is that shared value
-    and (par_m, par_j) point to the predecessor cell (the predecessor's i is
-    always i + 1; cells with m = 0 or i = K-1 are roots). entry_x[e] is the
-    full-budget solution forced to share x over positions 0..e, one
-    candidate per prefix length; every smaller budget is served by the best
-    truncated candidate.
+    entry_x[e] is the full-budget solution forced to share x over positions
+    0..e, one candidate per prefix length; every smaller budget is served by
+    the best truncated candidate.
     """
 
-    n: int
     max_active: int
     p_max: float
     w_n: float
     wp: np.ndarray
     ep: np.ndarray
     offset: float  # additive constant turning utilities into weighted rates
-    value: np.ndarray
-    xopt: np.ndarray
-    par_m: np.ndarray
-    par_j: np.ndarray
     entry_x: np.ndarray
 
     @property
@@ -160,14 +148,20 @@ class ScusTables:
 
 def _scus_dp(instance: Instance, order: DecodingOrder, n: int, max_active: int,
              p_bar: float):
-    """Fill the (m, j, i) tables bottom-up in i."""
+    """Fill the (m, j, i) tables bottom-up in i.
+
+    value[m, j, i] is the best utility of positions j..K-1 with at most m
+    active, positions j..i forced equal, and xopt[m, j, i] is that shared
+    value. take[m, j, i] says whether position i ends an active block: the
+    predecessor cell is then (m - 1, i + 1, i + 1), and (m, j, i + 1)
+    otherwise. Cells with m = 0 or i = K-1 are roots.
+    """
     K = instance.n_users
     M = max_active
     w_n, wp, ep = carrier_view(instance, order, n)
     value = np.zeros((M + 1, K, K))
     xopt = np.zeros((M + 1, K, K))
-    par_m = np.full((M + 1, K, K), -1, dtype=np.int64)
-    par_j = np.full((M + 1, K, K), -1, dtype=np.int64)
+    take = np.zeros((M + 1, K, K), dtype=bool)
 
     # m = 0: nothing may be active, every position stays at zero power.
     zero_tail = f_blocks(w_n, wp, ep, K - 1, np.zeros(K))
@@ -188,29 +182,29 @@ def _scus_dp(instance: Instance, order: DecodingOrder, n: int, max_active: int,
         x_star = argmax_blocks(wp, ep, i, p_bar)
         gain = f_blocks(w_n, wp, ep, i, x_star)
         tally((i + 1) * (_C_ARGMAX + _C_BLOCK))
-        js = np.arange(i + 1)
         for m in range(1, M + 1):
             v_act = gain + value[m - 1, i + 1, i + 1]
             v_inact = value[m, :i + 1, i + 1]
             # activating position i must strictly beat leaving it merged and
             # keep the cumulative powers strictly decreasing across i, i+1
-            take = (v_act > v_inact) & (x_star > xopt[m - 1, i + 1, i + 1])
-            value[m, :i + 1, i] = np.where(take, v_act, v_inact)
-            xopt[m, :i + 1, i] = np.where(take, x_star, xopt[m, :i + 1, i + 1])
-            par_m[m, :i + 1, i] = np.where(take, m - 1, m)
-            par_j[m, :i + 1, i] = np.where(take, i + 1, js)
+            act = (v_act > v_inact) & (x_star > xopt[m - 1, i + 1, i + 1])
+            value[m, :i + 1, i] = np.where(act, v_act, v_inact)
+            xopt[m, :i + 1, i] = np.where(act, x_star, xopt[m, :i + 1, i + 1])
+            take[m, :i + 1, i] = act
             tally((i + 1) * _C_CELL)
-    return value, xopt, par_m, par_j
+    return value, xopt, take
 
 
-def _backtrack(xopt, par_m, par_j, m: int, j: int, i: int, n_users: int) -> np.ndarray:
+def _backtrack(xopt, take, m: int, j: int, i: int, n_users: int) -> np.ndarray:
     """Recover the full solution column from a starting cell."""
     x = np.zeros(n_users)
     while True:
         x[j:i + 1] = xopt[m, j, i]
         if i == n_users - 1 or m == 0:
             return x
-        m, j, i = par_m[m, j, i], par_j[m, j, i], i + 1
+        if take[m, j, i]:
+            m, j = m - 1, i + 1
+        i += 1
 
 
 def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
@@ -223,8 +217,8 @@ def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
     """
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
-    value, xopt, par_m, par_j = _scus_dp(instance, order, n, max_active, p_bar)
-    return _backtrack(xopt, par_m, par_j, max_active, 0, 0, instance.n_users)
+    _, xopt, take = _scus_dp(instance, order, n, max_active, p_bar)
+    return _backtrack(xopt, take, max_active, 0, 0, instance.n_users)
 
 
 def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
@@ -239,18 +233,14 @@ def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
     K = instance.n_users
-    value, xopt, par_m, par_j = _scus_dp(instance, order, n, max_active, instance.p_max)
+    _, xopt, take = _scus_dp(instance, order, n, max_active, instance.p_max)
     entry_x = np.empty((K, K))
     for e in range(K):
-        entry_x[e] = _backtrack(xopt, par_m, par_j, max_active, 0, e, K)
+        entry_x[e] = _backtrack(xopt, take, max_active, 0, e, K)
+    entry_x.flags.writeable = False
     w_n, wp, ep = carrier_view(instance, order, n)
-    for arr in (value, xopt, par_m, par_j, entry_x):
-        arr.flags.writeable = False
-    return ScusTables(
-        n=n, max_active=max_active, p_max=instance.p_max,
-        w_n=w_n, wp=wp, ep=ep, offset=a_const(instance, order, n),
-        value=value, xopt=xopt, par_m=par_m, par_j=par_j, entry_x=entry_x,
-    )
+    return ScusTables(max_active=max_active, p_max=instance.p_max, w_n=w_n, wp=wp, ep=ep,
+                      offset=a_const(instance, order, n), entry_x=entry_x)
 
 
 def candidate_values(w_n, wp, ep, offset, entry_x: np.ndarray,
@@ -331,21 +321,3 @@ def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
         vals = _entry_values(tables, budgets).T
     return float(left_derivatives(np.array([tables.w_n]), tables.wp[None], tables.ep[None],
                                   tables.entry_x[None], vals, budgets)[0])
-
-
-def dump_tables_csv(tables: ScusTables, path) -> None:
-    """Write the DP tables as CSV for inspection (one row per cell)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "j", "i", "value", "x", "parent_m", "parent_j"])
-        M, K = tables.max_active, tables.n_users
-        for m in range(M + 1):
-            for i in range(K):
-                for j in range(i + 1):
-                    writer.writerow([
-                        m, j, i,
-                        repr(float(tables.value[m, j, i])),
-                        repr(float(tables.xopt[m, j, i])),
-                        int(tables.par_m[m, j, i]),
-                        int(tables.par_j[m, j, i]),
-                    ])

@@ -183,11 +183,15 @@ class TestMain:
         assert all(r["ops"] > 0 for r in rows)
         assert "wrote 2 rows" in capsys.readouterr().out
 
-    def test_bad_config_reports_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("solvers = magic\n", "unknown solver"),
+        ("userz = 5\nseedz = 2\n", "userz, seedz"),
+    ], ids=["unknown_solver", "unknown_key"])
+    def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
-        cfg_file.write_text("solvers = magic\n")
+        cfg_file.write_text(text)
         assert main(["--config", str(cfg_file)]) == 2
-        assert "unknown solver" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_unwritable_out_reports_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

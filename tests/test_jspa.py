@@ -30,6 +30,7 @@ from nomajspa.jspa import (
     project_simplex,
     select_items,
 )
+from nomajspa import jspa
 from nomajspa.ops import count_ops
 
 
@@ -412,6 +413,21 @@ class TestEpsJspa:
             chosen = select_items(inst, tables[0], 0, upper, eps)
             best = max(fn_value(tables[0], l * inst.delta) for l in chosen)
             assert eps_jspa(inst, tables, eps).wsr == pytest.approx(best, rel=1e-12)
+
+    def test_each_profit_is_looked_up_once(self, monkeypatch):
+        inst = small_instance(72, users=4, carriers=3, max_mux=2, levels=200)
+        _, tables = make_tables(inst, 2)
+        real = jspa.fn_value_many
+        lookups = []
+
+        def recording(table, budgets):
+            lookups.append((id(table), tuple(np.atleast_1d(budgets).tolist())))
+            return real(table, budgets)
+
+        monkeypatch.setattr(jspa, "fn_value_many", recording)
+        sol = eps_jspa(inst, tables, 0.1)
+        assert np.count_nonzero(sol.budgets) > 0
+        assert len(lookups) == len(set(lookups))
 
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)

@@ -17,7 +17,7 @@ from conftest import (
 )
 from nomajspa.model import LN2, active_positions, argmax_f, build_decoding_order, carrier_view
 from nomajspa.single_carrier import (
-    dump_tables_csv,
+    _scus_dp,
     expand_active,
     fn_left_derivative,
     fn_value,
@@ -232,13 +232,25 @@ class TestIscus:
         for e in range(5):
             assert np.all(tables.entry_x[e, :e + 1] == tables.entry_x[e, 0])
         # DP roots: the zero-slot plane holds zeros and the zero-power tail value
+        value, xopt, _ = _scus_dp(inst, order, 0, 2, inst.p_max)
         w_n, wp, ep = carrier_view(inst, order, 0)
         for j in range(5):
             expected = w_n * wp[-1] * math.log2(ep[-1])
             if j > 0:
                 expected -= w_n * wp[j - 1] * math.log2(ep[j - 1])
-            assert tables.value[0, j, j] == pytest.approx(expected, rel=1e-12)
-            assert tables.xopt[0, j, j] == 0.0
+            assert value[0, j, j] == pytest.approx(expected, rel=1e-12)
+            assert xopt[0, j, j] == 0.0
+
+    def test_table_footprint_does_not_grow_with_max_active(self):
+        inst = small_instance(63, users=6, carriers=1, max_mux=6)
+        order = build_decoding_order(inst)
+
+        def footprint(max_active):
+            tables = iscus_precompute(inst, order, 0, max_active)
+            return sum(field.nbytes for field in vars(tables).values()
+                       if isinstance(field, np.ndarray))
+
+        assert footprint(1) == footprint(6)
 
 
 class TestBudgetValueFunction:
@@ -306,14 +318,3 @@ class TestBudgetValueFunction:
             fn_left_derivative(tables, -1.0)
         with pytest.raises(ValueError):
             fn_left_derivative(tables, inst.p_max * 2)
-
-
-def test_dump_tables_csv(tmp_path):
-    inst = small_instance(81, users=4, carriers=1, max_mux=2)
-    order = build_decoding_order(inst)
-    tables = iscus_precompute(inst, order, 0, 2)
-    out = tmp_path / "tables.csv"
-    dump_tables_csv(tables, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "m,j,i,value,x,parent_m,parent_j"
-    assert len(lines) == 1 + 3 * (4 * 5 // 2)
