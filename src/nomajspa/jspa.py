@@ -30,7 +30,7 @@ from .single_carrier import (ScusTables, candidate_values, fn_value_many, iscus_
 
 _C_KNAP_W = 2   # DP by weights, per candidate item
 _C_KNAP_P = 3   # DP by profits, per candidate item
-_C_PROJ = 3     # projection, per coordinate per bisection iteration
+_C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 BRUTE_FORCE_LIMIT = 10 ** 7
@@ -82,26 +82,88 @@ def budget_feasible(instance: Instance, budgets: np.ndarray, tol: float = 1e-9) 
 # Projection onto the capped budget simplex.
 
 
+def _float_bits(x: float) -> int:
+    """Bit pattern of a float as an int; monotone in x for x >= 0."""
+    return int(np.float64(x).view(np.int64))
+
+
+def _bits_float(b: int) -> float:
+    return float(np.int64(b).view(np.float64))
+
+
+def _breakpoint_root(v: np.ndarray, p_max: float, caps: np.ndarray) -> tuple[float, float]:
+    """Closed-form root of g(lam) = sum clip(v - lam, 0, caps) = p_max.
+
+    g is piecewise linear with kinks at v - caps (a coordinate leaves its
+    cap) and v (it reaches zero). Walking the sorted kinks with a running
+    count of free coordinates gives g at every kink; the root lies on the
+    first piece where g drops to p_max. Returns the root, which carries the
+    walk's rounding, and the free count (-slope of g) on its piece. Assumes
+    g at the smallest kink, sum caps, exceeds p_max.
+    """
+    kinks = np.concatenate((v - caps, v))
+    order = np.argsort(kinks, kind="stable")
+    t = kinks[order]
+    free = np.cumsum(np.where(order < v.size, 1.0, -1.0))  # free coordinates above t[k]
+    g = float(caps.sum()) - np.concatenate(([0.0], np.cumsum(free[:-1] * np.diff(t))))
+    k = max(1, int(np.argmax(g <= p_max)))
+    return float(t[k - 1] + (g[k - 1] - p_max) / free[k - 1]), float(free[k - 1])
+
+
+def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
+    """Smallest float lam whose computed sum(clip(v - lam, 0, caps)) is <= p_max.
+
+    Float rounding keeps that computed sum monotone in lam, so the float is
+    unique; the caller has checked that lam = 0 does not fit. The
+    breakpoint root places lam up to rounding, and a search on the float's
+    bit pattern finishes it: gallop outward from the root, doubling the
+    step until the sum crosses p_max, then bisect until the bracket holds
+    two adjacent floats. The first step is the lam spacing over which the
+    sum moves by its residual at the root or by one ulp of p_max, whichever
+    is larger, and at least one ulp of lam.
+    """
+    def clipped_sum(lam: float) -> float:
+        tally(v.size * _C_PROJ)
+        return float(np.clip(v - lam, 0.0, caps).sum())
+
+    def over(b: int) -> bool:
+        return clipped_sum(_bits_float(b)) > p_max
+
+    # over(lo) holds (lam = 0 does not fit), over(hi) does not (all zero)
+    lo, hi = 0, _float_bits(float(v.max()))
+    root, free = _breakpoint_root(v, p_max, caps)
+    if lo < root < _bits_float(hi):
+        residual = clipped_sum(root) - p_max
+        up = residual > 0.0
+        lo, hi = (_float_bits(root), hi) if up else (lo, _float_bits(root))
+        step = max(1, int(max(abs(residual), math.ulp(p_max)) / (free * math.ulp(root))))
+        while hi - lo > step:
+            probe = lo + step if up else hi - step
+            past = over(probe)
+            lo, hi = (probe, hi) if past else (lo, probe)
+            if past != up:
+                break
+            step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if over(mid) else (lo, mid)
+    return _bits_float(hi)
+
+
 def project_simplex(v: np.ndarray, p_max: float, caps: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x : sum x <= p_max, 0 <= x <= caps}.
 
     The KKT conditions give x = clip(v - lam, 0, caps) with lam = 0 if the
     clipped point already fits the budget, otherwise the unique lam > 0
-    that makes the budget tight; that root is found by bisection.
+    that makes the budget tight, found exactly by `_budget_multiplier` in
+    O(N log N) plus a few clipped sums.
     """
     v = np.asarray(v, dtype=float)
     base = np.clip(v, 0.0, caps)
+    tally(v.size * _C_PROJ)
     if float(base.sum()) <= p_max:
         return base
-    lo, hi = 0.0, float(v.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(np.clip(v - mid, 0.0, caps).sum()) > p_max:
-            lo = mid
-        else:
-            hi = mid
-    tally(100 * v.size * _C_PROJ)
-    return np.clip(v - hi, 0.0, caps)
+    return np.clip(v - _budget_multiplier(v, p_max, caps), 0.0, caps)
 
 
 # ---------------------------------------------------------------------------

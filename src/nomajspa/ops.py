@@ -19,9 +19,9 @@ collection lookup             6    (entry, budget, position) triple, charged
                                    only in single_carrier.candidate_values
 budget-split DP by weights    2    candidate item inspected
 budget-split DP by profits    3    candidate item inspected
-simplex projection            3    coordinate per bisection iteration
-gradient/derivative lookup    4    fn_left_derivative call, or zero-budget
-                                   subcarrier in a stacked derivative
+simplex projection            3    coordinate per clipped-sum evaluation (the
+                                   feasibility check and every polish probe)
+gradient/derivative lookup    4    subcarrier in single_carrier.left_derivatives
 ==========================  =====  ==============================================
 
 Counting is disabled by default; the disabled path is a single attribute

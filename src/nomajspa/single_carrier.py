@@ -306,7 +306,7 @@ def left_derivatives(w_n: np.ndarray, wp: np.ndarray, ep: np.ndarray, entry_x: n
     r = rows[:, None]
     slopes = w_n[:, None] * wp[r, last] / ((budgets[:, None] + ep[r, last]) * LN2)
     zero = budgets <= 0.0
-    tally(int(np.count_nonzero(zero)) * _C_DERIV)
+    tally(budgets.size * _C_DERIV)
     return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
 
 
@@ -317,7 +317,6 @@ def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
     budgets = np.array([min(p_bar, tables.p_max)], dtype=float)
     vals = np.zeros((1, tables.n_users))  # a zero budget needs no lookup
     if p_bar > 0.0:
-        tally(_C_DERIV)
         vals = _entry_values(tables, budgets).T
     return float(left_derivatives(np.array([tables.w_n]), tables.wp[None], tables.ep[None],
                                   tables.entry_x[None], vals, budgets)[0])

@@ -47,7 +47,79 @@ def identical_carrier_instance(carriers=2, eta=0.3, weight=0.8, p_max=10.0, delt
                     delta=delta, max_mux=1)
 
 
+def bisection_projection(v, p_max, caps):
+    """The 100-step bisection projection, kept as the oracle for its replacement.
+
+    Returns the projection and the final multiplier bracket (lo, hi); the
+    projection uses hi.
+    """
+    v = np.asarray(v, dtype=float)
+    lo, hi = 0.0, float(v.max())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if float(np.clip(v - mid, 0.0, caps).sum()) > p_max:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - hi, 0.0, caps), lo, hi
+
+
+def active_projection_cases(seed=23, draws=900):
+    """Seeded projections whose budget binds, as (mode, v, p_max, caps, oracle).
+
+    mode says how p_max was drawn and oracle is the bisection's output. Sizes N = 1 to 40, magnitudes 1e-3 to 10, v partly negative, some tied
+    entries, caps that bind, some equal caps. p_max is tiny, just under the
+    clipped sum, or in between. Only multipliers lam >= max(v) * 2**-40 are
+    kept: below that the bisection's 100 halvings stop short of adjacent
+    floats.
+    """
+    rng = np.random.default_rng(seed)
+    modes = ("tiny", "just_under", "between")
+    for i in range(draws):
+        size = 1 if i % 8 == 0 else int(rng.integers(2, 41))
+        scale = 10.0 ** rng.uniform(-3.0, 1.0)
+        v = rng.normal(0.3, 1.0, size) * scale
+        if i % 4 == 1:
+            v = rng.choice(v[:max(1, size // 3)], size)
+        caps = rng.uniform(0.05, 1.5, size) * scale
+        if i % 5 == 2:
+            caps[:] = caps[0]
+        full = float(np.clip(v, 0.0, caps).sum())
+        mode = modes[i % 3]
+        if mode == "tiny":
+            p_max = full * 1e-3
+        elif mode == "just_under":
+            p_max = full * (1.0 - 10.0 ** -rng.uniform(3.0, 11.0))
+        else:
+            p_max = full * rng.uniform(0.05, 0.95)
+        if full <= p_max:
+            continue
+        oracle = bisection_projection(v, p_max, caps)
+        if oracle[2] >= float(v.max()) * 2.0 ** -40:
+            yield mode, v, p_max, caps, oracle
+
+
 class TestProjectSimplex:
+    def test_bit_identical_to_bisection(self):
+        seen = {}
+        for mode, v, p_max, caps, (expected, lo, hi) in active_projection_cases():
+            assert np.nextafter(hi, 0.0) == lo  # the oracle reached adjacent floats
+            assert np.array_equal(project_simplex(v, p_max, caps), expected)
+            lam = jspa._budget_multiplier(v, p_max, caps)
+            assert float(np.clip(v - lam, 0.0, caps).sum()) <= p_max
+            assert float(np.clip(v - np.nextafter(lam, 0.0), 0.0, caps).sum()) > p_max
+            seen[mode] = seen.get(mode, 0) + 1
+        assert min(seen.values()) >= 150 and len(seen) == 3
+
+    def test_work_is_logarithmic(self):
+        # the bisection charged 100 iterations * 3 ops per coordinate
+        ratios = []
+        for _, v, p_max, caps, _ in active_projection_cases():
+            with count_ops() as counter:
+                project_simplex(v, p_max, caps)
+            ratios.append(counter.total / (300 * v.size))
+        assert np.mean(ratios) <= 0.2
+
     def test_feasible_point_unchanged(self):
         v = np.array([1.0, 2.0, 3.0])
         out = project_simplex(v, 10.0, np.array([5.0, 5.0, 5.0]))
@@ -123,6 +195,17 @@ class TestGradJspa:
         order, tables = make_tables(inst, 2)
         sol = grad_jspa(inst, tables, 1e-4)
         assert rel_err(sol.wsr, wsr_from_x(inst, order, sol.x)) <= 1e-9
+
+    def test_trajectory_is_pinned(self):
+        # recorded with the bisection projection; the exact projection keeps every bit
+        inst = small_instance(42, users=6, carriers=8, max_mux=3)
+        _, tables = make_tables(inst)
+        sol = grad_jspa(inst, tables, 1e-4)
+        assert sol.wsr.hex() == "0x1.8df3bab5cdd68p+24"
+        assert (sol.iterations, sol.converged) == (6, True)
+        assert sol.budgets.tobytes().hex() == (
+            "1738ec57a5d1f13f6b915c0cc2dbf53f4b9e1c51ec40f63f87d56b1faa12f53f"
+            "bf96a57067b8f33fa71c08380080f43f1bae5f80c24df43f2f612102d878f03f")
 
     def test_rejects_bad_tolerance(self):
         inst = small_instance(6, users=2, carriers=2, max_mux=1)
@@ -304,14 +387,14 @@ class TestBudgetObjective:
         assert checked == 9 * 8
 
     def test_derivative_operation_count(self):
-        # one lookup per (carrier, candidate, position), one derivative per zero budget
+        # one lookup per (carrier, candidate, position), one derivative per carrier
         inst = small_instance(955, users=3, carriers=4, max_mux=2)
         _, tables = make_tables(inst)
         objective = BudgetObjective(tables)
         with count_ops() as counter:
             objective.derivatives(np.array([0.0, 1.0, 0.0, 2.5]))
         assert type(counter.total) is int
-        assert counter.total == objective.entry_x.size * 6 + 2 * 4
+        assert counter.total == objective.entry_x.size * 6 + 4 * 4
 
 
 class TestSelectItems:
