@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import math
 import sys
 import time
@@ -20,8 +22,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .jspa import brute_force_jspa, eps_jspa, grad_jspa, opt_jspa
-from .model import (DEFAULTS, SystemConfig, build_decoding_order, generate_instance,
-                    read_kv_file)
+from .model import (SystemConfig, build_decoding_order, generate_instance, parse_bool,
+                    parse_fields, parse_list, read_kv_file)
 from .ops import count_ops
 from .single_carrier import iscus_precompute
 
@@ -29,39 +31,13 @@ KNOWN_SOLVERS = ("opt", "grad", "eps", "brute")
 CSV_HEADER = "seed,K,N,M,solver,wsr,loss,ops,seconds"
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _parse_list(text: str, cast):
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    return tuple(cast(part) for part in items)
-
-
-# config-file key -> parser of its text value
-_EXPERIMENT_KEYS = {
-    "solvers": lambda v: _parse_list(v, str),
-    "k_sweep": lambda v: _parse_list(v, int),
-    "m_sweep": lambda v: _parse_list(v, int),
-    "seeds": int,
-    "seed_base": int,
-    "epsilons": lambda v: _parse_list(v, float),
-    "xi": float,
-    "out": str,
-    "count_ops": _parse_bool,
-    "timing": _parse_bool,
-    "jobs": int,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one campaign needs: physics, sweeps, solvers, output."""
+    """Everything one campaign needs: physics, sweeps, solvers, output.
+
+    Each field but `system` is a config-file key, parsed as the type of its
+    default; the keys of `system` are those of SystemConfig.
+    """
 
     system: SystemConfig = SystemConfig()
     solvers: tuple = ("opt", "grad")
@@ -92,14 +68,19 @@ class ExperimentConfig:
             raise ValueError("m_sweep values must lie in [1, min(k_sweep)]")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        labels = solver_tags(self)
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"repeated solver label(s): {', '.join(repeated)}")
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        unknown = [key for key in raw if key not in DEFAULTS and key not in _EXPERIMENT_KEYS]
+        keys = {f.name for f in dataclasses.fields(SystemConfig)}
+        keys |= {f.name for f in dataclasses.fields(cls) if f.name != "system"}
+        unknown = [key for key in raw if key not in keys]
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        kwargs = {key: cast(raw[key]) for key, cast in _EXPERIMENT_KEYS.items() if key in raw}
-        return cls(system=SystemConfig.from_mapping(raw), **kwargs)
+        return cls(system=SystemConfig.from_mapping(raw), **parse_fields(cls, raw))
 
 
 @dataclass
@@ -120,27 +101,29 @@ class RunRecord:
                 f"{self.wsr!r},{self.loss!r},{self.ops},{seconds:.6f}")
 
 
-def solver_tags(config: ExperimentConfig) -> list:
-    """Per-row solver labels, with `eps` expanded over the epsilon list."""
-    tags = []
+def solver_runs(config: ExperimentConfig) -> list:
+    """(CSV label, solve(instance, tables)) per row, `eps` once per epsilon.
+
+    Each solve looks its solver up in this module when it runs, so a solver
+    patched onto this module is the one the campaign calls.
+    """
+    runs = []
     for name in config.solvers:
         if name == "eps":
-            tags.extend(f"eps:{e:g}" for e in config.epsilons)
+            runs.extend((f"eps:{e:g}", lambda inst, tables, e=e: eps_jspa(inst, tables, e))
+                        for e in config.epsilons)
+        elif name == "grad":
+            runs.append((name, lambda inst, tables: grad_jspa(inst, tables, config.xi)))
+        elif name == "opt":
+            runs.append((name, lambda inst, tables: opt_jspa(inst, tables)))
         else:
-            tags.append(name)
-    return tags
+            runs.append((name, lambda inst, tables: brute_force_jspa(inst, tables)))
+    return runs
 
 
-def _dispatch(tag: str, instance, tables, xi: float):
-    if tag == "opt":
-        return opt_jspa(instance, tables)
-    if tag == "grad":
-        return grad_jspa(instance, tables, xi)
-    if tag == "brute":
-        return brute_force_jspa(instance, tables)
-    if tag.startswith("eps:"):
-        return eps_jspa(instance, tables, float(tag.split(":", 1)[1]))
-    raise ValueError(f"unknown solver name: {tag}")
+def solver_tags(config: ExperimentConfig) -> list:
+    """Per-row solver labels, with `eps` expanded over the epsilon list."""
+    return [label for label, _ in solver_runs(config)]
 
 
 def _instance_records(config: ExperimentConfig, seed: int, k: int) -> list:
@@ -149,30 +132,25 @@ def _instance_records(config: ExperimentConfig, seed: int, k: int) -> list:
                                  max_mux=min(max(config.m_sweep), k))
     instance = generate_instance(system, seed)
     order = build_decoding_order(instance)
-    tags = solver_tags(config)
+    runs = solver_runs(config)
     records = []
     for m in config.m_sweep:
         tables = [iscus_precompute(instance, order, n, m)
                   for n in range(instance.n_carriers)]
         results = {}
-        for tag in tags:
+        for tag, solve in runs:
             start = time.perf_counter()
             with count_ops(enabled=config.count_ops) as counter:
-                solution = _dispatch(tag, instance, tables, config.xi)
+                solution = solve(instance, tables)
             elapsed = time.perf_counter() - start
             results[tag] = (solution.wsr, counter.total, elapsed)
         reference = results.get("opt", (math.nan,))[0]
-        for tag in tags:
-            wsr, ops, elapsed = results[tag]
+        for tag, (wsr, ops, elapsed) in results.items():
             loss = 0.0 if tag == "opt" else (reference - wsr) / reference
             records.append(RunRecord(seed=seed, K=k, N=instance.n_carriers, M=m,
                                      solver=tag, wsr=wsr, loss=loss, ops=ops,
                                      seconds=elapsed))
     return records
-
-
-def _run_task(args):
-    return _instance_records(*args)
 
 
 def run_experiment(config: ExperimentConfig, out_path: str | None = None):
@@ -184,15 +162,16 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None):
     does not depend on the job count.
     """
     path = out_path if out_path is not None else config.out
-    tasks = [(config, seed, k)
-             for seed in range(config.seed_base, config.seed_base + config.seeds)
-             for k in config.k_sweep]
+    seeds = [seed for seed in range(config.seed_base, config.seed_base + config.seeds)
+             for _ in config.k_sweep]
+    ks = config.k_sweep * config.seeds
     records = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
               else nullcontext()) as pool:
-            for batch in (pool.map if pool else map)(_run_task, tasks):
+            for batch in (pool.map if pool else map)(_instance_records,
+                                                     itertools.repeat(config), seeds, ks):
                 for record in batch:
                     fh.write(record.csv_row(config.timing) + "\n")
                 records.extend(batch)
@@ -208,10 +187,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file (defaults used if omitted)")
     parser.add_argument("--seed-base", type=int, metavar="INT",
                         help="first seed of the campaign")
-    parser.add_argument("--solvers", metavar="LIST",
+    parser.add_argument("--solvers", type=functools.partial(parse_list, cast=str), metavar="LIST",
                         help="comma-separated subset of: " + ",".join(KNOWN_SOLVERS))
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
-    parser.add_argument("--count-ops", type=_parse_bool, metavar="BOOL",
+    parser.add_argument("--count-ops", type=parse_bool, metavar="BOOL",
                         help="count basic operations per solver call (true/false)")
     return parser
 
@@ -219,19 +198,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        raw = read_kv_file(args.config) if args.config else {}
-        config = ExperimentConfig.from_mapping(raw)
-        overrides = {}
-        if args.seed_base is not None:
-            overrides["seed_base"] = args.seed_base
-        if args.solvers is not None:
-            overrides["solvers"] = _parse_list(args.solvers, str)
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.count_ops is not None:
-            overrides["count_ops"] = args.count_ops
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        config = ExperimentConfig.from_mapping(read_kv_file(args.config) if args.config else {})
+        flags = {name: value for name, value in vars(args).items()
+                 if name != "config" and value is not None}
+        config = dataclasses.replace(config, **flags)
         records = run_experiment(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

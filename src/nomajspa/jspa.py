@@ -42,7 +42,6 @@ class JspaSolution:
 
     budgets is the per-subcarrier power split (watts), x the cumulative-power
     matrix (K, N) realizing it, wsr the achieved weighted sum-rate in bits/s.
-    ops is the basic-operation count if counting was enabled, else 0.
     converged is False only when gradient ascent hit its iteration cap.
     """
 
@@ -50,7 +49,6 @@ class JspaSolution:
     budgets: np.ndarray
     x: np.ndarray
     wsr: float
-    ops: int = 0
     converged: bool = True
     iterations: int = 0
     history: list = field(default_factory=list)
@@ -247,8 +245,9 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
     the step size chosen by exact line search (golden section over the
     projected arc), and stops once the iterate moves by at most xi. The
     objective is only piecewise concave, so a global optimum is not
-    guaranteed; an iteration cap returns the best iterate with
-    converged=False instead of looping forever.
+    guaranteed. The line search never accepts a loss, so the last iterate
+    is the best; an iteration cap returns it with converged=False instead
+    of looping forever.
     """
     if xi <= 0:
         raise ValueError("xi must be positive")
@@ -260,7 +259,6 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
         instance.p_max, xi)
     p = np.zeros(N)
     cur = objective.value(p)
-    best_val, best_p = cur, p.copy()
     history = [cur]
     converged = False
     iterations = 0
@@ -272,20 +270,21 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
             break
         alpha_max = instance.p_max / norm
 
+        projected = {}  # alpha -> the projected point the line search valued
+
         def along(alpha: float) -> float:
-            return objective.value(project_simplex(p + alpha * grad, instance.p_max, caps))
+            projected[alpha] = project_simplex(p + alpha * grad, instance.p_max, caps)
+            return objective.value(projected[alpha])
 
         alpha, val = _golden_max(along, 0.0, alpha_max, f_lo=cur)
-        new_p = project_simplex(p + alpha * grad, instance.p_max, caps)
+        new_p = projected.get(alpha, p)  # alpha = 0 keeps p, its own projection
         step = float(np.linalg.norm(new_p - p))
         p, cur = new_p, val
         history.append(cur)
-        if cur > best_val:
-            best_val, best_p = cur, p.copy()
         if step <= xi:
             converged = True
             break
-    return _solution(instance, tables, best_p, "grad", converged=converged,
+    return _solution(instance, tables, p, "grad", converged=converged,
                      iterations=iterations, history=history)
 
 

@@ -18,6 +18,8 @@ position is 0 and "block [j, i]" means positions j..i inclusive.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,41 +28,62 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Default system parameters (hexagonal macro cell, 5 MHz downlink).
-DEFAULTS = {
-    "users": 10,
-    "subcarriers": 20,
-    "max_mux": 3,
-    "bandwidth_hz": 5e6,
-    "p_max_w": 10.0,
-    "p_max_carrier_w": 0.0,  # 0 means "no per-subcarrier cap", i.e. equal to p_max_w
-    "delta_w": 0.01,
-    "cell_radius_m": 1000.0,
-    "min_distance_m": 35.0,
-    "carrier_freq_hz": 2e9,
-    "shadowing_std_db": 10.0,
-    "noise_psd_dbm_hz": -174.0,
-    "min_weight": 1e-6,
-}
+def parse_bool(text: str) -> bool:
+    lowered = str(text).strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def parse_list(text: str, cast) -> tuple:
+    items = [part.strip() for part in str(text).split(",") if part.strip()]
+    return tuple(cast(part) for part in items)
+
+
+def parse_fields(cls, raw: dict) -> dict:
+    """Parse the keys of raw that name fields of the dataclass cls.
+
+    Each text value is read as its field default's type: a bool as a
+    boolean word, a tuple as a comma list of its first element's type.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in raw:
+            cast = type(f.default)
+            if cast is bool:
+                cast = parse_bool
+            elif cast is tuple:
+                cast = functools.partial(parse_list, cast=type(f.default[0]))
+            try:
+                kwargs[f.name] = cast(raw[f.name])
+            except ValueError as exc:
+                raise ValueError(f"{f.name} = {raw[f.name]!r}: {exc}") from None
+    return kwargs
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Physical and sizing parameters used to draw random instances."""
+    """Physical and sizing parameters used to draw random instances.
 
-    users: int = DEFAULTS["users"]
-    subcarriers: int = DEFAULTS["subcarriers"]
-    max_mux: int = DEFAULTS["max_mux"]
-    bandwidth_hz: float = DEFAULTS["bandwidth_hz"]
-    p_max_w: float = DEFAULTS["p_max_w"]
-    p_max_carrier_w: float = DEFAULTS["p_max_carrier_w"]
-    delta_w: float = DEFAULTS["delta_w"]
-    cell_radius_m: float = DEFAULTS["cell_radius_m"]
-    min_distance_m: float = DEFAULTS["min_distance_m"]
-    carrier_freq_hz: float = DEFAULTS["carrier_freq_hz"]
-    shadowing_std_db: float = DEFAULTS["shadowing_std_db"]
-    noise_psd_dbm_hz: float = DEFAULTS["noise_psd_dbm_hz"]
-    min_weight: float = DEFAULTS["min_weight"]
+    Each field is a config-file key. The defaults describe a hexagonal macro
+    cell with a 5 MHz downlink.
+    """
+
+    users: int = 10
+    subcarriers: int = 20
+    max_mux: int = 3
+    bandwidth_hz: float = 5e6
+    p_max_w: float = 10.0
+    p_max_carrier_w: float = 0.0  # 0 means "no per-subcarrier cap", i.e. equal to p_max_w
+    delta_w: float = 0.01
+    cell_radius_m: float = 1000.0
+    min_distance_m: float = 35.0
+    carrier_freq_hz: float = 2e9
+    shadowing_std_db: float = 10.0
+    noise_psd_dbm_hz: float = -174.0
+    min_weight: float = 1e-6
 
     def __post_init__(self):
         if self.users < 1 or self.subcarriers < 1:
@@ -80,16 +103,13 @@ class SystemConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SystemConfig":
-        kwargs = {}
-        for name in DEFAULTS:
-            if name in raw:
-                cast = int if name in ("users", "subcarriers", "max_mux") else float
-                kwargs[name] = cast(raw[name])
-        return cls(**kwargs)
+        return cls(**parse_fields(cls, raw))
 
 
 def read_kv_file(path) -> dict:
-    """Parse a flat `key = value` text file. '#' starts a comment, blanks ignored."""
+    """Parse a flat `key = value` text file, each key at most once.
+
+    '#' starts a comment, blank lines are ignored."""
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -97,8 +117,10 @@ def read_kv_file(path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
+        raw[key] = value
     return raw
 
 

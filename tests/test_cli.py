@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, CSV contract, determinism, op counting."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import nomajspa
 
+from nomajspa import cli
 from nomajspa.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -17,7 +19,7 @@ from nomajspa.cli import (
     run_experiment,
     solver_tags,
 )
-from nomajspa.model import SystemConfig, build_decoding_order
+from nomajspa.model import SystemConfig, build_decoding_order, read_kv_file
 from nomajspa.ops import count_ops
 from nomajspa.single_carrier import iscus_precompute, scpc, scus
 from conftest import small_instance
@@ -72,7 +74,6 @@ class TestConfig:
             "solvers = opt,grad,eps\nepsilons = 0.5,0.1\nk_sweep = 3\n"
             "m_sweep = 1\nseeds = 2\nseed_base = 7\nxi = 1e-3\n"
             "count_ops = true\ntiming = false\njobs = 1\nout = r.csv\n")
-        from nomajspa.model import read_kv_file
         cfg = ExperimentConfig.from_mapping(read_kv_file(cfg_file))
         assert cfg.system.users == 3
         assert cfg.solvers == ("opt", "grad", "eps")
@@ -84,6 +85,26 @@ class TestConfig:
     def test_eps_solver_needs_epsilons(self):
         with pytest.raises(ValueError):
             tiny_config(solvers=("eps",), epsilons=())
+
+    def test_epsilons_sharing_a_label_rejected(self):
+        with pytest.raises(ValueError, match="eps:0.1"):
+            tiny_config(solvers=("opt", "eps"), epsilons=(0.1, 0.1000001))
+
+    @pytest.mark.parametrize("cls", [SystemConfig, ExperimentConfig])
+    def test_field_defaults_have_their_annotated_type(self, cls):
+        # config values are parsed as the type of the field's default
+        for f in dataclasses.fields(cls):
+            assert type(f.default).__name__ == f.type, f.name
+
+    def test_readme_config_block_names_every_key(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        cfg_file = tmp_path / "readme.cfg"
+        cfg_file.write_text(readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0])
+        raw = read_kv_file(cfg_file)
+        assert ExperimentConfig.from_mapping(raw) == ExperimentConfig()
+        keys = {f.name for f in dataclasses.fields(SystemConfig)}
+        keys |= {f.name for f in dataclasses.fields(ExperimentConfig)} - {"system"}
+        assert set(raw) == keys
 
 
 class TestRunExperiment:
@@ -160,6 +181,22 @@ class TestRunExperiment:
         assert rows["eps:0.5"]["wsr"] >= 0.5 * rows["opt"]["wsr"]
         assert rows["opt"]["loss"] == 0.0
 
+    def test_eps_runs_each_configured_float(self, tmp_path, monkeypatch):
+        real = cli.eps_jspa
+        calls = []
+
+        def recording(instance, tables, eps):
+            calls.append(eps)
+            return real(instance, tables, eps)
+
+        monkeypatch.setattr(cli, "eps_jspa", recording)
+        cfg = tiny_config(solvers=("eps",), epsilons=(0.1, 0.123456789), seeds=1,
+                          m_sweep=(1,))
+        run_experiment(cfg, out_path=str(tmp_path / "r.csv"))
+        assert calls == [0.1, 0.123456789]
+        assert [r["solver"] for r in read_rows(tmp_path / "r.csv")] == [
+            "eps:0.1", "eps:0.123457"]
+
     def test_unwritable_output_path(self, tmp_path):
         with pytest.raises(OSError):
             run_experiment(tiny_config(), out_path=str(tmp_path / "no" / "dir.csv"))
@@ -186,7 +223,9 @@ class TestMain:
     @pytest.mark.parametrize("text, message", [
         ("solvers = magic\n", "unknown solver"),
         ("userz = 5\nseedz = 2\n", "userz, seedz"),
-    ], ids=["unknown_solver", "unknown_key"])
+        ("users = abc\n", "users = 'abc'"),
+        ("seeds = 2\nusers = 3\nseeds = 1\n", "c.cfg:3"),
+    ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key"])
     def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)

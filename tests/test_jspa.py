@@ -207,6 +207,23 @@ class TestGradJspa:
             "1738ec57a5d1f13f6b915c0cc2dbf53f4b9e1c51ec40f63f87d56b1faa12f53f"
             "bf96a57067b8f33fa71c08380080f43f1bae5f80c24df43f2f612102d878f03f")
 
+    def test_each_accepted_step_is_projected_once(self, monkeypatch):
+        # a line search values 43 points (3 seeds + 40 golden steps); the step
+        # it accepts is one of them, so grad projects nothing else
+        inst = small_instance(42, users=6, carriers=8, max_mux=3)
+        _, tables = make_tables(inst)
+        real = jspa.project_simplex
+        points = []
+
+        def recording(v, p_max, caps):
+            points.append(real(v, p_max, caps))
+            return points[-1]
+
+        monkeypatch.setattr(jspa, "project_simplex", recording)
+        sol = grad_jspa(inst, tables, 1e-4)
+        assert len(points) == 43 * sol.iterations
+        assert any(np.array_equal(sol.budgets, q) for q in points)
+
     def test_rejects_bad_tolerance(self):
         inst = small_instance(6, users=2, carriers=2, max_mux=1)
         _, tables = make_tables(inst, 1)
