@@ -36,7 +36,10 @@ class ExperimentConfig:
     """Everything one campaign needs: physics, sweeps, solvers, output.
 
     Each field but `system` is a config-file key, parsed as the type of its
-    default; the keys of `system` are those of SystemConfig.
+    default; the keys of `system` are those of SystemConfig. The campaign
+    draws every instance with users and max_mux from its sweeps (see
+    `instance_system`), so `system` holds its largest draw and only the
+    drawn pairs are validated.
     """
 
     system: SystemConfig = SystemConfig()
@@ -72,6 +75,12 @@ class ExperimentConfig:
         repeated = sorted({label for label in labels if labels.count(label) > 1})
         if repeated:
             raise ValueError(f"repeated solver label(s): {', '.join(repeated)}")
+        object.__setattr__(self, "system", self.instance_system(max(self.k_sweep)))
+
+    def instance_system(self, users: int) -> SystemConfig:
+        """The system an instance with the given user count is drawn from."""
+        return dataclasses.replace(self.system, users=users,
+                                   max_mux=min(max(self.m_sweep), users))
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
@@ -80,7 +89,11 @@ class ExperimentConfig:
         unknown = [key for key in raw if key not in keys]
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(system=SystemConfig.from_mapping(raw), **parse_fields(cls, raw))
+        system = parse_fields(SystemConfig, raw)
+        # users and max_mux are set per instance from the sweeps
+        system.pop("users", None)
+        system.pop("max_mux", None)
+        return cls(system=SystemConfig(**system), **parse_fields(cls, raw))
 
 
 @dataclass
@@ -128,9 +141,7 @@ def solver_tags(config: ExperimentConfig) -> list:
 
 def _instance_records(config: ExperimentConfig, seed: int, k: int) -> list:
     """All rows for one seeded instance: every M, every solver."""
-    system = dataclasses.replace(config.system, users=k,
-                                 max_mux=min(max(config.m_sweep), k))
-    instance = generate_instance(system, seed)
+    instance = generate_instance(config.instance_system(k), seed)
     order = build_decoding_order(instance)
     runs = solver_runs(config)
     records = []

@@ -25,8 +25,10 @@ import numpy as np
 
 from .model import Instance
 from .ops import tally
-from .single_carrier import (ScusTables, candidate_values, fn_value_many, iscus_eval,
-                             left_derivatives)
+# fn_value_many and iscus_eval are no solver's path any more, but they stay
+# names of this module: perfbench traces each layer at the name it is called by
+from .single_carrier import (ScusTables, fn_value_many, iscus_eval,  # noqa: F401
+                             left_derivatives, pinned_values, stack_candidates)
 
 _C_KNAP_W = 2   # DP by weights, per candidate item
 _C_KNAP_P = 3   # DP by profits, per candidate item
@@ -54,16 +56,11 @@ class JspaSolution:
     history: list = field(default_factory=list)
 
 
-def _solution(instance: Instance, tables: list, budgets: np.ndarray, solver: str,
+def _solution(objective: "BudgetObjective", budgets: np.ndarray, solver: str,
               **kw) -> JspaSolution:
-    K, N = instance.n_users, instance.n_carriers
-    x = np.empty((K, N))
-    total = 0.0
-    for n in range(N):
-        x[:, n], val = iscus_eval(tables[n], float(budgets[n]))
-        total += val
-    return JspaSolution(solver=solver, budgets=np.asarray(budgets, dtype=float),
-                        x=x, wsr=total, **kw)
+    budgets = np.asarray(budgets, dtype=float)
+    x, total = objective.columns(budgets)
+    return JspaSolution(solver=solver, budgets=budgets, x=x, wsr=total, **kw)
 
 
 def budget_feasible(instance: Instance, budgets: np.ndarray, tol: float = 1e-9) -> bool:
@@ -122,7 +119,7 @@ def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
     """
     def clipped_sum(lam: float) -> float:
         tally(v.size * _C_PROJ)
-        return float(np.clip(v - lam, 0.0, caps).sum())
+        return float(np.minimum(np.maximum(v - lam, 0.0), caps).sum())
 
     def over(b: int) -> bool:
         return clipped_sum(_bits_float(b)) > p_max
@@ -157,42 +154,56 @@ def project_simplex(v: np.ndarray, p_max: float, caps: np.ndarray) -> np.ndarray
     O(N log N) plus a few clipped sums.
     """
     v = np.asarray(v, dtype=float)
-    base = np.clip(v, 0.0, caps)
+    base = np.minimum(np.maximum(v, 0.0), caps)
     tally(v.size * _C_PROJ)
     if float(base.sum()) <= p_max:
         return base
-    return np.clip(v - _budget_multiplier(v, p_max, caps), 0.0, caps)
+    return np.minimum(np.maximum(v - _budget_multiplier(v, p_max, caps), 0.0), caps)
 
 
 # ---------------------------------------------------------------------------
-# Batched objective over whole budget vectors (hot path of gradient ascent).
+# Every F_n of one solve (hot path of every solver).
 
 
 class BudgetObjective:
-    """sum_n F_n and its per-subcarrier derivatives, one tensor op per call.
+    """sum_n F_n, its per-subcarrier derivatives and each F_n on its own.
 
-    Stacks every subcarrier's candidate solutions so a full budget vector is
-    valued without a Python-level loop.
+    Made once per solve: it stacks every subcarrier's candidate solutions
+    and builds their pinned-block tails in one pass, so each budget then
+    costs one log per candidate (see `pinned_values`). Every solver values
+    F_n through it.
     """
 
     def __init__(self, tables: list):
-        self.entry_x = np.stack([t.entry_x for t in tables])   # (N, E, K)
-        self.wp = np.stack([t.wp for t in tables])             # (N, K)
-        self.ep = np.stack([t.ep for t in tables])
-        self.w_n = np.array([t.w_n for t in tables])
-        self.offset = np.array([t.offset for t in tables])
+        self.cands = stack_candidates(tables)
+        self.entry_x = self.cands.entry_x   # (N, E, K)
+        self.carriers = [self.cands.carrier(n) for n in range(len(tables))]
 
-    def entry_values(self, budgets: np.ndarray) -> np.ndarray:
-        return candidate_values(self.w_n[:, None], self.wp[:, None, :], self.ep[:, None, :],
-                                self.offset[:, None], self.entry_x, budgets[:, None])
+    def profits(self, n: int, budgets: np.ndarray) -> np.ndarray:
+        """F_n of subcarrier n on a vector of budgets."""
+        vals, _ = pinned_values(self.carriers[n], budgets[None, :])
+        return vals[0].max(axis=0)
 
     def value(self, budgets: np.ndarray) -> float:
-        return float(self.entry_values(budgets).max(axis=1).sum())
+        vals, _ = pinned_values(self.cands, budgets[:, None])
+        return float(vals.max(axis=1).sum())
 
     def derivatives(self, budgets: np.ndarray) -> np.ndarray:
         """Left derivative of every F_n at its budget, as one vector."""
-        return left_derivatives(self.w_n, self.wp, self.ep, self.entry_x,
-                                self.entry_values(budgets), budgets)
+        vals, pins = pinned_values(self.cands, budgets[:, None])
+        return left_derivatives(vals[..., 0], pins[..., 0, :], budgets)
+
+    def columns(self, budgets: np.ndarray):
+        """Best truncated candidate of every subcarrier: x (K, N) and sum_n F_n.
+
+        Ties between candidates go to the shorter shared prefix, as in
+        `iscus_eval`.
+        """
+        vals = pinned_values(self.cands, budgets[:, None])[0][..., 0]   # (N, E)
+        rows = np.arange(vals.shape[0])
+        best = np.argmax(vals, axis=1)
+        x = np.minimum(self.entry_x[rows, best], budgets[:, None]).T
+        return x, float(vals[rows, best].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +295,7 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
         if step <= xi:
             converged = True
             break
-    return _solution(instance, tables, p, "grad", converged=converged,
+    return _solution(objective, p, "grad", converged=converged,
                      iterations=iterations, history=history)
 
 
@@ -313,13 +324,17 @@ def class_unit_caps(instance: Instance) -> np.ndarray:
     return np.minimum(levels, per_cap)
 
 
-def build_knapsack(instance: Instance, tables: list) -> KnapsackInstance:
-    """Evaluate all (J + 1) * N grid profits through the precomputed tables."""
+def build_knapsack(instance: Instance, tables: list,
+                   objective: BudgetObjective | None = None) -> KnapsackInstance:
+    """Evaluate all (J + 1) * N grid profits through the precomputed tables.
+
+    One subcarrier at a time keeps the kernel's temporaries to one class.
+    """
+    if objective is None:
+        objective = BudgetObjective(tables)
     levels = instance.n_power_levels
     grid = np.arange(levels + 1) * instance.delta
-    profits = np.empty((instance.n_carriers, levels + 1))
-    for n in range(instance.n_carriers):
-        profits[n] = fn_value_many(tables[n], grid)
+    profits = np.stack([objective.profits(n, grid) for n in range(instance.n_carriers)])
     profits.flags.writeable = False
     return KnapsackInstance(delta=instance.delta, capacity_units=levels,
                             profits=profits, max_units=class_unit_caps(instance))
@@ -343,7 +358,8 @@ def opt_jspa(instance: Instance, tables: list,
     capacity l; each class relaxes it with every affordable item. Runs in
     O(N J^2) plus the profit-table construction.
     """
-    kp = knapsack if knapsack is not None else build_knapsack(instance, tables)
+    objective = BudgetObjective(tables)
+    kp = knapsack if knapsack is not None else build_knapsack(instance, tables, objective)
     J = kp.capacity_units
     N = instance.n_carriers
     best = np.zeros(J + 1)
@@ -361,7 +377,7 @@ def opt_jspa(instance: Instance, tables: list,
             tally((take + 1) * _C_KNAP_W)
         best = nxt
     budgets = _backtracked_budgets(choice, J, kp.delta)
-    return _solution(instance, tables, budgets, "opt")
+    return _solution(objective, budgets, "opt")
 
 
 def brute_force_jspa(instance: Instance, tables: list,
@@ -377,7 +393,8 @@ def brute_force_jspa(instance: Instance, tables: list,
         raise ValueError(
             f"brute force would enumerate ({J + 1})^{N} vectors; "
             f"limit is {BRUTE_FORCE_LIMIT}")
-    kp = knapsack if knapsack is not None else build_knapsack(instance, tables)
+    objective = BudgetObjective(tables)
+    kp = knapsack if knapsack is not None else build_knapsack(instance, tables, objective)
     best_val = -math.inf
     best_units = None
     units = np.zeros(N, dtype=np.int64)
@@ -396,7 +413,7 @@ def brute_force_jspa(instance: Instance, tables: list,
         units[n] = 0
 
     enumerate_class(0, 0, 0.0)
-    return _solution(instance, tables, best_units * kp.delta, "brute")
+    return _solution(objective, best_units * kp.delta, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +443,8 @@ def _hull_increments(weights: np.ndarray, profits: np.ndarray):
             for t in range(len(hull) - 1)]
 
 
-def estimate_upper_bound(instance: Instance, tables: list) -> float:
+def estimate_upper_bound(instance: Instance, tables: list,
+                         objective: BudgetObjective | None = None) -> float:
     """Bracket the optimal grid value: returns U with U >= OPT >= U / 4.
 
     Works on a coarse side problem with 2N + 1 items per class (grid stride
@@ -437,6 +455,8 @@ def estimate_upper_bound(instance: Instance, tables: list) -> float:
     items keep their coarse weight but their profit saturates at the
     subcarrier's own power cap, which preserves both sides of the bracket.
     """
+    if objective is None:
+        objective = BudgetObjective(tables)
     N = instance.n_carriers
     J = instance.n_power_levels
     stride = max(1, J // N)
@@ -448,7 +468,7 @@ def estimate_upper_bound(instance: Instance, tables: list) -> float:
     best_single = 0.0
     for n in range(N):
         eval_units = np.minimum(np.arange(1, 2 * N + 1) * stride, int(caps_units[n]))
-        profits = fn_value_many(tables[n], eval_units * instance.delta)
+        profits = objective.profits(n, eval_units * instance.delta)
         best_single = max(best_single, float(profits.max(initial=0.0)))
         for dw, dc in _hull_increments(weights, profits):
             all_increments.append((dc / dw, dw, dc, n))
@@ -464,13 +484,13 @@ def estimate_upper_bound(instance: Instance, tables: list) -> float:
     return 2.0 * max(greedy, best_single)
 
 
-def _profit_lookup(tables: ScusTables, delta: float):
-    """Memoized profit lookup l -> F_n(l * delta) of one class."""
+def _profit_lookup(objective: BudgetObjective, n: int, delta: float):
+    """Memoized profit lookup l -> F_n(l * delta) of class n."""
     memo = {0: 0.0}
 
     def profit(l: int) -> float:
         if l not in memo:
-            memo[l] = float(fn_value_many(tables, np.array([l * delta]))[0])
+            memo[l] = float(objective.profits(n, np.array([l * delta]))[0])
         return memo[l]
 
     return profit
@@ -493,7 +513,7 @@ def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
     N = instance.n_carriers
     lmax = int(class_unit_caps(instance)[n])
     if profit_fn is None:
-        profit_fn = _profit_lookup(tables, instance.delta)
+        profit_fn = _profit_lookup(BudgetObjective([tables]), 0, instance.delta)
     thresholds = int(math.floor(4.0 * N / eps))
     step = eps * upper / (4.0 * N)
     chosen = []
@@ -530,16 +550,17 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
         raise ValueError("eps must be positive")
     N = instance.n_carriers
     J = instance.n_power_levels
+    objective = BudgetObjective(tables)
     if upper is None:
-        upper = estimate_upper_bound(instance, tables)
+        upper = estimate_upper_bound(instance, tables, objective)
     if upper <= 0:
-        return _solution(instance, tables, np.zeros(N), f"eps:{eps:g}")
+        return _solution(objective, np.zeros(N), f"eps:{eps:g}")
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
 
     items = []  # per class: list of (units, scaled_profit, true_profit)
     for n in range(N):
-        profit = _profit_lookup(tables[n], instance.delta)
+        profit = _profit_lookup(objective, n, instance.delta)
         per_class = []
         for l in select_items(instance, tables[n], n, upper, eps, profit):
             true_c = profit(l)
@@ -573,4 +594,4 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
         if l >= 0:
             units[n] = l
             q -= scaled_of[n][l]
-    return _solution(instance, tables, units * instance.delta, f"eps:{eps:g}")
+    return _solution(objective, units * instance.delta, f"eps:{eps:g}")

@@ -80,7 +80,6 @@ class SystemConfig:
     delta_w: float = 0.01
     cell_radius_m: float = 1000.0
     min_distance_m: float = 35.0
-    carrier_freq_hz: float = 2e9
     shadowing_std_db: float = 10.0
     noise_psd_dbm_hz: float = -174.0
     min_weight: float = 1e-6

@@ -15,8 +15,11 @@ closed-form block maximizer   6    merged block evaluated
 block utility evaluation      6    merged block evaluated
 power-control sweep           6    outer/backtrack iteration
 user-selection DP cell        8    (m, j, i) table cell
-collection lookup             6    (entry, budget, position) triple, charged
-                                   only in single_carrier.candidate_values
+collection lookup             6    (candidate, budget) pair, charged only in
+                                   single_carrier.pinned_values
+pinned-block tails            6    (candidate, position) term, charged in
+                                   single_carrier.pinned_tails when a solve
+                                   stacks its tables
 budget-split DP by weights    2    candidate item inspected
 budget-split DP by profits    3    candidate item inspected
 simplex projection            3    coordinate per clipped-sum evaluation (the

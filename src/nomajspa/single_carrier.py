@@ -11,12 +11,16 @@ what makes the multi-carrier solvers cheap.
 `fn_value` is the resulting budget-value function F_n (optimal weighted
 rate on subcarrier n as a function of its power budget); it is
 non-decreasing and sublinear, and `fn_left_derivative` evaluates its left
-derivative in closed form.
+derivative in closed form. Both read F_n through one kernel,
+`pinned_values`: a candidate truncated at a budget pins a leading block,
+which contributes one log, and the rest is a tail constant built once per
+stack of tables (`stack_candidates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +34,10 @@ _C_BLOCK = 6
 _C_SWEEP = 6
 _C_CELL = 8
 _C_LOOKUP = 6
+_C_TAIL = 6
 _C_DERIV = 4
+
+_SMALLEST = np.nextafter(0.0, 1.0)  # x >= _SMALLEST means x > 0 for x >= 0
 
 
 def sc_value(instance: Instance, order: DecodingOrder, n: int, x_col: np.ndarray) -> float:
@@ -247,20 +254,112 @@ def candidate_values(w_n, wp, ep, offset, entry_x: np.ndarray,
                      budgets: np.ndarray) -> np.ndarray:
     """Weighted rate of candidate columns entry_x truncated at budgets.
 
-    budgets broadcasts against entry_x without its position axis. Every F_n
-    evaluator looks its candidates up here.
+    budgets broadcasts against entry_x without its position axis. This is
+    the direct form, 2 K logs per candidate and budget; the solvers use
+    `pinned_values`, and the tests hold it to this one.
     """
-    clipped = np.minimum(entry_x, budgets[..., None])
-    vals = utility(w_n, wp, ep, offset, clipped)
-    tally(clipped.size * _C_LOOKUP)
+    vals = utility(w_n, wp, ep, offset, np.minimum(entry_x, budgets[..., None]))
     # no power, no rate: avoid cancellation residue
     return np.where(budgets <= 0.0, 0.0, vals)
 
 
+class Candidates(NamedTuple):
+    """F_n inputs of N stacked subcarriers: E candidates of K positions each.
+
+    Once its positions 0..l are pinned at a budget b, candidate e of
+    subcarrier n is worth pins[n, e, l] = (s, c, t) as s * log2(b + c) + t:
+    s = w_n * wp[l], c = ep[l] and t = w_n * tails[e, l] + offset.
+    """
+
+    entry_x: np.ndarray  # (N, E, K)
+    pins: np.ndarray     # (N, E, K, 3)
+
+    def carrier(self, n: int) -> "Candidates":
+        """Subcarrier n alone, still stacked (views, no copies)."""
+        return Candidates(*(a[n:n + 1] for a in self))
+
+
+def pinned_tails(wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray) -> np.ndarray:
+    """Utility of each candidate after its pinned block: tails[n, e, l].
+
+    Truncating candidate e at a budget b pins its positions 0..l to b. In
+    `utility` the t1 and t2 terms of the pinned block cancel but for
+    wp[l] * log2(b + ep[l]); what is left is one term per later position i,
+    wp[i] * log2(x[i] + ep[i]) - wp[i-1] * log2(x[i] + ep[i-1]), and
+    tails[n, e, l] sums them over i > l. wp and ep are (N, K).
+    """
+    x = entry_x[..., 1:]
+    wp, ep = wp[:, None, :], ep[:, None, :]
+    terms = wp[..., 1:] * np.log2(x + ep[..., 1:]) - wp[..., :-1] * np.log2(x + ep[..., :-1])
+    tally(terms.size * _C_TAIL)
+    tails = np.zeros(entry_x.shape)
+    tails[..., :-1] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return tails
+
+
+def stack_candidates(tables: list) -> Candidates:
+    """Stack the tables of N subcarriers and build their tails in one pass."""
+    wp = np.stack([t.wp for t in tables])
+    ep = np.stack([t.ep for t in tables])
+    entry_x = np.stack([t.entry_x for t in tables])
+    w_n = np.array([t.w_n for t in tables])[:, None, None]
+    offset = np.array([t.offset for t in tables])[:, None, None]
+    pins = np.empty(entry_x.shape + (3,))
+    pins[..., 0] = w_n * wp[:, None, :]
+    pins[..., 1] = ep[:, None, :]
+    pins[..., 2] = w_n * pinned_tails(wp, ep, entry_x) + offset
+    return Candidates(entry_x=entry_x, pins=pins)
+
+
+def pinned_index(entry_x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Last pinned position l = count(entry_x[n, e] >= b) - 1, (N, E, L).
+
+    entry_x is (N, E, K) with non-increasing rows, budgets (N, L) positive
+    and at most each row's first entry, so l >= 0. Budgets sorted along L
+    are counted from how many of them each position reaches, in
+    O(E (K log L + L)); others are compared position by position. Both
+    give the same index.
+    """
+    N, E, K = entry_x.shape
+    L = budgets.shape[1]
+    if L > 1 and np.all(budgets[:, 1:] >= budgets[:, :-1]):
+        # reach[n, e, i] budgets lie at or below position i; count(g) = #{i: reach > g}
+        reach = np.stack([np.searchsorted(bn, xn, side="right")
+                          for bn, xn in zip(budgets, entry_x)])
+        rows = np.arange(N * E).reshape(N, E, 1) * (L + 1)
+        hist = np.bincount((reach + rows).ravel(), minlength=N * E * (L + 1))
+        return K - 1 - np.cumsum(hist.reshape(N, E, L + 1)[..., :L], axis=-1)
+    reached = entry_x[:, :, None, :] >= budgets[:, None, :, None]
+    # rows are non-increasing: the count is the first position not reached
+    return np.where(reached[..., -1], K, np.argmin(reached, axis=-1)) - 1
+
+
+def pinned_values(cands: Candidates, budgets: np.ndarray):
+    """Weighted rate of every candidate truncated at every budget, one log each.
+
+    budgets is (N, L). Candidate e pins positions 0..l at budget b (see
+    pinned_index) and is worth pins[e, l] at b (see Candidates). Returns
+    the values (N, E, L) and the pins they used (N, E, L, 3). A budget above
+    the full one truncates nothing; one at or below zero is worth 0 and
+    pins the powered positions, as the limit from above does. Every F_n
+    evaluator looks its candidates up here.
+    """
+    N, E, K = cands.entry_x.shape
+    b = np.minimum(budgets, cands.entry_x[:, 0, :1])                     # (N, L)
+    last = pinned_index(cands.entry_x, np.maximum(b, _SMALLEST))
+    rows = np.arange(0, N * E * K, K).reshape(N, E, 1)
+    pins = np.take(cands.pins.reshape(-1, 3), last + rows, axis=0)
+    b = b[:, None, :]
+    vals = pins[..., 0] * np.log2(b + pins[..., 1]) + pins[..., 2]
+    tally(last.size * _C_LOOKUP)
+    # no power, no rate: avoid cancellation residue
+    return np.where(b <= 0.0, 0.0, vals), pins
+
+
 def _entry_values(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
     """Weighted rate of every truncated candidate at every budget, (E, L)."""
-    return candidate_values(tables.w_n, tables.wp, tables.ep, tables.offset,
-                            tables.entry_x[:, None, :], budgets[None, :])
+    budgets = np.asarray(budgets, dtype=float)
+    return pinned_values(stack_candidates([tables]), budgets[None, :])[0][0]
 
 
 def iscus_eval(tables: ScusTables, p_bar: float):
@@ -278,33 +377,25 @@ def iscus_eval(tables: ScusTables, p_bar: float):
 
 def fn_value(tables: ScusTables, p_bar: float) -> float:
     """Budget-value function F_n: optimal weighted rate at budget p_bar."""
-    vals = _entry_values(tables, np.array([float(p_bar)]))
-    return float(vals.max())
+    return float(fn_value_many(tables, np.array([float(p_bar)]))[0])
 
 
 def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
     """F_n on a whole vector of budgets in one pass."""
-    vals = _entry_values(tables, np.asarray(budgets, dtype=float))
-    return vals.max(axis=0)
+    return _entry_values(tables, budgets).max(axis=0)
 
 
-def left_derivatives(w_n: np.ndarray, wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray,
-                     vals: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+def left_derivatives(vals: np.ndarray, pins: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Left derivative of F_n at its budget, for N stacked subcarriers.
 
-    entry_x (N, E, K) holds the candidates and vals (N, E) their values at
-    the budgets (N,). In a candidate, let l be the last powered position
-    still pinned at the budget; only that leading merged block moves with
-    the budget, so the slope is the first-block marginal rate at l. The
-    selected candidate gives the derivative; at a zero budget the selection
-    is resolved in the limit from above, by the steepest candidate.
+    vals (N, E) and pins (N, E, 3) are pinned_values at the budgets (N,).
+    Only the pinned block of a candidate moves with the budget, so its slope
+    is the first-block marginal rate at its last position l. The selected
+    candidate gives the derivative; at a zero budget the selection is
+    resolved in the limit from above, by the steepest candidate.
     """
-    # position 0 of every candidate holds the full budget, so l always exists
-    moving = (entry_x >= budgets[:, None, None]) & (entry_x > 0.0)
-    last = entry_x.shape[-1] - 1 - np.argmax(moving[..., ::-1], axis=2)     # (N, E)
-    rows = np.arange(entry_x.shape[0])
-    r = rows[:, None]
-    slopes = w_n[:, None] * wp[r, last] / ((budgets[:, None] + ep[r, last]) * LN2)
+    rows = np.arange(vals.shape[0])
+    slopes = pins[..., 0] / ((budgets[:, None] + pins[..., 1]) * LN2)
     zero = budgets <= 0.0
     tally(budgets.size * _C_DERIV)
     return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
@@ -315,8 +406,5 @@ def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
     if p_bar < 0 or p_bar > tables.p_max * (1 + 1e-12):
         raise ValueError("budget out of range")
     budgets = np.array([min(p_bar, tables.p_max)], dtype=float)
-    vals = np.zeros((1, tables.n_users))  # a zero budget needs no lookup
-    if p_bar > 0.0:
-        vals = _entry_values(tables, budgets).T
-    return float(left_derivatives(np.array([tables.w_n]), tables.wp[None], tables.ep[None],
-                                  tables.entry_x[None], vals, budgets)[0])
+    vals, pins = pinned_values(stack_candidates([tables]), budgets[None, :])
+    return float(left_derivatives(vals[..., 0], pins[..., 0, :], budgets)[0])

@@ -1,6 +1,7 @@
 """Experiment runner: config parsing, CSV contract, determinism, op counting."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -67,6 +68,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(m_sweep=(1, 4))
 
+    def test_only_drawn_instances_are_validated(self):
+        # the sweeps set users and max_mux per instance; the default users = 10
+        # is never drawn, so it must not veto max_mux = 12
+        cfg = ExperimentConfig.from_mapping({"max_mux": "12", "k_sweep": "20",
+                                             "m_sweep": "1,12"})
+        assert (cfg.system.users, cfg.system.max_mux) == (20, 12)
+        assert cfg.instance_system(20).max_mux == 12
+        with pytest.raises(ValueError, match="m_sweep"):
+            ExperimentConfig.from_mapping({"k_sweep": "5,20", "m_sweep": "1,12"})
+
     def test_from_mapping_and_file(self, tmp_path):
         cfg_file = tmp_path / "campaign.cfg"
         cfg_file.write_text(
@@ -108,6 +119,18 @@ class TestConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("count_ops, digest", [
+        (False, "d58e37a770a6f530c8cff731c73a1866b65bc7617580b291a9cbc72048134d01"),
+        (True, "cb125f568c2c69cd71cccdc157f1c7dab793fd701d18b97f9a3dda8f166db94d"),
+    ], ids=["plain", "count_ops"])
+    def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
+        # a change that moves any wsr, loss or ops digit must re-pin this on purpose
+        cfg = ExperimentConfig(solvers=("opt", "grad", "eps"), k_sweep=(5, 10), m_sweep=(1, 3),
+                               seeds=2, timing=False, count_ops=count_ops)
+        out = tmp_path / "r.csv"
+        run_experiment(cfg, out_path=str(out))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_row_count_and_schema(self, tmp_path):
         out = tmp_path / "r.csv"
         records = run_experiment(tiny_config(), out_path=str(out))
@@ -225,7 +248,9 @@ class TestMain:
         ("userz = 5\nseedz = 2\n", "userz, seedz"),
         ("users = abc\n", "users = 'abc'"),
         ("seeds = 2\nusers = 3\nseeds = 1\n", "c.cfg:3"),
-    ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key"])
+        ("carrier_freq_hz = 2e9\n", "unknown config key(s): carrier_freq_hz"),
+    ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key",
+            "removed_key"])
     def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)

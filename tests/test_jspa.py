@@ -197,15 +197,15 @@ class TestGradJspa:
         assert rel_err(sol.wsr, wsr_from_x(inst, order, sol.x)) <= 1e-9
 
     def test_trajectory_is_pinned(self):
-        # recorded with the bisection projection; the exact projection keeps every bit
+        # recorded with F_n valued by the pinned-block kernel
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
         sol = grad_jspa(inst, tables, 1e-4)
         assert sol.wsr.hex() == "0x1.8df3bab5cdd68p+24"
         assert (sol.iterations, sol.converged) == (6, True)
         assert sol.budgets.tobytes().hex() == (
-            "1738ec57a5d1f13f6b915c0cc2dbf53f4b9e1c51ec40f63f87d56b1faa12f53f"
-            "bf96a57067b8f33fa71c08380080f43f1bae5f80c24df43f2f612102d878f03f")
+            "08497958a5d1f13f4cb45b0cc2dbf53f085da150ec40f63f5060b01faa12f53f"
+            "1e16977067b8f33fb089f5370080f43f4c4d6c80c24df43f3c58e001d878f03f")
 
     def test_each_accepted_step_is_projected_once(self, monkeypatch):
         # a line search values 43 points (3 seeds + 40 golden steps); the step
@@ -404,14 +404,14 @@ class TestBudgetObjective:
         assert checked == 9 * 8
 
     def test_derivative_operation_count(self):
-        # one lookup per (carrier, candidate, position), one derivative per carrier
+        # one lookup per (carrier, candidate), one derivative per carrier
         inst = small_instance(955, users=3, carriers=4, max_mux=2)
         _, tables = make_tables(inst)
         objective = BudgetObjective(tables)
         with count_ops() as counter:
             objective.derivatives(np.array([0.0, 1.0, 0.0, 2.5]))
         assert type(counter.total) is int
-        assert counter.total == objective.entry_x.size * 6 + 4 * 4
+        assert counter.total == objective.entry_x[..., 0].size * 6 + 4 * 4
 
 
 class TestSelectItems:
@@ -517,17 +517,17 @@ class TestEpsJspa:
     def test_each_profit_is_looked_up_once(self, monkeypatch):
         inst = small_instance(72, users=4, carriers=3, max_mux=2, levels=200)
         _, tables = make_tables(inst, 2)
-        real = jspa.fn_value_many
+        real = BudgetObjective.profits
         lookups = []
 
-        def recording(table, budgets):
-            lookups.append((id(table), tuple(np.atleast_1d(budgets).tolist())))
-            return real(table, budgets)
+        def recording(objective, n, budgets):
+            lookups.append((id(objective), n, tuple(np.atleast_1d(budgets).tolist())))
+            return real(objective, n, budgets)
 
-        monkeypatch.setattr(jspa, "fn_value_many", recording)
+        monkeypatch.setattr(BudgetObjective, "profits", recording)
         sol = eps_jspa(inst, tables, 0.1)
         assert np.count_nonzero(sol.budgets) > 0
-        assert len(lookups) == len(set(lookups))
+        assert lookups and len(lookups) == len(set(lookups))
 
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)
