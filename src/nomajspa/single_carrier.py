@@ -323,7 +323,7 @@ def pinned_index(entry_x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     N, E, K = entry_x.shape
     L = budgets.shape[1]
     if L > 1 and np.all(budgets[:, 1:] >= budgets[:, :-1]):
-        # reach[n, e, i] budgets lie at or below position i; count(g) = #{i: reach > g}
+        # reach[n, e, i] budgets are <= entry_x[n, e, i]; count(g) = #{i: reach > g}
         reach = np.stack([np.searchsorted(bn, xn, side="right")
                           for bn, xn in zip(budgets, entry_x)])
         rows = np.arange(N * E).reshape(N, E, 1) * (L + 1)
