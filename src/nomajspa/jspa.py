@@ -484,14 +484,19 @@ def estimate_upper_bound(instance: Instance, tables: list,
     return 2.0 * max(greedy, best_single)
 
 
-def _profit_lookup(objective: BudgetObjective, n: int, delta: float):
-    """Memoized profit lookup l -> F_n(l * delta) of class n."""
-    memo = {0: 0.0}
+def _profit_lookup(objective: BudgetObjective, n: int, delta: float, lmax: int):
+    """Memoized batch lookup ls -> F_n(ls * delta) of class n, for 0 <= ls <= lmax.
 
-    def profit(l: int) -> float:
-        if l not in memo:
-            memo[l] = float(objective.profits(n, np.array([l * delta]))[0])
-        return memo[l]
+    Each grid index is valued at most once; the indices not yet known go to
+    `BudgetObjective.profits` together, sorted.
+    """
+    memo = np.full(lmax + 1, np.nan)
+
+    def profit(ls: np.ndarray) -> np.ndarray:
+        new = np.unique(ls[np.isnan(memo[ls])])
+        if new.size:
+            memo[new] = objective.profits(n, new * delta)
+        return memo[ls]
 
     return profit
 
@@ -502,9 +507,13 @@ def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
 
     Thresholds are the multiples of eps*U/(4N) up to floor(4N/eps); for each
     one, the smallest grid index whose profit reaches it is located by
-    binary search over the monotone profit sequence, with profit lookups
-    memoized so at most min(thresholds * ceil(log2(J + 1)), J) table
-    evaluations happen. Returns sorted unique indices; empty if U <= 0.
+    binary search over [1, lmax]. The searches run in lockstep: each round
+    looks up the unique midpoints of the open searches in one `profit_fn`
+    call (int index array in, float array out) and narrows every search
+    with one comparison, so after the lookup of the top profit at most
+    ceil(log2(lmax)) rounds follow: ceil(log2(lmax + 1)) + 1 calls in all.
+    Each search finds the first crossing only because grid profits are
+    non-decreasing. Returns sorted unique indices; empty if U <= 0.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -512,28 +521,23 @@ def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
         return []
     N = instance.n_carriers
     lmax = int(class_unit_caps(instance)[n])
+    if lmax < 1:
+        return []
     if profit_fn is None:
-        profit_fn = _profit_lookup(BudgetObjective([tables]), 0, instance.delta)
-    thresholds = int(math.floor(4.0 * N / eps))
-    step = eps * upper / (4.0 * N)
-    chosen = []
-    lo = 1
-    top = profit_fn(lmax) if lmax >= 1 else 0.0
-    for t in range(1, thresholds + 1):
-        target = t * step
-        if target > top:
-            break
-        # smallest l in [lo, lmax] with profit >= target (profits are monotone)
-        hi = lmax
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if profit_fn(mid) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        if not chosen or chosen[-1] != lo:
-            chosen.append(lo)
-    return chosen
+        profit_fn = _profit_lookup(BudgetObjective([tables]), 0, instance.delta, lmax)
+    targets = np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
+    targets = targets[targets <= profit_fn(np.array([lmax]))[0]]
+    lo = np.ones(targets.size, dtype=np.int64)
+    hi = np.full(targets.size, lmax, dtype=np.int64)
+    open_ = lo < hi
+    while open_.any():
+        mid = (lo[open_] + hi[open_]) // 2
+        probes = np.unique(mid)
+        reached = profit_fn(probes)[np.searchsorted(probes, mid)] >= targets[open_]
+        hi[open_] = np.where(reached, mid, hi[open_])
+        lo[open_] = np.where(reached, lo[open_], mid + 1)
+        open_ = lo < hi
+    return np.unique(lo).tolist()
 
 
 def eps_jspa(instance: Instance, tables: list, eps: float,
@@ -558,29 +562,28 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
 
-    items = []  # per class: list of (units, scaled_profit, true_profit)
+    caps = class_unit_caps(instance)
+    items = []  # per class: (grid indices, scaled profits) of its selected items
     for n in range(N):
-        profit = _profit_lookup(objective, n, instance.delta)
-        per_class = []
-        for l in select_items(instance, tables[n], n, upper, eps, profit):
-            true_c = profit(l)
-            per_class.append((l, int(math.floor(true_c / scale)), true_c))
-        items.append(per_class)
+        profit = _profit_lookup(objective, n, instance.delta, int(caps[n]))
+        ls = np.array(select_items(instance, tables[n], n, upper, eps, profit), dtype=np.int64)
+        items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
 
     inf = np.iinfo(np.int64).max // 2
     weight = np.full(q_cap + 1, inf, dtype=np.int64)  # least units to reach profit q
     weight[0] = 0
-    choice = np.full((N, q_cap + 1), -1, dtype=np.int64)
+    choice = np.full((N, q_cap + 1), -1, dtype=np.int64)  # item taken, by position
     for n in range(N):
         nxt = weight.copy()  # skipping class n is always allowed
-        for l, q_item, _ in items[n]:
+        ls, scaled = items[n]
+        for i, (l, q_item) in enumerate(zip(ls.tolist(), scaled.tolist())):
             if q_item <= 0:
                 continue
             reach = np.arange(q_item, q_cap + 1)
             cand = weight[reach - q_item] + l
             better = cand < nxt[reach]
             nxt[reach[better]] = cand[better]
-            choice[n, reach[better]] = l
+            choice[n, reach[better]] = i
             tally(reach.size * _C_KNAP_P)
         weight = nxt
 
@@ -588,10 +591,9 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     # walk the layers back, peeling one item (or a skip) per class
     units = np.zeros(N, dtype=np.int64)
     q = q_best
-    scaled_of = [{l: qi for l, qi, _ in per_class} for per_class in items]
     for n in range(N - 1, -1, -1):
-        l = int(choice[n, q])
-        if l >= 0:
-            units[n] = l
-            q -= scaled_of[n][l]
+        i = int(choice[n, q])
+        if i >= 0:
+            units[n] = items[n][0][i]
+            q -= int(items[n][1][i])
     return _solution(objective, units * instance.delta, f"eps:{eps:g}")

@@ -121,7 +121,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "d58e37a770a6f530c8cff731c73a1866b65bc7617580b291a9cbc72048134d01"),
-        (True, "cb125f568c2c69cd71cccdc157f1c7dab793fd701d18b97f9a3dda8f166db94d"),
+        (True, "9c8b88e828e22ec618e65d94c922d341e8487a848ab5aa122cffbb7339fbda18"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

@@ -47,6 +47,41 @@ def identical_carrier_instance(carriers=2, eta=0.3, weight=0.8, p_max=10.0, delt
                     delta=delta, max_mux=1)
 
 
+def carried_lo_select_items(instance, n, upper, eps, profit):
+    """One threshold at a time, each binary search starting at the last one's index.
+
+    The search `select_items` ran before its lockstep form, kept as its
+    oracle; profit maps one grid index to its profit.
+    """
+    N = instance.n_carriers
+    lmax = int(class_unit_caps(instance)[n])
+    thresholds = int(math.floor(4.0 * N / eps))
+    step = eps * upper / (4.0 * N)
+    chosen = []
+    lo = 1
+    top = profit(lmax) if lmax >= 1 else 0.0
+    for t in range(1, thresholds + 1):
+        target = t * step
+        if target > top:
+            break
+        # smallest l in [lo, lmax] with profit >= target (profits are monotone)
+        hi = lmax
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if profit(mid) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        if not chosen or chosen[-1] != lo:
+            chosen.append(lo)
+    return chosen
+
+
+def select_rounds_bound(instance, n):
+    """Most `profit_fn` calls `select_items` may make on class n."""
+    return math.ceil(math.log2(int(class_unit_caps(instance)[n]) + 1)) + 1
+
+
 def bisection_projection(v, p_max, caps):
     """The 100-step bisection projection, kept as the oracle for its replacement.
 
@@ -435,11 +470,11 @@ class TestSelectItems:
         step = 5
         upper = 8.0 * step
         got = select_items(inst, tables[0], 0, upper, 1.0,
-                           profit_fn=lambda l: float(l))
+                           profit_fn=lambda ls: ls.astype(float))
         assert got == [step * k for k in range(1, 9)]
         # a finer eps means more thresholds; crossings are exact ceilings
         got = select_items(inst, tables[0], 0, upper, 0.25,
-                           profit_fn=lambda l: float(l))
+                           profit_fn=lambda ls: ls.astype(float))
         fine_step = 0.25 * upper / 8.0
         expect = sorted({math.ceil(k * fine_step) for k in range(1, 33)})
         assert got == expect
@@ -471,21 +506,31 @@ class TestSelectItems:
         inst = small_instance(53, users=4, carriers=2, max_mux=2, levels=512)
         _, tables = make_tables(inst, 2)
         upper = estimate_upper_bound(inst, tables)
-        calls = set()
+        calls = []
 
-        def counting(l, _real={}):
-            calls.add(l)
-            if l not in _real:
-                _real[l] = float(fn_value_many(tables[0],
-                                               np.array([l * inst.delta]))[0])
-            return _real[l]
+        def counting(ls):
+            calls.append(ls.copy())
+            return fn_value_many(tables[0], ls * inst.delta)
 
         eps = 0.25
-        select_items(inst, tables[0], 0, upper, eps, profit_fn=counting)
-        levels = inst.n_power_levels
-        bound = min(math.ceil(4 * inst.n_carriers / eps)
-                    * math.ceil(math.log2(levels + 1)) + 1, levels)
-        assert len(calls - {0}) <= bound
+        got = select_items(inst, tables[0], 0, upper, eps, profit_fn=counting)
+        assert len(calls) <= select_rounds_bound(inst, 0)
+        scalar = lambda l: float(fn_value_many(tables[0], np.array([l * inst.delta]))[0])
+        assert got == carried_lo_select_items(inst, 0, upper, eps, scalar)
+
+    def test_matches_carried_lo_oracle(self):
+        for seed in range(6):
+            inst = small_instance(seed + 650, users=4, carriers=3, max_mux=2, levels=300)
+            _, tables = make_tables(inst, 2)
+            objective = BudgetObjective(tables)
+            upper = estimate_upper_bound(inst, tables)
+            for eps in (0.5, 0.1, 0.05):
+                for n in range(inst.n_carriers):
+                    profit = jspa._profit_lookup(objective, n, inst.delta,
+                                                 int(class_unit_caps(inst)[n]))
+                    scalar = lambda l: float(profit(np.array([l]))[0])
+                    assert (select_items(inst, tables[n], n, upper, eps, profit)
+                            == carried_lo_select_items(inst, n, upper, eps, scalar))
 
 
 class TestEpsJspa:
@@ -517,17 +562,23 @@ class TestEpsJspa:
     def test_each_profit_is_looked_up_once(self, monkeypatch):
         inst = small_instance(72, users=4, carriers=3, max_mux=2, levels=200)
         _, tables = make_tables(inst, 2)
+        upper = estimate_upper_bound(inst, tables)
         real = BudgetObjective.profits
-        lookups = []
+        calls, lookups = [], []
 
         def recording(objective, n, budgets):
-            lookups.append((id(objective), n, tuple(np.atleast_1d(budgets).tolist())))
+            calls.append((id(objective), n))
+            units = np.rint(np.atleast_1d(budgets) / inst.delta).astype(int).tolist()
+            lookups.extend((id(objective), n, l) for l in units)
             return real(objective, n, budgets)
 
         monkeypatch.setattr(BudgetObjective, "profits", recording)
-        sol = eps_jspa(inst, tables, 0.1)
+        sol = eps_jspa(inst, tables, 0.1, upper=upper)
         assert np.count_nonzero(sol.budgets) > 0
         assert lookups and len(lookups) == len(set(lookups))
+        # every call is select_items' own: the chosen items' profits come from its memo
+        for key in set(calls):
+            assert calls.count(key) <= select_rounds_bound(inst, key[1])
 
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)

@@ -3,7 +3,8 @@
 The kernel (`pinned_values`) must agree with the direct candidate form
 (`candidate_values`) at every budget, keep the grid profits monotone, give
 the same left derivatives stacked as one subcarrier at a time, and leave the
-exact solvers' agreement intact. Instances cover K = 1, M = K, tied channels
+exact solvers' agreement intact. The lockstep item selection must pick what
+the one-threshold-at-a-time search picks, and eps must keep its guarantee. Instances cover K = 1, M = K, tied channels
 or weights, binding per-carrier caps and 30 dB shadowing; budgets cover 0,
 one grid step, the cap, p_max and every candidate kink.
 """
@@ -12,7 +13,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from nomajspa.jspa import BudgetObjective, brute_force_jspa, build_knapsack, opt_jspa
+from test_jspa import carried_lo_select_items
+from nomajspa import jspa
+from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
+                           class_unit_caps, eps_jspa, estimate_upper_bound, opt_jspa,
+                           select_items)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
                             wsr_from_x)
 from nomajspa.single_carrier import (candidate_values, fn_left_derivative, iscus_precompute,
@@ -110,3 +115,21 @@ def test_opt_equals_brute_force(inst):
     opt, brute = opt_jspa(inst, tables), brute_force_jspa(inst, tables)
     assert rel_err(opt.wsr, brute.wsr) <= 1e-12
     assert rel_err(opt.wsr, wsr_from_x(inst, build_decoding_order(inst), opt.x)) <= 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_lockstep_selection_and_eps_guarantee(inst):
+    tables = tables_of(inst)
+    objective = BudgetObjective(tables)
+    upper = estimate_upper_bound(inst, tables, objective)
+    opt = opt_jspa(inst, tables).wsr
+    for eps in (0.5, 0.1, 0.05):
+        for n in range(inst.n_carriers):
+            profit = jspa._profit_lookup(objective, n, inst.delta, int(class_unit_caps(inst)[n]))
+            scalar = lambda l: float(profit(np.array([l]))[0])
+            assert (select_items(inst, tables[n], n, upper, eps, profit)
+                    == carried_lo_select_items(inst, n, upper, eps, scalar))
+        sol = eps_jspa(inst, tables, eps, upper=upper)
+        assert budget_feasible(inst, sol.budgets)
+        assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
