@@ -510,10 +510,11 @@ def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
     binary search over [1, lmax]. The searches run in lockstep: each round
     looks up the unique midpoints of the open searches in one `profit_fn`
     call (int index array in, float array out) and narrows every search
-    with one comparison, so after the lookup of the top profit at most
-    ceil(log2(lmax)) rounds follow: ceil(log2(lmax + 1)) + 1 calls in all.
-    Each search finds the first crossing only because grid profits are
-    non-decreasing. Returns sorted unique indices; empty if U <= 0.
+    with one comparison. With the lookup of the top profit first, that is
+    at most ceil(log2(lmax + 1)) + 1 calls per class. A search finds the
+    first crossing, as a one-threshold-at-a-time search does, only because
+    grid profits are non-decreasing (`test_grid_profits_are_non_decreasing`
+    checks this). Returns sorted unique indices; empty if U <= 0.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -594,6 +595,7 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     for n in range(N - 1, -1, -1):
         i = int(choice[n, q])
         if i >= 0:
-            units[n] = items[n][0][i]
-            q -= int(items[n][1][i])
+            ls, scaled = items[n]
+            units[n] = ls[i]
+            q -= int(scaled[i])
     return _solution(objective, units * instance.delta, f"eps:{eps:g}")

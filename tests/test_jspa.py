@@ -77,6 +77,15 @@ def carried_lo_select_items(instance, n, upper, eps, profit):
     return chosen
 
 
+def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
+    """`select_items` on class n and its oracle, both reading one profit memo."""
+    profit = jspa._profit_lookup(objective, n, instance.delta,
+                                 int(class_unit_caps(instance)[n]))
+    scalar = lambda l: float(profit(np.array([l]))[0])
+    return (select_items(instance, tables[n], n, upper, eps, profit),
+            carried_lo_select_items(instance, n, upper, eps, scalar))
+
+
 def select_rounds_bound(instance, n):
     """Most `profit_fn` calls `select_items` may make on class n."""
     return math.ceil(math.log2(int(class_unit_caps(instance)[n]) + 1)) + 1
@@ -526,11 +535,8 @@ class TestSelectItems:
             upper = estimate_upper_bound(inst, tables)
             for eps in (0.5, 0.1, 0.05):
                 for n in range(inst.n_carriers):
-                    profit = jspa._profit_lookup(objective, n, inst.delta,
-                                                 int(class_unit_caps(inst)[n]))
-                    scalar = lambda l: float(profit(np.array([l]))[0])
-                    assert (select_items(inst, tables[n], n, upper, eps, profit)
-                            == carried_lo_select_items(inst, n, upper, eps, scalar))
+                    got, expect = lockstep_and_oracle(inst, tables, objective, n, upper, eps)
+                    assert got == expect
 
 
 class TestEpsJspa:

@@ -3,21 +3,20 @@
 The kernel (`pinned_values`) must agree with the direct candidate form
 (`candidate_values`) at every budget, keep the grid profits monotone, give
 the same left derivatives stacked as one subcarrier at a time, and leave the
-exact solvers' agreement intact. The lockstep item selection must pick what
-the one-threshold-at-a-time search picks, and eps must keep its guarantee. Instances cover K = 1, M = K, tied channels
-or weights, binding per-carrier caps and 30 dB shadowing; budgets cover 0,
-one grid step, the cap, p_max and every candidate kink.
+exact solvers' agreement intact. eps's lockstep item selection must pick
+what the one-threshold-at-a-time search picks, and eps must keep its
+(1 - eps) guarantee. Instances cover K = 1, M = K, tied channels or weights,
+binding per-carrier caps and 30 dB shadowing; budgets cover 0, one grid
+step, the cap, p_max and every candidate kink.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from test_jspa import carried_lo_select_items
-from nomajspa import jspa
+from test_jspa import lockstep_and_oracle
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
-                           class_unit_caps, eps_jspa, estimate_upper_bound, opt_jspa,
-                           select_items)
+                           eps_jspa, estimate_upper_bound, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
                             wsr_from_x)
 from nomajspa.single_carrier import (candidate_values, fn_left_derivative, iscus_precompute,
@@ -126,10 +125,8 @@ def test_lockstep_selection_and_eps_guarantee(inst):
     opt = opt_jspa(inst, tables).wsr
     for eps in (0.5, 0.1, 0.05):
         for n in range(inst.n_carriers):
-            profit = jspa._profit_lookup(objective, n, inst.delta, int(class_unit_caps(inst)[n]))
-            scalar = lambda l: float(profit(np.array([l]))[0])
-            assert (select_items(inst, tables[n], n, upper, eps, profit)
-                    == carried_lo_select_items(inst, n, upper, eps, scalar))
+            got, expect = lockstep_and_oracle(inst, tables, objective, n, upper, eps)
+            assert got == expect
         sol = eps_jspa(inst, tables, eps, upper=upper)
         assert budget_feasible(inst, sol.budgets)
         assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
