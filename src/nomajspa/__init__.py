@@ -28,7 +28,6 @@ from .single_carrier import (
     ScusTables,
     expand_active,
     fn_left_derivative,
-    fn_value,
     fn_value_many,
     iscpc_eval,
     iscpc_precompute,

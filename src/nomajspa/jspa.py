@@ -27,8 +27,8 @@ from .model import Instance
 from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
-from .single_carrier import (ScusTables, fn_value_many, iscus_eval,  # noqa: F401
-                             left_derivatives, pinned_values, stack_candidates)
+from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
+                             best_columns, best_values, left_derivatives, stack_candidates)
 
 _C_KNAP_W = 2   # DP by weights, per candidate item
 _C_KNAP_P = 3   # DP by profits, per candidate item
@@ -170,40 +170,28 @@ class BudgetObjective:
 
     Made once per solve: it stacks every subcarrier's candidate solutions
     and builds their pinned-block tails in one pass, so each budget then
-    costs one log per candidate (see `pinned_values`). Every solver values
-    F_n through it.
+    costs one log per candidate. Every solver values F_n through it; the
+    F_n readers themselves live in `single_carrier`.
     """
 
     def __init__(self, tables: list):
         self.cands = stack_candidates(tables)
-        self.entry_x = self.cands.entry_x   # (N, E, K)
-        self.carriers = [self.cands.carrier(n) for n in range(len(tables))]
 
     def profits(self, n: int, budgets: np.ndarray) -> np.ndarray:
         """F_n of subcarrier n on a vector of budgets."""
-        vals, _ = pinned_values(self.carriers[n], budgets[None, :])
-        return vals[0].max(axis=0)
+        return best_values(self.cands.carrier(n), budgets[None, :])[0]
 
     def value(self, budgets: np.ndarray) -> float:
-        vals, _ = pinned_values(self.cands, budgets[:, None])
-        return float(vals.max(axis=1).sum())
+        return float(best_values(self.cands, budgets[:, None]).sum())
 
     def derivatives(self, budgets: np.ndarray) -> np.ndarray:
         """Left derivative of every F_n at its budget, as one vector."""
-        vals, pins = pinned_values(self.cands, budgets[:, None])
-        return left_derivatives(vals[..., 0], pins[..., 0, :], budgets)
+        return left_derivatives(self.cands, budgets)
 
     def columns(self, budgets: np.ndarray):
-        """Best truncated candidate of every subcarrier: x (K, N) and sum_n F_n.
-
-        Ties between candidates go to the shorter shared prefix, as in
-        `iscus_eval`.
-        """
-        vals = pinned_values(self.cands, budgets[:, None])[0][..., 0]   # (N, E)
-        rows = np.arange(vals.shape[0])
-        best = np.argmax(vals, axis=1)
-        x = np.minimum(self.entry_x[rows, best], budgets[:, None]).T
-        return x, float(vals[rows, best].sum())
+        """Best truncated candidate of every subcarrier: x (K, N) and sum_n F_n."""
+        x, vals = best_columns(self.cands, budgets)
+        return x.T, float(vals.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +338,7 @@ def _backtracked_budgets(choice: np.ndarray, end_units: int, delta: float) -> np
     return units * delta
 
 
-def opt_jspa(instance: Instance, tables: list,
-             knapsack: KnapsackInstance | None = None) -> JspaSolution:
+def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exact optimum of the grid-discretized split via DP by weights.
 
     best[l] after class n is the best profit of the first n classes within
@@ -359,7 +346,7 @@ def opt_jspa(instance: Instance, tables: list,
     O(N J^2) plus the profit-table construction.
     """
     objective = BudgetObjective(tables)
-    kp = knapsack if knapsack is not None else build_knapsack(instance, tables, objective)
+    kp = build_knapsack(instance, tables, objective)
     J = kp.capacity_units
     N = instance.n_carriers
     best = np.zeros(J + 1)
@@ -380,8 +367,7 @@ def opt_jspa(instance: Instance, tables: list,
     return _solution(objective, budgets, "opt")
 
 
-def brute_force_jspa(instance: Instance, tables: list,
-                     knapsack: KnapsackInstance | None = None) -> JspaSolution:
+def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exhaustive enumeration of every grid budget vector (test oracle).
 
     Guarded: refuses instances with more than BRUTE_FORCE_LIMIT candidate
@@ -394,7 +380,7 @@ def brute_force_jspa(instance: Instance, tables: list,
             f"brute force would enumerate ({J + 1})^{N} vectors; "
             f"limit is {BRUTE_FORCE_LIMIT}")
     objective = BudgetObjective(tables)
-    kp = knapsack if knapsack is not None else build_knapsack(instance, tables, objective)
+    kp = build_knapsack(instance, tables, objective)
     best_val = -math.inf
     best_units = None
     units = np.zeros(N, dtype=np.int64)
@@ -501,8 +487,7 @@ def _profit_lookup(objective: BudgetObjective, n: int, delta: float, lmax: int):
     return profit
 
 
-def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
-                 eps: float, profit_fn=None) -> list:
+def select_items(instance: Instance, n: int, upper: float, eps: float, profit_fn) -> list:
     """Grid items of class n that first reach each profit threshold.
 
     Thresholds are the multiples of eps*U/(4N) up to floor(4N/eps); for each
@@ -524,8 +509,6 @@ def select_items(instance: Instance, tables: ScusTables, n: int, upper: float,
     lmax = int(class_unit_caps(instance)[n])
     if lmax < 1:
         return []
-    if profit_fn is None:
-        profit_fn = _profit_lookup(BudgetObjective([tables]), 0, instance.delta, lmax)
     targets = np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
     targets = targets[targets <= profit_fn(np.array([lmax]))[0]]
     lo = np.ones(targets.size, dtype=np.int64)
@@ -567,7 +550,7 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     items = []  # per class: (grid indices, scaled profits) of its selected items
     for n in range(N):
         profit = _profit_lookup(objective, n, instance.delta, int(caps[n]))
-        ls = np.array(select_items(instance, tables[n], n, upper, eps, profit), dtype=np.int64)
+        ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
         items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
 
     inf = np.iinfo(np.int64).max // 2

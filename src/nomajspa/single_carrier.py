@@ -8,13 +8,16 @@ dynamic program over table cells (m, j, i). Both have precomputed variants
 budget and answer any smaller budget by componentwise truncation, which is
 what makes the multi-carrier solvers cheap.
 
-`fn_value` is the resulting budget-value function F_n (optimal weighted
-rate on subcarrier n as a function of its power budget); it is
-non-decreasing and sublinear, and `fn_left_derivative` evaluates its left
-derivative in closed form. Both read F_n through one kernel,
+F_n is the resulting budget-value function (optimal weighted rate on
+subcarrier n as a function of its power budget); it is non-decreasing and
+sublinear. Every question about it is answered here over a stack of
+subcarriers (`stack_candidates`): `best_values` gives F_n at budgets,
+`best_columns` the column that attains it and `left_derivatives` its left
+derivative in closed form. All three read F_n through one kernel,
 `pinned_values`: a candidate truncated at a budget pins a leading block,
 which contributes one log, and the rest is a tail constant built once per
-stack of tables (`stack_candidates`).
+stack. `fn_value_many`, `iscus_eval` and `fn_left_derivative` ask the same
+of one table.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ _SMALLEST = np.nextafter(0.0, 1.0)  # x >= _SMALLEST means x > 0 for x >= 0
 def sc_value(instance: Instance, order: DecodingOrder, n: int, x_col: np.ndarray) -> float:
     """Weighted rate achieved on subcarrier n by a cumulative-power column."""
     return float(utility(*carrier_view(instance, order, n), a_const(instance, order, n), x_col))
+
+
+def _check_budget(p_bar: float, p_max: float = np.inf) -> None:
+    """Reject a negative or NaN budget, and one above a precomputed budget p_max."""
+    if not 0.0 <= p_bar <= p_max * (1 + 1e-12):
+        raise ValueError(f"budget {p_bar!r} is outside [0, {p_max!r}]")
 
 
 def expand_active(active: tuple, x_active: np.ndarray, n_users: int) -> np.ndarray:
@@ -76,6 +85,7 @@ def scpc(instance: Instance, order: DecodingOrder, n: int, active: tuple,
     """
     if any(a >= b for a, b in zip(active, active[1:])) or not active:
         raise ValueError("active positions must be non-empty and strictly increasing")
+    _check_budget(p_bar)
     K = instance.n_users
     if active[-1] >= K:
         raise ValueError("active position out of range")
@@ -121,8 +131,7 @@ def iscpc_eval(table: IscpcTable, p_bar: float) -> np.ndarray:
     Truncating the full-budget solution at p_bar is optimal because every
     block maximizer is itself a clamp of a budget-free stationary point.
     """
-    if p_bar > table.p_max * (1 + 1e-12):
-        raise ValueError("budget exceeds the precomputed budget")
+    _check_budget(p_bar, table.p_max)
     tally(len(table.x_max) * _C_SWEEP)
     return np.minimum(table.x_max, p_bar)
 
@@ -147,10 +156,6 @@ class ScusTables:
     ep: np.ndarray
     offset: float  # additive constant turning utilities into weighted rates
     entry_x: np.ndarray
-
-    @property
-    def n_users(self) -> int:
-        return self.wp.size
 
 
 def _scus_dp(instance: Instance, order: DecodingOrder, n: int, max_active: int,
@@ -224,6 +229,7 @@ def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
     """
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
+    _check_budget(p_bar)
     _, xopt, take = _scus_dp(instance, order, n, max_active, p_bar)
     return _backtrack(xopt, take, max_active, 0, 0, instance.n_users)
 
@@ -356,10 +362,44 @@ def pinned_values(cands: Candidates, budgets: np.ndarray):
     return np.where(b <= 0.0, 0.0, vals), pins
 
 
-def _entry_values(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
-    """Weighted rate of every truncated candidate at every budget, (E, L)."""
-    budgets = np.asarray(budgets, dtype=float)
-    return pinned_values(stack_candidates([tables]), budgets[None, :])[0][0]
+def best_values(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
+    """F_n of every stacked subcarrier at every budget: budgets and result (N, L)."""
+    return pinned_values(cands, budgets)[0].max(axis=1)
+
+
+def best_columns(cands: Candidates, budgets: np.ndarray):
+    """Best truncated candidate of every subcarrier at its budget (N,).
+
+    Returns the columns (N, K) and their values (N,); ties between
+    candidates go to the shorter shared prefix.
+    """
+    vals = pinned_values(cands, budgets[:, None])[0][..., 0]            # (N, E)
+    rows = np.arange(vals.shape[0])
+    best = np.argmax(vals, axis=1)
+    return np.minimum(cands.entry_x[rows, best], budgets[:, None]), vals[rows, best]
+
+
+def left_derivatives(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
+    """Left derivative of F_n at its budget, for N stacked subcarriers.
+
+    budgets is (N,). Only the pinned block of a candidate moves with the
+    budget, so its slope is the first-block marginal rate at its last
+    position l. The selected candidate gives the derivative; at a zero
+    budget the selection is resolved in the limit from above, by the
+    steepest candidate.
+    """
+    vals, pins = pinned_values(cands, budgets[:, None])
+    vals, pins = vals[..., 0], pins[..., 0, :]                          # (N, E), (N, E, 3)
+    rows = np.arange(vals.shape[0])
+    slopes = pins[..., 0] / ((budgets[:, None] + pins[..., 1]) * LN2)
+    zero = budgets <= 0.0
+    tally(budgets.size * _C_DERIV)
+    return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
+
+
+def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
+    """F_n of one subcarrier on a whole vector of budgets in one pass."""
+    return best_values(stack_candidates([tables]), np.asarray(budgets, dtype=float)[None, :])[0]
 
 
 def iscus_eval(tables: ScusTables, p_bar: float):
@@ -368,43 +408,13 @@ def iscus_eval(tables: ScusTables, p_bar: float):
     Matches scus at the same budget in value; ties between candidates go to
     the shorter shared prefix.
     """
-    if p_bar > tables.p_max * (1 + 1e-12):
-        raise ValueError("budget exceeds the precomputed budget")
-    vals = _entry_values(tables, np.array([float(p_bar)]))[:, 0]
-    e = int(np.argmax(vals))
-    return np.minimum(tables.entry_x[e], p_bar), float(vals[e])
-
-
-def fn_value(tables: ScusTables, p_bar: float) -> float:
-    """Budget-value function F_n: optimal weighted rate at budget p_bar."""
-    return float(fn_value_many(tables, np.array([float(p_bar)]))[0])
-
-
-def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
-    """F_n on a whole vector of budgets in one pass."""
-    return _entry_values(tables, budgets).max(axis=0)
-
-
-def left_derivatives(vals: np.ndarray, pins: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Left derivative of F_n at its budget, for N stacked subcarriers.
-
-    vals (N, E) and pins (N, E, 3) are pinned_values at the budgets (N,).
-    Only the pinned block of a candidate moves with the budget, so its slope
-    is the first-block marginal rate at its last position l. The selected
-    candidate gives the derivative; at a zero budget the selection is
-    resolved in the limit from above, by the steepest candidate.
-    """
-    rows = np.arange(vals.shape[0])
-    slopes = pins[..., 0] / ((budgets[:, None] + pins[..., 1]) * LN2)
-    zero = budgets <= 0.0
-    tally(budgets.size * _C_DERIV)
-    return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
+    _check_budget(p_bar, tables.p_max)
+    x, vals = best_columns(stack_candidates([tables]), np.array([float(p_bar)]))
+    return x[0], float(vals[0])
 
 
 def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
     """Left derivative of F_n at p_bar (see left_derivatives)."""
-    if p_bar < 0 or p_bar > tables.p_max * (1 + 1e-12):
-        raise ValueError("budget out of range")
+    _check_budget(p_bar, tables.p_max)
     budgets = np.array([min(p_bar, tables.p_max)], dtype=float)
-    vals, pins = pinned_values(stack_candidates([tables]), budgets[None, :])
-    return float(left_derivatives(vals[..., 0], pins[..., 0, :], budgets)[0])
+    return float(left_derivatives(stack_candidates([tables]), budgets)[0])

@@ -29,21 +29,20 @@ from nomajspa.model import (
     x_from_p,
 )
 from nomajspa.single_carrier import (
-    _entry_values,
     fn_left_derivative,
-    fn_value,
     iscpc_eval,
     iscpc_precompute,
     iscus_eval,
     iscus_precompute,
+    pinned_values,
     sc_value,
     scpc,
     scus,
+    stack_candidates,
 )
 from nomajspa.jspa import (
     brute_force_jspa,
     budget_feasible,
-    build_knapsack,
     eps_jspa,
     estimate_upper_bound,
     grad_jspa,
@@ -76,9 +75,8 @@ def small_joint_set():
         order = build_decoding_order(inst)
         tables = [iscus_precompute(inst, order, n, mux)
                   for n in range(inst.n_carriers)]
-        kp = build_knapsack(inst, tables)
-        opt = opt_jspa(inst, tables, knapsack=kp)
-        brute = brute_force_jspa(inst, tables, knapsack=kp)
+        opt = opt_jspa(inst, tables)
+        brute = brute_force_jspa(inst, tables)
         entries.append(dict(inst=inst, order=order, tables=tables,
                             opt=opt, brute=brute))
     return entries, time.perf_counter() - start
@@ -241,19 +239,19 @@ def test_criterion_09_left_derivative_finite_difference():
                               max_mux=min(mux, users))
         order = build_decoding_order(inst)
         tables = iscus_precompute(inst, order, 0, min(mux, users))
+        cands = stack_candidates([tables])
         h = 1e-6 * inst.p_max
         kept = 0
         while kept < 100:
             p_bar = float(rng.uniform(2 * h, inst.p_max))
-            va = _entry_values(tables, np.array([p_bar]))[:, 0]
-            vb = _entry_values(tables, np.array([p_bar - h]))[:, 0]
+            vb, va = pinned_values(cands, np.array([[p_bar - h, p_bar]]))[0][0].T
             if int(np.argmax(va)) != int(np.argmax(vb)):
                 continue  # candidate switch inside the stencil
             stored = tables.entry_x[int(np.argmax(va))]
             if np.any((stored > p_bar - 2 * h) & (stored < p_bar + h)):
                 continue  # truncation kink inside the stencil
             kept += 1
-            fd = (fn_value(tables, p_bar) - fn_value(tables, p_bar - h)) / h
+            fd = (va.max() - vb.max()) / h
             worst = max(worst, rel_err(fd, fn_left_derivative(tables, p_bar)))
     check(9, "left derivative matches backward FD", worst <= 1e-3,
           f"worst rel err {worst:.2e} over 20x100 budgets")

@@ -14,8 +14,7 @@ from nomajspa.model import (
     generate_instance,
     wsr_from_x,
 )
-from nomajspa.single_carrier import (fn_left_derivative, fn_value, fn_value_many,
-                                     iscus_precompute)
+from nomajspa.single_carrier import fn_left_derivative, fn_value_many, iscus_precompute
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
     BudgetObjective,
@@ -82,8 +81,13 @@ def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
     profit = jspa._profit_lookup(objective, n, instance.delta,
                                  int(class_unit_caps(instance)[n]))
     scalar = lambda l: float(profit(np.array([l]))[0])
-    return (select_items(instance, tables[n], n, upper, eps, profit),
+    return (select_items(instance, n, upper, eps, profit),
             carried_lo_select_items(instance, n, upper, eps, scalar))
+
+
+def grid_profit(instance, table):
+    """`select_items`' profit_fn for one table: grid indices to F_n values."""
+    return lambda ls: fn_value_many(table, ls * instance.delta)
 
 
 def select_rounds_bound(instance, n):
@@ -314,9 +318,8 @@ class TestOptJspa:
         for seed in range(15):
             inst = small_instance(seed, users=3, carriers=2, max_mux=2)
             _, tables = make_tables(inst, 2)
-            kp = build_knapsack(inst, tables)
-            a = opt_jspa(inst, tables, knapsack=kp)
-            b = brute_force_jspa(inst, tables, knapsack=kp)
+            a = opt_jspa(inst, tables)
+            b = brute_force_jspa(inst, tables)
             assert a.wsr == pytest.approx(b.wsr, rel=1e-9)
             assert budget_feasible(inst, a.budgets)
 
@@ -329,8 +332,7 @@ class TestOptJspa:
         opt = opt_jspa(inst, tables)
         grad = grad_jspa(inst, tables, inst.delta / 2.0)
         gridded = np.floor(grad.budgets / inst.delta) * inst.delta
-        gridded_value = sum(
-            fn_value(tables[n], float(gridded[n])) for n in range(2))
+        gridded_value = sum(fn_value_many(tables[n], gridded[n:n + 1])[0] for n in range(2))
         assert opt.wsr >= gridded_value - 1e-9 * abs(opt.wsr)
         assert rel_err(opt.wsr, grad.wsr) <= 1e-3
 
@@ -357,7 +359,7 @@ class TestBruteForce:
         _, tables = make_tables(inst, 1)
         sol = brute_force_jspa(inst, tables)
         flipped = sol.budgets[::-1]
-        value = sum(fn_value(tables[n], float(flipped[n])) for n in range(2))
+        value = sum(fn_value_many(tables[n], flipped[n:n + 1])[0] for n in range(2))
         assert value == pytest.approx(sol.wsr, rel=1e-12)
 
     def test_size_guard_trips(self):
@@ -373,7 +375,7 @@ class TestEstimation:
     def test_single_carrier_doubles_best_item(self):
         inst = small_instance(41, users=3, carriers=1, max_mux=2)
         _, tables = make_tables(inst, 2)
-        top = fn_value(tables[0], inst.n_power_levels * inst.delta)
+        top = fn_value_many(tables[0], [inst.n_power_levels * inst.delta])[0]
         assert estimate_upper_bound(inst, tables) == pytest.approx(2.0 * top, rel=1e-12)
 
     def test_sandwich_brackets_the_optimum(self):
@@ -442,7 +444,7 @@ class TestBudgetObjective:
             for b in self.budget_vectors(inst, rng):
                 expected = [fn_left_derivative(t, float(bn)) for t, bn in zip(tables, b)]
                 assert np.array_equal(objective.derivatives(b), np.array(expected))
-                total = sum(fn_value(t, float(bn)) for t, bn in zip(tables, b))
+                total = sum(fn_value_many(t, [bn])[0] for t, bn in zip(tables, b))
                 assert rel_err(objective.value(b), total) <= 1e-12
                 checked += 1
         assert checked == 9 * 8
@@ -455,21 +457,21 @@ class TestBudgetObjective:
         with count_ops() as counter:
             objective.derivatives(np.array([0.0, 1.0, 0.0, 2.5]))
         assert type(counter.total) is int
-        assert counter.total == objective.entry_x[..., 0].size * 6 + 4 * 4
+        assert counter.total == objective.cands.entry_x[..., 0].size * 6 + 4 * 4
 
 
 class TestSelectItems:
     def test_empty_when_threshold_exceeds_top_profit(self):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
         _, tables = make_tables(inst, 2)
-        top = fn_value(tables[0], inst.n_power_levels * inst.delta)
+        top = fn_value_many(tables[0], [inst.n_power_levels * inst.delta])[0]
         huge = top * 16.0 * inst.n_carriers  # first threshold lands above top
-        assert select_items(inst, tables[0], 0, huge, 1.0) == []
+        assert select_items(inst, 0, huge, 1.0, grid_profit(inst, tables[0])) == []
 
     def test_empty_on_nonpositive_estimate(self):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
         _, tables = make_tables(inst, 2)
-        assert select_items(inst, tables[0], 0, 0.0, 0.5) == []
+        assert select_items(inst, 0, 0.0, 0.5, grid_profit(inst, tables[0])) == []
 
     def test_linear_profits_hit_threshold_multiples(self):
         inst = small_instance(52, users=3, carriers=2, max_mux=2, levels=100)
@@ -478,12 +480,10 @@ class TestSelectItems:
         # and eps = 1 allows floor(4N/eps) = 8 thresholds
         step = 5
         upper = 8.0 * step
-        got = select_items(inst, tables[0], 0, upper, 1.0,
-                           profit_fn=lambda ls: ls.astype(float))
+        got = select_items(inst, 0, upper, 1.0, profit_fn=lambda ls: ls.astype(float))
         assert got == [step * k for k in range(1, 9)]
         # a finer eps means more thresholds; crossings are exact ceilings
-        got = select_items(inst, tables[0], 0, upper, 0.25,
-                           profit_fn=lambda ls: ls.astype(float))
+        got = select_items(inst, 0, upper, 0.25, profit_fn=lambda ls: ls.astype(float))
         fine_step = 0.25 * upper / 8.0
         expect = sorted({math.ceil(k * fine_step) for k in range(1, 33)})
         assert got == expect
@@ -496,7 +496,7 @@ class TestSelectItems:
             upper = estimate_upper_bound(inst, tables)
             eps = float(rng.choice([0.5, 0.2, 0.1]))
             for n in range(2):
-                got = select_items(inst, tables[n], n, upper, eps)
+                got = select_items(inst, n, upper, eps, grid_profit(inst, tables[n]))
                 levels = int(class_unit_caps(inst)[n])
                 profits = fn_value_many(tables[n],
                                         np.arange(levels + 1) * inst.delta)
@@ -522,7 +522,7 @@ class TestSelectItems:
             return fn_value_many(tables[0], ls * inst.delta)
 
         eps = 0.25
-        got = select_items(inst, tables[0], 0, upper, eps, profit_fn=counting)
+        got = select_items(inst, 0, upper, eps, profit_fn=counting)
         assert len(calls) <= select_rounds_bound(inst, 0)
         scalar = lambda l: float(fn_value_many(tables[0], np.array([l * inst.delta]))[0])
         assert got == carried_lo_select_items(inst, 0, upper, eps, scalar)
@@ -561,8 +561,8 @@ class TestEpsJspa:
         _, tables = make_tables(inst, 2)
         upper = estimate_upper_bound(inst, tables)
         for eps in (0.7, 0.3, 0.05):
-            chosen = select_items(inst, tables[0], 0, upper, eps)
-            best = max(fn_value(tables[0], l * inst.delta) for l in chosen)
+            chosen = select_items(inst, 0, upper, eps, grid_profit(inst, tables[0]))
+            best = fn_value_many(tables[0], np.array(chosen) * inst.delta).max()
             assert eps_jspa(inst, tables, eps).wsr == pytest.approx(best, rel=1e-12)
 
     def test_each_profit_is_looked_up_once(self, monkeypatch):

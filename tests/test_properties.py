@@ -2,12 +2,12 @@
 
 The kernel (`pinned_values`) must agree with the direct candidate form
 (`candidate_values`) at every budget, keep the grid profits monotone, give
-the same left derivatives stacked as one subcarrier at a time, and leave the
-exact solvers' agreement intact. eps's lockstep item selection must pick
-what the one-threshold-at-a-time search picks, and eps must keep its
-(1 - eps) guarantee. Instances cover K = 1, M = K, tied channels or weights,
-binding per-carrier caps and 30 dB shadowing; budgets cover 0, one grid
-step, the cap, p_max and every candidate kink.
+the same values, columns and left derivatives stacked as one subcarrier at
+a time, and leave the exact solvers' agreement intact. eps's lockstep item
+selection must pick what the one-threshold-at-a-time search picks, and eps
+must keep its (1 - eps) guarantee. Instances cover K = 1, M = K, tied
+channels or weights, binding per-carrier caps and 30 dB shadowing; budgets
+cover 0, one grid step, the cap, p_max and every candidate kink.
 """
 
 import numpy as np
@@ -19,8 +19,9 @@ from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, b
                            eps_jspa, estimate_upper_bound, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
                             wsr_from_x)
-from nomajspa.single_carrier import (candidate_values, fn_left_derivative, iscus_precompute,
-                                     pinned_values, stack_candidates)
+from nomajspa.single_carrier import (candidate_values, fn_left_derivative, fn_value_many,
+                                     iscus_eval, iscus_precompute, pinned_values, sc_value,
+                                     stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -94,17 +95,26 @@ def test_grid_profits_are_non_decreasing(inst):
 
 @PROPERTY
 @given(instances(), st.integers(0, 2 ** 16))
-def test_stacked_derivatives_are_bit_equal(inst, seed):
+def test_stacked_readers_are_bit_equal(inst, seed):
     tables = tables_of(inst)
+    order = build_decoding_order(inst)
     objective = BudgetObjective(tables)
     rng = np.random.default_rng(seed)
     N = inst.n_carriers
     kinks = [probe_budgets(inst, tables, n) for n in range(N)]
+    for n, t in enumerate(tables):
+        assert np.array_equal(fn_value_many(t, kinks[n]), objective.profits(n, kinks[n]))
     for _ in range(6):
         b = np.array([rng.choice(k[k <= inst.p_max_carrier[n]])
                       for n, k in enumerate(kinks)])
         expect = [fn_left_derivative(t, float(bn)) for t, bn in zip(tables, b)]
         assert np.array_equal(objective.derivatives(b), np.array(expect))
+        for n, (t, bn) in enumerate(zip(tables, b)):
+            x, val = iscus_eval(t, float(bn))
+            one_x, one_val = BudgetObjective([t]).columns(b[n:n + 1])
+            assert np.array_equal(x, one_x[:, 0]) and val == one_val
+            # a zero budget is worth exactly 0, where sc_value keeps rounding residue
+            assert abs(val - sc_value(inst, order, n, x)) <= 1e-9 * magnitude(t)
 
 
 @PROPERTY

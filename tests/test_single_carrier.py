@@ -20,7 +20,6 @@ from nomajspa.single_carrier import (
     _scus_dp,
     expand_active,
     fn_left_derivative,
-    fn_value,
     fn_value_many,
     iscpc_eval,
     iscpc_precompute,
@@ -269,8 +268,8 @@ class TestBudgetValueFunction:
         for _ in range(100):
             p1 = float(rng.uniform(0.0, inst.p_max / 2))
             p2 = float(rng.uniform(0.0, inst.p_max - p1))
-            lhs = fn_value(tables, p1 + p2)
-            rhs = fn_value(tables, p1) + fn_value(tables, p2)
+            lhs, v1, v2 = fn_value_many(tables, [p1 + p2, p1, p2])
+            rhs = v1 + v2
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
 
     def test_derivative_single_user_closed_form(self):
@@ -290,7 +289,7 @@ class TestBudgetValueFunction:
         kept = 0
         while kept < 50:
             p_bar = float(rng.uniform(2 * h, inst.p_max))
-            lo, hi = fn_value(tables, p_bar - h), fn_value(tables, p_bar)
+            lo, hi = fn_value_many(tables, [p_bar - h, p_bar])
             d = fn_left_derivative(tables, p_bar)
             assert d > 0
             # away from kinks the backward difference pins the left derivative
@@ -308,7 +307,7 @@ class TestBudgetValueFunction:
         tables = iscus_precompute(inst, order, 0, 2)
         d0 = fn_left_derivative(tables, 0.0)
         eps = 1e-11 * inst.p_max
-        assert d0 == pytest.approx(fn_value(tables, eps) / eps, rel=1e-3)
+        assert d0 == pytest.approx(fn_value_many(tables, [eps])[0] / eps, rel=1e-3)
 
     def test_derivative_rejects_out_of_range(self):
         inst = small_instance(74, users=3, carriers=1, max_mux=1)
@@ -318,3 +317,33 @@ class TestBudgetValueFunction:
             fn_left_derivative(tables, -1.0)
         with pytest.raises(ValueError):
             fn_left_derivative(tables, inst.p_max * 2)
+
+
+BUDGET_ENTRY_POINTS = {
+    "scpc": lambda inst, order, b: scpc(inst, order, 0, (0, 2), b),
+    "scus": lambda inst, order, b: scus(inst, order, 0, 2, b),
+    "iscpc_eval": lambda inst, order, b: iscpc_eval(iscpc_precompute(inst, order, 0, (0, 2)), b),
+    "iscus_eval": lambda inst, order, b: iscus_eval(iscus_precompute(inst, order, 0, 2), b),
+    "fn_left_derivative":
+        lambda inst, order, b: fn_left_derivative(iscus_precompute(inst, order, 0, 2), b),
+}
+
+
+class TestBudgetRange:
+    """Every single-carrier entry point takes budgets in [0, p_max] only."""
+
+    @pytest.mark.parametrize("budget", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("entry", list(BUDGET_ENTRY_POINTS))
+    def test_rejects_negative_and_nan_budgets(self, entry, budget):
+        inst = small_instance(75, users=3, carriers=1, max_mux=2)
+        order = build_decoding_order(inst)
+        with pytest.raises(ValueError, match="budget"):
+            BUDGET_ENTRY_POINTS[entry](inst, order, budget)
+
+    @pytest.mark.parametrize("entry", list(BUDGET_ENTRY_POINTS))
+    def test_zero_budget_is_valid(self, entry):
+        inst = small_instance(75, users=3, carriers=1, max_mux=2)
+        order = build_decoding_order(inst)
+        out = BUDGET_ENTRY_POINTS[entry](inst, order, 0.0)
+        x = out[0] if isinstance(out, tuple) else out
+        assert np.all(np.asarray(x) >= 0.0)
