@@ -40,7 +40,6 @@ from .single_carrier import (
 from .jspa import (
     BudgetObjective,
     JspaSolution,
-    KnapsackInstance,
     brute_force_jspa,
     budget_feasible,
     build_knapsack,

@@ -34,6 +34,7 @@ _C_KNAP_W = 2   # DP by weights, per candidate item
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 40
 
 BRUTE_FORCE_LIMIT = 10 ** 7
 
@@ -63,9 +64,9 @@ def _solution(objective: "BudgetObjective", budgets: np.ndarray, solver: str,
     return JspaSolution(solver=solver, budgets=budgets, x=x, wsr=total, **kw)
 
 
-def budget_feasible(instance: Instance, budgets: np.ndarray, tol: float = 1e-9) -> bool:
+def budget_feasible(instance: Instance, budgets: np.ndarray) -> bool:
     budgets = np.asarray(budgets, dtype=float)
-    slack = tol * instance.p_max
+    slack = 1e-9 * instance.p_max
     return (
         budgets.min() >= -slack
         and float(budgets.sum()) <= instance.p_max + slack
@@ -198,7 +199,7 @@ class BudgetObjective:
 # Gradient ascent on the budget split.
 
 
-def _golden_max(fun, lo: float, hi: float, f_lo: float, iterations: int = 40):
+def _golden_max(fun, lo: float, hi: float, f_lo: float):
     """Golden-section maximizer on [lo, hi] returning the best sampled point.
 
     Seeded with both endpoints so the result never falls below f(lo); on a
@@ -216,7 +217,7 @@ def _golden_max(fun, lo: float, hi: float, f_lo: float, iterations: int = 40):
         best_x, best_f = c, fc
     if fd > best_f:
         best_x, best_f = d, fd
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -291,20 +292,6 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
 # Discretization to a multiple-choice knapsack.
 
 
-@dataclass(frozen=True)
-class KnapsackInstance:
-    """Grid-discretized budget split. profits[n, l] is F_n at budget l*delta.
-
-    max_units[n] caps the items selectable in class n at that subcarrier's
-    power limit; capacity_units is the shared knapsack capacity in grid steps.
-    """
-
-    delta: float
-    capacity_units: int
-    profits: np.ndarray
-    max_units: np.ndarray
-
-
 def class_unit_caps(instance: Instance) -> np.ndarray:
     """Largest selectable grid index per subcarrier (cap and budget aware)."""
     levels = instance.n_power_levels
@@ -312,20 +299,15 @@ def class_unit_caps(instance: Instance) -> np.ndarray:
     return np.minimum(levels, per_cap)
 
 
-def build_knapsack(instance: Instance, tables: list,
-                   objective: BudgetObjective | None = None) -> KnapsackInstance:
-    """Evaluate all (J + 1) * N grid profits through the precomputed tables.
+def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray:
+    """Grid profits profits[n, l] = F_n(l * delta), read-only, (N, J + 1).
 
     One subcarrier at a time keeps the kernel's temporaries to one class.
     """
-    if objective is None:
-        objective = BudgetObjective(tables)
-    levels = instance.n_power_levels
-    grid = np.arange(levels + 1) * instance.delta
+    grid = np.arange(instance.n_power_levels + 1) * instance.delta
     profits = np.stack([objective.profits(n, grid) for n in range(instance.n_carriers)])
     profits.flags.writeable = False
-    return KnapsackInstance(delta=instance.delta, capacity_units=levels,
-                            profits=profits, max_units=class_unit_caps(instance))
+    return profits
 
 
 def _backtracked_budgets(choice: np.ndarray, end_units: int, delta: float) -> np.ndarray:
@@ -346,15 +328,16 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     O(N J^2) plus the profit-table construction.
     """
     objective = BudgetObjective(tables)
-    kp = build_knapsack(instance, tables, objective)
-    J = kp.capacity_units
+    profits = build_knapsack(instance, objective)
+    caps = class_unit_caps(instance)
+    J = instance.n_power_levels
     N = instance.n_carriers
     best = np.zeros(J + 1)
     choice = np.zeros((N, J + 1), dtype=np.int64)
     for n in range(N):
         nxt = np.empty(J + 1)
-        cn = kp.profits[n]
-        lmax = int(kp.max_units[n])
+        cn = profits[n]
+        lmax = int(caps[n])
         for level in range(J + 1):
             take = min(level, lmax)
             cand = best[level::-1][:take + 1] + cn[:take + 1]
@@ -363,7 +346,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
             nxt[level] = cand[k]
             tally((take + 1) * _C_KNAP_W)
         best = nxt
-    budgets = _backtracked_budgets(choice, J, kp.delta)
+    budgets = _backtracked_budgets(choice, J, instance.delta)
     return _solution(objective, budgets, "opt")
 
 
@@ -380,7 +363,8 @@ def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:
             f"brute force would enumerate ({J + 1})^{N} vectors; "
             f"limit is {BRUTE_FORCE_LIMIT}")
     objective = BudgetObjective(tables)
-    kp = build_knapsack(instance, tables, objective)
+    profits = build_knapsack(instance, objective)
+    caps = class_unit_caps(instance)
     best_val = -math.inf
     best_units = None
     units = np.zeros(N, dtype=np.int64)
@@ -392,14 +376,14 @@ def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:
                 best_val = acc
                 best_units = units.copy()
             return
-        cn = kp.profits[n]
-        for l in range(min(J - used, int(kp.max_units[n])) + 1):
+        cn = profits[n]
+        for l in range(min(J - used, int(caps[n])) + 1):
             units[n] = l
             enumerate_class(n + 1, used + l, acc + cn[l])
         units[n] = 0
 
     enumerate_class(0, 0, 0.0)
-    return _solution(objective, best_units * kp.delta, "brute")
+    return _solution(objective, best_units * instance.delta, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +517,8 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     total weight (in exact grid units) achieving it; the answer is the
     largest q whose weight fits the budget. The reported value re-evaluates
     the recovered items unscaled, since scaling is only a search device.
+    A given upper must bound as `estimate_upper_bound`'s does, so that no
+    item's scaled profit exceeds the DP's top profit.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -551,24 +537,23 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     for n in range(N):
         profit = _profit_lookup(objective, n, instance.delta, int(caps[n]))
         ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
-        items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
+        scaled = np.floor(profit(ls) / scale).astype(np.int64)
+        # an item of no scaled profit never beats skipping its class
+        items.append((ls[scaled > 0], scaled[scaled > 0]))
 
     inf = np.iinfo(np.int64).max // 2
     weight = np.full(q_cap + 1, inf, dtype=np.int64)  # least units to reach profit q
     weight[0] = 0
     choice = np.full((N, q_cap + 1), -1, dtype=np.int64)  # item taken, by position
-    for n in range(N):
+    for n, (ls, scaled) in enumerate(items):
         nxt = weight.copy()  # skipping class n is always allowed
-        ls, scaled = items[n]
+        # q_item <= q_cap: U >= 2 * each class's top profit (estimate_upper_bound)
         for i, (l, q_item) in enumerate(zip(ls.tolist(), scaled.tolist())):
-            if q_item <= 0:
-                continue
-            reach = np.arange(q_item, q_cap + 1)
-            cand = weight[reach - q_item] + l
-            better = cand < nxt[reach]
-            nxt[reach[better]] = cand[better]
-            choice[n, reach[better]] = i
-            tally(reach.size * _C_KNAP_P)
+            cand = weight[:q_cap + 1 - q_item] + l
+            better = cand < nxt[q_item:]  # ties keep the earlier item or the skip
+            np.copyto(nxt[q_item:], cand, where=better)
+            np.copyto(choice[n, q_item:], i, where=better)
+            tally(cand.size * _C_KNAP_P)
         weight = nxt
 
     q_best = int(np.nonzero(weight <= J)[0][-1])

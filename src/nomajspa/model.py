@@ -95,6 +95,9 @@ class SystemConfig:
             raise ValueError("delta_w must be in (0, p_max_w]")
         if self.p_max_carrier_w < 0 or self.p_max_carrier_w > self.p_max_w:
             raise ValueError("p_max_carrier_w must be 0 (unset) or in (0, p_max_w]")
+        # rounded as class_unit_caps: a cap under one grid step leaves no item
+        if self.p_max_carrier_w > 0 and math.floor(self.p_max_carrier_w / self.delta_w + 1e-9) == 0:
+            raise ValueError("p_max_carrier_w must be 0 (unset) or at least delta_w")
         if self.min_distance_m <= 0 or self.min_distance_m >= self.cell_radius_m:
             raise ValueError("min_distance_m must be in (0, cell_radius_m)")
         if self.min_weight <= 0:

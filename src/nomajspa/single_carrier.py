@@ -48,10 +48,15 @@ def sc_value(instance: Instance, order: DecodingOrder, n: int, x_col: np.ndarray
     return float(utility(*carrier_view(instance, order, n), a_const(instance, order, n), x_col))
 
 
-def _check_budget(p_bar: float, p_max: float = np.inf) -> None:
-    """Reject a negative or NaN budget, and one above a precomputed budget p_max."""
-    if not 0.0 <= p_bar <= p_max * (1 + 1e-12):
-        raise ValueError(f"budget {p_bar!r} is outside [0, {p_max!r}]")
+def _check_budget(budgets, p_max: float = np.inf) -> None:
+    """Reject a negative or NaN budget, and one above a precomputed budget p_max.
+
+    budgets is one budget or a vector of them; the first bad one is named.
+    """
+    b = np.atleast_1d(budgets)
+    bad = ~((b >= 0.0) & (b <= p_max * (1 + 1e-12)))
+    if bad.any():
+        raise ValueError(f"budget {float(b[bad][0])!r} is outside [0, {p_max!r}]")
 
 
 def expand_active(active: tuple, x_active: np.ndarray, n_users: int) -> np.ndarray:
@@ -399,7 +404,9 @@ def left_derivatives(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
 
 def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
     """F_n of one subcarrier on a whole vector of budgets in one pass."""
-    return best_values(stack_candidates([tables]), np.asarray(budgets, dtype=float)[None, :])[0]
+    budgets = np.asarray(budgets, dtype=float)
+    _check_budget(budgets, tables.p_max)
+    return best_values(stack_candidates([tables]), budgets[None, :])[0]
 
 
 def iscus_eval(tables: ScusTables, p_bar: float):

@@ -107,6 +107,13 @@ class TestConfig:
         for f in dataclasses.fields(cls):
             assert type(f.default).__name__ == f.type, f.name
 
+    def test_reference_campaign_file(self):
+        # the campaign whose CSV digests a same-bytes change compares
+        path = Path(__file__).resolve().parent / "reference_campaign.cfg"
+        assert ExperimentConfig.from_mapping(read_kv_file(path)) == ExperimentConfig(
+            solvers=("opt", "grad", "eps"), k_sweep=(5, 10, 20), m_sweep=(1, 2, 3),
+            seeds=3, seed_base=7, timing=False)
+
     def test_readme_config_block_names_every_key(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         cfg_file = tmp_path / "readme.cfg"
@@ -256,6 +263,19 @@ class TestMain:
         cfg_file.write_text(text)
         assert main(["--config", str(cfg_file)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_carrier_cap_below_grid_step_reports_error(self, tmp_path, capsys):
+        # a cap under one grid step leaves every class only its zero item: opt's
+        # wsr is 0 and the loss column would divide by it
+        with pytest.raises(ValueError, match="p_max_carrier_w .* delta_w"):
+            ExperimentConfig.from_mapping({"p_max_carrier_w": "0.005", "delta_w": "0.01"})
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("p_max_carrier_w = 0.005\ndelta_w = 0.01\n")
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "p_max_carrier_w" in capsys.readouterr().err
+        # one grid step is the smallest cap
+        cfg = ExperimentConfig.from_mapping({"p_max_carrier_w": "0.01", "delta_w": "0.01"})
+        assert cfg.system.p_max_carrier_w == 0.01
 
     def test_unwritable_out_reports_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -85,6 +85,54 @@ def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
             carried_lo_select_items(instance, n, upper, eps, scalar))
 
 
+def index_array_eps_budgets(instance, tables, eps, upper):
+    """eps_jspa's budgets by the index-array DP by profits it ran before its slice form.
+
+    Kept as the oracle of that DP: the same item selection, then every item
+    relaxes `np.arange(q_item, q_cap + 1)` by fancy indexing, skipping items
+    of no scaled profit inside the loop.
+    """
+    N = instance.n_carriers
+    if upper <= 0:
+        return np.zeros(N)
+    objective = BudgetObjective(tables)
+    scale = eps * upper / (4.0 * N)
+    q_cap = int(math.floor(4.0 * N / eps))
+    caps = class_unit_caps(instance)
+    items = []
+    for n in range(N):
+        profit = jspa._profit_lookup(objective, n, instance.delta, int(caps[n]))
+        ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
+        items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
+
+    inf = np.iinfo(np.int64).max // 2
+    weight = np.full(q_cap + 1, inf, dtype=np.int64)
+    weight[0] = 0
+    choice = np.full((N, q_cap + 1), -1, dtype=np.int64)
+    for n in range(N):
+        nxt = weight.copy()
+        ls, scaled = items[n]
+        for i, (l, q_item) in enumerate(zip(ls.tolist(), scaled.tolist())):
+            if q_item <= 0:
+                continue
+            reach = np.arange(q_item, q_cap + 1)
+            cand = weight[reach - q_item] + l
+            better = cand < nxt[reach]
+            nxt[reach[better]] = cand[better]
+            choice[n, reach[better]] = i
+        weight = nxt
+
+    units = np.zeros(N, dtype=np.int64)
+    q = int(np.nonzero(weight <= instance.n_power_levels)[0][-1])
+    for n in range(N - 1, -1, -1):
+        i = int(choice[n, q])
+        if i >= 0:
+            ls, scaled = items[n]
+            units[n] = ls[i]
+            q -= int(scaled[i])
+    return units * instance.delta
+
+
 def grid_profit(instance, table):
     """`select_items`' profit_fn for one table: grid indices to F_n values."""
     return lambda ls: fn_value_many(table, ls * instance.delta)
@@ -283,22 +331,23 @@ class TestBuildKnapsack:
     def test_zero_item_has_zero_profit(self):
         inst = small_instance(11, users=4, carriers=3, max_mux=2)
         _, tables = make_tables(inst, 2)
-        kp = build_knapsack(inst, tables)
-        assert np.array_equal(kp.profits[:, 0], np.zeros(3))
+        profits = build_knapsack(inst, BudgetObjective(tables))
+        assert np.array_equal(profits[:, 0], np.zeros(3))
 
     def test_profits_non_decreasing(self):
         inst = small_instance(12, users=4, carriers=3, max_mux=2)
         _, tables = make_tables(inst, 2)
-        kp = build_knapsack(inst, tables)
-        scale = kp.profits.max()
-        assert np.all(np.diff(kp.profits, axis=1) >= -1e-9 * scale)
+        profits = build_knapsack(inst, BudgetObjective(tables))
+        scale = profits.max()
+        assert np.all(np.diff(profits, axis=1) >= -1e-9 * scale)
 
     def test_default_grid_has_thousand_levels(self):
         inst = generate_instance(SystemConfig(users=3), 0)
         _, tables = make_tables(inst, 2)
-        kp = build_knapsack(inst, tables)
-        assert kp.capacity_units == 1000
-        assert kp.profits.shape == (20, 1001)
+        profits = build_knapsack(inst, BudgetObjective(tables))
+        assert inst.n_power_levels == 1000
+        assert profits.shape == (20, 1001)
+        assert not profits.flags.writeable
 
     def test_per_carrier_caps_limit_selectable_items(self):
         cfg = SystemConfig(users=3, subcarriers=2, max_mux=2, p_max_carrier_w=3.0,

@@ -4,17 +4,18 @@ The kernel (`pinned_values`) must agree with the direct candidate form
 (`candidate_values`) at every budget, keep the grid profits monotone, give
 the same values, columns and left derivatives stacked as one subcarrier at
 a time, and leave the exact solvers' agreement intact. eps's lockstep item
-selection must pick what the one-threshold-at-a-time search picks, and eps
-must keep its (1 - eps) guarantee. Instances cover K = 1, M = K, tied
-channels or weights, binding per-carrier caps and 30 dB shadowing; budgets
-cover 0, one grid step, the cap, p_max and every candidate kink.
+selection must pick what the one-threshold-at-a-time search picks, its DP
+by profits must pick what the index-array DP picks, and eps must keep its
+(1 - eps) guarantee. Instances cover K = 1, M = K, tied channels or
+weights, binding per-carrier caps and 30 dB shadowing; budgets cover 0,
+one grid step, the cap, p_max and every candidate kink.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from test_jspa import lockstep_and_oracle
+from test_jspa import index_array_eps_budgets, lockstep_and_oracle
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            eps_jspa, estimate_upper_bound, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
@@ -88,7 +89,7 @@ def test_kernel_matches_candidate_values(inst):
 @PROPERTY
 @given(instances())
 def test_grid_profits_are_non_decreasing(inst):
-    profits = build_knapsack(inst, tables_of(inst)).profits
+    profits = build_knapsack(inst, BudgetObjective(tables_of(inst)))
     assert np.all(np.diff(profits, axis=1) >= 0.0)
     assert np.all(profits[:, 0] == 0.0)
 
@@ -140,3 +141,13 @@ def test_lockstep_selection_and_eps_guarantee(inst):
         sol = eps_jspa(inst, tables, eps, upper=upper)
         assert budget_feasible(inst, sol.budgets)
         assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+
+
+@PROPERTY
+@given(instances())
+def test_slice_dp_matches_index_array_dp(inst):
+    tables = tables_of(inst)
+    upper = estimate_upper_bound(inst, tables)
+    for eps in (0.5, 0.1, 0.05):
+        budgets = eps_jspa(inst, tables, eps, upper=upper).budgets
+        assert np.array_equal(budgets, index_array_eps_budgets(inst, tables, eps, upper))

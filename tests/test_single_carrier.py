@@ -326,6 +326,8 @@ BUDGET_ENTRY_POINTS = {
     "iscus_eval": lambda inst, order, b: iscus_eval(iscus_precompute(inst, order, 0, 2), b),
     "fn_left_derivative":
         lambda inst, order, b: fn_left_derivative(iscus_precompute(inst, order, 0, 2), b),
+    "fn_value_many":
+        lambda inst, order, b: fn_value_many(iscus_precompute(inst, order, 0, 2), [1.0, b]),
 }
 
 
@@ -337,7 +339,7 @@ class TestBudgetRange:
     def test_rejects_negative_and_nan_budgets(self, entry, budget):
         inst = small_instance(75, users=3, carriers=1, max_mux=2)
         order = build_decoding_order(inst)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=f"budget {budget!r} is outside"):
             BUDGET_ENTRY_POINTS[entry](inst, order, budget)
 
     @pytest.mark.parametrize("entry", list(BUDGET_ENTRY_POINTS))
