@@ -13,7 +13,10 @@ Four solvers are provided:
 
 The discretized split is a multiple-choice knapsack: class n holds items
 (weight l*delta, profit F_n(l*delta)) for l = 0..J, at most one item per
-class, knapsack capacity p_max.
+class, knapsack capacity p_max. opt's DP by weights relaxes a class by
+divide and conquer over monotone argmaxes on each concave piece of its
+profits, O(J log J) cells per piece, and scans every level, O(J^2), only
+for a class of too many pieces; both make the same choices bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +33,18 @@ from .ops import tally
 from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
                              best_columns, best_values, left_derivatives, stack_candidates)
 
-_C_KNAP_W = 2   # DP by weights, per candidate item
+_C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 40
+_NEAR_TIE = 8.0 * 2.0 ** -53  # a pivot row's near-tie band, relative to its max
+# opt scans every level of a class when _SCAN_PIECES * pieces^2 > J + 1 - _SCAN_LEVELS,
+# where the scan was measured faster, or when one depth's windows pass
+# _MAX_WIDTH * (J + 1) cells per piece
+_SCAN_PIECES = 4
+_SCAN_LEVELS = 128
+_MAX_WIDTH = 4
 
 BRUTE_FORCE_LIMIT = 10 ** 7
 
@@ -320,12 +330,142 @@ def _backtracked_budgets(choice: np.ndarray, end_units: int, delta: float) -> np
     return units * delta
 
 
+def _concave_pieces(cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last item of each maximal run of items on which cn is concave.
+
+    The test is on the floats cn[j] read as reals. A strict decrease of the
+    computed differences proves one of the exact ones, since rounding is
+    monotone; equal computed differences prove equality only where both
+    are exact (Sterbenz: neighbours within a factor of two, or a zero).
+    Runs are cut everywhere else, and neighbouring runs share an end item.
+    """
+    d = np.diff(cn)
+    a, b = cn[:-1], cn[1:]
+    exact = ((a <= 2.0 * b) & (b <= 2.0 * a)) | (a == 0.0) | (b == 0.0)
+    concave = (d[1:] < d[:-1]) | ((d[1:] == d[:-1]) & exact[1:] & exact[:-1])
+    cuts = np.flatnonzero(~concave) + 1
+    return np.concatenate(([0], cuts)), np.concatenate((cuts, [cn.size - 1]))
+
+
+def _relax_by_levels(best: np.ndarray, cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every level scans every affordable item of cn: O(J * cn.size) cells."""
+    J = best.size - 1
+    nxt = np.empty(J + 1)
+    choice = np.zeros(J + 1, dtype=np.int64)
+    for level in range(J + 1):
+        take = min(level, cn.size - 1)
+        cand = best[level::-1][:take + 1] + cn[:take + 1]
+        j = int(np.argmax(cand))
+        choice[level] = j
+        nxt[level] = cand[j]
+        tally((take + 1) * _C_KNAP_W)
+    return nxt, choice
+
+
+def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """One class of the DP by weights: nxt[l] = max over j <= min(l, lmax) of best[l - j] + cn[j].
+
+    Returns nxt and choice[l], the smallest j attaining the float max (the
+    one `np.argmax` picks), bit for bit what `_relax_by_levels` returns.
+    On each concave piece [s, e] of cn (`_concave_pieces`) it finds every
+    level's best item by divide and conquer over monotone argmaxes: rows
+    are the levels l, columns k = l - j index best, and all pieces
+    advance one recursion depth at a time. A depth values each piece's
+    pivot rows over their column windows in one ragged gather, about
+    (J + 1) cells per piece, so a piece costs O(J log J) cells in place of
+    the O(J * lmax) of scanning every level. Each depth folds its pivot
+    rows into nxt and choice: the larger value wins, the smaller j on ties.
+
+    Why the choices are the loop's. Read the floats as reals. On its band
+    l - e <= k <= l - s, A[l, k] = best[k] + cn[l - k] is inverse-Monge,
+    A[l, k] + A[l', k'] >= A[l, k'] + A[l', k] for l < l' and k < k',
+    because cn is concave there; the loop computes fl(A), and rounding is
+    monotone. Let M be a pivot row m's float max, k* its pick and T its
+    near-tie set {k : fl(A[m, k]) >= M - 8u M}, u = 2^-53. A row l > m
+    never picks a column k < min T: fl(A[m, k]) < M gives A[m, k] < A[m, k*],
+    so A[l, k] < A[l, k*] and fl(A[l, k]) <= fl(A[l, k*]), and k* has the
+    smaller j. A row l < m never picks a column k > max T: A[m, k] trails
+    A[m, k*] by more than 5u M, so A[l, k] trails A[l, k*] as much, while
+    rounding moves row l's values by at most u M each (they lie in [0, M]
+    because best is non-decreasing and grid profits are non-negative), so
+    fl(A[l, k]) < fl(A[l, k*]) strictly although k has the smaller j. So
+    every row's float max and its smallest-j tie stay inside the window
+    that T bounds, and no rounding case needs a fallback. Pieces share end
+    items, so each item lies in one; the max over pieces, smaller j first,
+    is the loop's.
+
+    The levels are scanned instead where the scan was measured faster:
+    on grids of fewer than about _SCAN_LEVELS levels, where the depths'
+    numpy calls cost more than the scan's J argmaxes, and for a class of
+    more than sqrt((J + 1 - _SCAN_LEVELS) / _SCAN_PIECES) pieces (rounding
+    noise on a near-linear class). It also takes over when near ties (flat
+    profits) widen one depth's windows past _MAX_WIDTH * (J + 1) cells per
+    piece.
+    """
+    J = best.size - 1
+    cn = cn[:lmax + 1]
+    s, e = _concave_pieces(cn)
+    pieces = s.size
+    if _SCAN_PIECES * pieces * pieces > J + 1 - _SCAN_LEVELS:
+        return _relax_by_levels(best, cn)
+    nxt = np.full(J + 1, -np.inf)
+    choice = np.full(J + 1, J + 1, dtype=np.int64)
+    # one row per open node: levels r0..r1 and columns c0..c1 of piece s..e;
+    # int32, since at the last depths the node table outweighs the cells
+    node = np.stack((s, np.full(pieces, J), np.zeros(pieces, dtype=np.int64), J - s, s, e),
+                    axis=1).astype(np.int32)
+    while node.size:
+        r0, r1, c0, c1, s, e = node.T
+        m = (r0 + r1) // 2
+        lo = np.maximum(c0, m - e)
+        width = np.minimum(c1, m - s) - lo + 1
+        seg = np.cumsum(width)
+        total = int(seg[-1])
+        if total > _MAX_WIDTH * pieces * (J + 1):
+            return _relax_by_levels(best, cn)
+        tally(total * _C_KNAP_W)
+        seg -= width
+        k = np.arange(total)
+        k -= np.repeat(seg - lo, width)
+        vals = cn[np.repeat(m, width) - k]
+        vals += best[k]
+        top = np.maximum.reduceat(vals, seg)
+        near = vals >= np.repeat(top - _NEAR_TIE * top, width)
+        tie = vals == np.repeat(top, width)
+        t_min = np.minimum.reduceat(np.where(near, k, J + 1), seg)
+        t_max = np.maximum.reduceat(np.where(near, k, -1), seg)
+        rows, j = m, m - np.maximum.reduceat(np.where(tie, k, -1), seg)
+        del k, vals, near, tie  # the cells go before the node table doubles
+        if pieces > 1:  # rows shared by pieces: keep each row's best, then fold
+            order = np.lexsort((j, -top, rows))
+            rows, top, j = rows[order], top[order], j[order]
+            first = np.ones(rows.size, dtype=bool)
+            np.not_equal(rows[1:], rows[:-1], out=first[1:])
+            rows, top, j = rows[first], top[first], j[first]
+            held = nxt[rows]
+            better = (top > held) | ((top == held) & (j < choice[rows]))
+            rows, top, j = rows[better], top[better], j[better]
+        nxt[rows] = top
+        choice[rows] = j
+        # children: levels r0..m-1 over columns c0..max T, m+1..r1 over min T..c1
+        node = np.repeat(node, 2, axis=0)
+        node[0::2, 1] = m - 1
+        node[0::2, 3] = t_max
+        node[1::2, 0] = m + 1
+        node[1::2, 2] = t_min
+        node = node[node[:, 0] <= node[:, 1]]
+    return nxt, choice
+
+
 def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exact optimum of the grid-discretized split via DP by weights.
 
     best[l] after class n is the best profit of the first n classes within
-    capacity l; each class relaxes it with every affordable item. Runs in
-    O(N J^2) plus the profit-table construction.
+    capacity l; `_relax_class` relaxes it with each class's affordable
+    items. A class costs O(J log J) cells per concave piece of its grid
+    profits, or O(J * lmax) when it falls back to scanning every level,
+    plus the profit-table construction. Its choices are bit for bit those
+    of scanning every level.
     """
     objective = BudgetObjective(tables)
     profits = build_knapsack(instance, objective)
@@ -335,17 +475,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     best = np.zeros(J + 1)
     choice = np.zeros((N, J + 1), dtype=np.int64)
     for n in range(N):
-        nxt = np.empty(J + 1)
-        cn = profits[n]
-        lmax = int(caps[n])
-        for level in range(J + 1):
-            take = min(level, lmax)
-            cand = best[level::-1][:take + 1] + cn[:take + 1]
-            k = int(np.argmax(cand))
-            choice[n, level] = k
-            nxt[level] = cand[k]
-            tally((take + 1) * _C_KNAP_W)
-        best = nxt
+        best, choice[n] = _relax_class(best, profits[n], int(caps[n]))
     budgets = _backtracked_budgets(choice, J, instance.delta)
     return _solution(objective, budgets, "opt")
 
@@ -517,8 +647,9 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     total weight (in exact grid units) achieving it; the answer is the
     largest q whose weight fits the budget. The reported value re-evaluates
     the recovered items unscaled, since scaling is only a search device.
-    A given upper must bound as `estimate_upper_bound`'s does, so that no
-    item's scaled profit exceeds the DP's top profit.
+    A given upper must bound the optimum, as `estimate_upper_bound`'s does:
+    below it, a feasible split can carry the DP past its top scaled profit
+    floor(4N/eps), and eps raises ValueError instead of dropping that split.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -546,8 +677,14 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     weight[0] = 0
     choice = np.full((N, q_cap + 1), -1, dtype=np.int64)  # item taken, by position
     for n, (ls, scaled) in enumerate(items):
+        # least units reaching a profit of q or more: an item that takes a
+        # feasible total past q_cap proves upper below the optimum
+        reach = np.minimum.accumulate(weight[::-1])[::-1]
+        if np.any(reach[np.maximum(q_cap + 1 - scaled, 0)] + ls <= J):
+            raise ValueError(
+                f"upper = {upper:g} is below the value of a feasible split: class {n}'s "
+                f"items take the scaled profit past the DP's top, {q_cap}")
         nxt = weight.copy()  # skipping class n is always allowed
-        # q_item <= q_cap: U >= 2 * each class's top profit (estimate_upper_bound)
         for i, (l, q_item) in enumerate(zip(ls.tolist(), scaled.tolist())):
             cand = weight[:q_cap + 1 - q_item] + l
             better = cand < nxt[q_item:]  # ties keep the earlier item or the skip

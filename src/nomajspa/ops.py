@@ -20,7 +20,8 @@ collection lookup             6    (candidate, budget) pair, charged only in
 pinned-block tails            6    (candidate, position) term, charged in
                                    single_carrier.pinned_tails when a solve
                                    stacks its tables
-budget-split DP by weights    2    candidate item inspected
+budget-split DP by weights    2    (level, item) cell inspected, in a divide
+                                   and conquer window or a per-level scan
 budget-split DP by profits    3    candidate item inspected
 simplex projection            3    coordinate per clipped-sum evaluation (the
                                    feasibility check and every polish probe)

@@ -128,7 +128,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "d58e37a770a6f530c8cff731c73a1866b65bc7617580b291a9cbc72048134d01"),
-        (True, "9c8b88e828e22ec618e65d94c922d341e8487a848ab5aa122cffbb7339fbda18"),
+        (True, "85bb780c840eb647664ca4f00e1dd86f5cda0e191f8746844447b906861a16e7"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

@@ -133,6 +133,41 @@ def index_array_eps_budgets(instance, tables, eps, upper):
     return units * instance.delta
 
 
+def per_level_relaxation(best, cn, lmax):
+    """One class of opt's DP by weights, every level scanning every affordable item.
+
+    The relaxation `opt_jspa` ran before its divide and conquer, kept as
+    the oracle of `jspa._relax_class`: nxt[l] is the float max of
+    best[l - j] + cn[j] over j <= min(l, lmax), choice[l] its smallest j.
+    """
+    J = best.size - 1
+    nxt = np.empty(J + 1)
+    choice = np.zeros(J + 1, dtype=np.int64)
+    for level in range(J + 1):
+        take = min(level, lmax)
+        cand = best[level::-1][:take + 1] + cn[:take + 1]
+        k = int(np.argmax(cand))
+        choice[level] = k
+        nxt[level] = cand[k]
+    return nxt, choice
+
+
+def assert_relaxes_like_oracle(profits, caps):
+    """`jspa._relax_class` gives the oracle's best and choice, bit for bit, class by class.
+
+    Its divide and conquer runs on grids of every size here, small ones included.
+    """
+    best = np.zeros(profits.shape[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jspa, "_SCAN_LEVELS", 0)
+        for cn, lmax in zip(profits, caps):
+            nxt, choice = jspa._relax_class(best, cn, int(lmax))
+            expect_nxt, expect_choice = per_level_relaxation(best, cn, int(lmax))
+            assert np.array_equal(nxt, expect_nxt)
+            assert np.array_equal(choice, expect_choice)
+            best = expect_nxt
+
+
 def grid_profit(instance, table):
     """`select_items`' profit_fn for one table: grid indices to F_n values."""
     return lambda ls: fn_value_many(table, ls * instance.delta)
@@ -396,6 +431,71 @@ class TestOptJspa:
         assert sol.wsr == pytest.approx(bf.wsr, rel=1e-9)
 
 
+class TestRelaxClass:
+    """opt's divide and conquer on hand-built classes, held to the per-level oracle."""
+
+    LEVELS = np.arange(201)
+
+    @staticmethod
+    def scans(monkeypatch):
+        """Count the classes `_relax_class` hands to the per-level scan."""
+        calls = []
+        scan = jspa._relax_by_levels
+
+        def counted(best, cn):
+            calls.append(cn.size)
+            return scan(best, cn)
+
+        monkeypatch.setattr(jspa, "_relax_by_levels", counted)
+        return calls
+
+    def test_exactly_linear_class_is_one_piece(self, monkeypatch):
+        cn = 3.0 * self.LEVELS  # every difference is exactly 3
+        assert jspa._concave_pieces(cn)[0].tolist() == [0]
+        scans = self.scans(monkeypatch)
+        assert_relaxes_like_oracle(np.stack([2.0 * self.LEVELS ** 0.5, cn]), [200, 200])
+        assert scans == []
+
+    def test_identical_classes_tie_exactly(self, monkeypatch):
+        cn = 1e6 * np.log2(1.0 + self.LEVELS / 7.0)
+        scans = self.scans(monkeypatch)
+        assert_relaxes_like_oracle(np.stack([cn, cn, cn]), [200, 200, 200])
+        assert scans == []
+
+    def test_noisy_class_scans_every_level(self, monkeypatch):
+        # near-linear, so rounding breaks its differences into many pieces
+        cn = 1e6 * np.log2(1.0 + 1e-9 * self.LEVELS)
+        assert jspa._concave_pieces(cn)[0].size ** 2 * jspa._SCAN_PIECES > cn.size
+        scans = self.scans(monkeypatch)
+        assert_relaxes_like_oracle(np.stack([np.sqrt(self.LEVELS), cn]), [200, 200])
+        assert scans == [201]
+
+    def test_flat_class_scans_every_level(self, monkeypatch):
+        # all near ties: the windows never narrow, so the scan takes over
+        scans = self.scans(monkeypatch)
+        assert_relaxes_like_oracle(np.zeros((2, 201)), [200, 200])
+        assert scans == [201, 201]
+
+    def test_small_grid_scans_every_level(self, monkeypatch):
+        cn = 1e6 * np.log2(1.0 + self.LEVELS[:41] / 7.0)
+        scans = self.scans(monkeypatch)
+        jspa._relax_class(np.sqrt(self.LEVELS[:41]), cn, 40)
+        assert scans == [41]
+
+    @pytest.mark.parametrize("lmax", [0, 1, 5])
+    def test_cap_below_the_grid(self, lmax):
+        cn = 1e6 * np.log2(1.0 + self.LEVELS / 3.0)
+        caps = [lmax, 200, lmax]
+        assert_relaxes_like_oracle(np.stack([cn, np.sqrt(self.LEVELS), cn]), caps)
+
+    def test_concave_class_inspects_fewer_cells(self):
+        cn = 1e6 * np.log2(1.0 + self.LEVELS / 7.0)
+        best = np.sqrt(self.LEVELS)
+        with count_ops() as counter:
+            jspa._relax_class(best, cn, 200)
+        assert counter.total < 201 * 202 * jspa._C_KNAP_W / 8
+
+
 class TestBruteForce:
     def test_single_class_equals_opt(self):
         inst = small_instance(31, users=3, carriers=1, max_mux=2)
@@ -634,6 +734,17 @@ class TestEpsJspa:
         # every call is select_items' own: the chosen items' profits come from its memo
         for key in set(calls):
             assert calls.count(key) <= select_rounds_bound(inst, key[1])
+
+    def test_upper_below_the_optimum_is_rejected(self):
+        inst = generate_instance(SystemConfig(users=5, subcarriers=4, delta_w=0.5), 3)
+        _, tables = make_tables(inst, 2)
+        upper = estimate_upper_bound(inst, tables)
+        # 0.3 U used to return a third below opt, 0.1 U to fail inside numpy
+        for share in (0.3, 0.1):
+            with pytest.raises(ValueError, match="upper = .* class"):
+                eps_jspa(inst, tables, 0.1, upper=share * upper)
+        opt = opt_jspa(inst, tables).wsr
+        assert eps_jspa(inst, tables, 0.1, upper=1.001 * opt).wsr >= 0.9 * opt
 
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)

@@ -6,18 +6,20 @@ the same values, columns and left derivatives stacked as one subcarrier at
 a time, and leave the exact solvers' agreement intact. eps's lockstep item
 selection must pick what the one-threshold-at-a-time search picks, its DP
 by profits must pick what the index-array DP picks, and eps must keep its
-(1 - eps) guarantee. Instances cover K = 1, M = K, tied channels or
-weights, binding per-carrier caps and 30 dB shadowing; budgets cover 0,
-one grid step, the cap, p_max and every candidate kink.
+(1 - eps) guarantee. opt's divide and conquer must relax every class to
+the per-level scan's values and choices, bit for bit, on grids of up to
+400 levels. Instances cover K = 1, M = K, tied channels or weights,
+binding per-carrier caps and 30 dB shadowing; budgets cover 0, one grid
+step, the cap, p_max and every candidate kink.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from test_jspa import index_array_eps_budgets, lockstep_and_oracle
+from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
-                           eps_jspa, estimate_upper_bound, opt_jspa)
+                           class_unit_caps, eps_jspa, estimate_upper_bound, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
                             wsr_from_x)
 from nomajspa.single_carrier import (candidate_values, fn_left_derivative, fn_value_many,
@@ -28,11 +30,11 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def instances(draw, max_carriers=3):
+def instances(draw, max_carriers=3, levels=(4, 10, 20)):
     users = draw(st.integers(1, 6))
     max_mux = draw(st.one_of(st.just(users), st.integers(1, users)))
     carriers = draw(st.integers(1, max_carriers))
-    levels = draw(st.sampled_from([4, 10, 20]))
+    levels = draw(st.sampled_from(levels))
     cfg = SystemConfig(users=users, subcarriers=carriers, max_mux=max_mux,
                        delta_w=10.0 / levels,
                        p_max_carrier_w=draw(st.sampled_from([0.0, 2.5, 6.0])),
@@ -151,3 +153,10 @@ def test_slice_dp_matches_index_array_dp(inst):
     for eps in (0.5, 0.1, 0.05):
         budgets = eps_jspa(inst, tables, eps, upper=upper).budgets
         assert np.array_equal(budgets, index_array_eps_budgets(inst, tables, eps, upper))
+
+
+@PROPERTY
+@given(instances(levels=(4, 10, 20, 100, 400)))
+def test_relaxation_matches_per_level_oracle(inst):
+    profits = build_knapsack(inst, BudgetObjective(tables_of(inst)))
+    assert_relaxes_like_oracle(profits, class_unit_caps(inst))
