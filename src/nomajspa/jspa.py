@@ -16,7 +16,9 @@ The discretized split is a multiple-choice knapsack: class n holds items
 class, knapsack capacity p_max. opt's DP by weights relaxes a class by
 divide and conquer over monotone argmaxes on each concave piece of its
 profits, O(J log J) cells per piece, and scans every level, O(J^2), only
-for a class of too many pieces; both make the same choices bit for bit.
+where that was measured faster (small grids, classes of many pieces) or
+near ties keep the windows wide. Both make the same choices bit for bit:
+a pivot level bounds the others by its near ties, never by one argmax.
 """
 
 from __future__ import annotations
@@ -465,7 +467,8 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     items. A class costs O(J log J) cells per concave piece of its grid
     profits, or O(J * lmax) when it falls back to scanning every level,
     plus the profit-table construction. Its choices are bit for bit those
-    of scanning every level.
+    of scanning every level, by the inverse-Monge and rounding argument in
+    `_relax_class`.
     """
     objective = BudgetObjective(tables)
     profits = build_knapsack(instance, objective)
