@@ -27,7 +27,6 @@ from .single_carrier import (
     IscpcTable,
     ScusTables,
     expand_active,
-    fn_left_derivative,
     fn_value_many,
     iscpc_eval,
     iscpc_precompute,

@@ -22,8 +22,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .jspa import brute_force_jspa, eps_jspa, grad_jspa, opt_jspa
-from .model import (SystemConfig, build_decoding_order, generate_instance, parse_bool,
-                    parse_fields, parse_list, read_kv_file)
+from .model import (SystemConfig, build_decoding_order, check_finite, generate_instance,
+                    parse_bool, parse_fields, parse_list, read_kv_file)
 from .ops import count_ops
 from .single_carrier import iscus_precompute
 
@@ -56,6 +56,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        check_finite(self)
         unknown = [s for s in self.solvers if s not in KNOWN_SOLVERS]
         if unknown:
             raise ValueError(f"unknown solver name(s): {', '.join(unknown)}")
@@ -155,7 +156,7 @@ def _instance_records(config: ExperimentConfig, seed: int, k: int) -> list:
                 solution = solve(instance, tables)
             elapsed = time.perf_counter() - start
             results[tag] = (solution.wsr, counter.total, elapsed)
-        reference = results.get("opt", (math.nan,))[0]
+        reference = results.get("opt", (math.nan,))[0] or math.nan  # no opt, or opt worth 0
         for tag, (wsr, ops, elapsed) in results.items():
             loss = 0.0 if tag == "opt" else (reference - wsr) / reference
             records.append(RunRecord(seed=seed, K=k, N=instance.n_carriers, M=m,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, grid_levels
 from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
@@ -306,9 +306,7 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
 
 def class_unit_caps(instance: Instance) -> np.ndarray:
     """Largest selectable grid index per subcarrier (cap and budget aware)."""
-    levels = instance.n_power_levels
-    per_cap = np.floor(instance.p_max_carrier / instance.delta + 1e-9).astype(np.int64)
-    return np.minimum(levels, per_cap)
+    return np.minimum(instance.n_power_levels, grid_levels(instance.p_max_carrier, instance.delta))
 
 
 def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray:
@@ -587,23 +585,6 @@ def estimate_upper_bound(instance: Instance, tables: list,
     return 2.0 * max(greedy, best_single)
 
 
-def _profit_lookup(objective: BudgetObjective, n: int, delta: float, lmax: int):
-    """Memoized batch lookup ls -> F_n(ls * delta) of class n, for 0 <= ls <= lmax.
-
-    Each grid index is valued at most once; the indices not yet known go to
-    `BudgetObjective.profits` together, sorted.
-    """
-    memo = np.full(lmax + 1, np.nan)
-
-    def profit(ls: np.ndarray) -> np.ndarray:
-        new = np.unique(ls[np.isnan(memo[ls])])
-        if new.size:
-            memo[new] = objective.profits(n, new * delta)
-        return memo[ls]
-
-    return profit
-
-
 def select_items(instance: Instance, n: int, upper: float, eps: float, profit_fn) -> list:
     """Grid items of class n that first reach each profit threshold.
 
@@ -616,7 +597,10 @@ def select_items(instance: Instance, n: int, upper: float, eps: float, profit_fn
     at most ceil(log2(lmax + 1)) + 1 calls per class. A search finds the
     first crossing, as a one-threshold-at-a-time search does, only because
     grid profits are non-decreasing (`test_grid_profits_are_non_decreasing`
-    checks this). Returns sorted unique indices; empty if U <= 0.
+    checks this). The open searches sit at one depth of one search tree over
+    [1, lmax], so no index is probed twice, and each returned index (lmax or
+    a midpoint that reached its threshold) was probed. Returns sorted unique
+    indices; empty if U <= 0. Nothing it keeps is sized by lmax.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -650,9 +634,11 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     total weight (in exact grid units) achieving it; the answer is the
     largest q whose weight fits the budget. The reported value re-evaluates
     the recovered items unscaled, since scaling is only a search device.
-    A given upper must bound the optimum, as `estimate_upper_bound`'s does:
-    below it, a feasible split can carry the DP past its top scaled profit
-    floor(4N/eps), and eps raises ValueError instead of dropping that split.
+    Each item's profit is the one `select_items` probed, recorded as it is
+    valued, so no array is sized by the grid. A given upper must bound the
+    optimum, as `estimate_upper_bound`'s does: below it, a feasible split
+    can carry the DP past its top scaled profit floor(4N/eps), and eps
+    raises ValueError instead of dropping that split.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -666,12 +652,17 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
 
-    caps = class_unit_caps(instance)
     items = []  # per class: (grid indices, scaled profits) of its selected items
     for n in range(N):
-        profit = _profit_lookup(objective, n, instance.delta, int(caps[n]))
+        probed = {}  # grid index -> F_n(l * delta), for the indices select_items probes
+
+        def profit(ls: np.ndarray) -> np.ndarray:
+            vals = objective.profits(n, ls * instance.delta)
+            probed.update(zip(ls.tolist(), vals.tolist()))
+            return vals
+
         ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
-        scaled = np.floor(profit(ls) / scale).astype(np.int64)
+        scaled = np.floor(np.array([probed[l] for l in ls.tolist()]) / scale).astype(np.int64)
         # an item of no scaled profit never beats skipping its class
         items.append((ls[scaled > 0], scaled[scaled > 0]))
 

@@ -63,6 +63,19 @@ def parse_fields(cls, raw: dict) -> dict:
     return kwargs
 
 
+def grid_levels(amount, delta):
+    """Whole delta steps within amount (scalar or array), forgiving 1e-9 of a step."""
+    return np.floor(np.asarray(amount) / delta + 1e-9).astype(np.int64)
+
+
+def check_finite(config) -> None:
+    """Reject a non-finite float, alone or in a tuple, in a field of the dataclass config."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in np.atleast_1d(value)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Physical and sizing parameters used to draw random instances.
@@ -85,6 +98,7 @@ class SystemConfig:
     min_weight: float = 1e-6
 
     def __post_init__(self):
+        check_finite(self)
         if self.users < 1 or self.subcarriers < 1:
             raise ValueError("users and subcarriers must be >= 1")
         if not 1 <= self.max_mux <= self.users:
@@ -95,13 +109,15 @@ class SystemConfig:
             raise ValueError("delta_w must be in (0, p_max_w]")
         if self.p_max_carrier_w < 0 or self.p_max_carrier_w > self.p_max_w:
             raise ValueError("p_max_carrier_w must be 0 (unset) or in (0, p_max_w]")
-        # rounded as class_unit_caps: a cap under one grid step leaves no item
-        if self.p_max_carrier_w > 0 and math.floor(self.p_max_carrier_w / self.delta_w + 1e-9) == 0:
+        # a cap under one grid step leaves no item
+        if self.p_max_carrier_w > 0 and grid_levels(self.p_max_carrier_w, self.delta_w) == 0:
             raise ValueError("p_max_carrier_w must be 0 (unset) or at least delta_w")
         if self.min_distance_m <= 0 or self.min_distance_m >= self.cell_radius_m:
             raise ValueError("min_distance_m must be in (0, cell_radius_m)")
         if self.min_weight <= 0:
             raise ValueError("min_weight must be positive")
+        if self.shadowing_std_db < 0:
+            raise ValueError("shadowing_std_db must be >= 0")
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SystemConfig":
@@ -157,8 +173,8 @@ class Instance:
             raise ValueError("p_max_carrier must have one entry per subcarrier")
         if not (np.all(w > 0) and np.all(g > 0) and np.all(eta > 0) and np.all(bw > 0)):
             raise ValueError("weights, gains, noise and bandwidths must be strictly positive")
-        if self.p_max <= 0:
-            raise ValueError("p_max must be positive")
+        if not 0 < self.p_max < math.inf:
+            raise ValueError("p_max must be positive and finite")
         if not 0 < self.delta <= self.p_max:
             raise ValueError("delta must be in (0, p_max]")
         if not 1 <= self.max_mux <= w.size:
@@ -184,7 +200,7 @@ class Instance:
     @property
     def n_power_levels(self) -> int:
         """Number of non-zero points the budget spans on the delta grid."""
-        return int(math.floor(self.p_max / self.delta + 1e-9))
+        return int(grid_levels(self.p_max, self.delta))
 
 
 @dataclass(frozen=True)

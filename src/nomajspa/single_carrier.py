@@ -16,8 +16,7 @@ subcarriers (`stack_candidates`): `best_values` gives F_n at budgets,
 derivative in closed form. All three read F_n through one kernel,
 `pinned_values`: a candidate truncated at a budget pins a leading block,
 which contributes one log, and the rest is a tail constant built once per
-stack. `fn_value_many`, `iscus_eval` and `fn_left_derivative` ask the same
-of one table.
+stack. `fn_value_many` and `iscus_eval` ask the first two of one table.
 """
 
 from __future__ import annotations
@@ -418,10 +417,3 @@ def iscus_eval(tables: ScusTables, p_bar: float):
     _check_budget(p_bar, tables.p_max)
     x, vals = best_columns(stack_candidates([tables]), np.array([float(p_bar)]))
     return x[0], float(vals[0])
-
-
-def fn_left_derivative(tables: ScusTables, p_bar: float) -> float:
-    """Left derivative of F_n at p_bar (see left_derivatives)."""
-    _check_budget(p_bar, tables.p_max)
-    budgets = np.array([min(p_bar, tables.p_max)], dtype=float)
-    return float(left_derivatives(stack_candidates([tables]), budgets)[0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,11 @@ class TestRunExperiment:
             run_experiment(tiny_config(), out_path=str(tmp_path / "no" / "dir.csv"))
 
 
+RUNNABLE = "k_sweep = 2\nm_sweep = 1\nseeds = 1\nsubcarriers = 2\ndelta_w = 1\ntiming = false\n"
+NON_FINITE_OR_NEGATIVE = [("p_max_w", "inf"), ("cell_radius_m", "inf"), ("bandwidth_hz", "inf"),
+                          ("min_weight", "inf"), ("shadowing_std_db", "-1")]
+
+
 class TestMain:
     def test_cli_flags_override_config(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"
@@ -256,12 +262,15 @@ class TestMain:
         ("users = abc\n", "users = 'abc'"),
         ("seeds = 2\nusers = 3\nseeds = 1\n", "c.cfg:3"),
         ("carrier_freq_hz = 2e9\n", "unknown config key(s): carrier_freq_hz"),
+        # a runnable campaign but for one float: each used to end in a traceback,
+        # an inf or nan wsr, or numpy's "scale < 0"
+        *((f"{RUNNABLE}{key} = {value}\n", key) for key, value in NON_FINITE_OR_NEGATIVE),
     ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key",
-            "removed_key"])
+            "removed_key", *(key for key, _ in NON_FINITE_OR_NEGATIVE)])
     def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)
-        assert main(["--config", str(cfg_file)]) == 2
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / "r.csv")]) == 2
         assert message in capsys.readouterr().err
 
     def test_carrier_cap_below_grid_step_reports_error(self, tmp_path, capsys):
@@ -276,6 +285,20 @@ class TestMain:
         # one grid step is the smallest cap
         cfg = ExperimentConfig.from_mapping({"p_max_carrier_w": "0.01", "delta_w": "0.01"})
         assert cfg.system.p_max_carrier_w == 0.01
+
+    def test_zero_grid_optimum_finishes_campaign(self, tmp_path, capsys):
+        # 150 dB shadowing makes b + eta_tilde == eta_tilde in floats: every F_n,
+        # and so opt's wsr, is exactly 0 and no loss can be measured against it
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(
+            "users = 1\nsubcarriers = 2\nshadowing_std_db = 150\nk_sweep = 1\n"
+            "m_sweep = 1\nseeds = 1\nseed_base = 4\nsolvers = opt,grad,eps\ntiming = false\n")
+        out = tmp_path / "zero.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 3
+        assert all(r["wsr"] == 0.0 and r["loss"] == 0.0 for r in rows if r["solver"] == "opt")
+        assert all(math.isnan(r["loss"]) for r in rows if r["solver"] != "opt")
 
     def test_unwritable_out_reports_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -1,6 +1,7 @@
 """Joint allocators: projection, gradient ascent, knapsack DP, estimation, FPTAS."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from nomajspa.model import (
     generate_instance,
     wsr_from_x,
 )
-from nomajspa.single_carrier import fn_left_derivative, fn_value_many, iscus_precompute
+from nomajspa.single_carrier import (fn_value_many, iscus_precompute, left_derivatives,
+                                     stack_candidates)
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
     BudgetObjective,
@@ -76,10 +78,14 @@ def carried_lo_select_items(instance, n, upper, eps, profit):
     return chosen
 
 
+def class_profit(objective, n, delta):
+    """Batch lookup ls -> F_n(ls * delta) of class n: the values eps_jspa gives select_items."""
+    return lambda ls: objective.profits(n, np.asarray(ls) * delta)
+
+
 def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
-    """`select_items` on class n and its oracle, both reading one profit memo."""
-    profit = jspa._profit_lookup(objective, n, instance.delta,
-                                 int(class_unit_caps(instance)[n]))
+    """`select_items` on class n and its oracle, both reading one class's profits."""
+    profit = class_profit(objective, n, instance.delta)
     scalar = lambda l: float(profit(np.array([l]))[0])
     return (select_items(instance, n, upper, eps, profit),
             carried_lo_select_items(instance, n, upper, eps, scalar))
@@ -98,10 +104,9 @@ def index_array_eps_budgets(instance, tables, eps, upper):
     objective = BudgetObjective(tables)
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
-    caps = class_unit_caps(instance)
     items = []
     for n in range(N):
-        profit = jspa._profit_lookup(objective, n, instance.delta, int(caps[n]))
+        profit = class_profit(objective, n, instance.delta)
         ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
         items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
 
@@ -584,8 +589,9 @@ class TestBudgetObjective:
             _, tables = make_tables(inst)
             objective = BudgetObjective(tables)
             for b in self.budget_vectors(inst, rng):
-                expected = [fn_left_derivative(t, float(bn)) for t, bn in zip(tables, b)]
-                assert np.array_equal(objective.derivatives(b), np.array(expected))
+                expected = [left_derivatives(stack_candidates([t]), b[n:n + 1])
+                            for n, t in enumerate(tables)]
+                assert np.array_equal(objective.derivatives(b), np.concatenate(expected))
                 total = sum(fn_value_many(t, [bn])[0] for t, bn in zip(tables, b))
                 assert rel_err(objective.value(b), total) <= 1e-12
                 checked += 1
@@ -727,6 +733,22 @@ class TestEpsJspa:
         # every call is select_items' own: the chosen items' profits come from its memo
         for key in set(calls):
             assert calls.count(key) <= select_rounds_bound(inst, key[1])
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # J = 10^7 levels: any per-class array sized by the grid would take 80 MB
+        J = 10 ** 7
+        inst = generate_instance(SystemConfig(users=5, subcarriers=8, max_mux=2,
+                                              delta_w=10 / J), 3)
+        _, tables = make_tables(inst)
+        assert inst.n_power_levels == J
+        tracemalloc.start()
+        try:
+            sol = eps_jspa(inst, tables, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
+        assert peak < 4e6
 
     def test_upper_below_the_optimum_is_rejected(self):
         inst = generate_instance(SystemConfig(users=5, subcarriers=4, delta_w=0.5), 3)

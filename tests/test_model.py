@@ -295,7 +295,8 @@ class TestInstanceValidation:
                   delta=0.1, max_mux=1)
         Instance(**ok)
         for key, bad in [("weights", [1.0, -1.0]), ("gains", np.zeros((2, 1))),
-                         ("p_max", 0.0), ("delta", 2.0), ("max_mux", 5)]:
+                         ("p_max", 0.0), ("p_max", math.inf), ("p_max", math.nan),
+                         ("delta", 2.0), ("max_mux", 5)]:
             kwargs = ok | {key: bad}
             with pytest.raises(ValueError):
                 Instance(**kwargs)

@@ -22,9 +22,9 @@ from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, b
                            class_unit_caps, eps_jspa, estimate_upper_bound, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
                             wsr_from_x)
-from nomajspa.single_carrier import (candidate_values, fn_left_derivative, fn_value_many,
-                                     iscus_eval, iscus_precompute, pinned_values, sc_value,
-                                     stack_candidates)
+from nomajspa.single_carrier import (candidate_values, fn_value_many, iscus_eval,
+                                     iscus_precompute, left_derivatives, pinned_values,
+                                     sc_value, stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -110,8 +110,9 @@ def test_stacked_readers_are_bit_equal(inst, seed):
     for _ in range(6):
         b = np.array([rng.choice(k[k <= inst.p_max_carrier[n]])
                       for n, k in enumerate(kinks)])
-        expect = [fn_left_derivative(t, float(bn)) for t, bn in zip(tables, b)]
-        assert np.array_equal(objective.derivatives(b), np.array(expect))
+        expect = [left_derivatives(stack_candidates([t]), b[n:n + 1])
+                  for n, t in enumerate(tables)]
+        assert np.array_equal(objective.derivatives(b), np.concatenate(expect))
         for n, (t, bn) in enumerate(zip(tables, b)):
             x, val = iscus_eval(t, float(bn))
             one_x, one_val = BudgetObjective([t]).columns(b[n:n + 1])

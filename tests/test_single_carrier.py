@@ -19,15 +19,16 @@ from nomajspa.model import LN2, active_positions, argmax_f, build_decoding_order
 from nomajspa.single_carrier import (
     _scus_dp,
     expand_active,
-    fn_left_derivative,
     fn_value_many,
     iscpc_eval,
     iscpc_precompute,
     iscus_eval,
     iscus_precompute,
+    left_derivatives,
     sc_value,
     scpc,
     scus,
+    stack_candidates,
 )
 
 
@@ -278,7 +279,8 @@ class TestBudgetValueFunction:
         tables = iscus_precompute(inst, order, 0, 1)
         for p_bar in (1e-3, 0.7, 3.0, 10.0):
             expected = 1e6 * 0.8 / ((p_bar + 0.5) * LN2)
-            assert fn_left_derivative(tables, p_bar) == pytest.approx(expected, rel=1e-12)
+            d = left_derivatives(stack_candidates([tables]), np.array([p_bar]))[0]
+            assert d == pytest.approx(expected, rel=1e-12)
 
     def test_derivative_positive_and_matches_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -290,7 +292,7 @@ class TestBudgetValueFunction:
         while kept < 50:
             p_bar = float(rng.uniform(2 * h, inst.p_max))
             lo, hi = fn_value_many(tables, [p_bar - h, p_bar])
-            d = fn_left_derivative(tables, p_bar)
+            d = left_derivatives(stack_candidates([tables]), np.array([p_bar]))[0]
             assert d > 0
             # away from kinks the backward difference pins the left derivative
             stored = tables.entry_x.ravel()
@@ -305,18 +307,9 @@ class TestBudgetValueFunction:
         inst = small_instance(74, users=4, carriers=1, max_mux=2)
         order = build_decoding_order(inst)
         tables = iscus_precompute(inst, order, 0, 2)
-        d0 = fn_left_derivative(tables, 0.0)
+        d0 = left_derivatives(stack_candidates([tables]), np.array([0.0]))[0]
         eps = 1e-11 * inst.p_max
         assert d0 == pytest.approx(fn_value_many(tables, [eps])[0] / eps, rel=1e-3)
-
-    def test_derivative_rejects_out_of_range(self):
-        inst = small_instance(74, users=3, carriers=1, max_mux=1)
-        order = build_decoding_order(inst)
-        tables = iscus_precompute(inst, order, 0, 1)
-        with pytest.raises(ValueError):
-            fn_left_derivative(tables, -1.0)
-        with pytest.raises(ValueError):
-            fn_left_derivative(tables, inst.p_max * 2)
 
 
 BUDGET_ENTRY_POINTS = {
@@ -324,8 +317,6 @@ BUDGET_ENTRY_POINTS = {
     "scus": lambda inst, order, b: scus(inst, order, 0, 2, b),
     "iscpc_eval": lambda inst, order, b: iscpc_eval(iscpc_precompute(inst, order, 0, (0, 2)), b),
     "iscus_eval": lambda inst, order, b: iscus_eval(iscus_precompute(inst, order, 0, 2), b),
-    "fn_left_derivative":
-        lambda inst, order, b: fn_left_derivative(iscus_precompute(inst, order, 0, 2), b),
     "fn_value_many":
         lambda inst, order, b: fn_value_many(iscus_precompute(inst, order, 0, 2), [1.0, b]),
 }
