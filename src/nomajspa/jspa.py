@@ -249,8 +249,7 @@ def default_grad_iteration_cap(p_max: float, xi: float) -> int:
     return 10 * math.ceil(math.log2(p_max / xi)) + 100
 
 
-def grad_jspa(instance: Instance, tables: list, xi: float,
-              max_iterations: int | None = None) -> JspaSolution:
+def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
     """Projected gradient ascent on the budget vector, starting from zero.
 
     Each step moves along the per-subcarrier left derivatives of F_n, with
@@ -267,14 +266,12 @@ def grad_jspa(instance: Instance, tables: list, xi: float,
     caps = instance.p_max_carrier
     objective = BudgetObjective(tables)
 
-    cap = max_iterations if max_iterations is not None else default_grad_iteration_cap(
-        instance.p_max, xi)
     p = np.zeros(N)
     cur = objective.value(p)
     history = [cur]
     converged = False
     iterations = 0
-    for iterations in range(1, cap + 1):
+    for iterations in range(1, default_grad_iteration_cap(instance.p_max, xi) + 1):
         grad = objective.derivatives(p)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
@@ -559,58 +556,42 @@ def estimate_upper_bound(instance: Instance, tables: list,
     if objective is None:
         objective = BudgetObjective(tables)
     N = instance.n_carriers
-    J = instance.n_power_levels
-    stride = max(1, J // N)
-    caps_units = class_unit_caps(instance)
-    capacity = 2.0 * instance.p_max
+    coarse = np.arange(1, 2 * N + 1) * max(1, instance.n_power_levels // N)
+    weights = coarse * instance.delta
+    # every class's coarse points in one kernel call, (N, 2N)
+    units = np.minimum(coarse, class_unit_caps(instance)[:, None])
+    profits = best_values(objective.cands, units * instance.delta)
+    increments = sorted((inc for row in profits for inc in _hull_increments(weights, row)),
+                        key=lambda inc: -inc[1] / inc[0])
 
-    weights = np.arange(1, 2 * N + 1, dtype=float) * stride * instance.delta
-    all_increments = []
-    best_single = 0.0
-    for n in range(N):
-        eval_units = np.minimum(np.arange(1, 2 * N + 1) * stride, int(caps_units[n]))
-        profits = objective.profits(n, eval_units * instance.delta)
-        best_single = max(best_single, float(profits.max(initial=0.0)))
-        for dw, dc in _hull_increments(weights, profits):
-            all_increments.append((dc / dw, dw, dc, n))
-    all_increments.sort(key=lambda t: -t[0])
-
-    room = capacity
+    room = 2.0 * instance.p_max
     greedy = 0.0
-    for _, dw, dc, _ in all_increments:
+    for dw, dc in increments:
         if dw > room:
-            break  # fractional break item; its profit is covered by best_single
+            break  # fractional break item; its profit is covered by the best single item
         room -= dw
         greedy += dc
-    return 2.0 * max(greedy, best_single)
+    return 2.0 * max(greedy, float(profits.max(initial=0.0)))
 
 
-def select_items(instance: Instance, n: int, upper: float, eps: float, profit_fn) -> list:
-    """Grid items of class n that first reach each profit threshold.
+def select_items(lmax: int, targets: np.ndarray, profit_fn) -> list:
+    """Smallest grid index in [1, lmax] whose profit reaches each target.
 
-    Thresholds are the multiples of eps*U/(4N) up to floor(4N/eps); for each
-    one, the smallest grid index whose profit reaches it is located by
-    binary search over [1, lmax]. The searches run in lockstep: each round
-    looks up the unique midpoints of the open searches in one `profit_fn`
-    call (int index array in, float array out) and narrows every search
-    with one comparison. With the lookup of the top profit first, that is
-    at most ceil(log2(lmax + 1)) + 1 calls per class. A search finds the
-    first crossing, as a one-threshold-at-a-time search does, only because
-    grid profits are non-decreasing (`test_grid_profits_are_non_decreasing`
-    checks this). The open searches sit at one depth of one search tree over
-    [1, lmax], so no index is probed twice, and each returned index (lmax or
-    a midpoint that reached its threshold) was probed. Returns sorted unique
-    indices; empty if U <= 0. Nothing it keeps is sized by lmax.
+    targets is ascending; a target above the profit of lmax has no item.
+    The binary searches of all targets run in lockstep: each round looks
+    up the unique midpoints of the open searches in one `profit_fn` call
+    (int index array in, float array out) and narrows every search with
+    one comparison. With the lookup of the top profit first, that is at
+    most ceil(log2(lmax + 1)) + 1 calls. A search finds the first crossing,
+    as a one-target-at-a-time search does, only because grid profits are
+    non-decreasing (`test_grid_profits_are_non_decreasing` checks this).
+    The open searches sit at one depth of one search tree over [1, lmax],
+    so no index is probed twice, and each returned index (lmax or a
+    midpoint that reached its target) was probed. Returns sorted unique
+    indices. Nothing it keeps is sized by lmax.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if upper <= 0:
-        return []
-    N = instance.n_carriers
-    lmax = int(class_unit_caps(instance)[n])
     if lmax < 1:
         return []
-    targets = np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
     targets = targets[targets <= profit_fn(np.array([lmax]))[0]]
     lo = np.ones(targets.size, dtype=np.int64)
     hi = np.full(targets.size, lmax, dtype=np.int64)
@@ -629,16 +610,18 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
              upper: float | None = None) -> JspaSolution:
     """Approximation scheme: value within a factor (1 - eps) of the grid optimum.
 
-    Profits are scaled by eps*U/(4N) and floored to small integers, then a
-    DP by profits finds, for every reachable scaled profit q, the least
-    total weight (in exact grid units) achieving it; the answer is the
-    largest q whose weight fits the budget. The reported value re-evaluates
-    the recovered items unscaled, since scaling is only a search device.
-    Each item's profit is the one `select_items` probed, recorded as it is
-    valued, so no array is sized by the grid. A given upper must bound the
-    optimum, as `estimate_upper_bound`'s does: below it, a feasible split
-    can carry the DP past its top scaled profit floor(4N/eps), and eps
-    raises ValueError instead of dropping that split.
+    Profits are scaled by eps*U/(4N) and floored to small integers. Each
+    class keeps the grid items that first reach the multiples of that scale
+    up to floor(4N/eps) (`select_items`), then a DP by profits finds, for
+    every reachable scaled profit q, the least total weight (in exact grid
+    units) achieving it; the answer is the largest q whose weight fits the
+    budget. The reported value re-evaluates the recovered items unscaled,
+    since scaling is only a search device. Each item's profit is the one
+    `select_items` probed, recorded as it is valued, so no array is sized
+    by the grid. A given upper must bound the optimum, as
+    `estimate_upper_bound`'s does: below it, a feasible split can carry the
+    DP past its top scaled profit, and eps raises ValueError instead of
+    dropping that split.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -651,6 +634,8 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
         return _solution(objective, np.zeros(N), f"eps:{eps:g}")
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
+    targets = np.arange(1, q_cap + 1) * scale
+    caps = class_unit_caps(instance)
 
     items = []  # per class: (grid indices, scaled profits) of its selected items
     for n in range(N):
@@ -661,7 +646,7 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
             probed.update(zip(ls.tolist(), vals.tolist()))
             return vals
 
-        ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
+        ls = np.array(select_items(int(caps[n]), targets, profit), dtype=np.int64)
         scaled = np.floor(np.array([probed[l] for l in ls.tolist()]) / scale).astype(np.int64)
         # an item of no scaled profit never beats skipping its class
         items.append((ls[scaled > 0], scaled[scaled > 0]))

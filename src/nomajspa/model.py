@@ -119,10 +119,6 @@ class SystemConfig:
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing_std_db must be >= 0")
 
-    @classmethod
-    def from_mapping(cls, raw: dict) -> "SystemConfig":
-        return cls(**parse_fields(cls, raw))
-
 
 def read_kv_file(path) -> dict:
     """Parse a flat `key = value` text file, each key at most once.
@@ -171,6 +167,11 @@ class Instance:
             raise ValueError("inconsistent array shapes")
         if caps.shape != bw.shape:
             raise ValueError("p_max_carrier must have one entry per subcarrier")
+        arrays = (("weights", w), ("bandwidths", bw), ("gains", g), ("noise", eta),
+                  ("p_max_carrier", caps))
+        for name, arr in arrays:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if not (np.all(w > 0) and np.all(g > 0) and np.all(eta > 0) and np.all(bw > 0)):
             raise ValueError("weights, gains, noise and bandwidths must be strictly positive")
         if not 0 < self.p_max < math.inf:
@@ -181,8 +182,7 @@ class Instance:
             raise ValueError("max_mux must be in [1, K]")
         if np.any(caps <= 0) or np.any(caps > self.p_max):
             raise ValueError("per-subcarrier caps must lie in (0, p_max]")
-        for name, arr in (("weights", w), ("bandwidths", bw), ("gains", g),
-                          ("noise", eta), ("p_max_carrier", caps)):
+        for name, arr in arrays:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         tilde = eta / g

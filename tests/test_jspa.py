@@ -78,6 +78,13 @@ def carried_lo_select_items(instance, n, upper, eps, profit):
     return chosen
 
 
+def eps_select_items(instance, n, upper, eps, profit):
+    """`select_items` on class n with eps_jspa's thresholds: multiples of eps*U/(4N)."""
+    N = instance.n_carriers
+    targets = np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
+    return select_items(int(class_unit_caps(instance)[n]), targets, profit)
+
+
 def class_profit(objective, n, delta):
     """Batch lookup ls -> F_n(ls * delta) of class n: the values eps_jspa gives select_items."""
     return lambda ls: objective.profits(n, np.asarray(ls) * delta)
@@ -87,7 +94,7 @@ def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
     """`select_items` on class n and its oracle, both reading one class's profits."""
     profit = class_profit(objective, n, instance.delta)
     scalar = lambda l: float(profit(np.array([l]))[0])
-    return (select_items(instance, n, upper, eps, profit),
+    return (eps_select_items(instance, n, upper, eps, profit),
             carried_lo_select_items(instance, n, upper, eps, scalar))
 
 
@@ -104,10 +111,12 @@ def index_array_eps_budgets(instance, tables, eps, upper):
     objective = BudgetObjective(tables)
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
+    targets = np.arange(1, q_cap + 1) * scale
+    caps = class_unit_caps(instance)
     items = []
     for n in range(N):
         profit = class_profit(objective, n, instance.delta)
-        ls = np.array(select_items(instance, n, upper, eps, profit), dtype=np.int64)
+        ls = np.array(select_items(int(caps[n]), targets, profit), dtype=np.int64)
         items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
 
     inf = np.iinfo(np.int64).max // 2
@@ -318,10 +327,11 @@ class TestGradJspa:
         hist = np.asarray(sol.history)
         assert np.all(np.diff(hist) >= -1e-12 * max(1.0, hist.max()))
 
-    def test_iteration_cap_returns_best_iterate_with_flag(self):
+    def test_iteration_cap_returns_best_iterate_with_flag(self, monkeypatch):
         inst = small_instance(5, users=4, carriers=3, max_mux=2)
         _, tables = make_tables(inst, 2)
-        sol = grad_jspa(inst, tables, 1e-12, max_iterations=2)
+        monkeypatch.setattr(jspa, "default_grad_iteration_cap", lambda p_max, xi: 2)
+        sol = grad_jspa(inst, tables, 1e-12)
         assert not sol.converged
         assert sol.iterations == 2
         assert budget_feasible(inst, sol.budgets)
@@ -614,27 +624,28 @@ class TestSelectItems:
         _, tables = make_tables(inst, 2)
         top = fn_value_many(tables[0], [inst.n_power_levels * inst.delta])[0]
         huge = top * 16.0 * inst.n_carriers  # first threshold lands above top
-        assert select_items(inst, 0, huge, 1.0, grid_profit(inst, tables[0])) == []
+        assert eps_select_items(inst, 0, huge, 1.0, grid_profit(inst, tables[0])) == []
 
     def test_empty_on_nonpositive_estimate(self):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
         _, tables = make_tables(inst, 2)
-        assert select_items(inst, 0, 0.0, 0.5, grid_profit(inst, tables[0])) == []
+        sol = eps_jspa(inst, tables, 0.5, upper=0.0)
+        assert np.array_equal(sol.budgets, np.zeros(inst.n_carriers)) and sol.wsr == 0.0
 
     def test_linear_profits_hit_threshold_multiples(self):
-        inst = small_instance(52, users=3, carriers=2, max_mux=2, levels=100)
-        _, tables = make_tables(inst, 2)
-        # synthetic profits c_l = l; with U = 8 * s the threshold step is s
-        # and eps = 1 allows floor(4N/eps) = 8 thresholds
+        # synthetic profits c_l = l on a grid of 100 levels
+        linear = lambda ls: ls.astype(float)
         step = 5
-        upper = 8.0 * step
-        got = select_items(inst, 0, upper, 1.0, profit_fn=lambda ls: ls.astype(float))
+        got = select_items(100, np.arange(1, 9) * float(step), linear)
         assert got == [step * k for k in range(1, 9)]
-        # a finer eps means more thresholds; crossings are exact ceilings
-        got = select_items(inst, 0, upper, 0.25, profit_fn=lambda ls: ls.astype(float))
-        fine_step = 0.25 * upper / 8.0
+        # finer thresholds: crossings are exact ceilings
+        fine_step = 1.25
+        got = select_items(100, np.arange(1, 33) * fine_step, linear)
         expect = sorted({math.ceil(k * fine_step) for k in range(1, 33)})
         assert got == expect
+        # thresholds past the top profit have no item, and nothing is left at lmax = 0
+        assert select_items(100, np.array([50.0, 100.0, 101.0]), linear) == [50, 100]
+        assert select_items(0, np.array([0.0]), linear) == []
 
     def test_matches_full_scan_oracle(self):
         rng = np.random.default_rng(6)
@@ -644,7 +655,7 @@ class TestSelectItems:
             upper = estimate_upper_bound(inst, tables)
             eps = float(rng.choice([0.5, 0.2, 0.1]))
             for n in range(2):
-                got = select_items(inst, n, upper, eps, grid_profit(inst, tables[n]))
+                got = eps_select_items(inst, n, upper, eps, grid_profit(inst, tables[n]))
                 levels = int(class_unit_caps(inst)[n])
                 profits = fn_value_many(tables[n],
                                         np.arange(levels + 1) * inst.delta)
@@ -670,7 +681,7 @@ class TestSelectItems:
             return fn_value_many(tables[0], ls * inst.delta)
 
         eps = 0.25
-        got = select_items(inst, 0, upper, eps, profit_fn=counting)
+        got = eps_select_items(inst, 0, upper, eps, counting)
         assert len(calls) <= select_rounds_bound(inst, 0)
         scalar = lambda l: float(fn_value_many(tables[0], np.array([l * inst.delta]))[0])
         assert got == carried_lo_select_items(inst, 0, upper, eps, scalar)
@@ -709,7 +720,7 @@ class TestEpsJspa:
         _, tables = make_tables(inst, 2)
         upper = estimate_upper_bound(inst, tables)
         for eps in (0.7, 0.3, 0.05):
-            chosen = select_items(inst, 0, upper, eps, grid_profit(inst, tables[0]))
+            chosen = eps_select_items(inst, 0, upper, eps, grid_profit(inst, tables[0]))
             best = fn_value_many(tables[0], np.array(chosen) * inst.delta).max()
             assert eps_jspa(inst, tables, eps).wsr == pytest.approx(best, rel=1e-12)
 

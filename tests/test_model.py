@@ -296,7 +296,9 @@ class TestInstanceValidation:
         Instance(**ok)
         for key, bad in [("weights", [1.0, -1.0]), ("gains", np.zeros((2, 1))),
                          ("p_max", 0.0), ("p_max", math.inf), ("p_max", math.nan),
-                         ("delta", 2.0), ("max_mux", 5)]:
+                         ("delta", 2.0), ("max_mux", 5), ("p_max_carrier", [math.nan]),
+                         ("weights", [math.inf, 1.0]), ("gains", [[math.inf], [1.0]]),
+                         ("noise", [[1.0], [math.inf]]), ("bandwidths", [math.inf])]:
             kwargs = ok | {key: bad}
             with pytest.raises(ValueError):
                 Instance(**kwargs)

@@ -10,7 +10,9 @@ by profits must pick what the index-array DP picks, and eps must keep its
 the per-level scan's values and choices, bit for bit, on grids of up to
 400 levels. Instances cover K = 1, M = K, tied channels or weights,
 binding per-carrier caps and 30 dB shadowing; budgets cover 0, one grid
-step, the cap, p_max and every candidate kink.
+step, the cap, p_max and every candidate kink. The eps property also
+draws 2-level grids over three carriers, so J < N, and checks the bracket
+U >= OPT >= U / 4.
 """
 
 import numpy as np
@@ -30,14 +32,16 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 
 
 @st.composite
-def instances(draw, max_carriers=3, levels=(4, 10, 20)):
+def instances(draw, max_carriers=3, levels=(4, 10, 20), min_carriers=1):
     users = draw(st.integers(1, 6))
     max_mux = draw(st.one_of(st.just(users), st.integers(1, users)))
-    carriers = draw(st.integers(1, max_carriers))
+    carriers = draw(st.integers(min_carriers, max_carriers))
     levels = draw(st.sampled_from(levels))
+    # a cap under one grid step fails validation
+    caps = [cap for cap in (0.0, 2.5, 6.0) if cap == 0.0 or cap >= 10.0 / levels]
     cfg = SystemConfig(users=users, subcarriers=carriers, max_mux=max_mux,
                        delta_w=10.0 / levels,
-                       p_max_carrier_w=draw(st.sampled_from([0.0, 2.5, 6.0])),
+                       p_max_carrier_w=draw(st.sampled_from(caps)),
                        shadowing_std_db=draw(st.sampled_from([10.0, 30.0])))
     inst = generate_instance(cfg, draw(st.integers(0, 2 ** 16)))
     tie = draw(st.sampled_from(["none", "weights", "channels"]))
@@ -130,13 +134,15 @@ def test_opt_equals_brute_force(inst):
     assert rel_err(opt.wsr, wsr_from_x(inst, build_decoding_order(inst), opt.x)) <= 1e-9
 
 
-@PROPERTY
-@given(instances())
+@settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
+@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
 def test_lockstep_selection_and_eps_guarantee(inst):
     tables = tables_of(inst)
     objective = BudgetObjective(tables)
     upper = estimate_upper_bound(inst, tables, objective)
     opt = opt_jspa(inst, tables).wsr
+    assert upper >= opt * (1 - 1e-12)
+    assert opt >= upper / 4.0 * (1 - 1e-12)
     for eps in (0.5, 0.1, 0.05):
         for n in range(inst.n_carriers):
             got, expect = lockstep_and_oracle(inst, tables, objective, n, upper, eps)
