@@ -6,7 +6,7 @@ maximize sum_n F_n(b_n) subject to sum_n b_n <= p_max and 0 <= b_n <= cap_n.
 
 Four solvers are provided:
 
-* `grad_jspa`        projected gradient ascent with exact line search,
+* `grad_jspa`        projected gradient ascent with a bounded Brent line search,
 * `opt_jspa`         exact optimum on the delta grid (knapsack DP by weights),
 * `eps_jspa`         (1 - eps)-approximation (profit scaling + DP by profits),
 * `brute_force_jspa` exhaustive grid enumeration, used as a test oracle.
@@ -38,8 +38,7 @@ from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
 _C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 40
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, of the larger part
 _NEAR_TIE = 8.0 * 2.0 ** -53  # a pivot row's near-tie band, relative to its max
 # opt scans every level of a class when _SCAN_PIECES * pieces^2 > J + 1 - _SCAN_LEVELS,
 # where the scan was measured faster, or when one depth's windows pass
@@ -211,38 +210,94 @@ class BudgetObjective:
 # Gradient ascent on the budget split.
 
 
-def _golden_max(fun, lo: float, hi: float, f_lo: float):
-    """Golden-section maximizer on [lo, hi] returning the best sampled point.
+def _brent_max(fun, lo: float, hi: float, f_lo: float, tol: float):
+    """Bounded Brent maximizer on [lo, hi] returning the best point it sampled.
 
-    Seeded with both endpoints so the result never falls below f(lo); on a
-    merely piecewise-unimodal objective this keeps the search an ascent.
+    FMIN of Forsythe, Malcolm and Moler (1977), after Brent (1973, ch. 5),
+    with its comparisons turned to maximize: golden-section steps, replaced
+    by the vertex of the parabola through the three best points whenever
+    that vertex lies inside [a, b] and moves less than half the step before
+    last. It is seeded with both endpoints, f(lo) = f_lo given and f(hi)
+    valued first, and returns the best (x, f) among lo, hi and its own
+    samples, earliest on ties: never below f(lo), so on a merely
+    piecewise-unimodal objective the search stays an ascent.
+
+    It stops once the best interior point x lies within 2 * tol1 of both
+    ends of the bracket [a, b], tol1 = sqrt(eps_mach) * |x| + tol / 3:
+    tol / 3 is the caller's resolution, sqrt(eps_mach) * |x| the finest
+    that float values of a smooth f can tell apart near an extremum. No
+    sample falls within tol1 of x, and none of a parabolic step within
+    2 * tol1 of an end.
+
+    Why the loop ends. Every sample lies strictly inside [a, b] and moves
+    a or b to itself or to the old x, so the bracket shrinks at every
+    step: geometrically on golden steps, and a parabolic step is taken
+    only while it is shorter than half the step before last. The test
+    holds once both sides of x are at most 2 * tol1. For a tiny tol the
+    sqrt(eps_mach) * |x| term keeps tol1 at the float resolution of x, so
+    the bracket stops there instead of shrinking toward tol. Only a
+    maximum at lo = 0 lets x, and with it tol1, go to 0. The bracket then
+    closes on 0 by golden steps, about log_phi((hi - lo) / tol) of them,
+    and where tol / 3 underflows to 0 the search returns once a step no
+    longer moves x, which happens only among subnormal floats.
     """
     best_x, best_f = lo, f_lo
-    f_hi = fun(hi)
-    if f_hi > best_f:
-        best_x, best_f = hi, f_hi
+
+    def sample(u: float) -> float:
+        nonlocal best_x, best_f
+        fu = fun(u)
+        if fu > best_f:
+            best_x, best_f = u, fu
+        return fu
+
+    sample(hi)
+    root_eps = math.sqrt(math.ulp(1.0))
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    if fc > best_f:
-        best_x, best_f = c, fc
-    if fd > best_f:
-        best_x, best_f = d, fd
-    for _ in range(_GOLDEN_STEPS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = sample(x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = root_eps * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return best_x, best_f
+        golden = True
+        if abs(e) > tol1:  # try the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+                golden = False
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        if u == x:  # tol1 and d have underflowed at a subnormal x
+            return best_x, best_f
+        fu = sample(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def default_grad_iteration_cap(p_max: float, xi: float) -> int:
@@ -252,16 +307,21 @@ def default_grad_iteration_cap(p_max: float, xi: float) -> int:
 def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
     """Projected gradient ascent on the budget vector, starting from zero.
 
-    Each step moves along the per-subcarrier left derivatives of F_n, with
-    the step size chosen by exact line search (golden section over the
-    projected arc), and stops once the iterate moves by at most xi. The
-    objective is only piecewise concave, so a global optimum is not
-    guaranteed. The line search never accepts a loss, so the last iterate
-    is the best; an iteration cap returns it with converged=False instead
-    of looping forever.
+    Each step moves along the per-subcarrier left derivatives g of F_n,
+    to the point P(p + alpha * g) of the projected arc that Brent's bounded
+    search (`_brent_max`) picks for alpha in [0, p_max / ||g||], and the
+    ascent stops once the iterate moves by at most xi. The search closes
+    its alpha bracket to tol = xi / ||g||, the resolution the stopping rule
+    asks for: the projection P is nonexpansive, so
+    ||P(p + alpha g) - P(p + alpha' g)|| <= |alpha - alpha'| * ||g||, and
+    alpha within tol places the step within xi. The objective is only
+    piecewise concave, so a global optimum is not guaranteed. The line
+    search never accepts a loss, so the last iterate is the best; an
+    iteration cap returns it with converged=False instead of looping
+    forever. xi must be positive and finite.
     """
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    if not 0.0 < xi < math.inf:
+        raise ValueError("xi must be positive and finite")
     N = instance.n_carriers
     caps = instance.p_max_carrier
     objective = BudgetObjective(tables)
@@ -285,7 +345,7 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
             projected[alpha] = project_simplex(p + alpha * grad, instance.p_max, caps)
             return objective.value(projected[alpha])
 
-        alpha, val = _golden_max(along, 0.0, alpha_max, f_lo=cur)
+        alpha, val = _brent_max(along, 0.0, alpha_max, cur, xi / norm)
         new_p = projected.get(alpha, p)  # alpha = 0 keeps p, its own projection
         step = float(np.linalg.norm(new_p - p))
         p, cur = new_p, val

@@ -128,8 +128,8 @@ class TestConfig:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
-        (False, "d58e37a770a6f530c8cff731c73a1866b65bc7617580b291a9cbc72048134d01"),
-        (True, "85bb780c840eb647664ca4f00e1dd86f5cda0e191f8746844447b906861a16e7"),
+        (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
+        (True, "e85b52f29740ef83676cc4304a8a0041414319a645d0c1c7274688ce3de263a4"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

@@ -343,19 +343,20 @@ class TestGradJspa:
         assert rel_err(sol.wsr, wsr_from_x(inst, order, sol.x)) <= 1e-9
 
     def test_trajectory_is_pinned(self):
-        # recorded with F_n valued by the pinned-block kernel
+        # recorded with F_n valued by the pinned-block kernel and Brent's line search
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
         sol = grad_jspa(inst, tables, 1e-4)
-        assert sol.wsr.hex() == "0x1.8df3bab5cdd68p+24"
+        assert sol.wsr.hex() == "0x1.8df3bab5cdd69p+24"
         assert (sol.iterations, sol.converged) == (6, True)
         assert sol.budgets.tobytes().hex() == (
-            "08497958a5d1f13f4cb45b0cc2dbf53f085da150ec40f63f5060b01faa12f53f"
-            "1e16977067b8f33fb089f5370080f43f4c4d6c80c24df43f3c58e001d878f03f")
+            "463f7258a5d1f13fa6b55b0cc2dbf53f26b4a750ec40f63faee2ac1faa12f53f"
+            "bec7977067b8f33fce75f6370080f43f80a26b80c24df43f3894e301d878f03f")
 
     def test_each_accepted_step_is_projected_once(self, monkeypatch):
-        # a line search values 43 points (3 seeds + 40 golden steps); the step
-        # it accepts is one of them, so grad projects nothing else
+        # the step a line search accepts is one of the points it valued, so
+        # grad projects nothing else; Brent's search values 94 points over
+        # the 6 iterations here, so 20 per iteration leaves room
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
         real = jspa.project_simplex
@@ -367,14 +368,91 @@ class TestGradJspa:
 
         monkeypatch.setattr(jspa, "project_simplex", recording)
         sol = grad_jspa(inst, tables, 1e-4)
-        assert len(points) == 43 * sol.iterations
+        assert len(points) <= 20 * sol.iterations
         assert any(np.array_equal(sol.budgets, q) for q in points)
 
     def test_rejects_bad_tolerance(self):
         inst = small_instance(6, users=2, carriers=2, max_mux=1)
         _, tables = make_tables(inst, 1)
-        with pytest.raises(ValueError):
-            grad_jspa(inst, tables, 0.0)
+        for xi in (0.0, -1e-4, math.nan, math.inf):
+            with pytest.raises(ValueError, match="xi must be positive and finite"):
+                grad_jspa(inst, tables, xi)
+
+
+def recorded(fun):
+    """fun, and the (x, f(x)) pairs it was called with, in call order."""
+    calls = []
+
+    def wrapped(x):
+        calls.append((x, fun(x)))
+        return calls[-1][1]
+    return wrapped, calls
+
+
+def golden_evaluations(fun, lo, hi, tol):
+    """Evaluations a plain golden search takes to close [lo, hi] to tol, hi included."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = fun(c), fun(d)
+    count = 3
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = fun(d)
+        count += 1
+    return count
+
+
+class TestBrentMax:
+    def test_finds_the_vertex_of_a_parabola(self):
+        for c in (0.013, 0.3, 0.77, 0.999):
+            x, fx = jspa._brent_max(lambda a: -(a - c) ** 2, 0.0, 1.0, -c * c, 1e-6)
+            assert abs(x - c) <= 1e-6
+            assert fx == -(x - c) ** 2
+
+    def test_increasing_function_returns_the_far_end(self):
+        assert jspa._brent_max(lambda a: a ** 3, 0.0, 2.0, 0.0, 1e-6) == (2.0, 8.0)
+
+    def test_a_best_start_is_kept(self):
+        fun, calls = recorded(lambda a: -a)
+        assert jspa._brent_max(fun, 0.0, 3.0, 0.0, 1e-6) == (0.0, 0.0)
+        assert calls[0] == (3.0, -3.0) and all(f < 0.0 for _, f in calls)
+
+    @pytest.mark.parametrize("lo", [0.0, 0.1, 0.2, 0.25, 0.5])
+    def test_two_peaks_never_lose_and_return_a_sample(self, lo):
+        # a narrow high peak at 0.2 beside a broad low one at 0.7: the search
+        # settles on the low one, so from lo = 0.2 only f(lo) keeps the ascent
+        def two_peaks(a):
+            return max(1.1 - 60.0 * (a - 0.2) ** 2, 1.0 - 40.0 * (a - 0.7) ** 2)
+
+        f_lo = two_peaks(lo)
+        fun, calls = recorded(two_peaks)
+        x, fx = jspa._brent_max(fun, lo, 1.0, f_lo, 1e-7)
+        assert fx == max([f_lo] + [f for _, f in calls]) >= f_lo
+        assert (x, fx) == (lo, f_lo) or (x, fx) in calls
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324, 0.0])
+    def test_ends_at_a_left_maximum_for_any_tolerance(self, tol):
+        # x and tol1 go to 0 here; golden steps reach the subnormals and stop
+        fun, calls = recorded(lambda a: -a)
+        assert jspa._brent_max(fun, 0.0, 10.0, 0.0, tol) == (0.0, 0.0)
+        assert len(calls) < 2000
+
+    def test_fewer_evaluations_than_golden_section(self):
+        def smooth(a):
+            return math.log1p(a) - 0.3 * a
+
+        for tol in (1e-3, 1e-6, 1e-9):
+            fun, calls = recorded(smooth)
+            x, _ = jspa._brent_max(fun, 0.0, 10.0, 0.0, tol)
+            assert abs(x - (1.0 / 0.3 - 1.0)) <= tol
+            assert len(calls) < golden_evaluations(smooth, 0.0, 10.0, tol)
 
 
 class TestBuildKnapsack:

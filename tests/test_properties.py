@@ -6,9 +6,10 @@ the same values, columns and left derivatives stacked as one subcarrier at
 a time, and leave the exact solvers' agreement intact. eps's lockstep item
 selection must pick what the one-threshold-at-a-time search picks, its DP
 by profits must pick what the index-array DP picks, and eps must keep its
-(1 - eps) guarantee. opt's divide and conquer must relax every class to
-the per-level scan's values and choices, bit for bit, on grids of up to
-400 levels. Instances cover K = 1, M = K, tied channels or weights,
+(1 - eps) guarantee. Gradient ascent must stay feasible, report the wsr
+of its own columns, never lose along its history and converge. opt's
+divide and conquer must relax every class to the per-level scan's values
+and choices, bit for bit, on grids of up to 400 levels. Instances cover K = 1, M = K, tied channels or weights,
 binding per-carrier caps and 30 dB shadowing; budgets cover 0, one grid
 step, the cap, p_max and every candidate kink. The eps property also
 draws 2-level grids over three carriers, so J < N, and checks the bracket
@@ -21,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import rel_err
 from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
-                           class_unit_caps, eps_jspa, estimate_upper_bound, opt_jspa)
+                           class_unit_caps, eps_jspa, estimate_upper_bound, grad_jspa,
+                           opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
                             wsr_from_x)
 from nomajspa.single_carrier import (candidate_values, fn_value_many, iscus_eval,
@@ -132,6 +134,16 @@ def test_opt_equals_brute_force(inst):
     opt, brute = opt_jspa(inst, tables), brute_force_jspa(inst, tables)
     assert rel_err(opt.wsr, brute.wsr) <= 1e-12
     assert rel_err(opt.wsr, wsr_from_x(inst, build_decoding_order(inst), opt.x)) <= 1e-9
+
+
+@PROPERTY
+@given(instances())
+def test_grad_ascends_to_a_feasible_converged_split(inst):
+    sol = grad_jspa(inst, tables_of(inst), 1e-4)
+    assert budget_feasible(inst, sol.budgets)
+    assert rel_err(sol.wsr, wsr_from_x(inst, build_decoding_order(inst), sol.x)) <= 1e-9
+    assert np.all(np.diff(sol.history) >= 0.0)
+    assert sol.converged
 
 
 @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
