@@ -236,10 +236,11 @@ def _brent_max(fun, lo: float, hi: float, f_lo: float, tol: float):
     holds once both sides of x are at most 2 * tol1. For a tiny tol the
     sqrt(eps_mach) * |x| term keeps tol1 at the float resolution of x, so
     the bracket stops there instead of shrinking toward tol. Only a
-    maximum at lo = 0 lets x, and with it tol1, go to 0. The bracket then
-    closes on 0 by golden steps, about log_phi((hi - lo) / tol) of them,
-    and where tol / 3 underflows to 0 the search returns once a step no
-    longer moves x, which happens only among subnormal floats.
+    maximum at lo = 0, where grad's search starts, lets x and with it tol1
+    go to 0. The bracket then closes on 0 mostly by golden steps, up to
+    about log_phi((hi - lo) / tol) of them, and where tol / 3 underflows
+    to 0 the search returns once a step no longer moves x, which happens
+    only among subnormal floats.
     """
     best_x, best_f = lo, f_lo
 

@@ -9,11 +9,11 @@ by profits must pick what the index-array DP picks, and eps must keep its
 (1 - eps) guarantee. Gradient ascent must stay feasible, report the wsr
 of its own columns, never lose along its history and converge. opt's
 divide and conquer must relax every class to the per-level scan's values
-and choices, bit for bit, on grids of up to 400 levels. Instances cover K = 1, M = K, tied channels or weights,
-binding per-carrier caps and 30 dB shadowing; budgets cover 0, one grid
-step, the cap, p_max and every candidate kink. The eps property also
-draws 2-level grids over three carriers, so J < N, and checks the bracket
-U >= OPT >= U / 4.
+and choices, bit for bit, on grids of up to 400 levels. Instances cover
+K = 1, M = K, tied channels or weights, binding per-carrier caps and 30 dB
+shadowing; budgets cover 0, one grid step, the cap, p_max and every
+candidate kink. The eps property also draws 2-level grids over three
+carriers, so J < N, and checks the bracket U >= OPT >= U / 4.
 """
 
 import numpy as np
