@@ -19,6 +19,13 @@ profits, O(J log J) cells per piece, and scans every level, O(J^2), only
 where that was measured faster (small grids, classes of many pieces) or
 near ties keep the windows wide. Both make the same choices bit for bit:
 a pivot level bounds the others by its near ties, never by one argmax.
+
+eps keeps, per class, the first grid item reaching each multiple of its
+profit scale. It reads them off the whole grid in one F_n call where that
+values few enough budgets, and otherwise by a lockstep binary search that
+keeps only what it probed; grid profits are non-decreasing, so both pick
+the same items. Its DP by profits relaxes a class's items a chunk at a
+time, in integer arithmetic, with the per-item loop's tie rule.
 """
 
 from __future__ import annotations
@@ -46,6 +53,15 @@ _NEAR_TIE = 8.0 * 2.0 ** -53  # a pivot row's near-tie band, relative to its max
 _SCAN_PIECES = 4
 _SCAN_LEVELS = 128
 _MAX_WIDTH = 4
+# eps reads a class's whole grid where that values at most _GRID_PER_PROBE times
+# as many budgets as its lockstep search may; one whole-grid call was measured
+# faster up to about 1.4 times as many (K = 40, 1600 targets) and past 16 times
+# (K = 5, 64 targets). Its DP by profits relaxes items in chunks of at most
+# _DP_CELLS candidate weights (one item at least), so its scratch is O(T) cells
+# for T targets, not O(items * T); chunks of 10 to 300 items timed alike on
+# every workload shape
+_GRID_PER_PROBE = 1.5
+_DP_CELLS = 2 ** 16
 
 BRUTE_FORCE_LIMIT = 10 ** 7
 
@@ -367,12 +383,17 @@ def class_unit_caps(instance: Instance) -> np.ndarray:
     return np.minimum(instance.n_power_levels, grid_levels(instance.p_max_carrier, instance.delta))
 
 
+def _grid(levels: int, delta: float) -> np.ndarray:
+    """Budgets l * delta of the grid indices l = 0..levels."""
+    return np.arange(levels + 1) * delta
+
+
 def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray:
     """Grid profits profits[n, l] = F_n(l * delta), read-only, (N, J + 1).
 
     One subcarrier at a time keeps the kernel's temporaries to one class.
     """
-    grid = np.arange(instance.n_power_levels + 1) * instance.delta
+    grid = _grid(instance.n_power_levels, instance.delta)
     profits = np.stack([objective.profits(n, grid) for n in range(instance.n_carriers)])
     profits.flags.writeable = False
     return profits
@@ -667,25 +688,74 @@ def select_items(lmax: int, targets: np.ndarray, profit_fn) -> list:
     return np.unique(lo).tolist()
 
 
+def _lockstep_probes(lmax: int, targets: int) -> int:
+    """Most budgets `select_items` values on [1, lmax] for that many targets.
+
+    The top, then at each depth d of its search tree, d < ceil(log2(lmax + 1)),
+    one midpoint per open search but at most one per node: min(2^d, targets).
+    """
+    return 1 + sum(min(2 ** d, targets) for d in range(lmax.bit_length()))
+
+
+def _class_items(objective: BudgetObjective, n: int, lmax: int, targets: np.ndarray,
+                 delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices of class n's items, the first crossings of targets, and their profits.
+
+    Reads the whole grid 0..lmax in one `profits` call and finds every
+    crossing by np.searchsorted where that values at most _GRID_PER_PROBE
+    times as many budgets as the lockstep search may (`_lockstep_probes`);
+    it then holds lmax + 1 floats. Elsewhere, at a tiny eps or on a huge
+    grid, `select_items` searches and keeps only the profits it probed,
+    O(T) floats for T targets. Both find the same indices: grid profits are
+    non-decreasing, so the first crossing in the sorted grid is the binary
+    search's answer.
+    """
+    if lmax + 1 <= _GRID_PER_PROBE * _lockstep_probes(lmax, targets.size):
+        cn = objective.profits(n, _grid(lmax, delta))
+        ls = np.unique(np.searchsorted(cn[1:], targets[targets <= cn[lmax]]) + 1)
+        return ls, cn[ls]
+    probed = {}  # grid index -> F_n(l * delta), for the indices select_items probes
+
+    def profit(ls: np.ndarray) -> np.ndarray:
+        vals = objective.profits(n, ls * delta)
+        probed.update(zip(ls.tolist(), vals.tolist()))
+        return vals
+
+    ls = select_items(lmax, targets, profit)
+    return np.array(ls, dtype=np.int64), np.array([probed[l] for l in ls], dtype=float)
+
+
 def eps_jspa(instance: Instance, tables: list, eps: float,
              upper: float | None = None) -> JspaSolution:
     """Approximation scheme: value within a factor (1 - eps) of the grid optimum.
 
     Profits are scaled by eps*U/(4N) and floored to small integers. Each
     class keeps the grid items that first reach the multiples of that scale
-    up to floor(4N/eps) (`select_items`), then a DP by profits finds, for
+    up to floor(4N/eps) (`_class_items`), then a DP by profits finds, for
     every reachable scaled profit q, the least total weight (in exact grid
     units) achieving it; the answer is the largest q whose weight fits the
     budget. The reported value re-evaluates the recovered items unscaled,
-    since scaling is only a search device. Each item's profit is the one
-    `select_items` probed, recorded as it is valued, so no array is sized
-    by the grid. A given upper must bound the optimum, as
-    `estimate_upper_bound`'s does: below it, a feasible split can carry the
-    DP past its top scaled profit, and eps raises ValueError instead of
-    dropping that split.
+    since scaling is only a search device.
+
+    Time and memory, per class, with T = floor(4N/eps) targets: the
+    thresholds cost whichever is cheaper of the lockstep search, O(T log J)
+    budgets valued and the O(T) profits it probed kept, and one read of the
+    whole grid, lmax + 1 budgets and floats, taken only where that is at
+    most _GRID_PER_PROBE times the search's count (`_class_items`). The DP
+    relaxes a class's items a chunk at a time, one shifted copy of the
+    weights per item, so beside its (N, T + 1) choices and a few rows of
+    T + 1 cells it holds a few arrays of at most max(_DP_CELLS, T + 1)
+    cells.
+
+    eps must be positive and finite. A given upper must be finite and
+    bound the optimum, as `estimate_upper_bound`'s does: below it, a
+    feasible split can carry the DP past its top scaled profit, and eps
+    raises ValueError instead of dropping that split.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if upper is not None and not math.isfinite(upper):
+        raise ValueError(f"upper must be finite, got upper = {upper}")
     N = instance.n_carriers
     J = instance.n_power_levels
     objective = BudgetObjective(tables)
@@ -700,15 +770,8 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
 
     items = []  # per class: (grid indices, scaled profits) of its selected items
     for n in range(N):
-        probed = {}  # grid index -> F_n(l * delta), for the indices select_items probes
-
-        def profit(ls: np.ndarray) -> np.ndarray:
-            vals = objective.profits(n, ls * instance.delta)
-            probed.update(zip(ls.tolist(), vals.tolist()))
-            return vals
-
-        ls = np.array(select_items(int(caps[n]), targets, profit), dtype=np.int64)
-        scaled = np.floor(np.array([probed[l] for l in ls.tolist()]) / scale).astype(np.int64)
+        ls, profits = _class_items(objective, n, int(caps[n]), targets, instance.delta)
+        scaled = np.floor(profits / scale).astype(np.int64)
         # an item of no scaled profit never beats skipping its class
         items.append((ls[scaled > 0], scaled[scaled > 0]))
 
@@ -716,6 +779,7 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     weight = np.full(q_cap + 1, inf, dtype=np.int64)  # least units to reach profit q
     weight[0] = 0
     choice = np.full((N, q_cap + 1), -1, dtype=np.int64)  # item taken, by position
+    rows = max(1, _DP_CELLS // (q_cap + 1))  # items relaxed per chunk
     for n, (ls, scaled) in enumerate(items):
         # least units reaching a profit of q or more: an item that takes a
         # feasible total past q_cap proves upper below the optimum
@@ -724,14 +788,22 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
             raise ValueError(
                 f"upper = {upper:g} is below the value of a feasible split: class {n}'s "
                 f"items take the scaled profit past the DP's top, {q_cap}")
-        nxt = weight.copy()  # skipping class n is always allowed
-        for i, (l, q_item) in enumerate(zip(ls.tolist(), scaled.tolist())):
-            cand = weight[:q_cap + 1 - q_item] + l
-            better = cand < nxt[q_item:]  # ties keep the earlier item or the skip
-            np.copyto(nxt[q_item:], cand, where=better)
-            np.copyto(choice[n, q_item:], i, where=better)
+        # row top - q of the windows is weight shifted right by q, inf-padded;
+        # weight itself holds the skip, always allowed, and is relaxed in place
+        top = int(scaled.max(initial=0))
+        pad = np.concatenate((np.full(top, inf, dtype=np.int64), weight))
+        windows = np.lib.stride_tricks.sliding_window_view(pad, q_cap + 1)
+        for i0 in range(0, ls.size, rows):
+            cand = windows[top - scaled[i0:i0 + rows]]
+            cand += ls[i0:i0 + rows, None]
             tally(cand.size * _C_KNAP_P)
-        weight = nxt
+            low = cand.min(axis=0)
+            # strict: ties keep the skip or an earlier chunk's item
+            cols = np.flatnonzero(low < weight)
+            low = low[cols]
+            weight[cols] = low
+            # and within the chunk the earliest item of the least weight
+            choice[n, cols] = (cand[:, cols] == low).argmax(axis=0) + i0
 
     q_best = int(np.nonzero(weight <= J)[0][-1])
     # walk the layers back, peeling one item (or a skip) per class

@@ -129,7 +129,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
-        (True, "e85b52f29740ef83676cc4304a8a0041414319a645d0c1c7274688ce3de263a4"),
+        (True, "6e7dce9c3110a6d62485a8465b30f4653d3aa9a16efd15123a2b8e2447791f1f"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

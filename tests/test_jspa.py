@@ -101,9 +101,9 @@ def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
 def index_array_eps_budgets(instance, tables, eps, upper):
     """eps_jspa's budgets by the index-array DP by profits it ran before its slice form.
 
-    Kept as the oracle of that DP: the same item selection, then every item
-    relaxes `np.arange(q_item, q_cap + 1)` by fancy indexing, skipping items
-    of no scaled profit inside the loop.
+    Kept as the oracle of that DP: the same item selection, by the lockstep
+    search, then every item in turn relaxes `np.arange(q_item, q_cap + 1)`
+    by fancy indexing, skipping items of no scaled profit inside the loop.
     """
     N = instance.n_carriers
     if upper <= 0:
@@ -819,7 +819,7 @@ class TestEpsJspa:
         sol = eps_jspa(inst, tables, 0.1, upper=upper)
         assert np.count_nonzero(sol.budgets) > 0
         assert lookups and len(lookups) == len(set(lookups))
-        # every call is select_items' own: the chosen items' profits come from its memo
+        # every call is a threshold search's own: the chosen items' profits come from what it read
         for key in set(calls):
             assert calls.count(key) <= select_rounds_bound(inst, key[1])
 
@@ -839,6 +839,57 @@ class TestEpsJspa:
         assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
         assert peak < 4e6
 
+    def test_desk_solve_reads_each_class_grid_once(self, monkeypatch):
+        # desk shape: K = 10, N = 20, J = 1000, eps = 0.1, so every class reads its whole grid
+        inst = generate_instance(SystemConfig(users=10, max_mux=2), 5)
+        _, tables = make_tables(inst)
+        upper = estimate_upper_bound(inst, tables)
+        real_profits, real_values = BudgetObjective.profits, jspa.best_values
+        classes, reads = [], []
+
+        def profits(objective, n, budgets):
+            classes.append(n)
+            return real_profits(objective, n, budgets)
+
+        def values(cands, budgets):
+            reads.append(np.array(budgets))
+            return real_values(cands, budgets)
+
+        monkeypatch.setattr(BudgetObjective, "profits", profits)
+        monkeypatch.setattr(jspa, "best_values", values)
+        assert eps_jspa(inst, tables, 0.1, upper=upper).wsr > 0
+        assert classes == list(range(inst.n_carriers))
+        # and no other F_n read: one row per class, its grid 0..lmax
+        assert len(reads) == inst.n_carriers
+        for budgets, lmax in zip(reads, class_unit_caps(inst)):
+            assert np.array_equal(budgets, np.arange(lmax + 1)[None, :] * inst.delta)
+
+    def test_tiny_epsilon_dp_memory_is_bounded(self):
+        # eps = 1e-3 on 3 carriers: q_cap = 12000, and a class has over 500 items,
+        # so one array of a class's candidate weights would take about 50 MB
+        inst = generate_instance(SystemConfig(users=3, subcarriers=3, max_mux=2,
+                                              delta_w=0.01), 4)
+        _, tables = make_tables(inst)
+        eps = 1e-3
+        upper = estimate_upper_bound(inst, tables)
+        q_cap = int(4 * inst.n_carriers / eps)
+        targets = np.arange(1, q_cap + 1) * (eps * upper / (4.0 * inst.n_carriers))
+        objective = BudgetObjective(tables)
+        caps = class_unit_caps(inst)
+        items = max(jspa._class_items(objective, n, int(caps[n]), targets, inst.delta)[0].size
+                    for n in range(inst.n_carriers))
+        assert items * (q_cap + 1) * 8 > 40e6
+        tracemalloc.start()
+        try:
+            sol = eps_jspa(inst, tables, eps, upper=upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.wsr >= (1 - eps) * opt_jspa(inst, tables).wsr * (1 - 1e-12)
+        # chunks of _DP_CELLS weights (0.5 MB), their improved columns and a
+        # mask, beside the (N, q_cap + 1) choices and a few rows of q_cap + 1
+        assert peak < 4e6
+
     def test_upper_below_the_optimum_is_rejected(self):
         inst = generate_instance(SystemConfig(users=5, subcarriers=4, delta_w=0.5), 3)
         _, tables = make_tables(inst, 2)
@@ -853,8 +904,17 @@ class TestEpsJspa:
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)
         _, tables = make_tables(inst, 1)
-        with pytest.raises(ValueError):
-            eps_jspa(inst, tables, -0.1)
+        for eps in (-0.1, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                eps_jspa(inst, tables, eps)
+
+    def test_rejects_non_finite_upper(self):
+        # an infinite or NaN upper used to return zero budgets, below (1 - eps) opt
+        inst = generate_instance(SystemConfig(users=4, subcarriers=3, delta_w=0.5), 3)
+        _, tables = make_tables(inst)
+        for upper in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="upper"):
+                eps_jspa(inst, tables, 0.1, upper=upper)
 
 
 class TestPerCarrierCaps:

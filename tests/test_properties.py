@@ -4,23 +4,30 @@ The kernel (`pinned_values`) must agree with the direct candidate form
 (`candidate_values`) at every budget, keep the grid profits monotone, give
 the same values, columns and left derivatives stacked as one subcarrier at
 a time, and leave the exact solvers' agreement intact. eps's lockstep item
-selection must pick what the one-threshold-at-a-time search picks, its DP
-by profits must pick what the index-array DP picks, and eps must keep its
-(1 - eps) guarantee. Gradient ascent must stay feasible, report the wsr
-of its own columns, never lose along its history and converge. opt's
-divide and conquer must relax every class to the per-level scan's values
-and choices, bit for bit, on grids of up to 400 levels. Instances cover
+selection must pick what the one-threshold-at-a-time search picks, its
+whole-grid read the same items and profits as the lockstep search, its
+DP by profits, on either threshold path, what the index-array DP picks,
+and eps must keep its (1 - eps) guarantee. Gradient ascent must stay
+feasible, report the wsr of its own columns, never lose along its history
+and converge. opt's divide and conquer must relax every class to the
+per-level scan's values and choices, bit for bit, on grids of up to 400
+levels. Instances cover
 K = 1, M = K, tied channels or weights, binding per-carrier caps and 30 dB
 shadowing; budgets cover 0, one grid step, the cap, p_max and every
-candidate kink. The eps property also draws 2-level grids over three
-carriers, so J < N, and checks the bracket U >= OPT >= U / 4.
+candidate kink. The eps properties also draw 2-level grids over three
+carriers, so J < N, and one checks the bracket U >= OPT >= U / 4.
 """
 
+import math
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
 from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
+from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, eps_jspa, estimate_upper_bound, grad_jspa,
                            opt_jspa)
@@ -164,14 +171,51 @@ def test_lockstep_selection_and_eps_guarantee(inst):
         assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
 
 
+@contextmanager
+def eps_forced(grid: bool, dp_cells: int = jspa._DP_CELLS):
+    """Force eps's whole-grid threshold read (True) or its lockstep search (False),
+    and the size of its DP's chunks: dp_cells = 1 relaxes one item per chunk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jspa, "_GRID_PER_PROBE", math.inf if grid else 0)
+        patch.setattr(jspa, "_DP_CELLS", dp_cells)
+        yield
+
+
 @PROPERTY
-@given(instances())
-def test_slice_dp_matches_index_array_dp(inst):
+@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
+def test_threshold_paths_pick_the_same_items(inst):
+    tables = tables_of(inst)
+    objective = BudgetObjective(tables)
+    upper = estimate_upper_bound(inst, tables, objective)
+    caps = class_unit_caps(inst)
+    N = inst.n_carriers
+    for eps in (0.5, 0.1, 0.05):
+        targets = np.arange(1, int(4 * N / eps) + 1) * (eps * upper / (4.0 * N))
+        for n in range(N):
+            picked = []
+            for grid in (True, False):
+                with eps_forced(grid):
+                    picked.append(jspa._class_items(objective, n, int(caps[n]), targets,
+                                                    inst.delta))
+            (grid_ls, grid_profits), (lock_ls, lock_profits) = picked
+            assert grid_ls.tolist() == lockstep_and_oracle(inst, tables, objective, n,
+                                                           upper, eps)[0]
+            assert np.array_equal(grid_ls, lock_ls)
+            assert np.array_equal(grid_profits, lock_profits)
+
+
+@PROPERTY
+@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
+def test_dp_by_profits_matches_index_array_dp(inst):
     tables = tables_of(inst)
     upper = estimate_upper_bound(inst, tables)
     for eps in (0.5, 0.1, 0.05):
-        budgets = eps_jspa(inst, tables, eps, upper=upper).budgets
-        assert np.array_equal(budgets, index_array_eps_budgets(inst, tables, eps, upper))
+        expect = index_array_eps_budgets(inst, tables, eps, upper)
+        # one item per chunk makes every class fold its chunks in turn
+        for grid, dp_cells in ((True, jspa._DP_CELLS), (False, jspa._DP_CELLS), (True, 1)):
+            with eps_forced(grid, dp_cells):
+                budgets = eps_jspa(inst, tables, eps, upper=upper).budgets
+            assert np.array_equal(budgets, expect)
 
 
 @PROPERTY
