@@ -11,10 +11,9 @@ and eps must keep its (1 - eps) guarantee. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
 and converge. opt's divide and conquer must relax every class to the
 per-level scan's values and choices, bit for bit, on grids of up to 400
-levels. Instances cover
-K = 1, M = K, tied channels or weights, binding per-carrier caps and 30 dB
-shadowing; budgets cover 0, one grid step, the cap, p_max and every
-candidate kink. The eps properties also draw 2-level grids over three
+levels. Instances cover K = 1, M = K, tied channels or weights, binding
+per-carrier caps and 30 dB shadowing; budgets cover 0, one grid step, the
+cap, p_max and every candidate kink. The eps properties also draw 2-level grids over three
 carriers, so J < N, and one checks the bracket U >= OPT >= U / 4.
 """
 
@@ -198,8 +197,6 @@ def test_threshold_paths_pick_the_same_items(inst):
                     picked.append(jspa._class_items(objective, n, int(caps[n]), targets,
                                                     inst.delta))
             (grid_ls, grid_profits), (lock_ls, lock_profits) = picked
-            assert grid_ls.tolist() == lockstep_and_oracle(inst, tables, objective, n,
-                                                           upper, eps)[0]
             assert np.array_equal(grid_ls, lock_ls)
             assert np.array_equal(grid_profits, lock_profits)
 
