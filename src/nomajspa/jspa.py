@@ -15,10 +15,12 @@ The discretized split is a multiple-choice knapsack: class n holds items
 (weight l*delta, profit F_n(l*delta)) for l = 0..J, at most one item per
 class, knapsack capacity p_max. opt's DP by weights relaxes a class by
 divide and conquer over monotone argmaxes on each concave piece of its
-profits, O(J log J) cells per piece, and scans every level, O(J^2), only
-where that was measured faster (small grids, classes of many pieces) or
-near ties keep the windows wide. Both make the same choices bit for bit:
-a pivot level bounds the others by its near ties, never by one argmax.
+profits, O(J log J) cells per piece, until the open nodes fit a fixed cell
+budget; then one pass values every level of them over its window. A small
+grid fits at the root. Only a class of many pieces, or one whose near ties
+keep the windows wide, values every level over every item, O(J^2), in row
+chunks. All make the same choices bit for bit: a pivot level bounds the
+others by its near ties, never by one argmax.
 
 eps keeps, per class, the first grid item reaching each multiple of its
 profit scale. It reads them off the whole grid in one F_n call where that
@@ -47,11 +49,15 @@ _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, of the larger part
 _NEAR_TIE = 8.0 * 2.0 ** -53  # a pivot row's near-tie band, relative to its max
-# opt scans every level of a class when _SCAN_PIECES * pieces^2 > J + 1 - _SCAN_LEVELS,
-# where the scan was measured faster, or when one depth's windows pass
-# _MAX_WIDTH * (J + 1) cells per piece
+# opt stops dividing a class once its open nodes span at most _DENSE_CELLS cells
+# (rows times window columns) and values every row of them: nodes of about 100
+# rows on J = 200, 30 on J = 1000 and 7 on J = 4000. Budgets of 2^14 and 2^15
+# timed best on J = 1000 and 4000, and 2^15 lets J = 200 finish after one depth;
+# the scratch is about 25 bytes per cell. It values every level of a class, in
+# row chunks of at most _DENSE_CELLS cells, when _SCAN_PIECES * pieces^2 > J + 1,
+# or when one depth's windows pass _MAX_WIDTH * (J + 1) cells per piece
+_DENSE_CELLS = 2 ** 15
 _SCAN_PIECES = 4
-_SCAN_LEVELS = 128
 _MAX_WIDTH = 4
 # eps reads a class's whole grid where that values at most _GRID_PER_PROBE times
 # as many budgets as its lockstep search may; one whole-grid call was measured
@@ -426,18 +432,75 @@ def _concave_pieces(cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], cuts)), np.concatenate((cuts, [cn.size - 1]))
 
 
-def _relax_by_levels(best: np.ndarray, cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every level scans every affordable item of cn: O(J * cn.size) cells."""
+def _row_cells(best: np.ndarray, cn: np.ndarray, rows: np.ndarray, lo: np.ndarray,
+               width: np.ndarray):
+    """Cells best[k] + cn[l - k] of each row l over its window lo <= k < lo + width.
+
+    One ragged gather. Returns every cell's k and value, each row's first
+    cell, each row's float max and the smallest item j = l - k among its
+    exact ties with that max.
+    """
+    seg = np.cumsum(width)
+    total = int(seg[-1])
+    tally(total * _C_KNAP_W)
+    seg -= width
+    k = np.arange(total)
+    k -= np.repeat(seg - lo, width)
+    vals = cn[np.repeat(rows, width) - k]
+    vals += best[k]
+    top = np.maximum.reduceat(vals, seg)
+    j = rows - np.maximum.reduceat(np.where(vals == np.repeat(top, width), k, -1), seg)
+    return k, vals, seg, top, j
+
+
+def _finish(best: np.ndarray, cn: np.ndarray, node: np.ndarray):
+    """Every row of every node over its window: the rows, their float max and smallest-j tie.
+
+    A node (r0, r1, c0, c1, s, e) holds levels r0..r1, columns c0..c1 and
+    items s..e; row l's window is max(c0, l - e) <= k <= min(c1, l - s).
+    """
+    count = node[:, 1] - node[:, 0] + 1
+    r0, _, c0, c1, s, e = np.repeat(node, count, axis=0).T
+    rows = np.arange(int(count.sum()))
+    rows -= np.repeat(np.cumsum(count) - count, count)
+    rows += r0
+    lo = np.maximum(c0, rows - e)
+    width = np.minimum(c1, rows - s) - lo + 1
+    _, _, _, top, j = _row_cells(best, cn, rows, lo, width)
+    return rows, top, j
+
+
+def _fold(nxt: np.ndarray, choice: np.ndarray, rows: np.ndarray, top: np.ndarray,
+          j: np.ndarray, shared: bool) -> None:
+    """Write rows into nxt and choice: the larger value wins, the smaller j on ties."""
+    if shared:  # rows shared by pieces: keep each row's best, then fold
+        order = np.lexsort((j, -top, rows))
+        rows, top, j = rows[order], top[order], j[order]
+        first = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        rows, top, j = rows[first], top[first], j[first]
+        held = nxt[rows]
+        better = (top > held) | ((top == held) & (j < choice[rows]))
+        rows, top, j = rows[better], top[better], j[better]
+    nxt[rows] = top
+    choice[rows] = j
+
+
+def _relax_densely(best: np.ndarray, cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every level over every affordable item of cn, in row chunks of at most _DENSE_CELLS cells.
+
+    `_finish` on the whole class as one node, levels 0..J over items
+    0..cn.size - 1: O(J * cn.size) cells, the same as scanning every level,
+    and O(_DENSE_CELLS + J) memory, never (J + 1)^2.
+    """
     J = best.size - 1
+    lmax = cn.size - 1
+    step = max(1, _DENSE_CELLS // (lmax + 1))
     nxt = np.empty(J + 1)
-    choice = np.zeros(J + 1, dtype=np.int64)
-    for level in range(J + 1):
-        take = min(level, cn.size - 1)
-        cand = best[level::-1][:take + 1] + cn[:take + 1]
-        j = int(np.argmax(cand))
-        choice[level] = j
-        nxt[level] = cand[j]
-        tally((take + 1) * _C_KNAP_W)
+    choice = np.empty(J + 1, dtype=np.int64)
+    for r0 in range(0, J + 1, step):
+        chunk = np.array([[r0, min(r0 + step, J + 1) - 1, 0, J, 0, lmax]])
+        _, nxt[r0:r0 + step], choice[r0:r0 + step] = _finish(best, cn, chunk)
     return nxt, choice
 
 
@@ -445,15 +508,20 @@ def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarra
     """One class of the DP by weights: nxt[l] = max over j <= min(l, lmax) of best[l - j] + cn[j].
 
     Returns nxt and choice[l], the smallest j attaining the float max (the
-    one `np.argmax` picks), bit for bit what `_relax_by_levels` returns.
-    On each concave piece [s, e] of cn (`_concave_pieces`) it finds every
-    level's best item by divide and conquer over monotone argmaxes: rows
-    are the levels l, columns k = l - j index best, and all pieces
-    advance one recursion depth at a time. A depth values each piece's
-    pivot rows over their column windows in one ragged gather, about
-    (J + 1) cells per piece, so a piece costs O(J log J) cells in place of
-    the O(J * lmax) of scanning every level. Each depth folds its pivot
-    rows into nxt and choice: the larger value wins, the smaller j on ties.
+    one `np.argmax` picks over j), bit for bit what scanning every level
+    returns. On each concave piece [s, e] of cn (`_concave_pieces`) it
+    finds every level's best item by divide and conquer over monotone
+    argmaxes: rows are the levels l, columns k = l - j index best, and all
+    pieces advance one recursion depth at a time. A depth values each
+    piece's pivot rows over their column windows in one ragged gather,
+    about (J + 1) cells per piece, and folds them into nxt and choice: the
+    larger value wins, the smaller j on ties. Once the open nodes span at
+    most _DENSE_CELLS cells, counting a node's rows times the most columns
+    a row's window has, one last gather values every row of them over its
+    window (`_finish`) and folds them the same way. A piece so costs
+    O(J log J) cells in place of the O(J * lmax) of scanning every level,
+    and the small nodes of the deep depths, or a small grid whole, take
+    one numpy pass instead of a dozen calls per depth.
 
     Why the choices are the loop's. Read the floats as reals. On its band
     l - e <= k <= l - s, A[l, k] = best[k] + cn[l - k] is inverse-Monge,
@@ -469,24 +537,24 @@ def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarra
     because best is non-decreasing and grid profits are non-negative), so
     fl(A[l, k]) < fl(A[l, k*]) strictly although k has the smaller j. So
     every row's float max and its smallest-j tie stay inside the window
-    that T bounds, and no rounding case needs a fallback. Pieces share end
-    items, so each item lies in one; the max over pieces, smaller j first,
-    is the loop's.
+    that T bounds. A node's columns are bounded only by its ancestors'
+    pivots, each on the side where this holds, so every row of it, pivot
+    or not, finds the loop's max and smallest-j tie within its window, and
+    the dense finish, which values the whole window, picks them; no
+    rounding case needs a fallback. Pieces share end items, so each item
+    lies in one; the max over pieces, smaller j first, is the loop's.
 
-    The levels are scanned instead where the scan was measured faster:
-    on grids of fewer than about _SCAN_LEVELS levels, where the depths'
-    numpy calls cost more than the scan's J argmaxes, and for a class of
-    more than sqrt((J + 1 - _SCAN_LEVELS) / _SCAN_PIECES) pieces (rounding
-    noise on a near-linear class). It also takes over when near ties (flat
-    profits) widen one depth's windows past _MAX_WIDTH * (J + 1) cells per
-    piece.
+    A class of more than sqrt((J + 1) / _SCAN_PIECES) pieces (rounding
+    noise on a near-linear class) is relaxed densely instead
+    (`_relax_densely`), and so is one whose near ties (flat profits) widen
+    a depth's windows past _MAX_WIDTH * (J + 1) cells per piece.
     """
     J = best.size - 1
     cn = cn[:lmax + 1]
     s, e = _concave_pieces(cn)
     pieces = s.size
-    if _SCAN_PIECES * pieces * pieces > J + 1 - _SCAN_LEVELS:
-        return _relax_by_levels(best, cn)
+    if _SCAN_PIECES * pieces * pieces > J + 1:
+        return _relax_densely(best, cn)
     nxt = np.full(J + 1, -np.inf)
     choice = np.full(J + 1, J + 1, dtype=np.int64)
     # one row per open node: levels r0..r1 and columns c0..c1 of piece s..e;
@@ -494,38 +562,22 @@ def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarra
     node = np.stack((s, np.full(pieces, J), np.zeros(pieces, dtype=np.int64), J - s, s, e),
                     axis=1).astype(np.int32)
     while node.size:
+        span = np.subtract(node[:, 1::2], node[:, 0::2], dtype=np.int64)  # r1-r0, c1-c0, e-s
+        if int(np.dot(span[:, 0] + 1, np.minimum(span[:, 1], span[:, 2]) + 1)) <= _DENSE_CELLS:
+            _fold(nxt, choice, *_finish(best, cn, node), pieces > 1)
+            break
         r0, r1, c0, c1, s, e = node.T
         m = (r0 + r1) // 2
         lo = np.maximum(c0, m - e)
         width = np.minimum(c1, m - s) - lo + 1
-        seg = np.cumsum(width)
-        total = int(seg[-1])
-        if total > _MAX_WIDTH * pieces * (J + 1):
-            return _relax_by_levels(best, cn)
-        tally(total * _C_KNAP_W)
-        seg -= width
-        k = np.arange(total)
-        k -= np.repeat(seg - lo, width)
-        vals = cn[np.repeat(m, width) - k]
-        vals += best[k]
-        top = np.maximum.reduceat(vals, seg)
+        if int(width.sum()) > _MAX_WIDTH * pieces * (J + 1):
+            return _relax_densely(best, cn)
+        k, vals, seg, top, j = _row_cells(best, cn, m, lo, width)
         near = vals >= np.repeat(top - _NEAR_TIE * top, width)
-        tie = vals == np.repeat(top, width)
         t_min = np.minimum.reduceat(np.where(near, k, J + 1), seg)
         t_max = np.maximum.reduceat(np.where(near, k, -1), seg)
-        rows, j = m, m - np.maximum.reduceat(np.where(tie, k, -1), seg)
-        del k, vals, near, tie  # the cells go before the node table doubles
-        if pieces > 1:  # rows shared by pieces: keep each row's best, then fold
-            order = np.lexsort((j, -top, rows))
-            rows, top, j = rows[order], top[order], j[order]
-            first = np.ones(rows.size, dtype=bool)
-            np.not_equal(rows[1:], rows[:-1], out=first[1:])
-            rows, top, j = rows[first], top[first], j[first]
-            held = nxt[rows]
-            better = (top > held) | ((top == held) & (j < choice[rows]))
-            rows, top, j = rows[better], top[better], j[better]
-        nxt[rows] = top
-        choice[rows] = j
+        del k, vals, near  # the cells go before the node table doubles
+        _fold(nxt, choice, m, top, j, pieces > 1)
         # children: levels r0..m-1 over columns c0..max T, m+1..r1 over min T..c1
         node = np.repeat(node, 2, axis=0)
         node[0::2, 1] = m - 1
@@ -542,10 +594,11 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     best[l] after class n is the best profit of the first n classes within
     capacity l; `_relax_class` relaxes it with each class's affordable
     items. A class costs O(J log J) cells per concave piece of its grid
-    profits, or O(J * lmax) when it falls back to scanning every level,
-    plus the profit-table construction. Its choices are bit for bit those
-    of scanning every level, by the inverse-Monge and rounding argument in
-    `_relax_class`.
+    profits, or O(J * lmax) when it is relaxed densely level by level,
+    plus the profit-table construction. The backtrack starts at level J,
+    so the last class values that level alone, O(lmax) cells. The choices
+    are bit for bit those of scanning every level, by the inverse-Monge
+    and rounding argument in `_relax_class`.
     """
     objective = BudgetObjective(tables)
     profits = build_knapsack(instance, objective)
@@ -554,8 +607,11 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     N = instance.n_carriers
     best = np.zeros(J + 1)
     choice = np.zeros((N, J + 1), dtype=np.int64)
-    for n in range(N):
+    for n in range(N - 1):
         best, choice[n] = _relax_class(best, profits[n], int(caps[n]))
+    # the backtrack starts at level J, so the last class values that level alone
+    last = np.array([[J, J, 0, J, 0, int(caps[N - 1])]])
+    choice[N - 1, J] = _finish(best, profits[N - 1], last)[2][0]
     budgets = _backtracked_budgets(choice, J, instance.delta)
     return _solution(objective, budgets, "opt")
 
@@ -743,7 +799,7 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     whole grid, lmax + 1 budgets and floats, taken only where that is at
     most _GRID_PER_PROBE times the search's count (`_class_items`). The DP
     relaxes a class's items a chunk at a time, one shifted copy of the
-    weights per item, so beside its (N, T + 1) choices and a few rows of
+    weights per item, so beside its (N, T + 1) int32 choices and a few rows of
     T + 1 cells it holds a few arrays of at most max(_DP_CELLS, T + 1)
     cells.
 
@@ -778,7 +834,7 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     inf = np.iinfo(np.int64).max // 2
     weight = np.full(q_cap + 1, inf, dtype=np.int64)  # least units to reach profit q
     weight[0] = 0
-    choice = np.full((N, q_cap + 1), -1, dtype=np.int64)  # item taken, by position
+    choice = np.full((N, q_cap + 1), -1, dtype=np.int32)  # item taken, by position
     rows = max(1, _DP_CELLS // (q_cap + 1))  # items relaxed per chunk
     for n, (ls, scaled) in enumerate(items):
         # least units reaching a profit of q or more: an item that takes a

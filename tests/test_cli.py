@@ -129,7 +129,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
-        (True, "6e7dce9c3110a6d62485a8465b30f4653d3aa9a16efd15123a2b8e2447791f1f"),
+        (True, "3a94e6d4f8b157e6fa746580eb387cdb5f39905e41dd41a3c8aa8b0e95689ffa"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

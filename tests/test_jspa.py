@@ -166,20 +166,26 @@ def per_level_relaxation(best, cn, lmax):
     return nxt, choice
 
 
+DENSE_BUDGETS = (jspa._DENSE_CELLS, 0, 2 ** 62)
+
+
 def assert_relaxes_like_oracle(profits, caps):
     """`jspa._relax_class` gives the oracle's best and choice, bit for bit, class by class.
 
-    Its divide and conquer runs on grids of every size here, small ones included.
+    At every cell budget of DENSE_BUDGETS: the default; 0, where the divide
+    and conquer goes down to one-row nodes and the dense fallback to one-row
+    chunks; and one so large that every class is finished densely at its root.
     """
-    best = np.zeros(profits.shape[1])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(jspa, "_SCAN_LEVELS", 0)
-        for cn, lmax in zip(profits, caps):
-            nxt, choice = jspa._relax_class(best, cn, int(lmax))
-            expect_nxt, expect_choice = per_level_relaxation(best, cn, int(lmax))
-            assert np.array_equal(nxt, expect_nxt)
-            assert np.array_equal(choice, expect_choice)
-            best = expect_nxt
+    for budget in DENSE_BUDGETS:
+        best = np.zeros(profits.shape[1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jspa, "_DENSE_CELLS", budget)
+            for cn, lmax in zip(profits, caps):
+                nxt, choice = jspa._relax_class(best, cn, int(lmax))
+                expect_nxt, expect_choice = per_level_relaxation(best, cn, int(lmax))
+                assert np.array_equal(nxt, expect_nxt)
+                assert np.array_equal(choice, expect_choice)
+                best = expect_nxt
 
 
 def grid_profit(instance, table):
@@ -524,6 +530,24 @@ class TestOptJspa:
         assert sol.wsr == pytest.approx(bf.wsr, rel=1e-9)
 
 
+    def test_fine_grid_solve_memory_is_bounded(self):
+        # fine_grid shape: K = 5, N = 20, J = 4000; a class has 3 concave pieces
+        inst = generate_instance(SystemConfig(users=5, max_mux=2, delta_w=0.0025), 71004)
+        _, tables = make_tables(inst)
+        assert inst.n_power_levels == 4000
+        tracemalloc.start()
+        try:
+            sol = opt_jspa(inst, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
+        # the (N, J + 1) profits and choices take 1.3 MB, the dense finish's
+        # scratch about 25 bytes per cell of _DENSE_CELLS; one dense block per
+        # class would take (J + 1)^2 floats, 128 MB
+        assert peak < 3.5e6
+
+
 class TestRelaxClass:
     """opt's divide and conquer on hand-built classes, held to the per-level oracle."""
 
@@ -531,15 +555,28 @@ class TestRelaxClass:
 
     @staticmethod
     def scans(monkeypatch):
-        """Count the classes `_relax_class` hands to the per-level scan."""
+        """Count the classes `_relax_class` relaxes densely level by level."""
         calls = []
-        scan = jspa._relax_by_levels
+        dense = jspa._relax_densely
 
         def counted(best, cn):
             calls.append(cn.size)
-            return scan(best, cn)
+            return dense(best, cn)
 
-        monkeypatch.setattr(jspa, "_relax_by_levels", counted)
+        monkeypatch.setattr(jspa, "_relax_densely", counted)
+        return calls
+
+    @staticmethod
+    def finishes(monkeypatch):
+        """Record the node tables `jspa._finish` values."""
+        calls = []
+        finish = jspa._finish
+
+        def recorded(best, cn, node):
+            calls.append(np.array(node))
+            return finish(best, cn, node)
+
+        monkeypatch.setattr(jspa, "_finish", recorded)
         return calls
 
     def test_exactly_linear_class_is_one_piece(self, monkeypatch):
@@ -561,19 +598,65 @@ class TestRelaxClass:
         assert jspa._concave_pieces(cn)[0].size ** 2 * jspa._SCAN_PIECES > cn.size
         scans = self.scans(monkeypatch)
         assert_relaxes_like_oracle(np.stack([np.sqrt(self.LEVELS), cn]), [200, 200])
-        assert scans == [201]
+        assert scans == [201] * len(DENSE_BUDGETS)
 
     def test_flat_class_scans_every_level(self, monkeypatch):
-        # all near ties: the windows never narrow, so the scan takes over
+        # all near ties: the windows never narrow, so the dense relaxation takes over,
+        # except at a budget so large that the class is finished at its root
         scans = self.scans(monkeypatch)
-        assert_relaxes_like_oracle(np.zeros((2, 201)), [200, 200])
-        assert scans == [201, 201]
+        assert_relaxes_like_oracle(np.zeros((2, 501)), [500, 500])
+        assert scans == [501, 501] * (len(DENSE_BUDGETS) - 1)
 
-    def test_small_grid_scans_every_level(self, monkeypatch):
+    def test_dense_relaxation_in_one_row_chunks(self, monkeypatch):
+        # a budget below one row's cells leaves one level per chunk
+        cn = 1e6 * np.log2(1.0 + 1e-9 * self.LEVELS)
+        best = np.sqrt(self.LEVELS)
+        monkeypatch.setattr(jspa, "_DENSE_CELLS", 100)
+        finishes = self.finishes(monkeypatch)
+        nxt, choice = jspa._relax_class(best, cn, 200)
+        assert [node[:, :2].tolist() for node in finishes] == [[[l, l]] for l in range(201)]
+        expect_nxt, expect_choice = per_level_relaxation(best, cn, 200)
+        assert np.array_equal(nxt, expect_nxt) and np.array_equal(choice, expect_choice)
+
+    def test_dense_relaxation_chunks_stay_in_the_budget(self, monkeypatch):
+        cn = np.zeros(4001)
+        cells = []
+        real = jspa._row_cells
+
+        def counted(best, cn, rows, lo, width):
+            cells.append(int(width.sum()))
+            return real(best, cn, rows, lo, width)
+
+        monkeypatch.setattr(jspa, "_row_cells", counted)
+        jspa._relax_densely(np.zeros(4001), cn)
+        assert max(cells) <= jspa._DENSE_CELLS
+        assert sum(cells) == sum(min(l, 4000) + 1 for l in range(4001))
+
+    def test_flat_class_memory_is_bounded(self):
+        # J = 4000 flat levels go to the dense relaxation, whose row chunks hold
+        # at most _DENSE_CELLS cells; the whole band would take 64 MB of floats
+        best, cn = np.zeros(4001), np.zeros(4001)
+        tracemalloc.start()
+        try:
+            nxt, choice = jspa._relax_class(best, cn, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not nxt.any() and not choice.any()
+        assert peak < 2e6
+
+    def test_small_grid_is_finished_at_the_root(self, monkeypatch):
         cn = 1e6 * np.log2(1.0 + self.LEVELS[:41] / 7.0)
         scans = self.scans(monkeypatch)
-        jspa._relax_class(np.sqrt(self.LEVELS[:41]), cn, 40)
-        assert scans == [41]
+        finishes = self.finishes(monkeypatch)
+        nxt, choice = jspa._relax_class(np.sqrt(self.LEVELS[:41]), cn, 40)
+        assert scans == []
+        # one node per piece, levels s..J over columns 0..J - s: the root
+        s, e = jspa._concave_pieces(cn)
+        root = np.stack((s, np.full(s.size, 40), 0 * s, 40 - s, s, e), axis=1)
+        assert len(finishes) == 1 and np.array_equal(finishes[0], root)
+        expect_nxt, expect_choice = per_level_relaxation(np.sqrt(self.LEVELS[:41]), cn, 40)
+        assert np.array_equal(nxt, expect_nxt) and np.array_equal(choice, expect_choice)
 
     @pytest.mark.parametrize("lmax", [0, 1, 5])
     def test_cap_below_the_grid(self, lmax):
