@@ -521,7 +521,7 @@ def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarra
     window (`_finish`) and folds them the same way. A piece so costs
     O(J log J) cells in place of the O(J * lmax) of scanning every level,
     and the small nodes of the deep depths, or a small grid whole, take
-    one numpy pass instead of a dozen calls per depth.
+    one numpy pass instead of a few dozen calls per depth.
 
     Why the choices are the loop's. Read the floats as reals. On its band
     l - e <= k <= l - s, A[l, k] = best[k] + cn[l - k] is inverse-Monge,

@@ -529,9 +529,8 @@ class TestOptJspa:
         bf = brute_force_jspa(inst, tables)
         assert sol.wsr == pytest.approx(bf.wsr, rel=1e-9)
 
-
     def test_fine_grid_solve_memory_is_bounded(self):
-        # fine_grid shape: K = 5, N = 20, J = 4000; a class has 3 concave pieces
+        # fine_grid shape: K = 5, N = 20, J = 4000; 11 of its 20 classes have 3 concave pieces
         inst = generate_instance(SystemConfig(users=5, max_mux=2, delta_w=0.0025), 71004)
         _, tables = make_tables(inst)
         assert inst.n_power_levels == 4000
