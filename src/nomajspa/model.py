@@ -237,8 +237,18 @@ def build_decoding_order(instance: Instance) -> DecodingOrder:
     return DecodingOrder(pi=pi, inv=inv)
 
 
+def check_carrier(instance: Instance, n: int) -> None:
+    """Reject a subcarrier index outside [0, N) before it can wrap around."""
+    if not 0 <= n < instance.n_carriers:
+        raise ValueError(f"subcarrier {n} is outside [0, {instance.n_carriers})")
+
+
 def carrier_view(instance: Instance, order: DecodingOrder, n: int):
-    """(W_n, weights, normalized noises) permuted into decoding order on n."""
+    """(W_n, weights, normalized noises) permuted into decoding order on n.
+
+    Every per-subcarrier entry point reads subcarrier n through here.
+    """
+    check_carrier(instance, n)
     perm = order.pi[n]
     return instance.bandwidths[n], instance.weights[perm], instance.eta_tilde[perm, n]
 
@@ -332,17 +342,19 @@ def wsr_from_x(instance: Instance, order: DecodingOrder, x: np.ndarray) -> float
 # Merged-block utilities f_{j,i} and their closed-form maximizer.
 
 
-def f_blocks(w_n: float, wp: np.ndarray, ep: np.ndarray, i: int, x: np.ndarray) -> np.ndarray:
-    """f_{j,i}(x[j]) for every block start j = 0..i; x has length i + 1.
+def f_blocks(w_n, wp: np.ndarray, ep: np.ndarray, i: int, x: np.ndarray) -> np.ndarray:
+    """f_{j,i}(x[..., j]) for every block start j = 0..i; x is (..., i + 1).
 
     f_{j,i} is the utility of decoding positions j..i sharing one cumulative
     power. For j = 0 there is no predecessor term and the function is
     increasing in x; summing over singleton blocks [i, i] telescopes to the
-    weighted sum-rate minus the subcarrier offset.
+    weighted sum-rate minus the subcarrier offset. wp and ep are (..., K)
+    and w_n broadcasts against (..., 1), so one call values one subcarrier
+    or a stack of them.
     """
-    out = w_n * wp[i] * np.log2(x + ep[i])
+    out = w_n * wp[..., i:i + 1] * np.log2(x + ep[..., i:i + 1])
     if i >= 1:
-        out[1:] -= w_n * wp[:i] * np.log2(x[1:] + ep[:i])
+        out[..., 1:] -= w_n * wp[..., :i] * np.log2(x[..., 1:] + ep[..., :i])
     return out
 
 
@@ -359,15 +371,16 @@ def argmax_blocks(wp: np.ndarray, ep: np.ndarray, i: int, p_bar: float) -> np.nd
     The block utility is increasing when j = 0 or when position i's weight
     dominates the predecessor's, so the budget is returned; otherwise it is
     unimodal with an interior stationary point that is clamped to the range.
+    wp and ep are (..., K); the result is (..., i + 1).
     """
-    out = np.full(i + 1, float(p_bar))
+    out = np.full(wp.shape[:-1] + (i + 1,), float(p_bar))
     if i >= 1:
-        wa, ea = wp[i], ep[i]
-        wb, eb = wp[:i], ep[:i]
+        wa, ea = wp[..., i:i + 1], ep[..., i:i + 1]
+        wb, eb = wp[..., :i], ep[..., :i]
         interior = wa < wb
         denom = np.where(interior, wa - wb, 1.0)
         c1 = (wb * ea - wa * eb) / denom
-        out[1:] = np.where(interior, np.minimum(np.maximum(c1, 0.0), p_bar), p_bar)
+        out[..., 1:] = np.where(interior, np.minimum(np.maximum(c1, 0.0), p_bar), p_bar)
     return out
 
 

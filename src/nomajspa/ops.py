@@ -14,7 +14,11 @@ site                        cost   charged per
 closed-form block maximizer   6    merged block evaluated
 block utility evaluation      6    merged block evaluated
 power-control sweep           6    outer/backtrack iteration
-user-selection DP cell        8    (m, j, i) table cell
+user-selection DP cell        8    (m, j, i) table cell; iscus_precompute
+                                   charges the DP of all N subcarriers, its
+                                   cells, blocks and maximizers, on the call
+                                   that builds the table set (the first of
+                                   its N calls) and 0 on the others
 collection lookup             6    (candidate, budget) pair, charged only in
                                    single_carrier.pinned_values
 pinned-block tails            6    (candidate, position) term, charged in

@@ -6,7 +6,12 @@ Everything here works on one subcarrier in cumulative-power coordinates.
 dynamic program over table cells (m, j, i). Both have precomputed variants
 (`iscpc_precompute`/`iscus_precompute`) that solve once at the full power
 budget and answer any smaller budget by componentwise truncation, which is
-what makes the multi-carrier solvers cheap.
+what makes the multi-carrier solvers cheap. The selection DP (`_scus_dp`)
+and its backtrack (`_entry_columns`) run over a stack of subcarriers: the
+first `iscus_precompute` call of an (instance, order, max_active) fills the
+tables of all N subcarriers in one batched pass, and that call and the next
+ones with the same three are served from it, one subcarrier's table each.
+`scus` runs the same DP on its one subcarrier.
 
 F_n is the resulting budget-value function (optimal weighted rate on
 subcarrier n as a function of its power budget); it is non-decreasing and
@@ -21,13 +26,14 @@ stack. `fn_value_many` and `iscus_eval` ask the first two of one table.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (LN2, DecodingOrder, Instance, a_const, argmax_blocks, carrier_view,
-                    f_blocks, utility)
+                    check_carrier, f_blocks, utility)
 from .ops import tally
 
 # per-step tally constants, see ops module docstring
@@ -162,65 +168,84 @@ class ScusTables:
     entry_x: np.ndarray
 
 
-def _scus_dp(instance: Instance, order: DecodingOrder, n: int, max_active: int,
+def _scus_dp(w_n: np.ndarray, wp: np.ndarray, ep: np.ndarray, max_active: int,
              p_bar: float):
-    """Fill the (m, j, i) tables bottom-up in i.
+    """Fill the (m, j, i) tables of N subcarriers at once, bottom-up in i.
 
-    value[m, j, i] is the best utility of positions j..K-1 with at most m
-    active, positions j..i forced equal, and xopt[m, j, i] is that shared
-    value. take[m, j, i] says whether position i ends an active block: the
-    predecessor cell is then (m - 1, i + 1, i + 1), and (m, j, i + 1)
-    otherwise. Cells with m = 0 or i = K-1 are roots.
+    w_n is (N, 1), wp and ep (N, K); the tables are (N, M + 1, K, K).
+    value[n, m, j, i] is the best utility of positions j..K-1 of subcarrier
+    n with at most m active, positions j..i forced equal, and xopt[n, m, j, i]
+    is that shared value. take[n, m, j, i] says whether position i ends an
+    active block: the predecessor cell is then (m - 1, i + 1, i + 1), and
+    (m, j, i + 1) otherwise. Cells with m = 0 or i = K-1 are roots. Only i
+    is a Python loop; every cell of a column i is filled in one step for all
+    n, m and j, with the same float operations as one cell at a time.
     """
-    K = instance.n_users
+    N, K = wp.shape
     M = max_active
-    w_n, wp, ep = carrier_view(instance, order, n)
-    value = np.zeros((M + 1, K, K))
-    xopt = np.zeros((M + 1, K, K))
-    take = np.zeros((M + 1, K, K), dtype=bool)
+    value = np.zeros((N, M + 1, K, K))
+    xopt = np.zeros((N, M + 1, K, K))
+    take = np.zeros((N, M + 1, K, K), dtype=bool)
 
     # m = 0: nothing may be active, every position stays at zero power.
-    zero_tail = f_blocks(w_n, wp, ep, K - 1, np.zeros(K))
-    tally(K * _C_BLOCK)
-    for i in range(K):
-        value[0, :i + 1, i] = zero_tail[:i + 1]
-    tally(K * K // 2 * _C_CELL)
+    zero_tail = f_blocks(w_n, wp, ep, K - 1, np.zeros((N, K)))
+    tally(N * K * _C_BLOCK)
+    upper = np.arange(K)[:, None] <= np.arange(K)                      # j <= i
+    value[:, 0] = np.where(upper, zero_tail[:, :, None], 0.0)
+    tally(N * (K * K // 2) * _C_CELL)
 
     # i = K-1: the shared value covers the whole tail, costing one active slot.
     x_last = argmax_blocks(wp, ep, K - 1, p_bar)
     v_last = f_blocks(w_n, wp, ep, K - 1, x_last)
-    tally(K * (_C_ARGMAX + _C_BLOCK))
-    value[1:, :, K - 1] = v_last
-    xopt[1:, :, K - 1] = x_last
-    tally(M * K * _C_CELL)
+    tally(N * K * (_C_ARGMAX + _C_BLOCK))
+    value[:, 1:, :, K - 1] = v_last[:, None, :]
+    xopt[:, 1:, :, K - 1] = x_last[:, None, :]
+    tally(N * M * K * _C_CELL)
 
     for i in range(K - 2, -1, -1):
         x_star = argmax_blocks(wp, ep, i, p_bar)
         gain = f_blocks(w_n, wp, ep, i, x_star)
-        tally((i + 1) * (_C_ARGMAX + _C_BLOCK))
-        for m in range(1, M + 1):
-            v_act = gain + value[m - 1, i + 1, i + 1]
-            v_inact = value[m, :i + 1, i + 1]
-            # activating position i must strictly beat leaving it merged and
-            # keep the cumulative powers strictly decreasing across i, i+1
-            act = (v_act > v_inact) & (x_star > xopt[m - 1, i + 1, i + 1])
-            value[m, :i + 1, i] = np.where(act, v_act, v_inact)
-            xopt[m, :i + 1, i] = np.where(act, x_star, xopt[m, :i + 1, i + 1])
-            take[m, :i + 1, i] = act
-            tally((i + 1) * _C_CELL)
+        tally(N * (i + 1) * (_C_ARGMAX + _C_BLOCK))
+        # every m = 1..M at once, against cell (m - 1, i + 1, i + 1):
+        # activating position i must strictly beat leaving it merged and
+        # keep the cumulative powers strictly decreasing across i, i+1
+        x_star, gain = x_star[:, None, :], gain[:, None, :]             # (N, 1, i + 1)
+        v_act = gain + value[:, :M, i + 1, i + 1, None]
+        v_inact = value[:, 1:, :i + 1, i + 1]
+        act = (v_act > v_inact) & (x_star > xopt[:, :M, i + 1, i + 1, None])
+        value[:, 1:, :i + 1, i] = np.where(act, v_act, v_inact)
+        xopt[:, 1:, :i + 1, i] = np.where(act, x_star, xopt[:, 1:, :i + 1, i + 1])
+        take[:, 1:, :i + 1, i] = act
+        tally(N * M * (i + 1) * _C_CELL)
     return value, xopt, take
 
 
-def _backtrack(xopt, take, m: int, j: int, i: int, n_users: int) -> np.ndarray:
-    """Recover the full solution column from a starting cell."""
-    x = np.zeros(n_users)
-    while True:
-        x[j:i + 1] = xopt[m, j, i]
-        if i == n_users - 1 or m == 0:
-            return x
-        if take[m, j, i]:
-            m, j = m - 1, i + 1
-        i += 1
+def _entry_columns(xopt: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """Backtrack every subcarrier from every cell (M, 0, e): entry_x (N, K, K).
+
+    The walk from (M, 0, e) sets positions 0..e to xopt[M, 0, e], then
+    steps i = e+1, e+2, ... through cells (m, j, i), moving to
+    (m - 1, i + 1) whenever take[m, j, i]. A cell that does not take i
+    copies xopt from cell i + 1, so xopt[m, j, .] is constant along a block
+    and position p > e ends at xopt[m_p, j_p, p], (m_p, j_p) being the walk's
+    cell at i = p. All N K walks advance in lockstep over p. The m = 0 plane
+    is all zeros and never takes, so a walk that runs out of slots needs no
+    early exit.
+    """
+    N, M1, K, _ = xopt.shape
+    e = np.arange(K)
+    m = np.full((N, K), M1 - 1)
+    j = np.zeros((N, K), dtype=np.int64)
+    planes = np.arange(N)[:, None] * M1
+    xs, takes = xopt.reshape(-1), take.reshape(-1)
+    walked = np.empty((N, K, K))
+    for p in range(K):
+        cell = ((planes + m) * K + j) * K + p
+        walked[:, :, p] = xs[cell]
+        step = takes[cell] & (e <= p)                                  # walks under way
+        m = m - step
+        j = np.where(step, p + 1, j)
+    return np.where(e[:, None] >= e, xopt[:, M1 - 1, 0, :, None], walked)
 
 
 def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
@@ -234,8 +259,28 @@ def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
     _check_budget(p_bar)
-    _, xopt, take = _scus_dp(instance, order, n, max_active, p_bar)
-    return _backtrack(xopt, take, max_active, 0, 0, instance.n_users)
+    w_n, wp, ep = carrier_view(instance, order, n)
+    _, xopt, take = _scus_dp(np.array([[w_n]]), wp[None], ep[None], max_active, p_bar)
+    return _entry_columns(xopt, take)[0, 0]
+
+
+def _table_set(instance: Instance, order: DecodingOrder, max_active: int) -> tuple:
+    """The ScusTables of every subcarrier, from one batched DP and backtrack."""
+    views = [carrier_view(instance, order, n) for n in range(instance.n_carriers)]
+    w_n, wp, ep = (np.stack(parts) for parts in zip(*views))
+    _, xopt, take = _scus_dp(w_n[:, None], wp, ep, max_active, instance.p_max)
+    entry_x = _entry_columns(xopt, take)
+    entry_x.flags.writeable = False
+    return tuple(ScusTables(max_active=max_active, p_max=instance.p_max, w_n=view[0],
+                            wp=view[1], ep=view[2], offset=a_const(instance, order, n),
+                            entry_x=entry_x[n])
+                 for n, view in enumerate(views))
+
+
+# The last table set built: weak references to its instance and order, its
+# max_active and its tables. Instance and DecodingOrder are frozen with
+# read-only arrays, so their identity fixes what the tables hold.
+_last_set = (lambda: None, lambda: None, 0, ())
 
 
 def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
@@ -246,18 +291,23 @@ def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
     positions 0..e; by the structure of the increasing first block that
     shared value is always the full budget, so truncating candidates covers
     every smaller budget exactly.
+
+    Callers ask for one subcarrier's tables at a time, but the DP runs for
+    all N of (instance, order, max_active) in one batched pass, on the first
+    call, which also charges the whole set's ops. The next calls with the
+    same three return that set's tables, the same objects, until another
+    set is built. The set refers to its instance and order weakly, so it
+    keeps neither alive.
     """
+    global _last_set
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
-    K = instance.n_users
-    _, xopt, take = _scus_dp(instance, order, n, max_active, instance.p_max)
-    entry_x = np.empty((K, K))
-    for e in range(K):
-        entry_x[e] = _backtrack(xopt, take, max_active, 0, e, K)
-    entry_x.flags.writeable = False
-    w_n, wp, ep = carrier_view(instance, order, n)
-    return ScusTables(max_active=max_active, p_max=instance.p_max, w_n=w_n, wp=wp, ep=ep,
-                      offset=a_const(instance, order, n), entry_x=entry_x)
+    check_carrier(instance, n)
+    inst_ref, order_ref, last_active, tables = _last_set
+    if inst_ref() is not instance or order_ref() is not order or last_active != max_active:
+        tables = _table_set(instance, order, max_active)
+        _last_set = (weakref.ref(instance), weakref.ref(order), max_active, tables)
+    return tables[n]
 
 
 def candidate_values(w_n, wp, ep, offset, entry_x: np.ndarray,

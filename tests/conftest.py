@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 
-from nomajspa.model import Instance, SystemConfig, carrier_view, generate_instance
-from nomajspa.single_carrier import expand_active, sc_value, scpc
+from nomajspa.model import (Instance, SystemConfig, argmax_blocks, carrier_view, f_blocks,
+                            generate_instance)
+from nomajspa.ops import tally
+from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, _scus_dp, expand_active,
+                                     sc_value, scpc)
 
 
 def single_carrier_instance(eta_tilde, weights, w_hz=1.0, p_max=10.0, delta=0.5,
@@ -115,6 +118,76 @@ def scus_subset_oracle(instance, order, n, max_active, p_bar):
             full = expand_active(subset, x_act, K)
             best = max(best, sc_value(instance, order, n, full))
     return best
+
+
+def per_carrier_scus_dp(instance, order, n, max_active, p_bar):
+    """The selection DP of one subcarrier, one cell row at a time: the oracle
+    that `single_carrier._scus_dp` must match bit for bit, its ops included.
+
+    Fills the (m, j, i) tables bottom-up in i. value[m, j, i] is the best
+    utility of positions j..K-1 with at most m active, positions j..i forced
+    equal, and xopt[m, j, i] is that shared value. take[m, j, i] says whether
+    position i ends an active block: the predecessor cell is then
+    (m - 1, i + 1, i + 1), and (m, j, i + 1) otherwise. Cells with m = 0 or
+    i = K-1 are roots.
+    """
+    K = instance.n_users
+    M = max_active
+    w_n, wp, ep = carrier_view(instance, order, n)
+    value = np.zeros((M + 1, K, K))
+    xopt = np.zeros((M + 1, K, K))
+    take = np.zeros((M + 1, K, K), dtype=bool)
+
+    # m = 0: nothing may be active, every position stays at zero power.
+    zero_tail = f_blocks(w_n, wp, ep, K - 1, np.zeros(K))
+    tally(K * _C_BLOCK)
+    for i in range(K):
+        value[0, :i + 1, i] = zero_tail[:i + 1]
+    tally(K * K // 2 * _C_CELL)
+
+    # i = K-1: the shared value covers the whole tail, costing one active slot.
+    x_last = argmax_blocks(wp, ep, K - 1, p_bar)
+    v_last = f_blocks(w_n, wp, ep, K - 1, x_last)
+    tally(K * (_C_ARGMAX + _C_BLOCK))
+    value[1:, :, K - 1] = v_last
+    xopt[1:, :, K - 1] = x_last
+    tally(M * K * _C_CELL)
+
+    for i in range(K - 2, -1, -1):
+        x_star = argmax_blocks(wp, ep, i, p_bar)
+        gain = f_blocks(w_n, wp, ep, i, x_star)
+        tally((i + 1) * (_C_ARGMAX + _C_BLOCK))
+        for m in range(1, M + 1):
+            v_act = gain + value[m - 1, i + 1, i + 1]
+            v_inact = value[m, :i + 1, i + 1]
+            # activating position i must strictly beat leaving it merged and
+            # keep the cumulative powers strictly decreasing across i, i+1
+            act = (v_act > v_inact) & (x_star > xopt[m - 1, i + 1, i + 1])
+            value[m, :i + 1, i] = np.where(act, v_act, v_inact)
+            xopt[m, :i + 1, i] = np.where(act, x_star, xopt[m, :i + 1, i + 1])
+            take[m, :i + 1, i] = act
+            tally((i + 1) * _C_CELL)
+    return value, xopt, take
+
+
+def batched_scus_dp(instance, order, max_active, p_bar):
+    """`single_carrier._scus_dp` over every subcarrier of the instance: (N, M + 1, K, K) tables."""
+    views = [carrier_view(instance, order, n) for n in range(instance.n_carriers)]
+    w_n, wp, ep = (np.stack(parts) for parts in zip(*views))
+    return _scus_dp(w_n[:, None], wp, ep, max_active, p_bar)
+
+
+def per_carrier_backtrack(xopt, take, m, j, i, n_users):
+    """Recover one solution column from a starting cell of per_carrier_scus_dp's
+    tables, one block at a time: the oracle of `single_carrier._entry_columns`."""
+    x = np.zeros(n_users)
+    while True:
+        x[j:i + 1] = xopt[m, j, i]
+        if i == n_users - 1 or m == 0:
+            return x
+        if take[m, j, i]:
+            m, j = m - 1, i + 1
+        i += 1
 
 
 def rel_err(a, b):

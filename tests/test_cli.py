@@ -228,6 +228,23 @@ class TestRunExperiment:
         assert [r["solver"] for r in read_rows(tmp_path / "r.csv")] == [
             "eps:0.1", "eps:0.123457"]
 
+    def test_precompute_is_called_per_table_through_cli(self, tmp_path, monkeypatch):
+        # a benchmark that times the campaign hooks `cli.iscus_precompute`: it
+        # splits a round into (K, M) segments on each n == 0 call and counts
+        # one call per table, so a refactor must keep this call pattern
+        real = cli.iscus_precompute
+        calls = []
+
+        def recording(instance, order, n, max_active):
+            calls.append((instance.n_users, max_active, n))
+            return real(instance, order, n, max_active)
+
+        monkeypatch.setattr(cli, "iscus_precompute", recording)
+        cfg = tiny_config(k_sweep=(2, 3), m_sweep=(1, 2), seeds=2)
+        run_experiment(cfg, out_path=str(tmp_path / "r.csv"))
+        assert calls == [(k, m, n) for _ in range(2) for k in (2, 3) for m in (1, 2)
+                         for n in range(2)]
+
     def test_unwritable_output_path(self, tmp_path):
         with pytest.raises(OSError):
             run_experiment(tiny_config(), out_path=str(tmp_path / "no" / "dir.csv"))

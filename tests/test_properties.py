@@ -1,6 +1,8 @@
 """Property tests of the pinned-block F_n kernel over random and degenerate instances.
 
-The kernel (`pinned_values`) must agree with the direct candidate form
+The batched selection DP must fill every subcarrier's (m, j, i) tables and
+backtrack every candidate bit for bit as the per-carrier oracle does, at the
+full budget and in `scus` at any budget. The kernel (`pinned_values`) must agree with the direct candidate form
 (`candidate_values`) at every budget, keep the grid profits monotone, give
 the same values, columns and left derivatives stacked as one subcarrier at
 a time, and leave the exact solvers' agreement intact. eps's lockstep item
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rel_err
+from conftest import batched_scus_dp, per_carrier_backtrack, per_carrier_scus_dp, rel_err
 from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
 from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
@@ -35,7 +37,7 @@ from nomajspa.model import (Instance, SystemConfig, build_decoding_order, genera
                             wsr_from_x)
 from nomajspa.single_carrier import (candidate_values, fn_value_many, iscus_eval,
                                      iscus_precompute, left_derivatives, pinned_values,
-                                     sc_value, stack_candidates)
+                                     sc_value, scus, stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -81,6 +83,29 @@ def magnitude(t):
     """Size of the log terms an F_n value sums; their rounding sets the tolerance."""
     logs = np.abs(np.log2(t.ep)) + np.abs(np.log2(t.p_max + t.ep))
     return abs(t.offset) + 2.0 * t.w_n * float(np.sum(t.wp * logs))
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_batched_selection_dp_matches_per_carrier_oracle(inst, data):
+    K, N = inst.n_users, inst.n_carriers
+    m = data.draw(st.integers(1, K + 1), label="max_active")
+    order = build_decoding_order(inst)
+    planes = batched_scus_dp(inst, order, m, inst.p_max)
+    for n in range(N):
+        oracle = per_carrier_scus_dp(inst, order, n, m, inst.p_max)
+        for got, expect in zip(planes, oracle):
+            assert np.array_equal(got[n], expect)
+        _, xopt, take = oracle
+        expect = np.stack([per_carrier_backtrack(xopt, take, m, 0, e, K) for e in range(K)])
+        assert np.array_equal(iscus_precompute(inst, order, n, m).entry_x, expect)
+    budgets = data.draw(st.lists(st.floats(0.0, inst.p_max), min_size=1, max_size=3),
+                        label="budgets")
+    n = data.draw(st.integers(0, N - 1), label="n")
+    for b in budgets + [0.0, inst.p_max]:
+        _, xopt, take = per_carrier_scus_dp(inst, order, n, m, b)
+        assert np.array_equal(scus(inst, order, n, m, b),
+                              per_carrier_backtrack(xopt, take, m, 0, 0, K))
 
 
 @PROPERTY

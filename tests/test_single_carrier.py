@@ -1,23 +1,29 @@
 """Power control, user selection, their precomputed variants, and F_n."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import (
+    batched_scus_dp,
     block_funs,
     ordered_grid_max,
     ordered_grid_max_bruteforce,
     rel_err,
     scpc_objective,
+    per_carrier_backtrack,
+    per_carrier_scus_dp,
     scus_subset_oracle,
     single_carrier_instance,
     small_instance,
 )
-from nomajspa.model import LN2, active_positions, argmax_f, build_decoding_order, carrier_view
+from nomajspa.model import (LN2, Instance, a_const, active_positions, argmax_f,
+                            build_decoding_order, carrier_view, f_eval)
+from nomajspa.ops import count_ops
 from nomajspa.single_carrier import (
-    _scus_dp,
     expand_active,
     fn_value_many,
     iscpc_eval,
@@ -232,7 +238,7 @@ class TestIscus:
         for e in range(5):
             assert np.all(tables.entry_x[e, :e + 1] == tables.entry_x[e, 0])
         # DP roots: the zero-slot plane holds zeros and the zero-power tail value
-        value, xopt, _ = _scus_dp(inst, order, 0, 2, inst.p_max)
+        value, xopt, _ = (plane[0] for plane in batched_scus_dp(inst, order, 2, inst.p_max))
         w_n, wp, ep = carrier_view(inst, order, 0)
         for j in range(5):
             expected = w_n * wp[-1] * math.log2(ep[-1])
@@ -340,3 +346,91 @@ class TestBudgetRange:
         out = BUDGET_ENTRY_POINTS[entry](inst, order, 0.0)
         x = out[0] if isinstance(out, tuple) else out
         assert np.all(np.asarray(x) >= 0.0)
+
+
+SUBCARRIER_ENTRY_POINTS = {
+    "carrier_view": lambda inst, order, n: carrier_view(inst, order, n),
+    "iscus_precompute": lambda inst, order, n: iscus_precompute(inst, order, n, 2),
+    "scpc": lambda inst, order, n: scpc(inst, order, n, (0, 2), 1.0),
+    "scus": lambda inst, order, n: scus(inst, order, n, 2, 1.0),
+    "sc_value": lambda inst, order, n: sc_value(inst, order, n, np.ones(3)),
+    "a_const": lambda inst, order, n: a_const(inst, order, n),
+    "f_eval": lambda inst, order, n: f_eval(inst, order, n, 0, 1, 1.0),
+    "argmax_f": lambda inst, order, n: argmax_f(inst, order, n, 0, 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [-1, 3])
+@pytest.mark.parametrize("entry", list(SUBCARRIER_ENTRY_POINTS))
+def test_rejects_out_of_range_subcarrier(entry, n):
+    # -1 used to read subcarrier N - 1 and N to raise a bare IndexError
+    inst = small_instance(76, users=3, carriers=3, max_mux=2)
+    order = build_decoding_order(inst)
+    iscus_precompute(inst, order, 0, 2)  # a built set must not serve -1 either
+    with pytest.raises(ValueError, match=rf"subcarrier {n} is outside \[0, 3\)"):
+        SUBCARRIER_ENTRY_POINTS[entry](inst, order, n)
+
+
+class TestTableSet:
+    """iscus_precompute builds all N tables of (instance, order, max_active) at
+    once and serves the next calls with the same three from that set."""
+
+    @staticmethod
+    def assert_matches_oracle(inst, order, m, tables):
+        K = inst.n_users
+        for n, t in enumerate(tables):
+            _, xopt, take = per_carrier_scus_dp(inst, order, n, m, inst.p_max)
+            expect = [per_carrier_backtrack(xopt, take, m, 0, e, K) for e in range(K)]
+            assert np.array_equal(t.entry_x, np.stack(expect))
+            assert t.max_active == m and t.p_max == inst.p_max
+
+    def test_repeated_calls_return_the_same_tables(self):
+        inst = small_instance(80, users=4, carriers=3, max_mux=2)
+        order = build_decoding_order(inst)
+        first = [iscus_precompute(inst, order, n, 2) for n in range(3)]
+        for n in (2, 0, 1, 0):
+            assert iscus_precompute(inst, order, n, 2) is first[n]
+        self.assert_matches_oracle(inst, order, 2, first)
+
+    def test_other_keys_recompute(self):
+        inst = small_instance(81, users=4, carriers=3, max_mux=3)
+        order = build_decoding_order(inst)
+        first = iscus_precompute(inst, order, 1, 2)
+        twin = Instance(weights=inst.weights, bandwidths=inst.bandwidths, gains=inst.gains,
+                        noise=inst.noise, p_max=inst.p_max, p_max_carrier=inst.p_max_carrier,
+                        delta=inst.delta, max_mux=inst.max_mux)
+        for other_inst, other_order, m in ((inst, build_decoding_order(inst), 2),
+                                           (inst, order, 3), (twin, order, 2)):
+            tables = [iscus_precompute(other_inst, other_order, n, m) for n in range(3)]
+            assert tables[1] is not first
+            self.assert_matches_oracle(other_inst, other_order, m, tables)
+        again = iscus_precompute(inst, order, 1, 2)
+        assert again is not first and np.array_equal(again.entry_x, first.entry_x)
+
+    def test_keeps_no_instance_alive(self):
+        inst = small_instance(82, users=3, carriers=2, max_mux=2)
+        order = build_decoding_order(inst)
+        tables = iscus_precompute(inst, order, 0, 2)
+        refs = weakref.ref(inst), weakref.ref(order)
+        del inst, order
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is None
+        assert tables.entry_x.shape == (3, 3)
+
+    def test_first_call_charges_the_whole_set(self):
+        inst = small_instance(83, users=5, carriers=3, max_mux=3)
+        order = build_decoding_order(inst)
+        with count_ops() as oracle:
+            for n in range(3):
+                per_carrier_scus_dp(inst, order, n, 3, inst.p_max)
+        charged = []
+        for n in range(3):
+            with count_ops() as counter:
+                iscus_precompute(inst, order, n, 3)
+            charged.append(counter.total)
+        assert charged == [oracle.total, 0, 0]
+        with count_ops() as one:
+            scus(inst, order, 1, 3, inst.p_max)
+        with count_ops() as alone:
+            per_carrier_scus_dp(inst, order, 1, 3, inst.p_max)
+        assert one.total == alone.total > 0
