@@ -2,10 +2,10 @@
 
 The batched selection DP must fill every subcarrier's (m, j, i) tables and
 backtrack every candidate bit for bit as the per-carrier oracle does, at the
-full budget and in `scus` at any budget. The kernel (`pinned_values`) must agree with the direct candidate form
-(`candidate_values`) at every budget, keep the grid profits monotone, give
-the same values, columns and left derivatives stacked as one subcarrier at
-a time, and leave the exact solvers' agreement intact. eps's lockstep item
+full budget and in `scus` at any budget. The kernel (`pinned_values`) must
+agree with the direct candidate form (`candidate_values`) at every budget,
+keep the grid profits monotone, give the same values, columns and left
+derivatives stacked as one subcarrier at a time, and leave the exact solvers' agreement intact. eps's lockstep item
 selection must pick what the one-threshold-at-a-time search picks, its
 whole-grid read the same items and profits as the lockstep search, its
 DP by profits, on either threshold path, what the index-array DP picks,
