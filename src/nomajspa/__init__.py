@@ -9,7 +9,6 @@ from .model import (
     DecodingOrder,
     Instance,
     SystemConfig,
-    a_const,
     active_positions,
     argmax_f,
     build_decoding_order,

@@ -781,8 +781,7 @@ def _class_items(objective: BudgetObjective, n: int, lmax: int, targets: np.ndar
     return np.array(ls, dtype=np.int64), np.array([probed[l] for l in ls], dtype=float)
 
 
-def eps_jspa(instance: Instance, tables: list, eps: float,
-             upper: float | None = None) -> JspaSolution:
+def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     """Approximation scheme: value within a factor (1 - eps) of the grid optimum.
 
     Profits are scaled by eps*U/(4N) and floored to small integers. Each
@@ -803,20 +802,17 @@ def eps_jspa(instance: Instance, tables: list, eps: float,
     T + 1 cells it holds a few arrays of at most max(_DP_CELLS, T + 1)
     cells.
 
-    eps must be positive and finite. A given upper must be finite and
-    bound the optimum, as `estimate_upper_bound`'s does: below it, a
-    feasible split can carry the DP past its top scaled profit, and eps
-    raises ValueError instead of dropping that split.
+    eps must be positive and finite. U comes from `estimate_upper_bound`,
+    which bounds the optimum; were U below it, a feasible split could carry
+    the DP past its top scaled profit, and eps raises ValueError instead of
+    dropping that split.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    if upper is not None and not math.isfinite(upper):
-        raise ValueError(f"upper must be finite, got upper = {upper}")
     N = instance.n_carriers
     J = instance.n_power_levels
     objective = BudgetObjective(tables)
-    if upper is None:
-        upper = estimate_upper_bound(instance, tables, objective)
+    upper = estimate_upper_bound(instance, tables, objective)
     if upper <= 0:
         return _solution(objective, np.zeros(N), f"eps:{eps:g}")
     scale = eps * upper / (4.0 * N)

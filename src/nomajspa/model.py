@@ -182,10 +182,13 @@ class Instance:
             raise ValueError("max_mux must be in [1, K]")
         if np.any(caps <= 0) or np.any(caps > self.p_max):
             raise ValueError("per-subcarrier caps must lie in (0, p_max]")
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            tilde = eta / g
+        if not np.all((tilde > 0.0) & (tilde < math.inf)):
+            raise ValueError("the normalized noise noise / gains must be positive and finite")
         for name, arr in arrays:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        tilde = eta / g
         tilde.flags.writeable = False
         object.__setattr__(self, "eta_tilde", tilde)
 
@@ -228,13 +231,8 @@ def build_decoding_order(instance: Instance) -> DecodingOrder:
     Ties are broken by ascending user index (stable sort), so identical
     channels yield the identity permutation.
     """
-    K, N = instance.n_users, instance.n_carriers
-    pi = np.empty((N, K), dtype=np.int64)
-    inv = np.empty((N, K), dtype=np.int64)
-    for n in range(N):
-        pi[n] = np.argsort(-instance.eta_tilde[:, n], kind="stable")
-        inv[n, pi[n]] = np.arange(K)
-    return DecodingOrder(pi=pi, inv=inv)
+    pi = np.argsort(-instance.eta_tilde.T, axis=1, kind="stable")
+    return DecodingOrder(pi=pi, inv=np.argsort(pi, axis=1))
 
 
 def check_carrier(instance: Instance, n: int) -> None:
@@ -243,20 +241,28 @@ def check_carrier(instance: Instance, n: int) -> None:
         raise ValueError(f"subcarrier {n} is outside [0, {instance.n_carriers})")
 
 
-def carrier_view(instance: Instance, order: DecodingOrder, n: int):
-    """(W_n, weights, normalized noises) permuted into decoding order on n.
+def carrier_views(instance: Instance, order: DecodingOrder):
+    """`utility`'s leading arguments for every subcarrier, in decoding order.
 
-    Every per-subcarrier entry point reads subcarrier n through here.
+    Returns w_n (N,), the weights wp and normalized noises ep permuted into
+    each subcarrier's decoding order (N, K), and the offset (N,), the
+    constant that makes the separable objective equal the weighted rate.
+    """
+    w_n, wp = instance.bandwidths, instance.weights[order.pi]
+    ep = np.take_along_axis(instance.eta_tilde.T, order.pi, axis=1)
+    # math.log2, not np.log2: the two differ in the last bit on a few inputs
+    logs = np.fromiter(map(math.log2, ep[:, -1]), float, count=w_n.size)
+    return w_n, wp, ep, -w_n * wp[:, -1] * logs
+
+
+def carrier_view(instance: Instance, order: DecodingOrder, n: int):
+    """Row n of carrier_views: (W_n, weights, normalized noises, offset) of subcarrier n.
+
+    Every per-subcarrier entry point reads subcarrier n through here, so
+    `utility(*carrier_view(instance, order, n), x)` values a column.
     """
     check_carrier(instance, n)
-    perm = order.pi[n]
-    return instance.bandwidths[n], instance.weights[perm], instance.eta_tilde[perm, n]
-
-
-def a_const(instance: Instance, order: DecodingOrder, n: int) -> float:
-    """Constant offset making the separable objective equal the WSR on n."""
-    w_n, wp, ep = carrier_view(instance, order, n)
-    return -w_n * wp[-1] * math.log2(ep[-1])
+    return tuple(part[n] for part in carrier_views(instance, order))
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +271,21 @@ def a_const(instance: Instance, order: DecodingOrder, n: int) -> float:
 
 def x_from_p(p: np.ndarray, order: DecodingOrder) -> np.ndarray:
     """Cumulative powers x[i, n] = sum of p over decoding positions >= i."""
-    p = np.asarray(p, dtype=float)
-    K, N = p.shape
-    x = np.empty_like(p)
-    for n in range(N):
-        x[:, n] = np.cumsum(p[order.pi[n], n][::-1])[::-1]
-    return x
+    ordered = np.take_along_axis(np.asarray(p, dtype=float), order.pi.T, axis=0)
+    return np.cumsum(ordered[::-1], axis=0)[::-1]
 
 
 def p_from_x(x: np.ndarray, order: DecodingOrder) -> np.ndarray:
     """Invert x_from_p. Rejects x columns that are not non-increasing >= 0."""
     x = np.asarray(x, dtype=float)
-    K, N = x.shape
+    diffs = x.copy()
+    diffs[:-1] -= x[1:]
+    bad = np.any(diffs < 0.0, axis=0)
+    if bad.any():
+        raise ValueError(f"cumulative powers on subcarrier {int(np.argmax(bad))} "
+                         "are not non-increasing")
     p = np.empty_like(x)
-    for n in range(N):
-        col = x[:, n]
-        diffs = col - np.concatenate([col[1:], [0.0]])
-        if np.any(diffs < 0.0):
-            raise ValueError(f"cumulative powers on subcarrier {n} are not non-increasing")
-        p[order.pi[n], n] = diffs
+    np.put_along_axis(p, order.pi.T, diffs, axis=0)
     return p
 
 
@@ -308,13 +310,11 @@ def rate(instance: Instance, order: DecodingOrder, p: np.ndarray, k: int, n: int
 
 def wsr_from_rates(instance: Instance, order: DecodingOrder, p: np.ndarray) -> float:
     """Weighted sum-rate evaluated directly from per-user SIC rates."""
-    total = 0.0
-    for n in range(instance.n_carriers):
-        w_n, wp, ep = carrier_view(instance, order, n)
-        pp = p[order.pi[n], n]
-        interference = np.concatenate([np.cumsum(pp[::-1])[::-1][1:], [0.0]])
-        total += w_n * float(np.sum(wp * np.log2(1.0 + pp / (interference + ep))))
-    return total
+    w_n, wp, ep, _ = carrier_views(instance, order)
+    pp = np.take_along_axis(np.asarray(p, dtype=float).T, order.pi, axis=1)
+    interference = np.zeros_like(pp)  # power of the positions decoded after each one
+    interference[:, :-1] = np.cumsum(pp[:, :0:-1], axis=1)[:, ::-1]
+    return float(np.sum(w_n * np.sum(wp * np.log2(1.0 + pp / (interference + ep)), axis=1)))
 
 
 def utility(w_n, wp, ep, offset, x):
@@ -334,8 +334,7 @@ def wsr_from_x(instance: Instance, order: DecodingOrder, x: np.ndarray) -> float
     Equals wsr_from_rates(p_from_x(x)) up to rounding; this is the form the
     solvers optimize.
     """
-    return sum(float(utility(*carrier_view(instance, order, n), a_const(instance, order, n),
-                             x[:, n])) for n in range(instance.n_carriers))
+    return float(np.sum(utility(*carrier_views(instance, order), np.asarray(x).T)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +361,7 @@ def f_eval(instance: Instance, order: DecodingOrder, n: int, j: int, i: int, x: 
     """Utility f_{j,i}(x) of decoding positions j..i on subcarrier n (see f_blocks)."""
     if not 0 <= j <= i < instance.n_users:
         raise ValueError("need 0 <= j <= i < K")
-    return float(f_blocks(*carrier_view(instance, order, n), i, np.full(i + 1, float(x)))[j])
+    return float(f_blocks(*carrier_view(instance, order, n)[:3], i, np.full(i + 1, float(x)))[j])
 
 
 def argmax_blocks(wp: np.ndarray, ep: np.ndarray, i: int, p_bar: float) -> np.ndarray:
@@ -387,7 +386,7 @@ def argmax_blocks(wp: np.ndarray, ep: np.ndarray, i: int, p_bar: float) -> np.nd
 def argmax_f(instance: Instance, order: DecodingOrder, n: int, j: int, i: int,
              p_bar: float) -> float:
     """Maximizer of f_{j,i} on [0, p_bar] for one block on subcarrier n."""
-    return float(argmax_blocks(*carrier_view(instance, order, n)[1:], i, p_bar)[j])
+    return float(argmax_blocks(*carrier_view(instance, order, n)[1:3], i, p_bar)[j])
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +431,18 @@ def generate_instance(config: SystemConfig, seed: int) -> Instance:
     loss_db = np.array([path_loss_db(d) for d in distances])
     loss_db += rng.normal(0.0, config.shadowing_std_db, K)
     fading = rng.exponential(1.0, (K, N))  # |h|^2 for Rayleigh fading of variance 1
-    gains = 10.0 ** (-loss_db[:, None] / 10.0) * fading
     weights = np.maximum(rng.uniform(0.0, 1.0, K), config.min_weight)
 
     bw = np.full(N, config.bandwidth_hz / N)
     noise_w_per_hz = 10.0 ** ((config.noise_psd_dbm_hz - 30.0) / 10.0)
     noise = np.broadcast_to(noise_w_per_hz * bw, (K, N)).copy()
+    with np.errstate(all="ignore"):  # a ratio out of the float range is rejected below
+        gains = 10.0 ** (-loss_db[:, None] / 10.0) * fading
+        tilde = noise / gains
+    if not np.all((tilde > 0.0) & (tilde < math.inf)):
+        raise ValueError(f"seed {seed}: the normalized noise noise / gains leaves the float "
+                         f"range (shadowing_std_db = {config.shadowing_std_db!r}, "
+                         f"noise_psd_dbm_hz = {config.noise_psd_dbm_hz!r})")
     cap = config.p_max_carrier_w if config.p_max_carrier_w > 0 else config.p_max_w
     return Instance(
         weights=weights,

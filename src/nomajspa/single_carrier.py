@@ -26,13 +26,14 @@ stack. `fn_value_many` and `iscus_eval` ask the first two of one table.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import (LN2, DecodingOrder, Instance, a_const, argmax_blocks, carrier_view,
+from .model import (LN2, DecodingOrder, Instance, argmax_blocks, carrier_view, carrier_views,
                     check_carrier, f_blocks, utility)
 from .ops import tally
 
@@ -50,7 +51,7 @@ _SMALLEST = np.nextafter(0.0, 1.0)  # x >= _SMALLEST means x > 0 for x >= 0
 
 def sc_value(instance: Instance, order: DecodingOrder, n: int, x_col: np.ndarray) -> float:
     """Weighted rate achieved on subcarrier n by a cumulative-power column."""
-    return float(utility(*carrier_view(instance, order, n), a_const(instance, order, n), x_col))
+    return float(utility(*carrier_view(instance, order, n), x_col))
 
 
 def _check_budget(budgets, p_max: float = np.inf) -> None:
@@ -100,7 +101,7 @@ def scpc(instance: Instance, order: DecodingOrder, n: int, active: tuple,
     if active[-1] >= K:
         raise ValueError("active position out of range")
 
-    _, wp, ep = carrier_view(instance, order, n)
+    wp, ep = carrier_view(instance, order, n)[1:3]
     # merged block j..i spans underlying positions starts[j] .. active[i]
     starts = (0,) + tuple(a + 1 for a in active[:-1])
     count = len(active)
@@ -259,22 +260,19 @@ def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
     _check_budget(p_bar)
-    w_n, wp, ep = carrier_view(instance, order, n)
+    w_n, wp, ep, _ = carrier_view(instance, order, n)
     _, xopt, take = _scus_dp(np.array([[w_n]]), wp[None], ep[None], max_active, p_bar)
     return _entry_columns(xopt, take)[0, 0]
 
 
 def _table_set(instance: Instance, order: DecodingOrder, max_active: int) -> tuple:
     """The ScusTables of every subcarrier, from one batched DP and backtrack."""
-    views = [carrier_view(instance, order, n) for n in range(instance.n_carriers)]
-    w_n, wp, ep = (np.stack(parts) for parts in zip(*views))
+    w_n, wp, ep, offset = carrier_views(instance, order)
     _, xopt, take = _scus_dp(w_n[:, None], wp, ep, max_active, instance.p_max)
     entry_x = _entry_columns(xopt, take)
     entry_x.flags.writeable = False
-    return tuple(ScusTables(max_active=max_active, p_max=instance.p_max, w_n=view[0],
-                            wp=view[1], ep=view[2], offset=a_const(instance, order, n),
-                            entry_x=entry_x[n])
-                 for n, view in enumerate(views))
+    return tuple(map(functools.partial(ScusTables, max_active, instance.p_max),
+                     w_n, wp, ep, offset, entry_x))
 
 
 # The last table set built: weak references to its instance and order, its

@@ -1,11 +1,12 @@
 """Shared instance builders and independent oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
-from nomajspa.model import (Instance, SystemConfig, argmax_blocks, carrier_view, f_blocks,
-                            generate_instance)
+from nomajspa.model import (DecodingOrder, Instance, SystemConfig, argmax_blocks,
+                            carrier_views, check_carrier, f_blocks, generate_instance)
 from nomajspa.ops import tally
 from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, _scus_dp, expand_active,
                                      sc_value, scpc)
@@ -57,9 +58,36 @@ def random_feasible_p(instance, rng, respect_mux=True):
     return p
 
 
+def per_carrier_order(instance):
+    """The decoding order sorted one subcarrier at a time: the oracle of
+    `model.build_decoding_order`."""
+    K, N = instance.n_users, instance.n_carriers
+    pi = np.empty((N, K), dtype=np.int64)
+    inv = np.empty((N, K), dtype=np.int64)
+    for n in range(N):
+        pi[n] = np.argsort(-instance.eta_tilde[:, n], kind="stable")
+        inv[n, pi[n]] = np.arange(K)
+    return DecodingOrder(pi=pi, inv=inv)
+
+
+def per_carrier_view(instance, order, n):
+    """(W_n, weights, normalized noises) of subcarrier n in decoding order,
+    gathered for that subcarrier alone: with `per_carrier_offset`, the
+    oracle of `model.carrier_views`."""
+    check_carrier(instance, n)
+    perm = order.pi[n]
+    return instance.bandwidths[n], instance.weights[perm], instance.eta_tilde[perm, n]
+
+
+def per_carrier_offset(instance, order, n):
+    """Constant offset making the separable objective equal the WSR on n."""
+    w_n, wp, ep = per_carrier_view(instance, order, n)
+    return -w_n * wp[-1] * math.log2(ep[-1])
+
+
 def block_funs(instance, order, n, active):
     """Vectorized per-active-block utilities for a fixed selection."""
-    w_n, wp, ep = carrier_view(instance, order, n)
+    w_n, wp, ep = per_carrier_view(instance, order, n)
     funs = []
     lo = 0
     for pos in active:
@@ -133,7 +161,7 @@ def per_carrier_scus_dp(instance, order, n, max_active, p_bar):
     """
     K = instance.n_users
     M = max_active
-    w_n, wp, ep = carrier_view(instance, order, n)
+    w_n, wp, ep = per_carrier_view(instance, order, n)
     value = np.zeros((M + 1, K, K))
     xopt = np.zeros((M + 1, K, K))
     take = np.zeros((M + 1, K, K), dtype=bool)
@@ -172,8 +200,7 @@ def per_carrier_scus_dp(instance, order, n, max_active, p_bar):
 
 def batched_scus_dp(instance, order, max_active, p_bar):
     """`single_carrier._scus_dp` over every subcarrier of the instance: (N, M + 1, K, K) tables."""
-    views = [carrier_view(instance, order, n) for n in range(instance.n_carriers)]
-    w_n, wp, ep = (np.stack(parts) for parts in zip(*views))
+    w_n, wp, ep, _ = carrier_views(instance, order)
     return _scus_dp(w_n[:, None], wp, ep, max_active, p_bar)
 
 

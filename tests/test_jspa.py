@@ -724,7 +724,7 @@ class TestEstimation:
             assert upper >= opt * (1 - 1e-9)
             assert opt >= upper / 4.0 * (1 - 1e-9)
             for eps in (0.5, 0.1):
-                sol = eps_jspa(inst, tables, eps, upper=upper)
+                sol = eps_jspa(inst, tables, eps)
                 assert budget_feasible(inst, sol.budgets)
                 assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
 
@@ -786,10 +786,11 @@ class TestSelectItems:
         huge = top * 16.0 * inst.n_carriers  # first threshold lands above top
         assert eps_select_items(inst, 0, huge, 1.0, grid_profit(inst, tables[0])) == []
 
-    def test_empty_on_nonpositive_estimate(self):
+    def test_empty_on_nonpositive_estimate(self, monkeypatch):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
         _, tables = make_tables(inst, 2)
-        sol = eps_jspa(inst, tables, 0.5, upper=0.0)
+        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: 0.0)
+        sol = eps_jspa(inst, tables, 0.5)
         assert np.array_equal(sol.budgets, np.zeros(inst.n_carriers)) and sol.wsr == 0.0
 
     def test_linear_profits_hit_threshold_multiples(self):
@@ -887,7 +888,6 @@ class TestEpsJspa:
     def test_each_profit_is_looked_up_once(self, monkeypatch):
         inst = small_instance(72, users=4, carriers=3, max_mux=2, levels=200)
         _, tables = make_tables(inst, 2)
-        upper = estimate_upper_bound(inst, tables)
         real = BudgetObjective.profits
         calls, lookups = [], []
 
@@ -898,7 +898,7 @@ class TestEpsJspa:
             return real(objective, n, budgets)
 
         monkeypatch.setattr(BudgetObjective, "profits", recording)
-        sol = eps_jspa(inst, tables, 0.1, upper=upper)
+        sol = eps_jspa(inst, tables, 0.1)
         assert np.count_nonzero(sol.budgets) > 0
         assert lookups and len(lookups) == len(set(lookups))
         # every call is a threshold search's own: the chosen items' profits come from what it read
@@ -939,7 +939,9 @@ class TestEpsJspa:
 
         monkeypatch.setattr(BudgetObjective, "profits", profits)
         monkeypatch.setattr(jspa, "best_values", values)
-        assert eps_jspa(inst, tables, 0.1, upper=upper).wsr > 0
+        # U is read beforehand, so the estimate's own F_n read is not counted
+        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: upper)
+        assert eps_jspa(inst, tables, 0.1).wsr > 0
         assert classes == list(range(inst.n_carriers))
         # and no other F_n read: one row per class, its grid 0..lmax
         assert len(reads) == inst.n_carriers
@@ -963,7 +965,7 @@ class TestEpsJspa:
         assert items * (q_cap + 1) * 8 > 40e6
         tracemalloc.start()
         try:
-            sol = eps_jspa(inst, tables, eps, upper=upper)
+            sol = eps_jspa(inst, tables, eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -972,16 +974,18 @@ class TestEpsJspa:
         # mask, beside the (N, q_cap + 1) choices and a few rows of q_cap + 1
         assert peak < 4e6
 
-    def test_upper_below_the_optimum_is_rejected(self):
+    def test_upper_below_the_optimum_is_rejected(self, monkeypatch):
         inst = generate_instance(SystemConfig(users=5, subcarriers=4, delta_w=0.5), 3)
         _, tables = make_tables(inst, 2)
         upper = estimate_upper_bound(inst, tables)
+        opt = opt_jspa(inst, tables).wsr
         # 0.3 U used to return a third below opt, 0.1 U to fail inside numpy
         for share in (0.3, 0.1):
+            monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: share * upper)
             with pytest.raises(ValueError, match="upper = .* class"):
-                eps_jspa(inst, tables, 0.1, upper=share * upper)
-        opt = opt_jspa(inst, tables).wsr
-        assert eps_jspa(inst, tables, 0.1, upper=1.001 * opt).wsr >= 0.9 * opt
+                eps_jspa(inst, tables, 0.1)
+        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: 1.001 * opt)
+        assert eps_jspa(inst, tables, 0.1).wsr >= 0.9 * opt
 
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)
@@ -989,14 +993,6 @@ class TestEpsJspa:
         for eps in (-0.1, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 eps_jspa(inst, tables, eps)
-
-    def test_rejects_non_finite_upper(self):
-        # an infinite or NaN upper used to return zero budgets, below (1 - eps) opt
-        inst = generate_instance(SystemConfig(users=4, subcarriers=3, delta_w=0.5), 3)
-        _, tables = make_tables(inst)
-        for upper in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="upper"):
-                eps_jspa(inst, tables, 0.1, upper=upper)
 
 
 class TestPerCarrierCaps:

@@ -1,6 +1,7 @@
 """Instance model: decoding order, conversions, rates, utilities, generation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from nomajspa.model import (
     Instance,
     SystemConfig,
     _sample_cell_positions,
-    a_const,
     argmax_f,
     build_decoding_order,
+    carrier_view,
+    carrier_views,
     f_eval,
     generate_instance,
     p_from_x,
@@ -86,8 +88,13 @@ class TestPowerConversions:
         inst = small_instance(0, users=3, carriers=1, max_mux=2)
         order = build_decoding_order(inst)
         bad = np.array([[1.0], [2.0], [0.5]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="on subcarrier 0 are"):
             p_from_x(bad, order)
+        # the error names the first bad subcarrier of several
+        inst = small_instance(0, users=3, carriers=4, max_mux=2)
+        bad = np.array([[1.0, 1.0, 0.5, 2.0], [0.5, 1.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="on subcarrier 2 are"):
+            p_from_x(bad, build_decoding_order(inst))
 
 
 class TestRate:
@@ -119,7 +126,7 @@ class TestWsrEquivalence:
     def test_zero_allocation_is_zero_on_both_paths(self):
         inst = small_instance(9, users=4, carriers=3, max_mux=2)
         order = build_decoding_order(inst)
-        scale = sum(abs(a_const(inst, order, n)) for n in range(3))
+        scale = float(np.sum(np.abs(carrier_views(inst, order)[3])))
         assert wsr_from_rates(inst, order, np.zeros((4, 3))) == 0.0
         assert abs(wsr_from_x(inst, order, np.zeros((4, 3)))) < 1e-9 * scale
 
@@ -161,7 +168,14 @@ class TestBlockUtilities:
         order = build_decoding_order(inst)
         for n in range(2):
             got = f_eval(inst, order, n, 0, 4, 0.0)
-            assert got == pytest.approx(-a_const(inst, order, n), rel=1e-12)
+            assert got == pytest.approx(-carrier_view(inst, order, n)[3], rel=1e-12)
+
+    def test_offset_takes_math_log2(self):
+        # np.log2 (numpy 2.4, x86-64) is one ulp off math.log2 at this noise,
+        # and the campaign bytes follow math.log2
+        inst = single_carrier_instance([5.0, 3.219977838724637], [0.5, 1.0])
+        offset = carrier_view(inst, build_decoding_order(inst), 0)[3]
+        assert offset == -math.log2(3.219977838724637)
 
     def test_block_equals_sum_of_singletons_at_common_point(self):
         rng = np.random.default_rng(4)
@@ -282,6 +296,14 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SystemConfig(min_distance_m=2000.0)
 
+    def test_out_of_range_gain_names_shadowing_and_seed(self):
+        # 10 000 dB of shadowing puts 10^(-loss/10) past the float range
+        cfg = SystemConfig(users=3, subcarriers=2, shadowing_std_db=10000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^seed 4: .*shadowing_std_db = 10000\.0"):
+                generate_instance(cfg, 4)
+
     def test_noise_floor_psd(self):
         inst = generate_instance(SystemConfig(), 1)
         expected = 10 ** ((-174.0 - 30.0) / 10.0) * 2.5e5
@@ -302,6 +324,16 @@ class TestInstanceValidation:
             kwargs = ok | {key: bad}
             with pytest.raises(ValueError):
                 Instance(**kwargs)
+
+    def test_rejects_normalized_noise_out_of_range(self):
+        # 1 / 5e-324 overflows to inf and 5e-324 / 1e10 underflows to 0
+        ok = dict(weights=[1.0, 1.0], bandwidths=[1.0], p_max=1.0, p_max_carrier=[1.0],
+                  delta=0.1, max_mux=1)
+        for gain, noise in ((5e-324, 1.0), (1e10, 5e-324)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="noise / gains must be positive and finite"):
+                    Instance(gains=[[1.0], [gain]], noise=[[1.0], [noise]], **ok)
 
     def test_arrays_read_only(self):
         inst = small_instance(0, users=3, carriers=2, max_mux=2)

@@ -1,6 +1,8 @@
 """Property tests of the pinned-block F_n kernel over random and degenerate instances.
 
-The batched selection DP must fill every subcarrier's (m, j, i) tables and
+The decoding order, the stacked subcarrier views and every table's fields
+must equal the one-subcarrier-at-a-time oracle's bit for bit. The batched
+selection DP must fill every subcarrier's (m, j, i) tables and
 backtrack every candidate bit for bit as the per-carrier oracle does, at the
 full budget and in `scus` at any budget. The kernel (`pinned_values`) must
 agree with the direct candidate form (`candidate_values`) at every budget,
@@ -27,14 +29,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import batched_scus_dp, per_carrier_backtrack, per_carrier_scus_dp, rel_err
+from conftest import (batched_scus_dp, per_carrier_backtrack, per_carrier_offset,
+                      per_carrier_order, per_carrier_scus_dp, per_carrier_view, rel_err)
 from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
 from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, eps_jspa, estimate_upper_bound, grad_jspa,
                            opt_jspa)
-from nomajspa.model import (Instance, SystemConfig, build_decoding_order, generate_instance,
-                            wsr_from_x)
+from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
+                            carrier_views, generate_instance, wsr_from_x)
 from nomajspa.single_carrier import (candidate_values, fn_value_many, iscus_eval,
                                      iscus_precompute, left_derivatives, pinned_values,
                                      sc_value, scus, stack_candidates)
@@ -83,6 +86,32 @@ def magnitude(t):
     """Size of the log terms an F_n value sums; their rounding sets the tolerance."""
     logs = np.abs(np.log2(t.ep)) + np.abs(np.log2(t.p_max + t.ep))
     return abs(t.offset) + 2.0 * t.w_n * float(np.sum(t.wp * logs))
+
+
+def same_bits(got, expect):
+    got, expect = np.asarray(got), np.asarray(expect)
+    return got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_stacked_views_match_per_carrier_oracle(inst, data):
+    K = inst.n_users
+    m = data.draw(st.integers(1, K + 1), label="max_active")
+    order = build_decoding_order(inst)
+    oracle = per_carrier_order(inst)
+    assert same_bits(order.pi, oracle.pi) and same_bits(order.inv, oracle.inv)
+    views = carrier_views(inst, order)
+    for n in range(inst.n_carriers):
+        expect = per_carrier_view(inst, order, n) + (per_carrier_offset(inst, order, n),)
+        t = iscus_precompute(inst, order, n, m)
+        for got in (tuple(part[n] for part in views), carrier_view(inst, order, n),
+                    (t.w_n, t.wp, t.ep, t.offset)):
+            assert all(same_bits(a, b) for a, b in zip(got, expect, strict=True))
+        _, xopt, take = per_carrier_scus_dp(inst, order, n, m, inst.p_max)
+        entry_x = np.stack([per_carrier_backtrack(xopt, take, m, 0, e, K) for e in range(K)])
+        assert same_bits(t.entry_x, entry_x)
+        assert t.max_active == m and t.p_max == inst.p_max
 
 
 @PROPERTY
@@ -191,7 +220,7 @@ def test_lockstep_selection_and_eps_guarantee(inst):
         for n in range(inst.n_carriers):
             got, expect = lockstep_and_oracle(inst, tables, objective, n, upper, eps)
             assert got == expect
-        sol = eps_jspa(inst, tables, eps, upper=upper)
+        sol = eps_jspa(inst, tables, eps)
         assert budget_feasible(inst, sol.budgets)
         assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
 
@@ -237,7 +266,7 @@ def test_dp_by_profits_matches_index_array_dp(inst):
         # one item per chunk makes every class fold its chunks in turn
         for grid, dp_cells in ((True, jspa._DP_CELLS), (False, jspa._DP_CELLS), (True, 1)):
             with eps_forced(grid, dp_cells):
-                budgets = eps_jspa(inst, tables, eps, upper=upper).budgets
+                budgets = eps_jspa(inst, tables, eps).budgets
             assert np.array_equal(budgets, expect)
 
 

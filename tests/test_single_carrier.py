@@ -20,8 +20,8 @@ from conftest import (
     single_carrier_instance,
     small_instance,
 )
-from nomajspa.model import (LN2, Instance, a_const, active_positions, argmax_f,
-                            build_decoding_order, carrier_view, f_eval)
+from nomajspa.model import (LN2, Instance, active_positions, argmax_f, build_decoding_order,
+                            carrier_view, f_eval)
 from nomajspa.ops import count_ops
 from nomajspa.single_carrier import (
     expand_active,
@@ -239,7 +239,7 @@ class TestIscus:
             assert np.all(tables.entry_x[e, :e + 1] == tables.entry_x[e, 0])
         # DP roots: the zero-slot plane holds zeros and the zero-power tail value
         value, xopt, _ = (plane[0] for plane in batched_scus_dp(inst, order, 2, inst.p_max))
-        w_n, wp, ep = carrier_view(inst, order, 0)
+        w_n, wp, ep, _ = carrier_view(inst, order, 0)
         for j in range(5):
             expected = w_n * wp[-1] * math.log2(ep[-1])
             if j > 0:
@@ -354,7 +354,6 @@ SUBCARRIER_ENTRY_POINTS = {
     "scpc": lambda inst, order, n: scpc(inst, order, n, (0, 2), 1.0),
     "scus": lambda inst, order, n: scus(inst, order, n, 2, 1.0),
     "sc_value": lambda inst, order, n: sc_value(inst, order, n, np.ones(3)),
-    "a_const": lambda inst, order, n: a_const(inst, order, n),
     "f_eval": lambda inst, order, n: f_eval(inst, order, n, 0, 1, 1.0),
     "argmax_f": lambda inst, order, n: argmax_f(inst, order, n, 0, 1, 1.0),
 }
