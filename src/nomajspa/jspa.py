@@ -202,10 +202,10 @@ def project_simplex(v: np.ndarray, p_max: float, caps: np.ndarray) -> np.ndarray
 class BudgetObjective:
     """sum_n F_n, its per-subcarrier derivatives and each F_n on its own.
 
-    Made once per solve: it stacks every subcarrier's candidate solutions
-    and builds their pinned-block tails in one pass, so each budget then
-    costs one log per candidate. Every solver values F_n through it; the
-    F_n readers themselves live in `single_carrier`.
+    Made once per solve: it stacks every subcarrier's distinct candidate
+    solutions and builds their pinned-block tails in one pass, so each
+    budget then costs one log per distinct candidate. Every solver values
+    F_n through it; the F_n readers themselves live in `single_carrier`.
     """
 
     def __init__(self, tables: list):

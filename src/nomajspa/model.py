@@ -434,7 +434,10 @@ def generate_instance(config: SystemConfig, seed: int) -> Instance:
     weights = np.maximum(rng.uniform(0.0, 1.0, K), config.min_weight)
 
     bw = np.full(N, config.bandwidth_hz / N)
-    noise_w_per_hz = 10.0 ** ((config.noise_psd_dbm_hz - 30.0) / 10.0)
+    try:
+        noise_w_per_hz = 10.0 ** ((config.noise_psd_dbm_hz - 30.0) / 10.0)
+    except OverflowError:  # rejected below, with the ratio it makes
+        noise_w_per_hz = math.inf
     noise = np.broadcast_to(noise_w_per_hz * bw, (K, N)).copy()
     with np.errstate(all="ignore"):  # a ratio out of the float range is rejected below
         gains = 10.0 ** (-loss_db[:, None] / 10.0) * fading

@@ -19,11 +19,11 @@ user-selection DP cell        8    (m, j, i) table cell; iscus_precompute
                                    cells, blocks and maximizers, on the call
                                    that builds the table set (the first of
                                    its N calls) and 0 on the others
-collection lookup             6    (candidate, budget) pair, charged only in
-                                   single_carrier.pinned_values
-pinned-block tails            6    (candidate, position) term, charged in
-                                   single_carrier.pinned_tails when a solve
-                                   stacks its tables
+collection lookup             6    (stacked candidate, budget) pair, charged
+                                   only in single_carrier.pinned_values
+pinned-block tails            6    (stacked candidate, position) term,
+                                   charged in single_carrier.pinned_tails
+                                   when a solve stacks its tables
 budget-split DP by weights    2    (level, item) cell inspected, in a divide
                                    and conquer window or a per-level scan
 budget-split DP by profits    3    candidate item inspected

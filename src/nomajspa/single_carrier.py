@@ -18,10 +18,13 @@ subcarrier n as a function of its power budget); it is non-decreasing and
 sublinear. Every question about it is answered here over a stack of
 subcarriers (`stack_candidates`): `best_values` gives F_n at budgets,
 `best_columns` the column that attains it and `left_derivatives` its left
-derivative in closed form. All three read F_n through one kernel,
-`pinned_values`: a candidate truncated at a budget pins a leading block,
-which contributes one log, and the rest is a tail constant built once per
-stack. `fn_value_many` and `iscus_eval` ask the first two of one table.
+derivative in closed form. The stack holds each subcarrier's distinct
+candidates only, E' <= K of them, which answer as all K do, bit for bit.
+All three read F_n through one kernel, `pinned_values`: a candidate
+truncated at a budget pins a leading block, which contributes one log, and
+the rest is a tail constant built once per stack, so a budget costs E'
+logs per subcarrier. `fn_value_many` and `iscus_eval` ask the first two of
+one table.
 """
 
 from __future__ import annotations
@@ -324,9 +327,11 @@ def candidate_values(w_n, wp, ep, offset, entry_x: np.ndarray,
 class Candidates(NamedTuple):
     """F_n inputs of N stacked subcarriers: E candidates of K positions each.
 
-    Once its positions 0..l are pinned at a budget b, candidate e of
-    subcarrier n is worth pins[n, e, l] = (s, c, t) as s * log2(b + c) + t:
-    s = w_n * wp[l], c = ep[l] and t = w_n * tails[e, l] + offset.
+    Each subcarrier holds its distinct candidates, in their order, padded
+    to E with copies of its last one (see stack_candidates). Once its
+    positions 0..l are pinned at a budget b, candidate e of subcarrier n is
+    worth pins[n, e, l] = (s, c, t) as s * log2(b + c) + t: s = w_n * wp[l],
+    c = ep[l] and t = w_n * tails[e, l] + offset.
     """
 
     entry_x: np.ndarray  # (N, E, K)
@@ -356,10 +361,31 @@ def pinned_tails(wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray) -> np.ndar
 
 
 def stack_candidates(tables: list) -> Candidates:
-    """Stack the tables of N subcarriers and build their tails in one pass."""
+    """Stack the distinct candidates of N subcarriers and build their tails in one pass.
+
+    Each subcarrier keeps the entry_x rows that differ from the row before
+    them, in their order, and is padded to the stack's width E with copies
+    of its last row, which equals its last kept row. Rows are compared as
+    float64 bit patterns, so 0.0 and -0.0 stay apart. A row's slot is the
+    number of kept rows up to it, less one, so a copy writes the bits of
+    the row it copies to that row's slot.
+
+    Every F_n reader answers as over all K rows, bit for bit. Equal rows
+    have equal pins, since the tails are an elementwise log2 and a per-row
+    cumsum. Among equal values argmax takes the first row; the first of a
+    run of copies is kept, and kept rows keep their order, so best_columns
+    and left_derivatives pick the same row. A padded row repeats an earlier
+    one, so it is never picked first. The zero-budget derivative is a max,
+    which copies do not change.
+    """
     wp = np.stack([t.wp for t in tables])
     ep = np.stack([t.ep for t in tables])
-    entry_x = np.stack([t.entry_x for t in tables])
+    full = np.stack([t.entry_x for t in tables])
+    bits = full.view(np.int64)
+    slot = np.zeros(full.shape[:2], dtype=np.int64)
+    np.cumsum(np.any(bits[:, 1:] != bits[:, :-1], axis=-1), axis=1, out=slot[:, 1:])
+    entry_x = np.repeat(full[:, -1:], slot[:, -1].max() + 1, axis=1)
+    entry_x[np.arange(len(tables))[:, None], slot] = full
     w_n = np.array([t.w_n for t in tables])[:, None, None]
     offset = np.array([t.offset for t in tables])[:, None, None]
     pins = np.empty(entry_x.shape + (3,))

@@ -8,8 +8,8 @@ import numpy as np
 from nomajspa.model import (DecodingOrder, Instance, SystemConfig, argmax_blocks,
                             carrier_views, check_carrier, f_blocks, generate_instance)
 from nomajspa.ops import tally
-from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, _scus_dp, expand_active,
-                                     sc_value, scpc)
+from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, Candidates, _scus_dp,
+                                     expand_active, pinned_tails, sc_value, scpc)
 
 
 def single_carrier_instance(eta_tilde, weights, w_hz=1.0, p_max=10.0, delta=0.5,
@@ -215,6 +215,22 @@ def per_carrier_backtrack(xopt, take, m, j, i, n_users):
         if take[m, j, i]:
             m, j = m - 1, i + 1
         i += 1
+
+
+def full_stack_candidates(tables):
+    """Every subcarrier's K candidates stacked, copies included, with their
+    tails: the oracle whose answers `single_carrier.stack_candidates` must
+    give bit for bit through every F_n reader."""
+    wp = np.stack([t.wp for t in tables])
+    ep = np.stack([t.ep for t in tables])
+    entry_x = np.stack([t.entry_x for t in tables])
+    w_n = np.array([t.w_n for t in tables])[:, None, None]
+    offset = np.array([t.offset for t in tables])[:, None, None]
+    pins = np.empty(entry_x.shape + (3,))
+    pins[..., 0] = w_n * wp[:, None, :]
+    pins[..., 1] = ep[:, None, :]
+    pins[..., 2] = w_n * pinned_tails(wp, ep, entry_x) + offset
+    return Candidates(entry_x=entry_x, pins=pins)
 
 
 def rel_err(a, b):

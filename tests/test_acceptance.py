@@ -248,7 +248,7 @@ def test_criterion_09_left_derivative_finite_difference():
             vb, va = pinned_values(cands, np.array([[p_bar - h, p_bar]]))[0][0].T
             if int(np.argmax(va)) != int(np.argmax(vb)):
                 continue  # candidate switch inside the stencil
-            stored = tables.entry_x[int(np.argmax(va))]
+            stored = cands.entry_x[0, int(np.argmax(va))]
             if np.any((stored > p_bar - 2 * h) & (stored < p_bar + h)):
                 continue  # truncation kink inside the stencil
             kept += 1

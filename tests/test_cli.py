@@ -129,7 +129,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
-        (True, "3a94e6d4f8b157e6fa746580eb387cdb5f39905e41dd41a3c8aa8b0e95689ffa"),
+        (True, "a056c8f79adcfb5b1a6f5bbafea49989f2a6b20fbebfddb96e89a56069bdeff6"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose
@@ -282,8 +282,10 @@ class TestMain:
         # a runnable campaign but for one float: each used to end in a traceback,
         # an inf or nan wsr, or numpy's "scale < 0"
         *((f"{RUNNABLE}{key} = {value}\n", key) for key, value in NON_FINITE_OR_NEGATIVE),
+        # a finite PSD whose 10^(psd/10) W/Hz overflows a Python float
+        (f"{RUNNABLE}noise_psd_dbm_hz = 3200\n", "noise_psd_dbm_hz = 3200.0"),
     ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key",
-            "removed_key", *(key for key, _ in NON_FINITE_OR_NEGATIVE)])
+            "removed_key", *(key for key, _ in NON_FINITE_OR_NEGATIVE), "noise_psd_overflow"])
     def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)

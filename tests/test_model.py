@@ -304,6 +304,15 @@ class TestGeneration:
             with pytest.raises(ValueError, match=r"^seed 4: .*shadowing_std_db = 10000\.0"):
                 generate_instance(cfg, 4)
 
+    @pytest.mark.parametrize("psd", [3200.0, -3300.0])
+    def test_out_of_range_noise_psd_names_it_and_seed(self, psd):
+        # 10^(3200/10) overflows a Python float and 10^(-3300/10) underflows to 0
+        cfg = SystemConfig(users=3, subcarriers=2, noise_psd_dbm_hz=psd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^seed 4: .*noise_psd_dbm_hz = {psd!r}"):
+                generate_instance(cfg, 4)
+
     def test_noise_floor_psd(self):
         inst = generate_instance(SystemConfig(), 1)
         expected = 10 ** ((-174.0 - 30.0) / 10.0) * 2.5e5

@@ -7,8 +7,11 @@ backtrack every candidate bit for bit as the per-carrier oracle does, at the
 full budget and in `scus` at any budget. The kernel (`pinned_values`) must
 agree with the direct candidate form (`candidate_values`) at every budget,
 keep the grid profits monotone, give the same values, columns and left
-derivatives stacked as one subcarrier at a time, and leave the exact solvers' agreement intact. eps's lockstep item
-selection must pick what the one-threshold-at-a-time search picks, its
+derivatives stacked as one subcarrier at a time, and leave the exact solvers' agreement intact.
+The stack of each subcarrier's distinct candidates must answer every F_n
+reader as the full stack of all K does, bit for bit, at 0, p_max, random
+budgets and every candidate entry and its two float neighbours. eps's
+lockstep item selection must pick what the one-threshold-at-a-time search picks, its
 whole-grid read the same items and profits as the lockstep search, its
 DP by profits, on either threshold path, what the index-array DP picks,
 and eps must keep its (1 - eps) guarantee. Gradient ascent must stay
@@ -29,8 +32,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (batched_scus_dp, per_carrier_backtrack, per_carrier_offset,
-                      per_carrier_order, per_carrier_scus_dp, per_carrier_view, rel_err)
+from conftest import (batched_scus_dp, full_stack_candidates, per_carrier_backtrack,
+                      per_carrier_offset, per_carrier_order, per_carrier_scus_dp,
+                      per_carrier_view, rel_err)
 from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
 from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
@@ -38,9 +42,10 @@ from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, b
                            opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
                             carrier_views, generate_instance, wsr_from_x)
-from nomajspa.single_carrier import (candidate_values, fn_value_many, iscus_eval,
-                                     iscus_precompute, left_derivatives, pinned_values,
-                                     sc_value, scus, stack_candidates)
+from nomajspa.single_carrier import (best_columns, best_values, candidate_values,
+                                     fn_value_many, iscus_eval, iscus_precompute,
+                                     left_derivatives, pinned_values, sc_value, scus,
+                                     stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -144,7 +149,8 @@ def test_kernel_matches_candidate_values(inst):
     cands = stack_candidates(tables)
     for n, t in enumerate(tables):
         budgets = probe_budgets(inst, tables, n)
-        expect = candidate_values(t.w_n, t.wp, t.ep, t.offset, t.entry_x[:, None, :],
+        # the stack holds the table's distinct rows, padded with its last one
+        expect = candidate_values(t.w_n, t.wp, t.ep, t.offset, cands.entry_x[n, :, None, :],
                                   budgets[None, :])
         sorted_vals = pinned_values(cands.carrier(n), budgets[None, :])[0][0]
         # one budget at a time takes the position-by-position count
@@ -186,6 +192,34 @@ def test_stacked_readers_are_bit_equal(inst, seed):
             assert np.array_equal(x, one_x[:, 0]) and val == one_val
             # a zero budget is worth exactly 0, where sc_value keeps rounding residue
             assert abs(val - sc_value(inst, order, n, x)) <= 1e-9 * magnitude(t)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(instances(), st.integers(0, 2 ** 16))
+def test_distinct_candidates_answer_like_the_full_stack(inst, seed):
+    tables = tables_of(inst)
+    cands, oracle = stack_candidates(tables), full_stack_candidates(tables)
+    N, K = inst.n_carriers, inst.n_users
+    assert cands.entry_x.shape[1] <= K
+    rng = np.random.default_rng(seed)
+    entries = oracle.entry_x.ravel()
+    budgets = np.unique(np.concatenate([
+        [0.0, inst.p_max], rng.uniform(0.0, inst.p_max, 4),
+        entries, np.nextafter(entries, -np.inf), np.nextafter(entries, np.inf)]))
+    budgets = budgets[budgets >= 0.0]
+    # sorted budgets are counted by searchsorted, shuffled ones position by position
+    for grid in (budgets, rng.permutation(budgets)):
+        grid = np.broadcast_to(grid, (N, grid.size))
+        assert same_bits(best_values(cands, grid), best_values(oracle, grid))
+    objective = BudgetObjective(tables)
+    for n in range(N):
+        assert same_bits(objective.profits(n, budgets),
+                         best_values(oracle.carrier(n), budgets[None, :])[0])
+    for b in budgets:
+        b = np.full(N, b)
+        for got, expect in zip(best_columns(cands, b), best_columns(oracle, b), strict=True):
+            assert same_bits(got, expect)
+        assert same_bits(left_derivatives(cands, b), left_derivatives(oracle, b))
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """Power control, user selection, their precomputed variants, and F_n."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -10,6 +11,7 @@ import pytest
 from conftest import (
     batched_scus_dp,
     block_funs,
+    full_stack_candidates,
     ordered_grid_max,
     ordered_grid_max_bruteforce,
     rel_err,
@@ -24,6 +26,8 @@ from nomajspa.model import (LN2, Instance, active_positions, argmax_f, build_dec
                             carrier_view, f_eval)
 from nomajspa.ops import count_ops
 from nomajspa.single_carrier import (
+    best_columns,
+    best_values,
     expand_active,
     fn_value_many,
     iscpc_eval,
@@ -316,6 +320,56 @@ class TestBudgetValueFunction:
         d0 = left_derivatives(stack_candidates([tables]), np.array([0.0]))[0]
         eps = 1e-11 * inst.p_max
         assert d0 == pytest.approx(fn_value_many(tables, [eps])[0] / eps, rel=1e-3)
+
+
+def one_table(eta_tilde, weights):
+    inst = single_carrier_instance(eta_tilde, weights)
+    return iscus_precompute(inst, build_decoding_order(inst), 0, len(weights))
+
+
+class TestStackCandidates:
+    """The stack keeps each subcarrier's distinct rows and answers as all K do."""
+
+    # equal weights put every position at the full budget: three equal rows
+    EQUAL = ([4.0, 3.0, 2.0], [1.0, 1.0, 1.0])
+    DISTINCT = ([4.0, 3.9, 0.1], [1.0, 0.99, 0.5])
+
+    def test_all_rows_equal_stack_to_width_one(self):
+        t = one_table(*self.EQUAL)
+        assert np.all(t.entry_x == t.entry_x[0])
+        cands = stack_candidates([t])
+        assert cands.entry_x.shape == (1, 1, 3)
+        assert np.array_equal(cands.entry_x[0, 0], t.entry_x[0])
+
+    def test_all_rows_distinct_keep_all(self):
+        t = one_table(*self.DISTINCT)
+        cands, full = stack_candidates([t]), full_stack_candidates([t])
+        assert np.array_equal(cands.entry_x, full.entry_x)
+        assert cands.pins.tobytes() == full.pins.tobytes()
+
+    def test_zeros_of_either_sign_stay_apart(self):
+        t = one_table(*self.DISTINCT)
+        signed = dataclasses.replace(t, entry_x=np.array([[10.0, 0.0, 0.0],
+                                                          [10.0, 0.0, -0.0],
+                                                          [10.0, 0.0, -0.0]]))
+        assert stack_candidates([signed]).entry_x.shape == (1, 2, 3)
+
+    def test_mixed_widths_pad_without_changing_ties(self):
+        tables = [one_table(*self.EQUAL), one_table(*self.DISTINCT)]
+        cands, full = stack_candidates(tables), full_stack_candidates(tables)
+        assert cands.entry_x.shape == (2, 3, 3)
+        # the one-row carrier is padded with copies of its row, which tie with it
+        assert np.array_equal(cands.entry_x[0], tables[0].entry_x)
+        entries = full.entry_x.ravel()
+        budgets = np.unique(np.concatenate([[0.0], entries, np.nextafter(entries, 0.0),
+                                            np.nextafter(entries, np.inf)]))
+        grid = np.broadcast_to(budgets, (2, budgets.size))
+        assert best_values(cands, grid).tobytes() == best_values(full, grid).tobytes()
+        for b in budgets:
+            b = np.full(2, b)
+            for got, expect in zip(best_columns(cands, b), best_columns(full, b)):
+                assert got.tobytes() == expect.tobytes()
+            assert left_derivatives(cands, b).tobytes() == left_derivatives(full, b).tobytes()
 
 
 BUDGET_ENTRY_POINTS = {
