@@ -62,8 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver name(s): {', '.join(unknown)}")
         if not self.solvers or not self.k_sweep or not self.m_sweep:
             raise ValueError("solvers, k_sweep and m_sweep must be non-empty")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
+        if self.seeds < 1 or self.seed_base < 0:  # numpy seeds are non-negative
+            raise ValueError("seeds must be >= 1 and seed_base >= 0")
         if self.xi <= 0:
             raise ValueError("xi must be positive")
         if "eps" in self.solvers and (not self.epsilons or min(self.epsilons) <= 0):

@@ -53,9 +53,9 @@ _NEAR_TIE = 8.0 * 2.0 ** -53  # a pivot row's near-tie band, relative to its max
 # (rows times window columns) and values every row of them: nodes of about 100
 # rows on J = 200, 30 on J = 1000 and 7 on J = 4000. Budgets of 2^14 and 2^15
 # timed best on J = 1000 and 4000, and 2^15 lets J = 200 finish after one depth;
-# the scratch is about 25 bytes per cell. It values every level of a class, in
-# row chunks of at most _DENSE_CELLS cells, when _SCAN_PIECES * pieces^2 > J + 1,
-# or when one depth's windows pass _MAX_WIDTH * (J + 1) cells per piece
+# the scratch is about 25 bytes per cell. It values every level of a class over
+# every item, in _finish's slices, when _SCAN_PIECES * pieces^2 > J + 1, or
+# when one depth's windows pass _MAX_WIDTH * (J + 1) cells per piece
 _DENSE_CELLS = 2 ** 15
 _SCAN_PIECES = 4
 _MAX_WIDTH = 4
@@ -324,7 +324,9 @@ def _brent_max(fun, lo: float, hi: float, f_lo: float, tol: float):
 
 
 def default_grad_iteration_cap(p_max: float, xi: float) -> int:
-    return 10 * math.ceil(math.log2(p_max / xi)) + 100
+    ratio = p_max / xi  # inf at a subnormal xi, where the log is taken apart
+    bits = math.log2(ratio) if ratio < math.inf else math.log2(p_max) - math.log2(xi)
+    return 10 * math.ceil(bits) + 100
 
 
 def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
@@ -458,6 +460,8 @@ def _finish(best: np.ndarray, cn: np.ndarray, node: np.ndarray):
 
     A node (r0, r1, c0, c1, s, e) holds levels r0..r1, columns c0..c1 and
     items s..e; row l's window is max(c0, l - e) <= k <= min(c1, l - s).
+    Rows are valued in slices of at most _DENSE_CELLS cells: the whole table
+    when it fits, else max(1, _DENSE_CELLS // widest row) rows per slice.
     """
     count = node[:, 1] - node[:, 0] + 1
     r0, _, c0, c1, s, e = np.repeat(node, count, axis=0).T
@@ -466,7 +470,14 @@ def _finish(best: np.ndarray, cn: np.ndarray, node: np.ndarray):
     rows += r0
     lo = np.maximum(c0, rows - e)
     width = np.minimum(c1, rows - s) - lo + 1
-    _, _, _, top, j = _row_cells(best, cn, rows, lo, width)
+    if int(width.sum()) <= _DENSE_CELLS:
+        return rows, *_row_cells(best, cn, rows, lo, width)[3:]
+    step = max(1, _DENSE_CELLS // int(width.max()))
+    top = np.empty(rows.size)
+    j = np.empty(rows.size, dtype=np.int64)
+    for a in range(0, rows.size, step):
+        b = a + step
+        _, _, _, top[a:b], j[a:b] = _row_cells(best, cn, rows[a:b], lo[a:b], width[a:b])
     return rows, top, j
 
 
@@ -484,24 +495,6 @@ def _fold(nxt: np.ndarray, choice: np.ndarray, rows: np.ndarray, top: np.ndarray
         rows, top, j = rows[better], top[better], j[better]
     nxt[rows] = top
     choice[rows] = j
-
-
-def _relax_densely(best: np.ndarray, cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every level over every affordable item of cn, in row chunks of at most _DENSE_CELLS cells.
-
-    `_finish` on the whole class as one node, levels 0..J over items
-    0..cn.size - 1: O(J * cn.size) cells, the same as scanning every level,
-    and O(_DENSE_CELLS + J) memory, never (J + 1)^2.
-    """
-    J = best.size - 1
-    lmax = cn.size - 1
-    step = max(1, _DENSE_CELLS // (lmax + 1))
-    nxt = np.empty(J + 1)
-    choice = np.empty(J + 1, dtype=np.int64)
-    for r0 in range(0, J + 1, step):
-        chunk = np.array([[r0, min(r0 + step, J + 1) - 1, 0, J, 0, lmax]])
-        _, nxt[r0:r0 + step], choice[r0:r0 + step] = _finish(best, cn, chunk)
-    return nxt, choice
 
 
 def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -545,33 +538,33 @@ def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarra
     lies in one; the max over pieces, smaller j first, is the loop's.
 
     A class of more than sqrt((J + 1) / _SCAN_PIECES) pieces (rounding
-    noise on a near-linear class) is relaxed densely instead
-    (`_relax_densely`), and so is one whose near ties (flat profits) widen
-    a depth's windows past _MAX_WIDTH * (J + 1) cells per piece.
+    noise on a near-linear class), or whose near ties (flat profits) widen a
+    depth's windows past _MAX_WIDTH * (J + 1) cells per piece, is finished
+    as one node of levels 0..J over items 0..lmax, whose fold overwrites
+    every row.
     """
     J = best.size - 1
     cn = cn[:lmax + 1]
     s, e = _concave_pieces(cn)
     pieces = s.size
-    if _SCAN_PIECES * pieces * pieces > J + 1:
-        return _relax_densely(best, cn)
     nxt = np.full(J + 1, -np.inf)
     choice = np.full(J + 1, J + 1, dtype=np.int64)
     # one row per open node: levels r0..r1 and columns c0..c1 of piece s..e;
     # int32, since at the last depths the node table outweighs the cells
     node = np.stack((s, np.full(pieces, J), np.zeros(pieces, dtype=np.int64), J - s, s, e),
                     axis=1).astype(np.int32)
-    while node.size:
+    dense = _SCAN_PIECES * pieces * pieces > J + 1
+    while not dense:
         span = np.subtract(node[:, 1::2], node[:, 0::2], dtype=np.int64)  # r1-r0, c1-c0, e-s
         if int(np.dot(span[:, 0] + 1, np.minimum(span[:, 1], span[:, 2]) + 1)) <= _DENSE_CELLS:
-            _fold(nxt, choice, *_finish(best, cn, node), pieces > 1)
             break
         r0, r1, c0, c1, s, e = node.T
         m = (r0 + r1) // 2
         lo = np.maximum(c0, m - e)
         width = np.minimum(c1, m - s) - lo + 1
         if int(width.sum()) > _MAX_WIDTH * pieces * (J + 1):
-            return _relax_densely(best, cn)
+            dense = True
+            break
         k, vals, seg, top, j = _row_cells(best, cn, m, lo, width)
         near = vals >= np.repeat(top - _NEAR_TIE * top, width)
         t_min = np.minimum.reduceat(np.where(near, k, J + 1), seg)
@@ -585,6 +578,10 @@ def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarra
         node[1::2, 0] = m + 1
         node[1::2, 2] = t_min
         node = node[node[:, 0] <= node[:, 1]]
+    if dense:
+        node, pieces = np.array([[0, J, 0, J, 0, cn.size - 1]]), 1
+    if node.size:  # pivots may have valued every row
+        _fold(nxt, choice, *_finish(best, cn, node), pieces > 1)
     return nxt, choice
 
 

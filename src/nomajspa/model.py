@@ -68,6 +68,11 @@ def grid_levels(amount, delta):
     return np.floor(np.asarray(amount) / delta + 1e-9).astype(np.int64)
 
 
+def grid_countable(amount: float, delta: float) -> bool:
+    """Whether grid_levels(amount, delta) + 1 fits an int64: the grid's levels 0..J."""
+    return amount / delta + 1e-9 < 2.0 ** 63
+
+
 def check_finite(config) -> None:
     """Reject a non-finite float, alone or in a tuple, in a field of the dataclass config."""
     for f in dataclasses.fields(config):
@@ -107,6 +112,8 @@ class SystemConfig:
             raise ValueError("bandwidth_hz and p_max_w must be positive")
         if not 0 < self.delta_w <= self.p_max_w:
             raise ValueError("delta_w must be in (0, p_max_w]")
+        if not grid_countable(self.p_max_w, self.delta_w):
+            raise ValueError(f"delta_w = {self.delta_w!r} gives more grid levels than int64 holds")
         if self.p_max_carrier_w < 0 or self.p_max_carrier_w > self.p_max_w:
             raise ValueError("p_max_carrier_w must be 0 (unset) or in (0, p_max_w]")
         # a cap under one grid step leaves no item
@@ -178,6 +185,8 @@ class Instance:
             raise ValueError("p_max must be positive and finite")
         if not 0 < self.delta <= self.p_max:
             raise ValueError("delta must be in (0, p_max]")
+        if not grid_countable(self.p_max, self.delta):
+            raise ValueError(f"delta = {self.delta!r} gives more grid levels than int64 holds")
         if not 1 <= self.max_mux <= w.size:
             raise ValueError("max_mux must be in [1, K]")
         if np.any(caps <= 0) or np.any(caps > self.p_max):
@@ -436,24 +445,16 @@ def generate_instance(config: SystemConfig, seed: int) -> Instance:
     bw = np.full(N, config.bandwidth_hz / N)
     try:
         noise_w_per_hz = 10.0 ** ((config.noise_psd_dbm_hz - 30.0) / 10.0)
-    except OverflowError:  # rejected below, with the ratio it makes
+    except OverflowError:  # Instance rejects the infinite noise below
         noise_w_per_hz = math.inf
     noise = np.broadcast_to(noise_w_per_hz * bw, (K, N)).copy()
-    with np.errstate(all="ignore"):  # a ratio out of the float range is rejected below
+    with np.errstate(all="ignore"):  # Instance rejects a gain out of the float range below
         gains = 10.0 ** (-loss_db[:, None] / 10.0) * fading
-        tilde = noise / gains
-    if not np.all((tilde > 0.0) & (tilde < math.inf)):
-        raise ValueError(f"seed {seed}: the normalized noise noise / gains leaves the float "
-                         f"range (shadowing_std_db = {config.shadowing_std_db!r}, "
-                         f"noise_psd_dbm_hz = {config.noise_psd_dbm_hz!r})")
     cap = config.p_max_carrier_w if config.p_max_carrier_w > 0 else config.p_max_w
-    return Instance(
-        weights=weights,
-        bandwidths=bw,
-        gains=gains,
-        noise=noise,
-        p_max=config.p_max_w,
-        p_max_carrier=np.full(N, cap),
-        delta=config.delta_w,
-        max_mux=config.max_mux,
-    )
+    try:
+        return Instance(weights=weights, bandwidths=bw, gains=gains, noise=noise,
+                        p_max=config.p_max_w, p_max_carrier=np.full(N, cap),
+                        delta=config.delta_w, max_mux=config.max_mux)
+    except ValueError as exc:  # the draw left the float range
+        raise ValueError(f"seed {seed}: {exc} (shadowing_std_db = {config.shadowing_std_db!r}, "
+                         f"noise_psd_dbm_hz = {config.noise_psd_dbm_hz!r})") from None

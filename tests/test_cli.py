@@ -284,8 +284,13 @@ class TestMain:
         *((f"{RUNNABLE}{key} = {value}\n", key) for key, value in NON_FINITE_OR_NEGATIVE),
         # a finite PSD whose 10^(psd/10) W/Hz overflows a Python float
         (f"{RUNNABLE}noise_psd_dbm_hz = 3200\n", "noise_psd_dbm_hz = 3200.0"),
+        # p_max_w / delta_w = 1e301 levels overflow int64: eps used to write a nan
+        # row and exit 0, opt to fail on a negative array size
+        *((f"{RUNNABLE.replace('delta_w = 1', 'delta_w = 1e-300')}solvers = {solvers}\n",
+           "delta_w = 1e-300") for solvers in ("eps", "opt")),
     ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key",
-            "removed_key", *(key for key, _ in NON_FINITE_OR_NEGATIVE), "noise_psd_overflow"])
+            "removed_key", *(key for key, _ in NON_FINITE_OR_NEGATIVE), "noise_psd_overflow",
+            "uncountable_grid_eps", "uncountable_grid_opt"])
     def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)
@@ -318,6 +323,28 @@ class TestMain:
         assert len(rows) == 3
         assert all(r["wsr"] == 0.0 and r["loss"] == 0.0 for r in rows if r["solver"] == "opt")
         assert all(math.isnan(r["loss"]) for r in rows if r["solver"] != "opt")
+
+    def test_subnormal_xi_finishes_campaign(self, tmp_path, capsys):
+        # p_max / xi overflows to inf at xi = 5e-324; grad's iteration cap used to
+        # raise an OverflowError
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"{RUNNABLE}xi = 5e-324\nsolvers = grad,opt\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["solver"] for r in rows] == ["grad", "opt"]
+        assert all(math.isfinite(r["wsr"]) and r["wsr"] > 0 for r in rows)
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_negative_seed_base_leaves_output_untouched(self, tmp_path, capsys, how):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(RUNNABLE + ("seed_base = -2\n" if how == "config" else ""))
+        out = tmp_path / "r.csv"
+        out.write_text("earlier results\n")
+        flags = ["--seed-base", "-2"] if how == "flag" else []
+        assert main(["--config", str(cfg_file), "--out", str(out), *flags]) == 2
+        assert "seed_base" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
 
     def test_unwritable_out_reports_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "c.cfg"

@@ -554,15 +554,38 @@ class TestRelaxClass:
 
     @staticmethod
     def scans(monkeypatch):
-        """Count the classes `_relax_class` relaxes densely level by level."""
+        """Count the classes `_relax_class` values densely over every level and item.
+
+        Such a class reaches `jspa._finish` as the whole-class node
+        [0, J, 0, J, 0, lmax]. A one-piece class's root is that same node, and
+        the divide and conquer finishes it there when it fits in
+        _DENSE_CELLS cells; that is not counted.
+        """
         calls = []
-        dense = jspa._relax_densely
+        finish = jspa._finish
 
-        def counted(best, cn):
-            calls.append(cn.size)
-            return dense(best, cn)
+        def recorded(best, cn, node):
+            J = best.size - 1
+            root_fits = (jspa._concave_pieces(cn)[0].size == 1
+                         and (J + 1) * cn.size <= jspa._DENSE_CELLS)
+            if node.tolist() == [[0, J, 0, J, 0, cn.size - 1]] and not root_fits:
+                calls.append(cn.size)
+            return finish(best, cn, node)
 
-        monkeypatch.setattr(jspa, "_relax_densely", counted)
+        monkeypatch.setattr(jspa, "_finish", recorded)
+        return calls
+
+    @staticmethod
+    def row_cells(monkeypatch):
+        """Record the rows and cell count of every `jspa._row_cells` call."""
+        calls = []
+        real = jspa._row_cells
+
+        def counted(best, cn, rows, lo, width):
+            calls.append((np.atleast_1d(rows).tolist(), int(width.sum())))
+            return real(best, cn, rows, lo, width)
+
+        monkeypatch.setattr(jspa, "_row_cells", counted)
         return calls
 
     @staticmethod
@@ -607,29 +630,31 @@ class TestRelaxClass:
         assert scans == [501, 501] * (len(DENSE_BUDGETS) - 1)
 
     def test_dense_relaxation_in_one_row_chunks(self, monkeypatch):
-        # a budget below one row's cells leaves one level per chunk
+        # a budget below one row's cells leaves one level per slice
         cn = 1e6 * np.log2(1.0 + 1e-9 * self.LEVELS)
         best = np.sqrt(self.LEVELS)
         monkeypatch.setattr(jspa, "_DENSE_CELLS", 100)
-        finishes = self.finishes(monkeypatch)
+        scans = self.scans(monkeypatch)
+        cells = self.row_cells(monkeypatch)
         nxt, choice = jspa._relax_class(best, cn, 200)
-        assert [node[:, :2].tolist() for node in finishes] == [[[l, l]] for l in range(201)]
+        assert scans == [201]
+        assert [rows for rows, _ in cells] == [[l] for l in range(201)]
         expect_nxt, expect_choice = per_level_relaxation(best, cn, 200)
         assert np.array_equal(nxt, expect_nxt) and np.array_equal(choice, expect_choice)
 
     def test_dense_relaxation_chunks_stay_in_the_budget(self, monkeypatch):
+        # the flat class divides until its windows grow too wide, then takes the
+        # whole band 0 <= k <= l in slices of at most _DENSE_CELLS cells
         cn = np.zeros(4001)
-        cells = []
-        real = jspa._row_cells
-
-        def counted(best, cn, rows, lo, width):
-            cells.append(int(width.sum()))
-            return real(best, cn, rows, lo, width)
-
-        monkeypatch.setattr(jspa, "_row_cells", counted)
-        jspa._relax_densely(np.zeros(4001), cn)
-        assert max(cells) <= jspa._DENSE_CELLS
-        assert sum(cells) == sum(min(l, 4000) + 1 for l in range(4001))
+        scans = self.scans(monkeypatch)
+        cells = self.row_cells(monkeypatch)
+        jspa._relax_class(np.zeros(4001), cn, 4000)
+        assert scans == [4001]
+        assert max(count for _, count in cells) <= jspa._DENSE_CELLS
+        band = sum(min(l, 4000) + 1 for l in range(4001))
+        # the band plus the pivot rows valued before the switch
+        assert band == 8_006_001
+        assert sum(count for _, count in cells) == 8_036_009
 
     def test_flat_class_memory_is_bounded(self):
         # J = 4000 flat levels go to the dense relaxation, whose row chunks hold
@@ -1073,6 +1098,14 @@ class TestCrossSolverInvariants:
         from nomajspa.jspa import default_grad_iteration_cap
         assert default_grad_iteration_cap(10.0, 1e-4) == \
             10 * math.ceil(math.log2(10.0 / 1e-4)) + 100
+
+    @pytest.mark.parametrize("p_max, xi, cap", [
+        (8.0, 2.0 ** -10, 230),     # log2(2^13) = 13 exactly
+        (10.0, 5e-324, 10880),      # 10 / 5e-324 overflows; log2(10) + 1074 = 1077.3
+    ])
+    def test_default_iteration_cap_values(self, p_max, xi, cap):
+        from nomajspa.jspa import default_grad_iteration_cap
+        assert default_grad_iteration_cap(p_max, xi) == cap
 
     def test_operation_counts_monotone_in_users_and_levels(self):
         def opt_ops(users, levels):

@@ -296,6 +296,13 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SystemConfig(min_distance_m=2000.0)
 
+    def test_uncountable_grid_rejected(self):
+        # J + 1 must fit an int64: p_max_w / delta_w = 2^62 does, 2^63 and 1e301 do not
+        assert SystemConfig(p_max_w=1.0, delta_w=2.0 ** -62).delta_w == 2.0 ** -62
+        for delta in (2.0 ** -63, 1e-300):
+            with pytest.raises(ValueError, match=rf"^delta_w = {delta!r} "):
+                SystemConfig(p_max_w=1.0, delta_w=delta)
+
     def test_out_of_range_gain_names_shadowing_and_seed(self):
         # 10 000 dB of shadowing puts 10^(-loss/10) past the float range
         cfg = SystemConfig(users=3, subcarriers=2, shadowing_std_db=10000.0)
@@ -343,6 +350,13 @@ class TestInstanceValidation:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="noise / gains must be positive and finite"):
                     Instance(gains=[[1.0], [gain]], noise=[[1.0], [noise]], **ok)
+
+    def test_rejects_uncountable_grid(self):
+        ok = dict(weights=[1.0, 1.0], bandwidths=[1.0], gains=np.ones((2, 1)),
+                  noise=np.ones((2, 1)), p_max=1.0, p_max_carrier=[1.0], max_mux=1)
+        assert Instance(delta=2.0 ** -62, **ok).n_power_levels == 2 ** 62
+        with pytest.raises(ValueError, match=r"^delta = 1e-300 "):
+            Instance(delta=1e-300, **ok)
 
     def test_arrays_read_only(self):
         inst = small_instance(0, users=3, carriers=2, max_mux=2)
