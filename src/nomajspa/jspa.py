@@ -13,14 +13,14 @@ Four solvers are provided:
 
 The discretized split is a multiple-choice knapsack: class n holds items
 (weight l*delta, profit F_n(l*delta)) for l = 0..J, at most one item per
-class, knapsack capacity p_max. opt's DP by weights relaxes a class by
-divide and conquer over monotone argmaxes on each concave piece of its
-profits, O(J log J) cells per piece, until the open nodes fit a fixed cell
-budget; then one pass values every level of them over its window. A small
-grid fits at the root. Only a class of many pieces, or one whose near ties
-keep the windows wide, values every level over every item, O(J^2), in row
-chunks. All make the same choices bit for bit: a pivot level bounds the
-others by its near ties, never by one argmax.
+class, knapsack capacity p_max. opt runs the paper's DP by weights over it
+but values only the states its Lagrangian bound cannot fathom: a column k
+after some classes is dropped once best[k] plus the bound on any
+completion falls short of a feasible split's value. On the desk, fine-grid
+and many-user shapes a class keeps at most a few dozen columns, O(J) cells
+per column; flat or tied profits keep all of them and pay the full O(J^2)
+band, in row slices of a fixed cell budget. The choices are bit for bit
+those of the full DP.
 
 eps keeps, per class, the first grid item reaching each multiple of its
 profit scale. It reads them off the whole grid in one F_n call where that
@@ -48,17 +48,12 @@ _C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, of the larger part
-_NEAR_TIE = 8.0 * 2.0 ** -53  # a pivot row's near-tie band, relative to its max
-# opt stops dividing a class once its open nodes span at most _DENSE_CELLS cells
-# (rows times window columns) and values every row of them: nodes of about 100
-# rows on J = 200, 30 on J = 1000 and 7 on J = 4000. Budgets of 2^14 and 2^15
-# timed best on J = 1000 and 4000, and 2^15 lets J = 200 finish after one depth;
-# the scratch is about 25 bytes per cell. It values every level of a class over
-# every item, in _finish's slices, when _SCAN_PIECES * pieces^2 > J + 1, or
-# when one depth's windows pass _MAX_WIDTH * (J + 1) cells per piece
+# opt values a class's rows in slices of at most _DENSE_CELLS cells (rows times
+# window columns); the scratch is about 25 bytes per cell. It fathoms a column
+# whose Lagrangian bound falls short of the incumbent by more than _MARGIN
+# times the largest magnitude a DP sum reaches, far above their rounding
 _DENSE_CELLS = 2 ** 15
-_SCAN_PIECES = 4
-_MAX_WIDTH = 4
+_MARGIN = 1e-9
 # eps reads a class's whole grid where that values at most _GRID_PER_PROBE times
 # as many budgets as its lockstep search may; one whole-grid call was measured
 # faster up to about 1.4 times as many (K = 40, 1600 targets) and past 16 times
@@ -324,9 +319,10 @@ def _brent_max(fun, lo: float, hi: float, f_lo: float, tol: float):
 
 
 def default_grad_iteration_cap(p_max: float, xi: float) -> int:
+    """10 * ceil(log2(p_max / xi)) + 100, and at least one iteration at a huge xi."""
     ratio = p_max / xi  # inf at a subnormal xi, where the log is taken apart
     bits = math.log2(ratio) if ratio < math.inf else math.log2(p_max) - math.log2(xi)
-    return 10 * math.ceil(bits) + 100
+    return max(1, 10 * math.ceil(bits) + 100)
 
 
 def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
@@ -407,40 +403,69 @@ def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray
     return profits
 
 
-def _backtracked_budgets(choice: np.ndarray, end_units: int, delta: float) -> np.ndarray:
-    N = choice.shape[0]
-    units = np.zeros(N, dtype=np.int64)
-    level = end_units
-    for n in range(N - 1, -1, -1):
-        units[n] = choice[n, level]
-        level -= units[n]
-    return units * delta
+def _lagrangian_split(profits: np.ndarray, caps: np.ndarray, lam: float):
+    """x_n(lam), the first argmax of c_n[l] - lam * l over l <= lmax_n, and phi_n(lam), its max."""
+    levels = np.arange(profits.shape[1])
+    reduced = profits - lam * levels
+    reduced[levels > caps[:, None]] = -np.inf
+    tally(reduced.size * _C_KNAP_W)
+    x = reduced.argmax(axis=1)
+    return x, reduced[np.arange(x.size), x]
 
 
-def _concave_pieces(cn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last item of each maximal run of items on which cn is concave.
+def _knapsack_multiplier(profits: np.ndarray, caps: np.ndarray) -> float:
+    """A lam >= 0 whose split x(lam) fits the J units, for opt's Lagrangian bound.
 
-    The test is on the floats cn[j] read as reals. A strict decrease of the
-    computed differences proves one of the exact ones, since rounding is
-    monotone; equal computed differences prove equality only where both
-    are exact (Sterbenz: neighbours within a factor of two, or a zero).
-    Runs are cut everywhere else, and neighbouring runs share an end item.
+    Where the caps fit J, the smallest positive in-cap gain c_n[l] - c_n[l - 1]
+    (0 if there is none). Else the (J + 1)-th largest in-cap gain, floored
+    at 0: at most J gains exceed it, so a concave class takes no more units
+    than its gains above lam and the split fits. A class that is not
+    concave may take more; then lam rises to the next larger gain until it
+    fits, or until no gain is left above it.
     """
-    d = np.diff(cn)
-    a, b = cn[:-1], cn[1:]
-    exact = ((a <= 2.0 * b) & (b <= 2.0 * a)) | (a == 0.0) | (b == 0.0)
-    concave = (d[1:] < d[:-1]) | ((d[1:] == d[:-1]) & exact[1:] & exact[:-1])
-    cuts = np.flatnonzero(~concave) + 1
-    return np.concatenate(([0], cuts)), np.concatenate((cuts, [cn.size - 1]))
+    J = profits.shape[1] - 1
+    gains = np.diff(profits, axis=1)
+    gains[np.arange(J) >= caps[:, None]] = -np.inf  # gain l + 1 lies in the cap iff l < lmax
+    if caps.sum() <= J:
+        positive = gains[gains > 0.0]
+        return float(positive.min()) if positive.size else 0.0
+    lam = max(0.0, float(np.partition(gains, gains.size - J - 1, axis=None)[gains.size - J - 1]))
+    above = gains[gains > lam]
+    while above.size and _lagrangian_split(profits, caps, lam)[0].sum() > J:
+        lam = float(above.min())
+        above = above[above > lam]
+    return lam
+
+
+def _incumbent(profits: np.ndarray, caps: np.ndarray, x: np.ndarray) -> float:
+    """Value of the split x with its spare units filled greedily; -inf if x overspends.
+
+    Each spare unit goes to the class whose next unit gains most, while
+    some gain is positive. A lam from `_knapsack_multiplier` never
+    overspends; a smaller one may, and then nothing is fathomed.
+    """
+    J = profits.shape[1] - 1
+    spare = J - int(x.sum())
+    if spare < 0:
+        return -np.inf
+    rows = np.arange(x.size)
+    x = x.copy()
+    gain = np.where(x < caps, profits[rows, np.minimum(x + 1, J)] - profits[rows, x], -np.inf)
+    for _ in range(spare):
+        n = int(gain.argmax())
+        if not gain[n] > 0.0:
+            break
+        x[n] += 1
+        gain[n] = profits[n, x[n] + 1] - profits[n, x[n]] if x[n] < caps[n] else -np.inf
+    return float(profits[rows, x].sum())
 
 
 def _row_cells(best: np.ndarray, cn: np.ndarray, rows: np.ndarray, lo: np.ndarray,
                width: np.ndarray):
-    """Cells best[k] + cn[l - k] of each row l over its window lo <= k < lo + width.
+    """Each row l's float max of best[k] + cn[l - k] over lo <= k < lo + width, and its smallest j.
 
-    One ragged gather. Returns every cell's k and value, each row's first
-    cell, each row's float max and the smallest item j = l - k among its
-    exact ties with that max.
+    One ragged gather; j = l - k is the smallest item among the row's exact
+    ties with its max, the one `np.argmax` over j picks.
     """
     seg = np.cumsum(width)
     total = int(seg[-1])
@@ -451,166 +476,113 @@ def _row_cells(best: np.ndarray, cn: np.ndarray, rows: np.ndarray, lo: np.ndarra
     vals = cn[np.repeat(rows, width) - k]
     vals += best[k]
     top = np.maximum.reduceat(vals, seg)
-    j = rows - np.maximum.reduceat(np.where(vals == np.repeat(top, width), k, -1), seg)
-    return k, vals, seg, top, j
+    return top, rows - np.maximum.reduceat(np.where(vals == np.repeat(top, width), k, -1), seg)
 
 
-def _finish(best: np.ndarray, cn: np.ndarray, node: np.ndarray):
-    """Every row of every node over its window: the rows, their float max and smallest-j tie.
+def _finish(best: np.ndarray, cn: np.ndarray, r0: int, r1: int, c0: int, c1: int):
+    """Rows r0..r1 of one class over columns c0..c1: each row's float max and smallest-j tie.
 
-    A node (r0, r1, c0, c1, s, e) holds levels r0..r1, columns c0..c1 and
-    items s..e; row l's window is max(c0, l - e) <= k <= min(c1, l - s).
-    Rows are valued in slices of at most _DENSE_CELLS cells: the whole table
-    when it fits, else max(1, _DENSE_CELLS // widest row) rows per slice.
+    Row l's window is max(c0, l - lmax) <= k <= min(c1, l), lmax = cn.size - 1.
+    Rows are valued in slices of at most _DENSE_CELLS cells: all at once
+    when they fit, else max(1, _DENSE_CELLS // widest row) rows per slice.
     """
-    count = node[:, 1] - node[:, 0] + 1
-    r0, _, c0, c1, s, e = np.repeat(node, count, axis=0).T
-    rows = np.arange(int(count.sum()))
-    rows -= np.repeat(np.cumsum(count) - count, count)
-    rows += r0
-    lo = np.maximum(c0, rows - e)
-    width = np.minimum(c1, rows - s) - lo + 1
-    if int(width.sum()) <= _DENSE_CELLS:
-        return rows, *_row_cells(best, cn, rows, lo, width)[3:]
-    step = max(1, _DENSE_CELLS // int(width.max()))
+    rows = np.arange(r0, r1 + 1)
+    lo = np.maximum(c0, rows - (cn.size - 1))
+    width = np.minimum(c1, rows) - lo + 1
+    fits = int(width.sum()) <= _DENSE_CELLS
+    step = rows.size if fits else max(1, _DENSE_CELLS // int(width.max()))
     top = np.empty(rows.size)
     j = np.empty(rows.size, dtype=np.int64)
     for a in range(0, rows.size, step):
         b = a + step
-        _, _, _, top[a:b], j[a:b] = _row_cells(best, cn, rows[a:b], lo[a:b], width[a:b])
-    return rows, top, j
+        top[a:b], j[a:b] = _row_cells(best, cn, rows[a:b], lo[a:b], width[a:b])
+    return top, j
 
 
-def _fold(nxt: np.ndarray, choice: np.ndarray, rows: np.ndarray, top: np.ndarray,
-          j: np.ndarray, shared: bool) -> None:
-    """Write rows into nxt and choice: the larger value wins, the smaller j on ties."""
-    if shared:  # rows shared by pieces: keep each row's best, then fold
-        order = np.lexsort((j, -top, rows))
-        rows, top, j = rows[order], top[order], j[order]
-        first = np.ones(rows.size, dtype=bool)
-        np.not_equal(rows[1:], rows[:-1], out=first[1:])
-        rows, top, j = rows[first], top[first], j[first]
-        held = nxt[rows]
-        better = (top > held) | ((top == held) & (j < choice[rows]))
-        rows, top, j = rows[better], top[better], j[better]
-    nxt[rows] = top
-    choice[rows] = j
+def _grid_units(profits: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Units per class of the DP by weights' optimum, backtracked from level J.
 
+    The DP: best[k] after classes 0..n-1 is their best profit within k
+    units, and class n relaxes it to nxt[l] = max over j <= min(l, lmax_n)
+    of best[l - j] + c_n[j], picking the smallest j among exact float ties.
+    This returns, bit for bit, what that DP over every level and item
+    backtracks from J, but values only the columns a Lagrangian bound
+    cannot fathom.
 
-def _relax_class(best: np.ndarray, cn: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """One class of the DP by weights: nxt[l] = max over j <= min(l, lmax) of best[l - j] + cn[j].
+    The bound. With lam from `_knapsack_multiplier`, phi_m(lam) = max over
+    l <= lmax_m of c_m[l] - lam * l and Phi_n = sum_{m >= n} phi_m, any
+    completion of column k by classes n..N-1 within J - k units is worth at
+    most best[k] + lam * (J - k) + Phi_n (weak duality of the multiple-choice
+    knapsack; Sinha and Zoltners 1979, Pisinger 1995). The incumbent is
+    `_incumbent` of the split x(lam), a feasible value. Before class n a
+    column is live when its bound reaches the incumbent less a margin,
+    _MARGIN times the largest magnitude any sum here reaches
+    (sum_n max |c_n| + lam * J), and when k >= J - sum_{m >= n} lmax_m: the
+    backtrack descends from J by at most lmax_m per class. Class n values
+    the rows a0..min(J, a1 + lmax_n) of its live span [a0, a1] over that
+    span (`_finish`); the last class values row J alone. Other rows hold
+    -inf. Each class keeps its row slice of choices for the backtrack.
 
-    Returns nxt and choice[l], the smallest j attaining the float max (the
-    one `np.argmax` picks over j), bit for bit what scanning every level
-    returns. On each concave piece [s, e] of cn (`_concave_pieces`) it
-    finds every level's best item by divide and conquer over monotone
-    argmaxes: rows are the levels l, columns k = l - j index best, and all
-    pieces advance one recursion depth at a time. A depth values each
-    piece's pivot rows over their column windows in one ragged gather,
-    about (J + 1) cells per piece, and folds them into nxt and choice: the
-    larger value wins, the smaller j on ties. Once the open nodes span at
-    most _DENSE_CELLS cells, counting a node's rows times the most columns
-    a row's window has, one last gather values every row of them over its
-    window (`_finish`) and folds them the same way. A piece so costs
-    O(J log J) cells in place of the O(J * lmax) of scanning every level,
-    and the small nodes of the deep depths, or a small grid whole, take
-    one numpy pass instead of a few dozen calls per depth.
-
-    Why the choices are the loop's. Read the floats as reals. On its band
-    l - e <= k <= l - s, A[l, k] = best[k] + cn[l - k] is inverse-Monge,
-    A[l, k] + A[l', k'] >= A[l, k'] + A[l', k] for l < l' and k < k',
-    because cn is concave there; the loop computes fl(A), and rounding is
-    monotone. Let M be a pivot row m's float max, k* its pick and T its
-    near-tie set {k : fl(A[m, k]) >= M - 8u M}, u = 2^-53. A row l > m
-    never picks a column k < min T: fl(A[m, k]) < M gives A[m, k] < A[m, k*],
-    so A[l, k] < A[l, k*] and fl(A[l, k]) <= fl(A[l, k*]), and k* has the
-    smaller j. A row l < m never picks a column k > max T: A[m, k] trails
-    A[m, k*] by more than 5u M, so A[l, k] trails A[l, k*] as much, while
-    rounding moves row l's values by at most u M each (they lie in [0, M]
-    because best is non-decreasing and grid profits are non-negative), so
-    fl(A[l, k]) < fl(A[l, k*]) strictly although k has the smaller j. So
-    every row's float max and its smallest-j tie stay inside the window
-    that T bounds. A node's columns are bounded only by its ancestors'
-    pivots, each on the side where this holds, so every row of it, pivot
-    or not, finds the loop's max and smallest-j tie within its window, and
-    the dense finish, which values the whole window, picks them; no
-    rounding case needs a fallback. Pieces share end items, so each item
-    lies in one; the max over pieces, smaller j first, is the loop's.
-
-    A class of more than sqrt((J + 1) / _SCAN_PIECES) pieces (rounding
-    noise on a near-linear class), or whose near ties (flat profits) widen a
-    depth's windows past _MAX_WIDTH * (J + 1) cells per piece, is finished
-    as one node of levels 0..J over items 0..lmax, whose fold overwrites
-    every row.
+    Why the units are the full DP's. Let k_n be the column the full DP's
+    backtrack passes before class n. By induction on n, k_n is live and
+    the windowed best[k_n] equals the full DP's. The full path is worth
+    the optimum, so read as reals k_n's bound is at least OPT, which is at
+    least the incumbent; the floats of the bound, the path and the
+    incumbent each round by at most about N ulps of that magnitude, far
+    under the margin, so k_n passes the test, and k_n >= J - sum lmax. Row
+    l = k_{n+1} then lies in the valued rows and its window holds k_n. Every
+    window cell is a full-DP cell built from a best entry no larger than
+    the full DP's, and rounding is monotone, so no cell beats the full
+    DP's max at row l, and the cells of smaller j fall short of it; cell
+    k_n reaches it. So row l picks the full DP's item and value. A cell
+    built on a -inf entry (an unvalued row, read only where every column
+    is live) is -inf, which the same argument covers, and the backtrack
+    reads only path rows.
     """
-    J = best.size - 1
-    cn = cn[:lmax + 1]
-    s, e = _concave_pieces(cn)
-    pieces = s.size
-    nxt = np.full(J + 1, -np.inf)
-    choice = np.full(J + 1, J + 1, dtype=np.int64)
-    # one row per open node: levels r0..r1 and columns c0..c1 of piece s..e;
-    # int32, since at the last depths the node table outweighs the cells
-    node = np.stack((s, np.full(pieces, J), np.zeros(pieces, dtype=np.int64), J - s, s, e),
-                    axis=1).astype(np.int32)
-    dense = _SCAN_PIECES * pieces * pieces > J + 1
-    while not dense:
-        span = np.subtract(node[:, 1::2], node[:, 0::2], dtype=np.int64)  # r1-r0, c1-c0, e-s
-        if int(np.dot(span[:, 0] + 1, np.minimum(span[:, 1], span[:, 2]) + 1)) <= _DENSE_CELLS:
-            break
-        r0, r1, c0, c1, s, e = node.T
-        m = (r0 + r1) // 2
-        lo = np.maximum(c0, m - e)
-        width = np.minimum(c1, m - s) - lo + 1
-        if int(width.sum()) > _MAX_WIDTH * pieces * (J + 1):
-            dense = True
-            break
-        k, vals, seg, top, j = _row_cells(best, cn, m, lo, width)
-        near = vals >= np.repeat(top - _NEAR_TIE * top, width)
-        t_min = np.minimum.reduceat(np.where(near, k, J + 1), seg)
-        t_max = np.maximum.reduceat(np.where(near, k, -1), seg)
-        del k, vals, near  # the cells go before the node table doubles
-        _fold(nxt, choice, m, top, j, pieces > 1)
-        # children: levels r0..m-1 over columns c0..max T, m+1..r1 over min T..c1
-        node = np.repeat(node, 2, axis=0)
-        node[0::2, 1] = m - 1
-        node[0::2, 3] = t_max
-        node[1::2, 0] = m + 1
-        node[1::2, 2] = t_min
-        node = node[node[:, 0] <= node[:, 1]]
-    if dense:
-        node, pieces = np.array([[0, J, 0, J, 0, cn.size - 1]]), 1
-    if node.size:  # pivots may have valued every row
-        _fold(nxt, choice, *_finish(best, cn, node), pieces > 1)
-    return nxt, choice
+    N, J = profits.shape[0], profits.shape[1] - 1
+    lam = _knapsack_multiplier(profits, caps)
+    x, phi = _lagrangian_split(profits, caps, lam)
+    scale = float(np.maximum(profits.max(axis=1), -profits.min(axis=1)).sum()) + lam * J
+    floor = _incumbent(profits, caps, x) - _MARGIN * scale
+    tail = np.cumsum(phi[::-1])[::-1]  # Phi_n
+    reach = np.maximum(J - np.cumsum(caps[::-1])[::-1], 0)  # lowest column a backtrack reads
+    room = lam * np.arange(J, -1, -1)  # lam * (J - k)
+    best = np.zeros(J + 1)
+    choices = []  # per class: its first valued row and each valued row's item
+    for n in range(N):
+        k0 = int(reach[n])
+        live = np.flatnonzero(best[k0:] + room[k0:] + tail[n] >= floor) + k0
+        a0, a1 = int(live[0]), int(live[-1])
+        lmax = int(caps[n])
+        r0, r1 = (J if n == N - 1 else a0), min(J, a1 + lmax)
+        top, j = _finish(best, profits[n, :lmax + 1], r0, r1, a0, a1)
+        choices.append((r0, j))
+        best = np.full(J + 1, -np.inf)
+        best[r0:r1 + 1] = top
+    units = np.zeros(N, dtype=np.int64)
+    level = J
+    for n in range(N - 1, -1, -1):
+        r0, j = choices[n]
+        units[n] = j[level - r0]
+        level -= units[n]
+    return units
 
 
 def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exact optimum of the grid-discretized split via DP by weights.
 
-    best[l] after class n is the best profit of the first n classes within
-    capacity l; `_relax_class` relaxes it with each class's affordable
-    items. A class costs O(J log J) cells per concave piece of its grid
-    profits, or O(J * lmax) when it is relaxed densely level by level,
-    plus the profit-table construction. The backtrack starts at level J,
-    so the last class values that level alone, O(lmax) cells. The choices
-    are bit for bit those of scanning every level, by the inverse-Monge
-    and rounding argument in `_relax_class`.
+    The paper's DP by weights over the multiple-choice knapsack of grid
+    profits (`build_knapsack`), with the states its Lagrangian bound
+    fathoms left out (`_grid_units`); the choices are bit for bit those of
+    the full DP. Cost: the profit table, a few O(N J) passes for the
+    multiplier, and per class its live span times its rows; at worst, on
+    flat profits, that is the full O(N J^2) band, in row slices of at
+    most _DENSE_CELLS cells.
     """
     objective = BudgetObjective(tables)
     profits = build_knapsack(instance, objective)
-    caps = class_unit_caps(instance)
-    J = instance.n_power_levels
-    N = instance.n_carriers
-    best = np.zeros(J + 1)
-    choice = np.zeros((N, J + 1), dtype=np.int64)
-    for n in range(N - 1):
-        best, choice[n] = _relax_class(best, profits[n], int(caps[n]))
-    # the backtrack starts at level J, so the last class values that level alone
-    last = np.array([[J, J, 0, J, 0, int(caps[N - 1])]])
-    choice[N - 1, J] = _finish(best, profits[N - 1], last)[2][0]
-    budgets = _backtracked_budgets(choice, J, instance.delta)
-    return _solution(objective, budgets, "opt")
+    units = _grid_units(profits, class_unit_caps(instance))
+    return _solution(objective, units * instance.delta, "opt")
 
 
 def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:

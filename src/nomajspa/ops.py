@@ -24,8 +24,9 @@ collection lookup             6    (stacked candidate, budget) pair, charged
 pinned-block tails            6    (stacked candidate, position) term,
                                    charged in single_carrier.pinned_tails
                                    when a solve stacks its tables
-budget-split DP by weights    2    (level, item) cell inspected, in a divide
-                                   and conquer window or a per-level scan
+budget-split DP by weights    2    (level, item) cell inspected in a live
+                                   window, and (class, level) reduced profit
+                                   of each Lagrangian split
 budget-split DP by profits    3    candidate item inspected
 simplex projection            3    coordinate per clipped-sum evaluation (the
                                    feasibility check and every polish probe)

@@ -335,8 +335,8 @@ def test_criterion_12_complexity_scaling(monkeypatch):
     j_sizes = (50, 100, 200, 400)
     opt_slope = fit_slope(j_sizes, [opt_cost(j) for j in j_sizes])
     with monkeypatch.context() as patch:
-        # the paper's DP by weights: every class scans every level
-        patch.setattr(jspa, "_SCAN_PIECES", math.inf)
+        # the paper's DP by weights: no column fathomed, every level scans every item
+        patch.setattr(jspa, "_MARGIN", math.inf)
         scan_slope = fit_slope(j_sizes, [opt_cost(j) for j in j_sizes])
     ok = (abs(scus_slope - 2.0) <= 0.3 and abs(scan_slope - 2.0) <= 0.3
           and opt_slope <= 1.5)

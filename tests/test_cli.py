@@ -129,7 +129,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
-        (True, "a056c8f79adcfb5b1a6f5bbafea49989f2a6b20fbebfddb96e89a56069bdeff6"),
+        (True, "3d53c6673e8187a27ebc24c63bbfa65531b9cb8a951c42154c659501dee75558"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose
@@ -334,6 +334,18 @@ class TestMain:
         rows = read_rows(out)
         assert [r["solver"] for r in rows] == ["grad", "opt"]
         assert all(math.isfinite(r["wsr"]) and r["wsr"] > 0 for r in rows)
+
+    def test_huge_xi_still_takes_a_grad_step(self, tmp_path, capsys):
+        # xi >= 1024 * p_max made grad's iteration cap 0: grad returned the zero
+        # split and the campaign wrote a grad wsr of 0 and a loss of 1
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"{RUNNABLE}xi = 20000\nsolvers = grad,opt\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["solver"] for r in rows] == ["grad", "opt"]
+        assert all(math.isfinite(r["wsr"]) and r["wsr"] > 0 for r in rows)
+        assert rows[0]["loss"] < 1.0
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_negative_seed_base_leaves_output_untouched(self, tmp_path, capsys, how):

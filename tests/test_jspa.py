@@ -166,26 +166,61 @@ def per_level_relaxation(best, cn, lmax):
     return nxt, choice
 
 
-DENSE_BUDGETS = (jspa._DENSE_CELLS, 0, 2 ** 62)
+def full_dp_units(profits, caps):
+    """`per_level_relaxation` chained over the classes and backtracked from J: the paper's DP."""
+    J = profits.shape[1] - 1
+    best = np.zeros(J + 1)
+    choices = []
+    for cn, lmax in zip(profits, caps):
+        best, choice = per_level_relaxation(best, cn, int(lmax))
+        choices.append(choice)
+    units = np.zeros(len(choices), dtype=np.int64)
+    level = J
+    for n in range(len(choices) - 1, -1, -1):
+        units[n] = choices[n][level]
+        level -= units[n]
+    return units
 
 
-def assert_relaxes_like_oracle(profits, caps):
-    """`jspa._relax_class` gives the oracle's best and choice, bit for bit, class by class.
+# opt's DP as it runs, and with each of its shortcuts forced: lam = 0; no
+# fathoming (margin = inf, so every reachable column is live, which needs a
+# profit that is not 0); and rows valued one per slice
+DP_SETTINGS = {
+    "default": {},
+    "lam_0": {"_knapsack_multiplier": lambda profits, caps: 0.0},
+    "margin_inf": {"_MARGIN": math.inf},
+    "one_row_slices": {"_DENSE_CELLS": 0},
+}
 
-    At every cell budget of DENSE_BUDGETS: the default; 0, where the divide
-    and conquer goes down to one-row nodes and the dense fallback to one-row
-    chunks; and one so large that every class is finished densely at its root.
+
+def band_cells(J, lmax):
+    """Cells of the full DP's class: every level l over its items j <= min(l, lmax)."""
+    return sum(min(l, lmax) + 1 for l in range(J + 1))
+
+
+def assert_relaxes_like_oracle(profits, caps, settings=tuple(DP_SETTINGS)):
+    """`jspa._grid_units` backtracks the full DP's units, bit for bit, in every setting.
+
+    And no class values more cells than its band.
     """
-    for budget in DENSE_BUDGETS:
-        best = np.zeros(profits.shape[1])
+    profits = np.asarray(profits, dtype=float)
+    caps = np.asarray(caps, dtype=np.int64)
+    J = profits.shape[1] - 1
+    expect = full_dp_units(profits, caps)
+    for name in settings:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(jspa, "_DENSE_CELLS", budget)
-            for cn, lmax in zip(profits, caps):
-                nxt, choice = jspa._relax_class(best, cn, int(lmax))
-                expect_nxt, expect_choice = per_level_relaxation(best, cn, int(lmax))
-                assert np.array_equal(nxt, expect_nxt)
-                assert np.array_equal(choice, expect_choice)
-                best = expect_nxt
+            for attr, value in DP_SETTINGS[name].items():
+                patch.setattr(jspa, attr, value)
+            finish = jspa._finish
+
+            def in_band(best, cn, r0, r1, c0, c1):
+                rows = np.arange(r0, r1 + 1)
+                width = np.minimum(c1, rows) - np.maximum(c0, rows - (cn.size - 1)) + 1
+                assert int(width.sum()) <= band_cells(J, cn.size - 1)
+                return finish(best, cn, r0, r1, c0, c1)
+
+            patch.setattr(jspa, "_finish", in_band)
+            assert np.array_equal(jspa._grid_units(profits, caps), expect), name
 
 
 def grid_profit(instance, table):
@@ -548,145 +583,132 @@ class TestOptJspa:
 
 
 class TestRelaxClass:
-    """opt's divide and conquer on hand-built classes, held to the per-level oracle."""
+    """opt's DP by weights, class by class, on hand-built profits, held to the full DP."""
 
     LEVELS = np.arange(201)
 
     @staticmethod
-    def scans(monkeypatch):
-        """Count the classes `_relax_class` values densely over every level and item.
-
-        Such a class reaches `jspa._finish` as the whole-class node
-        [0, J, 0, J, 0, lmax]. A one-piece class's root is that same node, and
-        the divide and conquer finishes it there when it fits in
-        _DENSE_CELLS cells; that is not counted.
-        """
+    def cells(monkeypatch):
+        """Per class, the cells `jspa._finish` values and the largest `_row_cells` call."""
         calls = []
-        finish = jspa._finish
+        finish, row_cells = jspa._finish, jspa._row_cells
 
-        def recorded(best, cn, node):
-            J = best.size - 1
-            root_fits = (jspa._concave_pieces(cn)[0].size == 1
-                         and (J + 1) * cn.size <= jspa._DENSE_CELLS)
-            if node.tolist() == [[0, J, 0, J, 0, cn.size - 1]] and not root_fits:
-                calls.append(cn.size)
-            return finish(best, cn, node)
-
-        monkeypatch.setattr(jspa, "_finish", recorded)
-        return calls
-
-    @staticmethod
-    def row_cells(monkeypatch):
-        """Record the rows and cell count of every `jspa._row_cells` call."""
-        calls = []
-        real = jspa._row_cells
+        def recorded(best, cn, r0, r1, c0, c1):
+            calls.append([0, 0])
+            return finish(best, cn, r0, r1, c0, c1)
 
         def counted(best, cn, rows, lo, width):
-            calls.append((np.atleast_1d(rows).tolist(), int(width.sum())))
-            return real(best, cn, rows, lo, width)
+            calls[-1][0] += int(width.sum())
+            calls[-1][1] = max(calls[-1][1], int(width.sum()))
+            return row_cells(best, cn, rows, lo, width)
 
+        monkeypatch.setattr(jspa, "_finish", recorded)
         monkeypatch.setattr(jspa, "_row_cells", counted)
         return calls
 
-    @staticmethod
-    def finishes(monkeypatch):
-        """Record the node tables `jspa._finish` values."""
-        calls = []
-        finish = jspa._finish
+    def test_exactly_linear_classes_tie_at_their_multiplier(self):
+        # every gain is exactly 3, so lam = 3 and every split ties in the bound
+        cn = 3.0 * self.LEVELS
+        assert jspa._knapsack_multiplier(np.stack([cn, cn]), np.array([200, 200])) == 3.0
+        assert_relaxes_like_oracle(np.stack([2.0 * np.sqrt(self.LEVELS), cn, cn]), [200] * 3)
 
-        def recorded(best, cn, node):
-            calls.append(np.array(node))
-            return finish(best, cn, node)
-
-        monkeypatch.setattr(jspa, "_finish", recorded)
-        return calls
-
-    def test_exactly_linear_class_is_one_piece(self, monkeypatch):
-        cn = 3.0 * self.LEVELS  # every difference is exactly 3
-        assert jspa._concave_pieces(cn)[0].tolist() == [0]
-        scans = self.scans(monkeypatch)
-        assert_relaxes_like_oracle(np.stack([2.0 * np.sqrt(self.LEVELS), cn]), [200, 200])
-        assert scans == []
-
-    def test_identical_classes_tie_exactly(self, monkeypatch):
+    def test_identical_classes_tie_exactly(self):
         cn = 1e6 * np.log2(1.0 + self.LEVELS / 7.0)
-        scans = self.scans(monkeypatch)
         assert_relaxes_like_oracle(np.stack([cn, cn, cn]), [200, 200, 200])
-        assert scans == []
 
-    def test_noisy_class_scans_every_level(self, monkeypatch):
-        # near-linear, so rounding breaks its differences into many pieces
+    def test_noisy_class_matches_the_full_dp(self):
+        # near-linear, so rounding makes its gains a random walk around 1.4e-3
         cn = 1e6 * np.log2(1.0 + 1e-9 * self.LEVELS)
-        assert jspa._concave_pieces(cn)[0].size ** 2 * jspa._SCAN_PIECES > cn.size
-        scans = self.scans(monkeypatch)
-        assert_relaxes_like_oracle(np.stack([np.sqrt(self.LEVELS), cn]), [200, 200])
-        assert scans == [201] * len(DENSE_BUDGETS)
+        assert not np.all(np.diff(cn, 2) <= 0.0)
+        assert_relaxes_like_oracle(np.stack([np.sqrt(self.LEVELS), cn, cn]), [200] * 3)
 
     def test_flat_class_scans_every_level(self, monkeypatch):
-        # all near ties: the windows never narrow, so the dense relaxation takes over,
-        # except at a budget so large that the class is finished at its root
-        scans = self.scans(monkeypatch)
-        assert_relaxes_like_oracle(np.zeros((2, 501)), [500, 500])
-        assert scans == [501, 501] * (len(DENSE_BUDGETS) - 1)
+        # all ties: no column is fathomed, so the first class values its whole band
+        cells = self.cells(monkeypatch)
+        assert_relaxes_like_oracle(np.zeros((2, 501)), [500, 500], ("default", "lam_0"))
+        assert [count for count, _ in cells] == [band_cells(500, 500), 501] * 2
 
     def test_dense_relaxation_in_one_row_chunks(self, monkeypatch):
         # a budget below one row's cells leaves one level per slice
-        cn = 1e6 * np.log2(1.0 + 1e-9 * self.LEVELS)
-        best = np.sqrt(self.LEVELS)
+        cn = 1e6 * np.log2(1.0 + self.LEVELS / 7.0)
         monkeypatch.setattr(jspa, "_DENSE_CELLS", 100)
-        scans = self.scans(monkeypatch)
-        cells = self.row_cells(monkeypatch)
-        nxt, choice = jspa._relax_class(best, cn, 200)
-        assert scans == [201]
-        assert [rows for rows, _ in cells] == [[l] for l in range(201)]
-        expect_nxt, expect_choice = per_level_relaxation(best, cn, 200)
-        assert np.array_equal(nxt, expect_nxt) and np.array_equal(choice, expect_choice)
+        monkeypatch.setattr(jspa, "_MARGIN", math.inf)
+        calls = []
+        row_cells = jspa._row_cells
+
+        def counted(best, cn, rows, lo, width):
+            calls.append(rows.tolist())
+            return row_cells(best, cn, rows, lo, width)
+
+        monkeypatch.setattr(jspa, "_row_cells", counted)
+        profits = np.stack([np.sqrt(self.LEVELS), cn])
+        units = jspa._grid_units(profits, np.array([200, 200]))
+        assert np.array_equal(units, full_dp_units(profits, [200, 200]))
+        assert calls == [[l] for l in range(201)] + [[200]]
 
     def test_dense_relaxation_chunks_stay_in_the_budget(self, monkeypatch):
-        # the flat class divides until its windows grow too wide, then takes the
-        # whole band 0 <= k <= l in slices of at most _DENSE_CELLS cells
-        cn = np.zeros(4001)
-        scans = self.scans(monkeypatch)
-        cells = self.row_cells(monkeypatch)
-        jspa._relax_class(np.zeros(4001), cn, 4000)
-        assert scans == [4001]
-        assert max(count for _, count in cells) <= jspa._DENSE_CELLS
-        band = sum(min(l, 4000) + 1 for l in range(4001))
-        # the band plus the pivot rows valued before the switch
-        assert band == 8_006_001
-        assert sum(count for _, count in cells) == 8_036_009
+        # the flat class takes the whole band 0 <= k <= l in slices of at most _DENSE_CELLS
+        cells = self.cells(monkeypatch)
+        units = jspa._grid_units(np.zeros((2, 4001)), np.array([4000, 4000]))
+        assert units.tolist() == [0, 0]
+        assert cells == [[8_006_001, cells[0][1]], [4001, 4001]]
+        assert band_cells(4000, 4000) == 8_006_001
+        assert cells[0][1] <= jspa._DENSE_CELLS
 
     def test_flat_class_memory_is_bounded(self):
-        # J = 4000 flat levels go to the dense relaxation, whose row chunks hold
-        # at most _DENSE_CELLS cells; the whole band would take 64 MB of floats
-        best, cn = np.zeros(4001), np.zeros(4001)
+        # J = 4000 flat levels leave every column live; the row slices hold at most
+        # _DENSE_CELLS cells, where the whole band would take 64 MB of floats
+        profits = np.zeros((2, 4001))
         tracemalloc.start()
         try:
-            nxt, choice = jspa._relax_class(best, cn, 4000)
+            units = jspa._grid_units(profits, np.array([4000, 4000]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not nxt.any() and not choice.any()
+        assert not units.any()
         assert peak < 2e6
 
-    def test_small_grid_is_finished_at_the_root(self, monkeypatch):
+    def test_small_grid_is_valued_in_one_slice_per_class(self, monkeypatch):
         cn = 1e6 * np.log2(1.0 + self.LEVELS[:41] / 7.0)
-        scans = self.scans(monkeypatch)
-        finishes = self.finishes(monkeypatch)
-        nxt, choice = jspa._relax_class(np.sqrt(self.LEVELS[:41]), cn, 40)
-        assert scans == []
-        # one node per piece, levels s..J over columns 0..J - s: the root
-        s, e = jspa._concave_pieces(cn)
-        root = np.stack((s, np.full(s.size, 40), 0 * s, 40 - s, s, e), axis=1)
-        assert len(finishes) == 1 and np.array_equal(finishes[0], root)
-        expect_nxt, expect_choice = per_level_relaxation(np.sqrt(self.LEVELS[:41]), cn, 40)
-        assert np.array_equal(nxt, expect_nxt) and np.array_equal(choice, expect_choice)
+        monkeypatch.setattr(jspa, "_MARGIN", math.inf)
+        cells = self.cells(monkeypatch)
+        profits = np.stack([np.sqrt(self.LEVELS[:41]), cn, cn])
+        units = jspa._grid_units(profits, np.array([40, 40, 40]))
+        assert np.array_equal(units, full_dp_units(profits, [40, 40, 40]))
+        # every column live: two whole bands, then row 40 alone
+        assert cells == [[band_cells(40, 40)] * 2] * 2 + [[41, 41]]
+
+    def test_live_columns_are_few_on_a_desk_instance(self, monkeypatch):
+        inst = generate_instance(SystemConfig(users=10), 41)
+        _, tables = make_tables(inst, 2)
+        profits = build_knapsack(inst, BudgetObjective(tables))
+        caps = class_unit_caps(inst)
+        spans = []
+        finish = jspa._finish
+
+        def recorded(best, cn, r0, r1, c0, c1):
+            spans.append(c1 - c0 + 1)
+            return finish(best, cn, r0, r1, c0, c1)
+
+        monkeypatch.setattr(jspa, "_finish", recorded)
+        units = jspa._grid_units(profits, caps)
+        assert np.array_equal(units, full_dp_units(profits, caps))
+        assert len(spans) == inst.n_carriers and max(spans) <= 32
 
     @pytest.mark.parametrize("lmax", [0, 1, 5])
     def test_cap_below_the_grid(self, lmax):
         cn = 1e6 * np.log2(1.0 + self.LEVELS / 3.0)
         caps = [lmax, 200, lmax]
         assert_relaxes_like_oracle(np.stack([cn, np.sqrt(self.LEVELS), cn]), caps)
+
+    def test_overspending_multiplier_fathoms_nothing(self):
+        # at lam = 0 every class takes its top item, 600 units past J = 200
+        cn = 1e6 * np.log2(1.0 + self.LEVELS / 3.0)
+        profits = np.stack([cn, cn, cn])
+        caps = np.array([200, 200, 200])
+        assert jspa._incumbent(profits, caps, jspa._lagrangian_split(profits, caps, 0.0)[0]) \
+            == -math.inf
+        assert_relaxes_like_oracle(profits, caps, ("lam_0",))
 
 
 class TestBruteForce:
@@ -1102,6 +1124,8 @@ class TestCrossSolverInvariants:
     @pytest.mark.parametrize("p_max, xi, cap", [
         (8.0, 2.0 ** -10, 230),     # log2(2^13) = 13 exactly
         (10.0, 5e-324, 10880),      # 10 / 5e-324 overflows; log2(10) + 1074 = 1077.3
+        (10.0, 20000.0, 1),         # log2(10 / 20000) = -10.97 gives 0: one iteration stays
+        (10.0, 1e300, 1),
     ])
     def test_default_iteration_cap_values(self, p_max, xi, cap):
         from nomajspa.jspa import default_grad_iteration_cap

@@ -16,11 +16,13 @@ whole-grid read the same items and profits as the lockstep search, its
 DP by profits, on either threshold path, what the index-array DP picks,
 and eps must keep its (1 - eps) guarantee. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
-and converge. opt's divide and conquer must relax every class to the
-per-level scan's values and choices, bit for bit, on grids of up to 400
-levels, at its own cell budget and at both extremes: down to one-row
-nodes and one-row dense chunks, and finished densely at the root. Instances cover K = 1, M = K, tied channels or weights, binding
-per-carrier caps and 30 dB shadowing; budgets cover 0, one grid step, the
+and converge. opt's fathomed DP by weights must backtrack the units of the
+per-level scan chained over every class, bit for bit, on grids of up to 400
+levels and on synthetic profit families (flat, exactly linear, noisy,
+integer steps, kinked, concave, caps below the grid, J < N), as it runs,
+at lam = 0, with no column fathomed and in one-row slices. Instances
+cover K = 1, M = K, tied channels or weights, binding per-carrier caps and
+30 dB shadowing; budgets cover 0, one grid step, the
 cap, p_max and every candidate kink. The eps properties also draw 2-level grids over three
 carriers, so J < N, and one checks the bracket U >= OPT >= U / 4.
 """
@@ -309,3 +311,44 @@ def test_dp_by_profits_matches_index_array_dp(inst):
 def test_relaxation_matches_per_level_oracle(inst):
     profits = build_knapsack(inst, BudgetObjective(tables_of(inst)))
     assert_relaxes_like_oracle(profits, class_unit_caps(inst))
+
+
+@st.composite
+def profit_families(draw):
+    """Synthetic knapsack classes (profits (N, J + 1), caps), none of them all 0.
+
+    Each class is flat, exactly linear, noisy (near-linear, so its gains
+    are rounding noise), integer steps, kinked (two linear branches, the
+    second steeper) or concave; caps fall anywhere in 0..J, and J = 1 to 3
+    with up to 6 classes gives J < N.
+    """
+    carriers = draw(st.integers(1, 6))
+    J = draw(st.sampled_from([1, 2, 3, 10, 40, 150]))
+    levels = np.arange(J + 1, dtype=float)
+    rows, caps = [], []
+    for _ in range(carriers):
+        family = draw(st.sampled_from(["flat", "linear", "noisy", "steps", "kinked", "concave"]))
+        scale = draw(st.sampled_from([1.0, 1e6, 3e7]))
+        if family == "flat":
+            row = np.full(J + 1, scale)
+        elif family == "linear":
+            row = draw(st.sampled_from([0.5, 3.0, 7.0])) * levels
+        elif family == "noisy":
+            row = scale * np.log2(1.0 + 1e-9 * levels)
+        elif family == "steps":
+            row = draw(st.integers(1, 5)) * (1.0 + np.floor(levels / draw(st.integers(1, 7))))
+        elif family == "kinked":
+            knee = draw(st.integers(0, J))
+            steep = draw(st.sampled_from([1e-2, 1.0]))
+            row = scale * (1e-3 * levels + steep * np.maximum(levels - knee, 0.0))
+        else:
+            row = scale * np.log2(1.0 + levels / draw(st.integers(1, 50)))
+        rows.append(row)
+        caps.append(draw(st.one_of(st.just(J), st.integers(0, J))))
+    return np.stack(rows), caps
+
+
+@settings(PROPERTY, max_examples=100)
+@given(profit_families())
+def test_relaxation_matches_per_level_oracle_on_profit_families(family):
+    assert_relaxes_like_oracle(*family)
