@@ -23,11 +23,11 @@ band, in row slices of a fixed cell budget. The choices are bit for bit
 those of the full DP.
 
 eps keeps, per class, the first grid item reaching each multiple of its
-profit scale. It reads them off the whole grid in one F_n call where that
-values few enough budgets, and otherwise by a lockstep binary search that
-keeps only what it probed; grid profits are non-decreasing, so both pick
-the same items. Its DP by profits relaxes a class's items a chunk at a
-time, in integer arithmetic, with the per-item loop's tie rule.
+profit scale. One binary search finds them for every class at once, one
+stacked F_n read per depth of the classes' search trees, so its cost grows
+with log J, not J, and it keeps only what it probed. Its DP by profits
+relaxes a class's items a chunk at a time, in integer arithmetic, with
+the per-item loop's tie rule.
 """
 
 from __future__ import annotations
@@ -54,14 +54,9 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, of the larger par
 # times the largest magnitude a DP sum reaches, far above their rounding
 _DENSE_CELLS = 2 ** 15
 _MARGIN = 1e-9
-# eps reads a class's whole grid where that values at most _GRID_PER_PROBE times
-# as many budgets as its lockstep search may; one whole-grid call was measured
-# faster up to about 1.4 times as many (K = 40, 1600 targets) and past 16 times
-# (K = 5, 64 targets). Its DP by profits relaxes items in chunks of at most
-# _DP_CELLS candidate weights (one item at least), so its scratch is O(T) cells
-# for T targets, not O(items * T); chunks of 10 to 300 items timed alike on
-# every workload shape
-_GRID_PER_PROBE = 1.5
+# eps's DP by profits relaxes items in chunks of at most _DP_CELLS candidate
+# weights (one item at least), so its scratch is O(T) cells for T targets, not
+# O(items * T); chunks of 10 to 300 items timed alike on every workload shape
 _DP_CELLS = 2 ** 16
 
 BRUTE_FORCE_LIMIT = 10 ** 7
@@ -413,7 +408,7 @@ def _lagrangian_split(profits: np.ndarray, caps: np.ndarray, lam: float):
     return x, reduced[np.arange(x.size), x]
 
 
-def _knapsack_multiplier(profits: np.ndarray, caps: np.ndarray) -> float:
+def _knapsack_multiplier(profits: np.ndarray, caps: np.ndarray):
     """A lam >= 0 whose split x(lam) fits the J units, for opt's Lagrangian bound.
 
     Where the caps fit J, the smallest positive in-cap gain c_n[l] - c_n[l - 1]
@@ -421,20 +416,24 @@ def _knapsack_multiplier(profits: np.ndarray, caps: np.ndarray) -> float:
     at 0: at most J gains exceed it, so a concave class takes no more units
     than its gains above lam and the split fits. A class that is not
     concave may take more; then lam rises to the next larger gain until it
-    fits, or until no gain is left above it.
+    fits, or until no gain is left above it. Returns lam with its split
+    x(lam) and phi(lam) (`_lagrangian_split`).
     """
     J = profits.shape[1] - 1
     gains = np.diff(profits, axis=1)
     gains[np.arange(J) >= caps[:, None]] = -np.inf  # gain l + 1 lies in the cap iff l < lmax
     if caps.sum() <= J:
         positive = gains[gains > 0.0]
-        return float(positive.min()) if positive.size else 0.0
+        lam = float(positive.min()) if positive.size else 0.0
+        return (lam, *_lagrangian_split(profits, caps, lam))
     lam = max(0.0, float(np.partition(gains, gains.size - J - 1, axis=None)[gains.size - J - 1]))
     above = gains[gains > lam]
-    while above.size and _lagrangian_split(profits, caps, lam)[0].sum() > J:
+    x, phi = _lagrangian_split(profits, caps, lam)
+    while above.size and x.sum() > J:
         lam = float(above.min())
         above = above[above > lam]
-    return lam
+        x, phi = _lagrangian_split(profits, caps, lam)
+    return lam, x, phi
 
 
 def _incumbent(profits: np.ndarray, caps: np.ndarray, x: np.ndarray) -> float:
@@ -540,8 +539,7 @@ def _grid_units(profits: np.ndarray, caps: np.ndarray) -> np.ndarray:
     reads only path rows.
     """
     N, J = profits.shape[0], profits.shape[1] - 1
-    lam = _knapsack_multiplier(profits, caps)
-    x, phi = _lagrangian_split(profits, caps, lam)
+    lam, x, phi = _knapsack_multiplier(profits, caps)
     scale = float(np.maximum(profits.max(axis=1), -profits.min(axis=1)).sum()) + lam * J
     floor = _incumbent(profits, caps, x) - _MARGIN * scale
     tail = np.cumsum(phi[::-1])[::-1]  # Phi_n
@@ -681,73 +679,71 @@ def estimate_upper_bound(instance: Instance, tables: list,
     return 2.0 * max(greedy, float(profits.max(initial=0.0)))
 
 
-def select_items(lmax: int, targets: np.ndarray, profit_fn) -> list:
-    """Smallest grid index in [1, lmax] whose profit reaches each target.
+def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn) -> list:
+    """Per class n, the smallest grid index in [1, lmax_n] whose profit reaches each target.
 
-    targets is ascending; a target above the profit of lmax has no item.
-    The binary searches of all targets run in lockstep: each round looks
-    up the unique midpoints of the open searches in one `profit_fn` call
-    (int index array in, float array out) and narrows every search with
-    one comparison. With the lookup of the top profit first, that is at
-    most ceil(log2(lmax + 1)) + 1 calls. A search finds the first crossing,
-    as a one-target-at-a-time search does, only because grid profits are
-    non-decreasing (`test_grid_profits_are_non_decreasing` checks this).
-    The open searches sit at one depth of one search tree over [1, lmax],
-    so no index is probed twice, and each returned index (lmax or a
-    midpoint that reached its target) was probed. Returns sorted unique
-    indices. Nothing it keeps is sized by lmax.
+    lmax is (N,), targets an ascending array, and profit_fn maps an (N, L) int
+    index array to its (N, L) profits, row n read on class n. Returns, per
+    class, (ls, profits): the sorted distinct indices that first reach some
+    target and their profits. A target above the profit of lmax_n has no
+    item, and a class with lmax_n < 1 has none.
+
+    One binary search tree per class, all walked together; F(l) is the
+    class's profit at grid index l. A node is a class, a grid interval
+    [lo, hi], the run [t0, t1) of targets it holds and F(hi). Round 0
+    reads every class's top F(lmax_n) in one call, and a class's root is
+    [1, lmax_n] with the targets up to that top. Each round, every node
+    with lo < hi probes mid = (lo + hi) // 2. All the round's probes go
+    into one (N, L) `profit_fn` call whose rows are padded with lmax_n, so
+    every row stays non-decreasing. One np.searchsorted of F(mid) splits
+    each node's run between its children [lo, mid], which takes the
+    targets F(mid) reaches, and [mid + 1, hi].
+    Empty children are dropped, and nodes stay in (class, lo) order.
+    Leaves are the items, each worth its F(hi).
+
+    Why a leaf is the first crossing of each of its targets t. Every node
+    has t <= F(hi), and lo = 1 or F(lo - 1) < t: the root by its run, and
+    the split keeps both on both sides. So at a leaf, lo = hi is the first
+    index of [1, lmax_n] that reaches t, if grid profits are non-decreasing
+    (`test_grid_profits_are_non_decreasing` checks this); that is also the
+    index np.searchsorted finds on the whole grid. The nodes at one depth
+    are disjoint intervals and a mid lies below its hi, so no index is
+    probed twice, apart from the lmax_n padding. The tree over [1, lmax_n]
+    is ceil(log2(lmax_n)) deep, so there are at most ceil(log2(J + 1)) + 1
+    calls, each of at most N * T budgets for T targets, and nothing kept is
+    sized by lmax.
     """
-    if lmax < 1:
-        return []
-    targets = targets[targets <= profit_fn(np.array([lmax]))[0]]
-    lo = np.ones(targets.size, dtype=np.int64)
-    hi = np.full(targets.size, lmax, dtype=np.int64)
-    open_ = lo < hi
-    while open_.any():
-        mid = (lo[open_] + hi[open_]) // 2
-        probes = np.unique(mid)
-        reached = profit_fn(probes)[np.searchsorted(probes, mid)] >= targets[open_]
-        hi[open_] = np.where(reached, mid, hi[open_])
-        lo[open_] = np.where(reached, lo[open_], mid + 1)
-        open_ = lo < hi
-    return np.unique(lo).tolist()
-
-
-def _lockstep_probes(lmax: int, targets: int) -> int:
-    """Most budgets `select_items` values on [1, lmax] for that many targets.
-
-    The top, then at each depth d of its search tree, d < ceil(log2(lmax + 1)),
-    one midpoint per open search but at most one per node: min(2^d, targets).
-    """
-    return 1 + sum(min(2 ** d, targets) for d in range(lmax.bit_length()))
-
-
-def _class_items(objective: BudgetObjective, n: int, lmax: int, targets: np.ndarray,
-                 delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices of class n's items, the first crossings of targets, and their profits.
-
-    Reads the whole grid 0..lmax in one `profits` call and finds every
-    crossing by np.searchsorted where that values at most _GRID_PER_PROBE
-    times as many budgets as the lockstep search may (`_lockstep_probes`);
-    it then holds lmax + 1 floats. Elsewhere, at a tiny eps or on a huge
-    grid, `select_items` searches and keeps only the profits it probed,
-    O(T) floats for T targets. Both find the same indices: grid profits are
-    non-decreasing, so the first crossing in the sorted grid is the binary
-    search's answer.
-    """
-    if lmax + 1 <= _GRID_PER_PROBE * _lockstep_probes(lmax, targets.size):
-        cn = objective.profits(n, _grid(lmax, delta))
-        ls = np.unique(np.searchsorted(cn[1:], targets[targets <= cn[lmax]]) + 1)
-        return ls, cn[ls]
-    probed = {}  # grid index -> F_n(l * delta), for the indices select_items probes
-
-    def profit(ls: np.ndarray) -> np.ndarray:
-        vals = objective.profits(n, ls * delta)
-        probed.update(zip(ls.tolist(), vals.tolist()))
-        return vals
-
-    ls = select_items(lmax, targets, profit)
-    return np.array(ls, dtype=np.int64), np.array([probed[l] for l in ls], dtype=float)
+    lmax = np.asarray(lmax, dtype=np.int64)
+    top = profit_fn(lmax[:, None])[:, 0]
+    runs = np.where(lmax >= 1, np.searchsorted(targets, top, side="right"), 0)
+    cls = np.flatnonzero(runs)
+    # one row (class, lo, hi, t0, t1) per node, and f its F(hi)
+    node = np.stack((cls, np.ones_like(cls), lmax[cls], np.zeros_like(cls), runs[cls]), axis=1)
+    f = top[cls]
+    # a round is a few dozen calls on small arrays, so it calls array methods,
+    # not their np wrappers, which cost more than the work on tiny grids
+    while True:
+        cls, lo, hi, t0, t1 = node.T
+        mid = (lo + hi) // 2
+        probe = mid < hi  # a leaf's mid is itself, worth its F(hi)
+        c = cls[probe]
+        if not c.size:
+            break
+        rank = np.arange(c.size) - c.searchsorted(c)  # among its class's probes
+        ls = lmax[:, None].repeat(rank.max() + 1, axis=1)
+        ls[c, rank] = mid[probe]
+        f_mid = f.copy()
+        f_mid[probe] = profit_fn(ls)[c, rank]
+        cut = np.minimum(np.maximum(targets.searchsorted(f_mid, side="right"), t0), t1)
+        # children [lo, mid] with targets [t0, cut) and [mid + 1, hi] with
+        # [cut, t1), left first, those with a target kept; a leaf's right
+        # child has none
+        split = node[:, None].repeat(2, axis=1)
+        split[:, 0, 2], split[:, 0, 4], split[:, 1, 1], split[:, 1, 3] = mid, cut, mid + 1, cut
+        keep = split[:, :, 3] < split[:, :, 4]
+        node, f = split[keep], np.array((f_mid, f)).T[keep]
+    bounds = np.searchsorted(node[:, 0], np.arange(lmax.size + 1))
+    return [(node[a:b, 1], f[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
@@ -755,17 +751,15 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
 
     Profits are scaled by eps*U/(4N) and floored to small integers. Each
     class keeps the grid items that first reach the multiples of that scale
-    up to floor(4N/eps) (`_class_items`), then a DP by profits finds, for
+    up to floor(4N/eps) (`select_items`), then a DP by profits finds, for
     every reachable scaled profit q, the least total weight (in exact grid
     units) achieving it; the answer is the largest q whose weight fits the
     budget. The reported value re-evaluates the recovered items unscaled,
     since scaling is only a search device.
 
-    Time and memory, per class, with T = floor(4N/eps) targets: the
-    thresholds cost whichever is cheaper of the lockstep search, O(T log J)
-    budgets valued and the O(T) profits it probed kept, and one read of the
-    whole grid, lmax + 1 budgets and floats, taken only where that is at
-    most _GRID_PER_PROBE times the search's count (`_class_items`). The DP
+    Time and memory, with T = floor(4N/eps) targets: the thresholds of all
+    classes cost at most ceil(log2(J + 1)) + 1 stacked F_n reads, each of at
+    most N * T budgets, and O(N * T) kept floats, whatever J is. The DP
     relaxes a class's items a chunk at a time, one shifted copy of the
     weights per item, so beside its (N, T + 1) int32 choices and a few rows of
     T + 1 cells it holds a few arrays of at most max(_DP_CELLS, T + 1)
@@ -787,11 +781,10 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
     targets = np.arange(1, q_cap + 1) * scale
-    caps = class_unit_caps(instance)
 
     items = []  # per class: (grid indices, scaled profits) of its selected items
-    for n in range(N):
-        ls, profits = _class_items(objective, n, int(caps[n]), targets, instance.delta)
+    for ls, profits in select_items(class_unit_caps(instance), targets,
+                                    lambda ls: best_values(objective.cands, ls * instance.delta)):
         scaled = np.floor(profits / scale).astype(np.int64)
         # an item of no scaled profit never beats skipping its class
         items.append((ls[scaled > 0], scaled[scaled > 0]))

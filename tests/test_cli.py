@@ -129,7 +129,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
-        (True, "3d53c6673e8187a27ebc24c63bbfa65531b9cb8a951c42154c659501dee75558"),
+        (True, "9d2a5478a3183ca6245b544f54ff2326d41176dbf9a85f061d94f181e8246915"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

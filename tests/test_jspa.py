@@ -15,8 +15,8 @@ from nomajspa.model import (
     generate_instance,
     wsr_from_x,
 )
-from nomajspa.single_carrier import (fn_value_many, iscus_precompute, left_derivatives,
-                                     stack_candidates)
+from nomajspa.single_carrier import (best_values, fn_value_many, iscus_precompute,
+                                     left_derivatives, stack_candidates)
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
     BudgetObjective,
@@ -48,21 +48,16 @@ def identical_carrier_instance(carriers=2, eta=0.3, weight=0.8, p_max=10.0, delt
                     delta=delta, max_mux=1)
 
 
-def carried_lo_select_items(instance, n, upper, eps, profit):
-    """One threshold at a time, each binary search starting at the last one's index.
+def carried_lo_select_items(lmax, targets, profit):
+    """One target at a time, each binary search starting at the last one's index.
 
-    The search `select_items` ran before its lockstep form, kept as its
-    oracle; profit maps one grid index to its profit.
+    The search `select_items` ran before its lockstep form, kept as one of
+    its oracles; profit maps one grid index to its profit.
     """
-    N = instance.n_carriers
-    lmax = int(class_unit_caps(instance)[n])
-    thresholds = int(math.floor(4.0 * N / eps))
-    step = eps * upper / (4.0 * N)
     chosen = []
     lo = 1
-    top = profit(lmax) if lmax >= 1 else 0.0
-    for t in range(1, thresholds + 1):
-        target = t * step
+    top = profit(lmax) if lmax >= 1 else -math.inf
+    for target in targets:
         if target > top:
             break
         # smallest l in [lo, lmax] with profit >= target (profits are monotone)
@@ -78,32 +73,77 @@ def carried_lo_select_items(instance, n, upper, eps, profit):
     return chosen
 
 
-def eps_select_items(instance, n, upper, eps, profit):
-    """`select_items` on class n with eps_jspa's thresholds: multiples of eps*U/(4N)."""
+def full_scan_select_items(row, lmax, targets):
+    """Every target's first index in [1, lmax] whose profit in row reaches it, scanned."""
+    chosen = []
+    for target in targets:
+        hits = np.flatnonzero(row[1:lmax + 1] >= target)
+        if hits.size == 0:
+            break
+        if not chosen or chosen[-1] != hits[0] + 1:
+            chosen.append(int(hits[0]) + 1)
+    return chosen
+
+
+def grid_select_items(row, lmax, targets):
+    """The crossings np.searchsorted finds on the whole grid row[0..lmax], and their profits.
+
+    eps's whole-grid threshold read, kept as an oracle of `select_items`;
+    it needs a non-decreasing row.
+    """
+    if lmax < 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    cn = row[:lmax + 1]
+    ls = np.unique(np.searchsorted(cn[1:], targets[targets <= cn[lmax]]) + 1)
+    return ls, cn[ls]
+
+
+def eps_targets(instance, upper, eps):
+    """eps_jspa's thresholds: the multiples of eps * U / (4N) up to floor(4N / eps)."""
     N = instance.n_carriers
-    targets = np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
-    return select_items(int(class_unit_caps(instance)[n]), targets, profit)
+    return np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
 
 
-def class_profit(objective, n, delta):
-    """Batch lookup ls -> F_n(ls * delta) of class n: the values eps_jspa gives select_items."""
-    return lambda ls: objective.profits(n, np.asarray(ls) * delta)
+def stacked_profit(objective, delta):
+    """eps_jspa's profit_fn: (N, L) grid indices to F_n(l * delta), row n on class n."""
+    return lambda ls: best_values(objective.cands, ls * delta)
 
 
-def lockstep_and_oracle(instance, tables, objective, n, upper, eps):
-    """`select_items` on class n and its oracle, both reading one class's profits."""
-    profit = class_profit(objective, n, instance.delta)
-    scalar = lambda l: float(profit(np.array([l]))[0])
-    return (eps_select_items(instance, n, upper, eps, profit),
-            carried_lo_select_items(instance, n, upper, eps, scalar))
+def eps_select_items(instance, objective, upper, eps):
+    """`select_items` as eps_jspa calls it: per class (ls, profits)."""
+    return select_items(class_unit_caps(instance), eps_targets(instance, upper, eps),
+                        stacked_profit(objective, instance.delta))
+
+
+def assert_selects_like_oracles(lmax, targets, profit_fn, rows):
+    """`select_items` picks, per class, what each oracle picks, at their grid profits.
+
+    rows[n] holds class n's grid profits 0..lmax_n, as profit_fn reads them.
+    """
+    picked = select_items(lmax, targets, profit_fn)
+    assert len(picked) == len(rows)
+    for (ls, profits), row, top in zip(picked, rows, lmax):
+        top = int(top)
+        grid_ls, grid_profits = grid_select_items(row, top, targets)
+        assert ls.dtype == np.int64
+        assert np.array_equal(ls, grid_ls) and np.array_equal(profits, grid_profits)
+        assert ls.tolist() == full_scan_select_items(row, top, targets)
+        assert ls.tolist() == carried_lo_select_items(top, targets, lambda l: row[l])
+
+
+def class_rows(instance, objective):
+    """Each class's grid profits 0..lmax_n, one `BudgetObjective.profits` read per class."""
+    return [objective.profits(n, np.arange(lmax + 1) * instance.delta)
+            for n, lmax in enumerate(class_unit_caps(instance))]
 
 
 def index_array_eps_budgets(instance, tables, eps, upper):
     """eps_jspa's budgets by the index-array DP by profits it ran before its slice form.
 
-    Kept as the oracle of that DP: the same item selection, by the lockstep
-    search, then every item in turn relaxes `np.arange(q_item, q_cap + 1)`
-    by fancy indexing, skipping items of no scaled profit inside the loop.
+    Kept as the oracle of that DP: the same items, read off each class's
+    whole grid (`grid_select_items`), then every item in turn relaxes
+    `np.arange(q_item, q_cap + 1)` by fancy indexing, skipping items of no
+    scaled profit inside the loop.
     """
     N = instance.n_carriers
     if upper <= 0:
@@ -112,12 +152,10 @@ def index_array_eps_budgets(instance, tables, eps, upper):
     scale = eps * upper / (4.0 * N)
     q_cap = int(math.floor(4.0 * N / eps))
     targets = np.arange(1, q_cap + 1) * scale
-    caps = class_unit_caps(instance)
     items = []
-    for n in range(N):
-        profit = class_profit(objective, n, instance.delta)
-        ls = np.array(select_items(int(caps[n]), targets, profit), dtype=np.int64)
-        items.append((ls, np.floor(profit(ls) / scale).astype(np.int64)))
+    for row in class_rows(instance, objective):
+        ls, profits = grid_select_items(row, row.size - 1, targets)
+        items.append((ls, np.floor(profits / scale).astype(np.int64)))
 
     inf = np.iinfo(np.int64).max // 2
     weight = np.full(q_cap + 1, inf, dtype=np.int64)
@@ -187,7 +225,8 @@ def full_dp_units(profits, caps):
 # profit that is not 0); and rows valued one per slice
 DP_SETTINGS = {
     "default": {},
-    "lam_0": {"_knapsack_multiplier": lambda profits, caps: 0.0},
+    "lam_0": {"_knapsack_multiplier":
+              lambda profits, caps: (0.0, *jspa._lagrangian_split(profits, caps, 0.0))},
     "margin_inf": {"_MARGIN": math.inf},
     "one_row_slices": {"_DENSE_CELLS": 0},
 }
@@ -223,14 +262,9 @@ def assert_relaxes_like_oracle(profits, caps, settings=tuple(DP_SETTINGS)):
             assert np.array_equal(jspa._grid_units(profits, caps), expect), name
 
 
-def grid_profit(instance, table):
-    """`select_items`' profit_fn for one table: grid indices to F_n values."""
-    return lambda ls: fn_value_many(table, ls * instance.delta)
-
-
-def select_rounds_bound(instance, n):
-    """Most `profit_fn` calls `select_items` may make on class n."""
-    return math.ceil(math.log2(int(class_unit_caps(instance)[n]) + 1)) + 1
+def select_rounds_bound(instance):
+    """Most `profit_fn` calls `select_items` may make on the instance's classes."""
+    return math.ceil(math.log2(int(class_unit_caps(instance).max()) + 1)) + 1
 
 
 def bisection_projection(v, p_max, caps):
@@ -565,7 +599,7 @@ class TestOptJspa:
         assert sol.wsr == pytest.approx(bf.wsr, rel=1e-9)
 
     def test_fine_grid_solve_memory_is_bounded(self):
-        # fine_grid shape: K = 5, N = 20, J = 4000; 11 of its 20 classes have 3 concave pieces
+        # fine_grid shape: K = 5, N = 20, J = 4000
         inst = generate_instance(SystemConfig(users=5, max_mux=2, delta_w=0.0025), 71004)
         _, tables = make_tables(inst)
         assert inst.n_power_levels == 4000
@@ -576,9 +610,11 @@ class TestOptJspa:
         finally:
             tracemalloc.stop()
         assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
-        # the (N, J + 1) profits and choices take 1.3 MB, the dense finish's
-        # scratch about 25 bytes per cell of _DENSE_CELLS; one dense block per
-        # class would take (J + 1)^2 floats, 128 MB
+        # the peak, about 2.1 MB, is the multiplier's pick: the (N, J + 1)
+        # profits, their gains and one reduced copy, 0.64 MB each. The fathomed
+        # pass then holds a few rows of J + 1 floats and at most _DENSE_CELLS
+        # cells of scratch, about 25 bytes each; a full DP table of one class
+        # would take (J + 1)^2 floats, 128 MB
         assert peak < 3.5e6
 
 
@@ -609,7 +645,7 @@ class TestRelaxClass:
     def test_exactly_linear_classes_tie_at_their_multiplier(self):
         # every gain is exactly 3, so lam = 3 and every split ties in the bound
         cn = 3.0 * self.LEVELS
-        assert jspa._knapsack_multiplier(np.stack([cn, cn]), np.array([200, 200])) == 3.0
+        assert jspa._knapsack_multiplier(np.stack([cn, cn]), np.array([200, 200]))[0] == 3.0
         assert_relaxes_like_oracle(np.stack([2.0 * np.sqrt(self.LEVELS), cn, cn]), [200] * 3)
 
     def test_identical_classes_tie_exactly(self):
@@ -829,9 +865,11 @@ class TestSelectItems:
     def test_empty_when_threshold_exceeds_top_profit(self):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
         _, tables = make_tables(inst, 2)
+        objective = BudgetObjective(tables)
         top = fn_value_many(tables[0], [inst.n_power_levels * inst.delta])[0]
-        huge = top * 16.0 * inst.n_carriers  # first threshold lands above top
-        assert eps_select_items(inst, 0, huge, 1.0, grid_profit(inst, tables[0])) == []
+        huge = top * 16.0 * inst.n_carriers  # first threshold lands above every top
+        for ls, profits in eps_select_items(inst, objective, huge, 1.0):
+            assert ls.size == 0 and profits.size == 0
 
     def test_empty_on_nonpositive_estimate(self, monkeypatch):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
@@ -841,58 +879,67 @@ class TestSelectItems:
         assert np.array_equal(sol.budgets, np.zeros(inst.n_carriers)) and sol.wsr == 0.0
 
     def test_linear_profits_hit_threshold_multiples(self):
-        # synthetic profits c_l = l on a grid of 100 levels
+        # synthetic profits c_l = l on a grid of 100 levels, 2 l on a second class
         linear = lambda ls: ls.astype(float)
+
+        def one_class(lmax, targets):
+            return select_items(np.array([lmax]), targets, linear)[0][0].tolist()
+
         step = 5
-        got = select_items(100, np.arange(1, 9) * float(step), linear)
-        assert got == [step * k for k in range(1, 9)]
+        assert one_class(100, np.arange(1, 9) * float(step)) == [step * k for k in range(1, 9)]
         # finer thresholds: crossings are exact ceilings
         fine_step = 1.25
-        got = select_items(100, np.arange(1, 33) * fine_step, linear)
         expect = sorted({math.ceil(k * fine_step) for k in range(1, 33)})
-        assert got == expect
+        assert one_class(100, np.arange(1, 33) * fine_step) == expect
         # thresholds past the top profit have no item, and nothing is left at lmax = 0
-        assert select_items(100, np.array([50.0, 100.0, 101.0]), linear) == [50, 100]
-        assert select_items(0, np.array([0.0]), linear) == []
+        assert one_class(100, np.array([50.0, 100.0, 101.0])) == [50, 100]
+        assert one_class(0, np.array([0.0])) == []
+        # classes are searched together, each on its own row and cap
+        picked = select_items(np.array([100, 0, 50]), np.array([20.0, 70.0, 101.0]),
+                              lambda ls: ls * np.array([[1.0], [1.0], [2.0]]))
+        assert [ls.tolist() for ls, _ in picked] == [[20, 70], [], [10, 35]]
+        assert [profits.tolist() for _, profits in picked] == [[20.0, 70.0], [], [20.0, 70.0]]
 
     def test_matches_full_scan_oracle(self):
         rng = np.random.default_rng(6)
         for seed in range(10):
             inst = small_instance(seed + 600, users=3, carriers=2, max_mux=2)
             _, tables = make_tables(inst, 2)
+            objective = BudgetObjective(tables)
             upper = estimate_upper_bound(inst, tables)
             eps = float(rng.choice([0.5, 0.2, 0.1]))
-            for n in range(2):
-                got = eps_select_items(inst, n, upper, eps, grid_profit(inst, tables[n]))
+            targets = eps_targets(inst, upper, eps)
+            picked = eps_select_items(inst, objective, upper, eps)
+            for n, (ls, _) in enumerate(picked):
                 levels = int(class_unit_caps(inst)[n])
-                profits = fn_value_many(tables[n],
-                                        np.arange(levels + 1) * inst.delta)
-                step = eps * upper / (4.0 * inst.n_carriers)
-                expect = []
-                for t in range(1, int(4.0 * inst.n_carriers / eps) + 1):
-                    hits = np.nonzero(profits >= t * step)[0]
-                    if hits.size == 0:
-                        break
-                    if not expect or expect[-1] != int(hits[0]):
-                        if hits[0] > 0:
-                            expect.append(int(hits[0]))
-                assert got == expect
+                row = fn_value_many(tables[n], np.arange(levels + 1) * inst.delta)
+                assert ls.tolist() == full_scan_select_items(row, levels, targets)
 
     def test_eval_budget_respected(self):
         inst = small_instance(53, users=4, carriers=2, max_mux=2, levels=512)
         _, tables = make_tables(inst, 2)
+        objective = BudgetObjective(tables)
         upper = estimate_upper_bound(inst, tables)
         calls = []
+        profit = stacked_profit(objective, inst.delta)
 
         def counting(ls):
             calls.append(ls.copy())
-            return fn_value_many(tables[0], ls * inst.delta)
+            return profit(ls)
 
         eps = 0.25
-        got = eps_select_items(inst, 0, upper, eps, counting)
-        assert len(calls) <= select_rounds_bound(inst, 0)
-        scalar = lambda l: float(fn_value_many(tables[0], np.array([l * inst.delta]))[0])
-        assert got == carried_lo_select_items(inst, 0, upper, eps, scalar)
+        caps = class_unit_caps(inst)
+        picked = select_items(caps, eps_targets(inst, upper, eps), counting)
+        assert len(calls) <= select_rounds_bound(inst)
+        # one stacked read per round, each row non-decreasing and within its cap
+        for ls in calls:
+            assert ls.shape[0] == inst.n_carriers and np.all(np.diff(ls, axis=1) >= 0)
+            assert np.all((ls >= 1) & (ls <= caps[:, None]))
+        for n, (ls, profits) in enumerate(picked):
+            scalar = lambda l: float(fn_value_many(tables[n], np.array([l * inst.delta]))[0])
+            expect = carried_lo_select_items(int(caps[n]), eps_targets(inst, upper, eps), scalar)
+            assert ls.tolist() == expect
+            assert np.array_equal(profits, fn_value_many(tables[n], ls * inst.delta))
 
     def test_matches_carried_lo_oracle(self):
         for seed in range(6):
@@ -900,10 +947,10 @@ class TestSelectItems:
             _, tables = make_tables(inst, 2)
             objective = BudgetObjective(tables)
             upper = estimate_upper_bound(inst, tables)
+            rows = class_rows(inst, objective)
             for eps in (0.5, 0.1, 0.05):
-                for n in range(inst.n_carriers):
-                    got, expect = lockstep_and_oracle(inst, tables, objective, n, upper, eps)
-                    assert got == expect
+                assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, upper, eps),
+                                            stacked_profit(objective, inst.delta), rows)
 
 
 class TestEpsJspa:
@@ -927,30 +974,57 @@ class TestEpsJspa:
         inst = small_instance(71, users=3, carriers=1, max_mux=2)
         _, tables = make_tables(inst, 2)
         upper = estimate_upper_bound(inst, tables)
+        objective = BudgetObjective(tables)
         for eps in (0.7, 0.3, 0.05):
-            chosen = eps_select_items(inst, 0, upper, eps, grid_profit(inst, tables[0]))
-            best = fn_value_many(tables[0], np.array(chosen) * inst.delta).max()
-            assert eps_jspa(inst, tables, eps).wsr == pytest.approx(best, rel=1e-12)
+            [(_, profits)] = eps_select_items(inst, objective, upper, eps)
+            assert eps_jspa(inst, tables, eps).wsr == pytest.approx(profits.max(), rel=1e-12)
+
+    @staticmethod
+    def grid_reads(monkeypatch, inst, tables):
+        """The (N, L) grid indices of every F_n read eps makes after its estimate.
+
+        U is read beforehand, so the estimate's own F_n read is not recorded.
+        """
+        upper = estimate_upper_bound(inst, tables)
+        real = jspa.best_values
+        reads = []
+
+        def values(cands, budgets):
+            reads.append(np.rint(budgets / inst.delta).astype(np.int64))
+            return real(cands, budgets)
+
+        monkeypatch.setattr(jspa, "best_values", values)
+        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: upper)
+        return reads
 
     def test_each_profit_is_looked_up_once(self, monkeypatch):
         inst = small_instance(72, users=4, carriers=3, max_mux=2, levels=200)
         _, tables = make_tables(inst, 2)
-        real = BudgetObjective.profits
-        calls, lookups = [], []
-
-        def recording(objective, n, budgets):
-            calls.append((id(objective), n))
-            units = np.rint(np.atleast_1d(budgets) / inst.delta).astype(int).tolist()
-            lookups.extend((id(objective), n, l) for l in units)
-            return real(objective, n, budgets)
-
-        monkeypatch.setattr(BudgetObjective, "profits", recording)
+        reads = self.grid_reads(monkeypatch, inst, tables)
         sol = eps_jspa(inst, tables, 0.1)
         assert np.count_nonzero(sol.budgets) > 0
+        caps = class_unit_caps(inst)
+        # every read is the threshold search's: round 0 reads each class's
+        # cap, and later rounds pad their rows with it
+        assert len(reads) <= select_rounds_bound(inst)
+        assert np.array_equal(reads[0], caps[:, None])
+        lookups = [(n, l) for ls in reads[1:] for n, row in enumerate(ls.tolist())
+                   for l in row if l != caps[n]]
         assert lookups and len(lookups) == len(set(lookups))
-        # every call is a threshold search's own: the chosen items' profits come from what it read
-        for key in set(calls):
-            assert calls.count(key) <= select_rounds_bound(inst, key[1])
+
+    def test_desk_solve_reads_in_few_stacked_rounds(self, monkeypatch):
+        # desk shape: K = 10, N = 20, J = 1000, eps = 0.1; the whole grid is 20 * 1001 budgets
+        inst = generate_instance(SystemConfig(users=10, max_mux=2), 5)
+        _, tables = make_tables(inst)
+        reads = self.grid_reads(monkeypatch, inst, tables)
+        assert eps_jspa(inst, tables, 0.1).wsr > 0
+        assert 1 < len(reads) <= select_rounds_bound(inst)
+        caps = class_unit_caps(inst)
+        valued = [(n, l) for ls in reads for n, row in enumerate(ls.tolist())
+                  for l in row if l != caps[n]]
+        assert len(valued) == len(set(valued))
+        # far fewer budgets than the whole grid
+        assert sum(ls.size for ls in reads) < 0.2 * int((caps + 1).sum())
 
     def test_memory_does_not_grow_with_the_grid(self):
         # J = 10^7 levels: any per-class array sized by the grid would take 80 MB
@@ -968,33 +1042,6 @@ class TestEpsJspa:
         assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
         assert peak < 4e6
 
-    def test_desk_solve_reads_each_class_grid_once(self, monkeypatch):
-        # desk shape: K = 10, N = 20, J = 1000, eps = 0.1, so every class reads its whole grid
-        inst = generate_instance(SystemConfig(users=10, max_mux=2), 5)
-        _, tables = make_tables(inst)
-        upper = estimate_upper_bound(inst, tables)
-        real_profits, real_values = BudgetObjective.profits, jspa.best_values
-        classes, reads = [], []
-
-        def profits(objective, n, budgets):
-            classes.append(n)
-            return real_profits(objective, n, budgets)
-
-        def values(cands, budgets):
-            reads.append(np.array(budgets))
-            return real_values(cands, budgets)
-
-        monkeypatch.setattr(BudgetObjective, "profits", profits)
-        monkeypatch.setattr(jspa, "best_values", values)
-        # U is read beforehand, so the estimate's own F_n read is not counted
-        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: upper)
-        assert eps_jspa(inst, tables, 0.1).wsr > 0
-        assert classes == list(range(inst.n_carriers))
-        # and no other F_n read: one row per class, its grid 0..lmax
-        assert len(reads) == inst.n_carriers
-        for budgets, lmax in zip(reads, class_unit_caps(inst)):
-            assert np.array_equal(budgets, np.arange(lmax + 1)[None, :] * inst.delta)
-
     def test_tiny_epsilon_dp_memory_is_bounded(self):
         # eps = 1e-3 on 3 carriers: q_cap = 12000, and a class has over 500 items,
         # so one array of a class's candidate weights would take about 50 MB
@@ -1004,11 +1051,8 @@ class TestEpsJspa:
         eps = 1e-3
         upper = estimate_upper_bound(inst, tables)
         q_cap = int(4 * inst.n_carriers / eps)
-        targets = np.arange(1, q_cap + 1) * (eps * upper / (4.0 * inst.n_carriers))
-        objective = BudgetObjective(tables)
-        caps = class_unit_caps(inst)
-        items = max(jspa._class_items(objective, n, int(caps[n]), targets, inst.delta)[0].size
-                    for n in range(inst.n_carriers))
+        items = max(ls.size for ls, _ in
+                    eps_select_items(inst, BudgetObjective(tables), upper, eps))
         assert items * (q_cap + 1) * 8 > 40e6
         tracemalloc.start()
         try:

@@ -11,10 +11,12 @@ derivatives stacked as one subcarrier at a time, and leave the exact solvers' ag
 The stack of each subcarrier's distinct candidates must answer every F_n
 reader as the full stack of all K does, bit for bit, at 0, p_max, random
 budgets and every candidate entry and its two float neighbours. eps's
-lockstep item selection must pick what the one-threshold-at-a-time search picks, its
-whole-grid read the same items and profits as the lockstep search, its
-DP by profits, on either threshold path, what the index-array DP picks,
-and eps must keep its (1 - eps) guarantee. Gradient ascent must stay
+batched item selection must pick, per class, what the one-threshold-at-a-time
+search, a full scan and the whole grid's np.searchsorted pick, at the whole
+grid's profits, on instances and on synthetic profit families (flat,
+steps, a class with lmax = 0 and one with no reachable target); its DP by
+profits, in whole or one-item chunks, what the index-array DP picks; and
+eps must keep its (1 - eps) guarantee. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
 and converge. opt's fathomed DP by weights must backtrack the units of the
 per-level scan chained over every class, bit for bit, on grids of up to 400
@@ -27,7 +29,6 @@ cap, p_max and every candidate kink. The eps properties also draw 2-level grids 
 carriers, so J < N, and one checks the bracket U >= OPT >= U / 4.
 """
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -37,7 +38,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (batched_scus_dp, full_stack_candidates, per_carrier_backtrack,
                       per_carrier_offset, per_carrier_order, per_carrier_scus_dp,
                       per_carrier_view, rel_err)
-from test_jspa import assert_relaxes_like_oracle, index_array_eps_budgets, lockstep_and_oracle
+from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, class_rows,
+                       eps_targets, index_array_eps_budgets, stacked_profit)
 from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, eps_jspa, estimate_upper_bound, grad_jspa,
@@ -252,44 +254,21 @@ def test_lockstep_selection_and_eps_guarantee(inst):
     opt = opt_jspa(inst, tables).wsr
     assert upper >= opt * (1 - 1e-12)
     assert opt >= upper / 4.0 * (1 - 1e-12)
+    rows = class_rows(inst, objective)
     for eps in (0.5, 0.1, 0.05):
-        for n in range(inst.n_carriers):
-            got, expect = lockstep_and_oracle(inst, tables, objective, n, upper, eps)
-            assert got == expect
+        assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, upper, eps),
+                                    stacked_profit(objective, inst.delta), rows)
         sol = eps_jspa(inst, tables, eps)
         assert budget_feasible(inst, sol.budgets)
         assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
 
 
 @contextmanager
-def eps_forced(grid: bool, dp_cells: int = jspa._DP_CELLS):
-    """Force eps's whole-grid threshold read (True) or its lockstep search (False),
-    and the size of its DP's chunks: dp_cells = 1 relaxes one item per chunk."""
+def eps_forced(dp_cells: int):
+    """Force the size of eps's DP chunks: dp_cells = 1 relaxes one item per chunk."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(jspa, "_GRID_PER_PROBE", math.inf if grid else 0)
         patch.setattr(jspa, "_DP_CELLS", dp_cells)
         yield
-
-
-@PROPERTY
-@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
-def test_threshold_paths_pick_the_same_items(inst):
-    tables = tables_of(inst)
-    objective = BudgetObjective(tables)
-    upper = estimate_upper_bound(inst, tables, objective)
-    caps = class_unit_caps(inst)
-    N = inst.n_carriers
-    for eps in (0.5, 0.1, 0.05):
-        targets = np.arange(1, int(4 * N / eps) + 1) * (eps * upper / (4.0 * N))
-        for n in range(N):
-            picked = []
-            for grid in (True, False):
-                with eps_forced(grid):
-                    picked.append(jspa._class_items(objective, n, int(caps[n]), targets,
-                                                    inst.delta))
-            (grid_ls, grid_profits), (lock_ls, lock_profits) = picked
-            assert np.array_equal(grid_ls, lock_ls)
-            assert np.array_equal(grid_profits, lock_profits)
 
 
 @PROPERTY
@@ -300,8 +279,8 @@ def test_dp_by_profits_matches_index_array_dp(inst):
     for eps in (0.5, 0.1, 0.05):
         expect = index_array_eps_budgets(inst, tables, eps, upper)
         # one item per chunk makes every class fold its chunks in turn
-        for grid, dp_cells in ((True, jspa._DP_CELLS), (False, jspa._DP_CELLS), (True, 1)):
-            with eps_forced(grid, dp_cells):
+        for dp_cells in (jspa._DP_CELLS, 1):
+            with eps_forced(dp_cells):
                 budgets = eps_jspa(inst, tables, eps).budgets
             assert np.array_equal(budgets, expect)
 
@@ -352,3 +331,20 @@ def profit_families(draw):
 @given(profit_families())
 def test_relaxation_matches_per_level_oracle_on_profit_families(family):
     assert_relaxes_like_oracle(*family)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(profit_families(), st.integers(1, 40), st.sampled_from([0.3, 1.0, 1.5, 4.0]),
+       st.sampled_from([1, 2]), st.booleans())
+def test_batched_selection_matches_oracles_on_profit_families(family, count, reach, repeat,
+                                                              dead):
+    # targets up to reach times the largest profit, each repeat times; dead
+    # adds a class of no reachable target and one with lmax = 0
+    profits, caps = family
+    if dead:
+        profits = np.vstack((profits, np.zeros((1, profits.shape[1])), profits[:1]))
+        caps = caps + [profits.shape[1] - 1, 0]
+    step = reach * float(profits.max()) / count
+    targets = np.repeat(np.arange(1, count + 1) * step, repeat)
+    rows = np.arange(profits.shape[0])[:, None]
+    assert_selects_like_oracles(np.array(caps), targets, lambda ls: profits[rows, ls], profits)
