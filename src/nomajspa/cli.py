@@ -22,8 +22,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .jspa import brute_force_jspa, eps_jspa, grad_jspa, opt_jspa
-from .model import (SystemConfig, build_decoding_order, check_finite, generate_instance,
-                    parse_bool, parse_fields, parse_list, read_kv_file)
+from .model import (SystemConfig, build_decoding_order, check_finite, check_grid_cells,
+                    generate_instance, parse_bool, parse_fields, parse_list, read_kv_file)
 from .ops import count_ops
 from .single_carrier import iscus_precompute
 
@@ -77,6 +77,9 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"repeated solver label(s): {', '.join(repeated)}")
         object.__setattr__(self, "system", self.instance_system(max(self.k_sweep)))
+        if "opt" in self.solvers:
+            check_grid_cells(self.system.subcarriers, self.system.p_max_w, self.system.delta_w,
+                             "delta_w")
 
     def instance_system(self, users: int) -> SystemConfig:
         """The system an instance with the given user count is drawn from."""

@@ -16,11 +16,12 @@ The discretized split is a multiple-choice knapsack: class n holds items
 class, knapsack capacity p_max. opt runs the paper's DP by weights over it
 but values only the states its Lagrangian bound cannot fathom: a column k
 after some classes is dropped once best[k] plus the bound on any
-completion falls short of a feasible split's value. On the desk, fine-grid
-and many-user shapes a class keeps at most a few dozen columns, O(J) cells
-per column; flat or tied profits keep all of them and pay the full O(J^2)
-band, in row slices of a fixed cell budget. The choices are bit for bit
-those of the full DP.
+completion falls short of a feasible split's value. A class adds each
+live column to its items in one pass, O(lmax) cells and O(J) scratch. On
+the desk, fine-grid and many-user shapes a class keeps at most a few dozen
+columns; flat or tied profits keep all of them and pay the full O(J^2)
+band, one column at a time. The choices are bit for bit those of the full
+DP.
 
 eps keeps, per class, the first grid item reaching each multiple of its
 profit scale. One binary search finds them for every class at once, one
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Instance, grid_levels
+from .model import Instance, check_grid_cells, grid_levels
 from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
@@ -48,11 +49,9 @@ _C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, of the larger part
-# opt values a class's rows in slices of at most _DENSE_CELLS cells (rows times
-# window columns); the scratch is about 25 bytes per cell. It fathoms a column
-# whose Lagrangian bound falls short of the incumbent by more than _MARGIN
-# times the largest magnitude a DP sum reaches, far above their rounding
-_DENSE_CELLS = 2 ** 15
+# opt fathoms a column whose Lagrangian bound falls short of the incumbent by
+# more than _MARGIN times the largest magnitude a DP sum reaches, far above
+# their rounding
 _MARGIN = 1e-9
 # eps's DP by profits relaxes items in chunks of at most _DP_CELLS candidate
 # weights (one item at least), so its scratch is O(T) cells for T targets, not
@@ -391,7 +390,10 @@ def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray
     """Grid profits profits[n, l] = F_n(l * delta), read-only, (N, J + 1).
 
     One subcarrier at a time keeps the kernel's temporaries to one class.
+    A grid over `model.GRID_CELLS` cells raises ValueError before any of it
+    is allocated.
     """
+    check_grid_cells(instance.n_carriers, instance.p_max, instance.delta, "delta")
     grid = _grid(instance.n_power_levels, instance.delta)
     profits = np.stack([objective.profits(n, grid) for n in range(instance.n_carriers)])
     profits.flags.writeable = False
@@ -459,43 +461,29 @@ def _incumbent(profits: np.ndarray, caps: np.ndarray, x: np.ndarray) -> float:
     return float(profits[rows, x].sum())
 
 
-def _row_cells(best: np.ndarray, cn: np.ndarray, rows: np.ndarray, lo: np.ndarray,
-               width: np.ndarray):
-    """Each row l's float max of best[k] + cn[l - k] over lo <= k < lo + width, and its smallest j.
-
-    One ragged gather; j = l - k is the smallest item among the row's exact
-    ties with its max, the one `np.argmax` over j picks.
-    """
-    seg = np.cumsum(width)
-    total = int(seg[-1])
-    tally(total * _C_KNAP_W)
-    seg -= width
-    k = np.arange(total)
-    k -= np.repeat(seg - lo, width)
-    vals = cn[np.repeat(rows, width) - k]
-    vals += best[k]
-    top = np.maximum.reduceat(vals, seg)
-    return top, rows - np.maximum.reduceat(np.where(vals == np.repeat(top, width), k, -1), seg)
-
-
 def _finish(best: np.ndarray, cn: np.ndarray, r0: int, r1: int, c0: int, c1: int):
     """Rows r0..r1 of one class over columns c0..c1: each row's float max and smallest-j tie.
 
     Row l's window is max(c0, l - lmax) <= k <= min(c1, l), lmax = cn.size - 1.
-    Rows are valued in slices of at most _DENSE_CELLS cells: all at once
-    when they fit, else max(1, _DENSE_CELLS // widest row) rows per slice.
+    One sweep over the columns k, ascending, adds best[k] to the items that
+    feed rows max(r0, k)..min(r1, k + lmax) and keeps each row's running max
+    with >=: an exact tie goes to the larger k, the smaller j = l - k, the
+    one `np.argmax` over j picks.
     """
-    rows = np.arange(r0, r1 + 1)
-    lo = np.maximum(c0, rows - (cn.size - 1))
-    width = np.minimum(c1, rows) - lo + 1
-    fits = int(width.sum()) <= _DENSE_CELLS
-    step = rows.size if fits else max(1, _DENSE_CELLS // int(width.max()))
-    top = np.empty(rows.size)
-    j = np.empty(rows.size, dtype=np.int64)
-    for a in range(0, rows.size, step):
-        b = a + step
-        top[a:b], j[a:b] = _row_cells(best, cn, rows[a:b], lo[a:b], width[a:b])
-    return top, j
+    lmax = cn.size - 1
+    top = np.full(r1 - r0 + 1, -np.inf)
+    at = np.zeros(r1 - r0 + 1, dtype=np.int64)  # each row's column k
+    cells = 0
+    for k in range(max(c0, r0 - lmax), min(c1, r1) + 1):
+        lo, hi = max(r0, k), min(r1, k + lmax)
+        vals = cn[lo - k:hi - k + 1] + best[k]
+        rows = slice(lo - r0, hi - r0 + 1)
+        win = vals >= top[rows]
+        np.copyto(top[rows], vals, where=win)
+        np.copyto(at[rows], k, where=win)
+        cells += hi - lo + 1
+    tally(cells * _C_KNAP_W)
+    return top, np.arange(r0, r1 + 1) - at
 
 
 def _grid_units(profits: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -519,8 +507,9 @@ def _grid_units(profits: np.ndarray, caps: np.ndarray) -> np.ndarray:
     (sum_n max |c_n| + lam * J), and when k >= J - sum_{m >= n} lmax_m: the
     backtrack descends from J by at most lmax_m per class. Class n values
     the rows a0..min(J, a1 + lmax_n) of its live span [a0, a1] over that
-    span (`_finish`); the last class values row J alone. Other rows hold
-    -inf. Each class keeps its row slice of choices for the backtrack.
+    span, one column at a time (`_finish`); the last class values row J
+    alone. Other rows hold -inf. Each class keeps its valued rows' choices
+    for the backtrack.
 
     Why the units are the full DP's. Let k_n be the column the full DP's
     backtrack passes before class n. By induction on n, k_n is live and
@@ -573,9 +562,9 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     profits (`build_knapsack`), with the states its Lagrangian bound
     fathoms left out (`_grid_units`); the choices are bit for bit those of
     the full DP. Cost: the profit table, a few O(N J) passes for the
-    multiplier, and per class its live span times its rows; at worst, on
-    flat profits, that is the full O(N J^2) band, in row slices of at
-    most _DENSE_CELLS cells.
+    multiplier, and per class one O(lmax) pass per live column, with O(J)
+    scratch; at worst, on flat profits, every column is live and that is
+    the full O(N J^2) band, one numpy pass per column.
     """
     objective = BudgetObjective(tables)
     profits = build_knapsack(instance, objective)

@@ -73,6 +73,22 @@ def grid_countable(amount: float, delta: float) -> bool:
     return amount / delta + 1e-9 < 2.0 ** 63
 
 
+# opt's knapsack is an (N, J + 1) table of grid profits: at most GRID_CELLS
+# floats, 256 MB, so a grid that is countable but too fine is refused up front
+GRID_CELLS = 2 ** 25
+
+
+def check_grid_cells(carriers: int, amount: float, delta: float, name: str) -> None:
+    """Raise ValueError, naming the step as `name`, unless carriers * (J + 1) <= GRID_CELLS.
+
+    J = grid_levels(amount, delta); the grid must be countable.
+    """
+    levels = int(grid_levels(amount, delta)) + 1
+    if carriers * levels > GRID_CELLS:
+        raise ValueError(f"{name} = {delta!r} gives opt a {carriers} x {levels} table of grid "
+                         f"profits, over its {GRID_CELLS} cells")
+
+
 def check_finite(config) -> None:
     """Reject a non-finite float, alone or in a tuple, in a field of the dataclass config."""
     for f in dataclasses.fields(config):

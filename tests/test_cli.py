@@ -12,7 +12,7 @@ import pytest
 
 import nomajspa
 
-from nomajspa import cli
+from nomajspa import cli, jspa
 from nomajspa.cli import (
     CSV_HEADER,
     ExperimentConfig,
@@ -309,6 +309,25 @@ class TestMain:
         # one grid step is the smallest cap
         cfg = ExperimentConfig.from_mapping({"p_max_carrier_w": "0.01", "delta_w": "0.01"})
         assert cfg.system.p_max_carrier_w == 0.01
+
+    def test_grid_too_fine_for_opt_reports_error(self, tmp_path, capsys, monkeypatch):
+        # p_max_w / delta_w = 1e9 levels are countable, but opt's 2 x (1e9 + 1)
+        # profit table, 16 GB, is over model.GRID_CELLS. It used to pass
+        # validation; no grid may be built now. grad and eps never build it
+        def no_grid(levels, delta):
+            raise AssertionError(f"opt built a grid of {levels + 1} levels")
+
+        monkeypatch.setattr(jspa, "_grid", no_grid)
+        fine = SystemConfig(users=3, subcarriers=2, max_mux=2, delta_w=1e-8)
+        with pytest.raises(ValueError, match=r"^delta_w = 1e-08 gives opt a 2 x "):
+            tiny_config(system=fine)
+        assert tiny_config(system=fine, solvers=("grad", "eps"), epsilons=(0.1,)).system == fine
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"{RUNNABLE.replace('delta_w = 1', 'delta_w = 1e-8')}solvers = opt\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "delta_w = 1e-08 gives opt a 2 x " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_grid_optimum_finishes_campaign(self, tmp_path, capsys):
         # 150 dB shadowing makes b + eta_tilde == eta_tilde in floats: every F_n,

@@ -188,9 +188,10 @@ def index_array_eps_budgets(instance, tables, eps, upper):
 def per_level_relaxation(best, cn, lmax):
     """One class of opt's DP by weights, every level scanning every affordable item.
 
-    The relaxation `opt_jspa` ran before its divide and conquer, kept as
-    the oracle of `jspa._relax_class`: nxt[l] is the float max of
-    best[l - j] + cn[j] over j <= min(l, lmax), choice[l] its smallest j.
+    The relaxation `opt_jspa` ran before its Lagrangian fathoming, kept as
+    the oracle of each class `jspa._grid_units` values (`jspa._finish`):
+    nxt[l] is the float max of best[l - j] + cn[j] over j <= min(l, lmax),
+    choice[l] its smallest j.
     """
     J = best.size - 1
     nxt = np.empty(J + 1)
@@ -220,21 +221,26 @@ def full_dp_units(profits, caps):
     return units
 
 
-# opt's DP as it runs, and with each of its shortcuts forced: lam = 0; no
+# opt's DP as it runs, and with each of its shortcuts forced: lam = 0; and no
 # fathoming (margin = inf, so every reachable column is live, which needs a
-# profit that is not 0); and rows valued one per slice
+# profit that is not 0)
 DP_SETTINGS = {
     "default": {},
     "lam_0": {"_knapsack_multiplier":
               lambda profits, caps: (0.0, *jspa._lagrangian_split(profits, caps, 0.0))},
     "margin_inf": {"_MARGIN": math.inf},
-    "one_row_slices": {"_DENSE_CELLS": 0},
 }
 
 
 def band_cells(J, lmax):
     """Cells of the full DP's class: every level l over its items j <= min(l, lmax)."""
     return sum(min(l, lmax) + 1 for l in range(J + 1))
+
+
+def finish_cells(cn, r0, r1, c0, c1):
+    """Cells `jspa._finish` values: each row l over max(c0, l - lmax) <= k <= min(c1, l)."""
+    rows = np.arange(r0, r1 + 1)
+    return int((np.minimum(c1, rows) - np.maximum(c0, rows - (cn.size - 1)) + 1).sum())
 
 
 def assert_relaxes_like_oracle(profits, caps, settings=tuple(DP_SETTINGS)):
@@ -253,9 +259,7 @@ def assert_relaxes_like_oracle(profits, caps, settings=tuple(DP_SETTINGS)):
             finish = jspa._finish
 
             def in_band(best, cn, r0, r1, c0, c1):
-                rows = np.arange(r0, r1 + 1)
-                width = np.minimum(c1, rows) - np.maximum(c0, rows - (cn.size - 1)) + 1
-                assert int(width.sum()) <= band_cells(J, cn.size - 1)
+                assert finish_cells(cn, r0, r1, c0, c1) <= band_cells(J, cn.size - 1)
                 return finish(best, cn, r0, r1, c0, c1)
 
             patch.setattr(jspa, "_finish", in_band)
@@ -610,12 +614,23 @@ class TestOptJspa:
         finally:
             tracemalloc.stop()
         assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
-        # the peak, about 2.1 MB, is the multiplier's pick: the (N, J + 1)
-        # profits, their gains and one reduced copy, 0.64 MB each. The fathomed
-        # pass then holds a few rows of J + 1 floats and at most _DENSE_CELLS
-        # cells of scratch, about 25 bytes each; a full DP table of one class
-        # would take (J + 1)^2 floats, 128 MB
+        # the peak, about 2.1 MB (tracemalloc), is the multiplier's (N, J + 1)
+        # temporaries beside the profits: their gains and one reduced copy,
+        # 0.64 MB each. The fathomed pass then holds a few rows of J + 1
+        # floats; a full DP table of one class would take (J + 1)^2 floats,
+        # 128 MB
         assert peak < 3.5e6
+
+    def test_too_fine_a_grid_is_refused_before_it_is_built(self, monkeypatch):
+        # p_max / delta = 1e9 levels: the 2 x (1e9 + 1) profits would take 16 GB
+        def no_grid(levels, delta):
+            raise AssertionError(f"opt built a grid of {levels + 1} levels")
+
+        monkeypatch.setattr(jspa, "_grid", no_grid)
+        inst = generate_instance(SystemConfig(users=2, subcarriers=2, max_mux=1, delta_w=1e-8), 0)
+        objective = BudgetObjective(make_tables(inst)[1])
+        with pytest.raises(ValueError, match=r"^delta = 1e-08 gives opt a 2 x "):
+            build_knapsack(inst, objective)
 
 
 class TestRelaxClass:
@@ -625,21 +640,18 @@ class TestRelaxClass:
 
     @staticmethod
     def cells(monkeypatch):
-        """Per class, the cells `jspa._finish` values and the largest `_row_cells` call."""
+        """Per class, the cells `jspa._finish` values, each tallied at _C_KNAP_W."""
         calls = []
-        finish, row_cells = jspa._finish, jspa._row_cells
+        finish = jspa._finish
 
         def recorded(best, cn, r0, r1, c0, c1):
-            calls.append([0, 0])
-            return finish(best, cn, r0, r1, c0, c1)
-
-        def counted(best, cn, rows, lo, width):
-            calls[-1][0] += int(width.sum())
-            calls[-1][1] = max(calls[-1][1], int(width.sum()))
-            return row_cells(best, cn, rows, lo, width)
+            calls.append(finish_cells(cn, r0, r1, c0, c1))
+            with count_ops() as ops:
+                out = finish(best, cn, r0, r1, c0, c1)
+            assert ops.total == calls[-1] * jspa._C_KNAP_W
+            return out
 
         monkeypatch.setattr(jspa, "_finish", recorded)
-        monkeypatch.setattr(jspa, "_row_cells", counted)
         return calls
 
     def test_exactly_linear_classes_tie_at_their_multiplier(self):
@@ -662,38 +674,11 @@ class TestRelaxClass:
         # all ties: no column is fathomed, so the first class values its whole band
         cells = self.cells(monkeypatch)
         assert_relaxes_like_oracle(np.zeros((2, 501)), [500, 500], ("default", "lam_0"))
-        assert [count for count, _ in cells] == [band_cells(500, 500), 501] * 2
-
-    def test_dense_relaxation_in_one_row_chunks(self, monkeypatch):
-        # a budget below one row's cells leaves one level per slice
-        cn = 1e6 * np.log2(1.0 + self.LEVELS / 7.0)
-        monkeypatch.setattr(jspa, "_DENSE_CELLS", 100)
-        monkeypatch.setattr(jspa, "_MARGIN", math.inf)
-        calls = []
-        row_cells = jspa._row_cells
-
-        def counted(best, cn, rows, lo, width):
-            calls.append(rows.tolist())
-            return row_cells(best, cn, rows, lo, width)
-
-        monkeypatch.setattr(jspa, "_row_cells", counted)
-        profits = np.stack([np.sqrt(self.LEVELS), cn])
-        units = jspa._grid_units(profits, np.array([200, 200]))
-        assert np.array_equal(units, full_dp_units(profits, [200, 200]))
-        assert calls == [[l] for l in range(201)] + [[200]]
-
-    def test_dense_relaxation_chunks_stay_in_the_budget(self, monkeypatch):
-        # the flat class takes the whole band 0 <= k <= l in slices of at most _DENSE_CELLS
-        cells = self.cells(monkeypatch)
-        units = jspa._grid_units(np.zeros((2, 4001)), np.array([4000, 4000]))
-        assert units.tolist() == [0, 0]
-        assert cells == [[8_006_001, cells[0][1]], [4001, 4001]]
-        assert band_cells(4000, 4000) == 8_006_001
-        assert cells[0][1] <= jspa._DENSE_CELLS
+        assert cells == [band_cells(500, 500), 501] * 2
 
     def test_flat_class_memory_is_bounded(self):
-        # J = 4000 flat levels leave every column live; the row slices hold at most
-        # _DENSE_CELLS cells, where the whole band would take 64 MB of floats
+        # J = 4000 flat levels leave every column live; the column sweep holds a
+        # few rows of J + 1 cells, where the whole band would take 64 MB of floats
         profits = np.zeros((2, 4001))
         tracemalloc.start()
         try:
@@ -704,7 +689,7 @@ class TestRelaxClass:
         assert not units.any()
         assert peak < 2e6
 
-    def test_small_grid_is_valued_in_one_slice_per_class(self, monkeypatch):
+    def test_small_grid_cells_per_class(self, monkeypatch):
         cn = 1e6 * np.log2(1.0 + self.LEVELS[:41] / 7.0)
         monkeypatch.setattr(jspa, "_MARGIN", math.inf)
         cells = self.cells(monkeypatch)
@@ -712,7 +697,7 @@ class TestRelaxClass:
         units = jspa._grid_units(profits, np.array([40, 40, 40]))
         assert np.array_equal(units, full_dp_units(profits, [40, 40, 40]))
         # every column live: two whole bands, then row 40 alone
-        assert cells == [[band_cells(40, 40)] * 2] * 2 + [[41, 41]]
+        assert cells == [band_cells(40, 40)] * 2 + [41]
 
     def test_live_columns_are_few_on_a_desk_instance(self, monkeypatch):
         inst = generate_instance(SystemConfig(users=10), 41)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import rel_err, single_carrier_instance, small_instance, random_feasible_p
 from nomajspa.model import (
+    GRID_CELLS,
     Instance,
     SystemConfig,
     _sample_cell_positions,
@@ -15,6 +16,7 @@ from nomajspa.model import (
     build_decoding_order,
     carrier_view,
     carrier_views,
+    check_grid_cells,
     f_eval,
     generate_instance,
     p_from_x,
@@ -302,6 +304,13 @@ class TestGeneration:
         for delta in (2.0 ** -63, 1e-300):
             with pytest.raises(ValueError, match=rf"^delta_w = {delta!r} "):
                 SystemConfig(p_max_w=1.0, delta_w=delta)
+
+    def test_grid_cells_rule(self):
+        # N * (J + 1) <= 2^25: two rows of 2^24 levels fit, one level more does not
+        assert GRID_CELLS == 2 ** 25
+        check_grid_cells(2, 2.0 ** 24 - 1, 1.0, "delta")
+        with pytest.raises(ValueError, match=r"^step = 1.0 gives opt a 2 x 16777217 table"):
+            check_grid_cells(2, 2.0 ** 24, 1.0, "step")
 
     def test_out_of_range_gain_names_shadowing_and_seed(self):
         # 10 000 dB of shadowing puts 10^(-loss/10) past the float range
