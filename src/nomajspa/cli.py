@@ -21,9 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .jspa import brute_force_jspa, eps_jspa, grad_jspa, opt_jspa
-from .model import (SystemConfig, build_decoding_order, check_finite, check_grid_cells,
-                    generate_instance, parse_bool, parse_fields, parse_list, read_kv_file)
+from .jspa import brute_force_jspa, check_brute_force, eps_jspa, grad_jspa, opt_jspa
+from .model import (SystemConfig, build_decoding_order, check_eps_cells, check_finite,
+                    check_grid_cells, generate_instance, grid_levels, parse_bool, parse_fields,
+                    parse_list, read_kv_file)
 from .ops import count_ops
 from .single_carrier import iscus_precompute
 
@@ -77,9 +78,14 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"repeated solver label(s): {', '.join(repeated)}")
         object.__setattr__(self, "system", self.instance_system(max(self.k_sweep)))
+        system = self.system
         if "opt" in self.solvers:
-            check_grid_cells(self.system.subcarriers, self.system.p_max_w, self.system.delta_w,
-                             "delta_w")
+            check_grid_cells(system.subcarriers, system.p_max_w, system.delta_w, "delta_w")
+        if "eps" in self.solvers:
+            check_eps_cells(system.subcarriers, min(self.epsilons), "epsilons")
+        if "brute" in self.solvers:
+            check_brute_force(int(grid_levels(system.p_max_w, system.delta_w)),
+                              system.subcarriers, "solvers = brute")
 
     def instance_system(self, users: int) -> SystemConfig:
         """The system an instance with the given user count is drawn from."""

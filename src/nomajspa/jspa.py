@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Instance, check_grid_cells, grid_levels
+from .model import Instance, check_eps_cells, check_grid_cells, grid_levels
 from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
@@ -59,6 +59,17 @@ _MARGIN = 1e-9
 _DP_CELLS = 2 ** 16
 
 BRUTE_FORCE_LIMIT = 10 ** 7
+
+
+def check_brute_force(levels: int, carriers: int, name: str) -> None:
+    """Raise ValueError, naming the step as `name`, if brute force would enumerate
+    more than BRUTE_FORCE_LIMIT grid vectors, (levels + 1) ** carriers.
+
+    Counted in integers, exactly; past 64 carriers a grid with a second level is over.
+    """
+    if levels and (carriers > 64 or (levels + 1) ** carriers > BRUTE_FORCE_LIMIT):
+        raise ValueError(f"{name} would enumerate ({levels + 1})^{carriers} vectors; "
+                         f"limit is {BRUTE_FORCE_LIMIT}")
 
 
 @dataclass
@@ -576,14 +587,11 @@ def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exhaustive enumeration of every grid budget vector (test oracle).
 
     Guarded: refuses instances with more than BRUTE_FORCE_LIMIT candidate
-    vectors before pruning.
+    vectors before pruning (see check_brute_force).
     """
     J = instance.n_power_levels
     N = instance.n_carriers
-    if float(J + 1) ** N > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"brute force would enumerate ({J + 1})^{N} vectors; "
-            f"limit is {BRUTE_FORCE_LIMIT}")
+    check_brute_force(J, N, "brute force")
     objective = BudgetObjective(tables)
     profits = build_knapsack(instance, objective)
     caps = class_unit_caps(instance)
@@ -683,8 +691,8 @@ def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn) -> list:
     reads every class's top F(lmax_n) in one call, and a class's root is
     [1, lmax_n] with the targets up to that top. Each round, every node
     with lo < hi probes mid = (lo + hi) // 2. All the round's probes go
-    into one (N, L) `profit_fn` call whose rows are padded with lmax_n, so
-    every row stays non-decreasing. One np.searchsorted of F(mid) splits
+    into one (N, L) `profit_fn` call, short rows padded with lmax_n, an
+    index whose profit round 0 read. One np.searchsorted of F(mid) splits
     each node's run between its children [lo, mid], which takes the
     targets F(mid) reaches, and [mid + 1, hi].
     Empty children are dropped, and nodes stay in (class, lo) order.
@@ -754,14 +762,17 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     T + 1 cells it holds a few arrays of at most max(_DP_CELLS, T + 1)
     cells.
 
-    eps must be positive and finite. U comes from `estimate_upper_bound`,
-    which bounds the optimum; were U below it, a feasible split could carry
-    the DP past its top scaled profit, and eps raises ValueError instead of
-    dropping that split.
+    eps must be positive and finite, and its choice table within
+    `model.GRID_CELLS` cells (`model.check_eps_cells`): either failing raises
+    ValueError before anything is estimated or allocated. U comes from
+    `estimate_upper_bound`, which bounds the optimum; were U below it, a
+    feasible split could carry the DP past its top scaled profit, and eps
+    raises ValueError instead of dropping that split.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     N = instance.n_carriers
+    check_eps_cells(N, eps, "eps")
     J = instance.n_power_levels
     objective = BudgetObjective(tables)
     upper = estimate_upper_bound(instance, tables, objective)
@@ -774,9 +785,8 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     items = []  # per class: (grid indices, scaled profits) of its selected items
     for ls, profits in select_items(class_unit_caps(instance), targets,
                                     lambda ls: best_values(objective.cands, ls * instance.delta)):
-        scaled = np.floor(profits / scale).astype(np.int64)
-        # an item of no scaled profit never beats skipping its class
-        items.append((ls[scaled > 0], scaled[scaled > 0]))
+        # each item reaches targets[0] = scale, so its scaled profit is >= 1
+        items.append((ls, np.floor(profits / scale).astype(np.int64)))
 
     inf = np.iinfo(np.int64).max // 2
     weight = np.full(q_cap + 1, inf, dtype=np.int64)  # least units to reach profit q

@@ -74,7 +74,8 @@ def grid_countable(amount: float, delta: float) -> bool:
 
 
 # opt's knapsack is an (N, J + 1) table of grid profits: at most GRID_CELLS
-# floats, 256 MB, so a grid that is countable but too fine is refused up front
+# floats, 256 MB, so a grid that is countable but too fine is refused up front;
+# eps's (N, floor(4N/eps) + 1) table of item choices is held to the same count
 GRID_CELLS = 2 ** 25
 
 
@@ -87,6 +88,19 @@ def check_grid_cells(carriers: int, amount: float, delta: float, name: str) -> N
     if carriers * levels > GRID_CELLS:
         raise ValueError(f"{name} = {delta!r} gives opt a {carriers} x {levels} table of grid "
                          f"profits, over its {GRID_CELLS} cells")
+
+
+def check_eps_cells(carriers: int, eps: float, name: str) -> None:
+    """Raise ValueError, naming eps as `name`, unless carriers * (floor(4N/eps) + 1) <= GRID_CELLS.
+
+    That is eps's (N, T + 1) int32 table of item choices for T = floor(4N/eps)
+    targets, N = carriers; eps must be positive. It is counted in floats, so
+    an eps small enough to make 4N/eps inf is refused, not overflowed.
+    """
+    targets = np.floor(4.0 * carriers / float(eps)) + 1.0
+    if carriers * targets > GRID_CELLS:
+        raise ValueError(f"{name} = {eps!r} gives eps a {carriers} x {targets:.0f} table of item "
+                         f"choices, over its {GRID_CELLS} cells")
 
 
 def check_finite(config) -> None:

@@ -23,8 +23,9 @@ candidates only, E' <= K of them, which answer as all K do, bit for bit.
 All three read F_n through one kernel, `pinned_values`: a candidate
 truncated at a budget pins a leading block, which contributes one log, and
 the rest is a tail constant built once per stack, so a budget costs E'
-logs per subcarrier. `fn_value_many` and `iscus_eval` ask the first two of
-one table.
+logs per subcarrier. `pinned_index` finds it by searchsorted on opt's one
+long sorted row, by one comparison on grad's and eps's short stacked reads.
+`fn_value_many` and `iscus_eval` ask the first two of one table.
 """
 
 from __future__ import annotations
@@ -399,19 +400,18 @@ def pinned_index(entry_x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Last pinned position l = count(entry_x[n, e] >= b) - 1, (N, E, L).
 
     entry_x is (N, E, K) with non-increasing rows, budgets (N, L) positive
-    and at most each row's first entry, so l >= 0. Budgets sorted along L
-    are counted from how many of them each position reaches, in
-    O(E (K log L + L)); others are compared position by position. Both
-    give the same index.
+    and at most each row's first entry, so l >= 0. opt's sorted grid of one
+    subcarrier (L = J + 1) is counted by how many budgets each position
+    reaches, in O(E (K log L + L)); a stack (N > 1, a few budgets per row)
+    is compared in one pass, faster than a searchsorted per row. Both agree.
     """
     N, E, K = entry_x.shape
     L = budgets.shape[1]
-    if L > 1 and np.all(budgets[:, 1:] >= budgets[:, :-1]):
-        # reach[n, e, i] budgets are <= entry_x[n, e, i]; count(g) = #{i: reach > g}
-        reach = np.stack([np.searchsorted(bn, xn, side="right")
-                          for bn, xn in zip(budgets, entry_x)])
-        rows = np.arange(N * E).reshape(N, E, 1) * (L + 1)
-        hist = np.bincount((reach + rows).ravel(), minlength=N * E * (L + 1))
+    if N == 1 and L > 1 and np.all(budgets[0, 1:] >= budgets[0, :-1]):
+        # reach[0, e, i] budgets are <= entry_x[0, e, i]; count(g) = #{i: reach > g}
+        reach = np.searchsorted(budgets[0], entry_x, side="right")
+        rows = np.arange(E)[:, None] * (L + 1)
+        hist = np.bincount((reach + rows).ravel(), minlength=E * (L + 1))
         return K - 1 - np.cumsum(hist.reshape(N, E, L + 1)[..., :L], axis=-1)
     reached = entry_x[:, :, None, :] >= budgets[:, None, :, None]
     # rows are non-increasing: the count is the first position not reached

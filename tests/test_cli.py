@@ -329,6 +329,29 @@ class TestMain:
         assert "delta_w = 1e-08 gives opt a 2 x " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (f"{RUNNABLE}solvers = eps\nepsilons = 1e-12\n", "epsilons = 1e-12 gives eps a 2 x "),
+        (f"{RUNNABLE}solvers = eps\nepsilons = 5e-324\n", "epsilons = 5e-324 gives eps a 2 x inf"),
+        ("k_sweep = 2\nm_sweep = 1\nseeds = 1\nsubcarriers = 6\nsolvers = brute\n",
+         "solvers = brute would enumerate (1001)^6 vectors"),
+    ], ids=["eps_table_too_large", "eps_subnormal", "brute_over_limit"])
+    def test_too_large_a_solve_leaves_output_untouched(self, tmp_path, capsys, monkeypatch,
+                                                       text, message):
+        # each passed validation, cut the CSV to its header and then failed in its
+        # first solve: numpy asked for 58 TiB, int(inf), or brute's own guard
+        def no_solve(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(jspa, "estimate_upper_bound", no_solve)
+        monkeypatch.setattr(cli, "iscus_precompute", no_solve)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "r.csv"
+        out.write_text("earlier results\n")
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+
     def test_zero_grid_optimum_finishes_campaign(self, tmp_path, capsys):
         # 150 dB shadowing makes b + eta_tilde == eta_tilde in floats: every F_n,
         # and so opt's wsr, is exactly 0 and no loss can be measured against it

@@ -23,6 +23,7 @@ from nomajspa.jspa import (
     brute_force_jspa,
     budget_feasible,
     build_knapsack,
+    check_brute_force,
     class_unit_caps,
     eps_jspa,
     estimate_upper_bound,
@@ -755,6 +756,18 @@ class TestBruteForce:
     # guard threshold is documented
         assert BRUTE_FORCE_LIMIT == 10 ** 7
 
+    def test_size_guard_counts_huge_grids_exactly(self):
+        # (1e18 + 1)^20 vectors: counting them as a float power raised OverflowError
+        inst = generate_instance(SystemConfig(users=2, subcarriers=20, max_mux=1,
+                                              delta_w=1e-17), 0)
+        with pytest.raises(ValueError, match=r"^brute force would enumerate"):
+            brute_force_jspa(inst, [])
+        check_brute_force(BRUTE_FORCE_LIMIT - 1, 1, "brute force")
+        with pytest.raises(ValueError, match=r"^step would enumerate \(10000001\)\^1 "):
+            check_brute_force(BRUTE_FORCE_LIMIT, 1, "step")
+        # a grid of one level has one vector, however many carriers
+        check_brute_force(0, 10 ** 6, "brute force")
+
 
 class TestEstimation:
     def test_single_carrier_doubles_best_item(self):
@@ -1062,6 +1075,18 @@ class TestEpsJspa:
                 eps_jspa(inst, tables, 0.1)
         monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: 1.001 * opt)
         assert eps_jspa(inst, tables, 0.1).wsr >= 0.9 * opt
+
+    @pytest.mark.parametrize("eps", [1e-12, 5e-324])
+    def test_too_large_a_choice_table_is_refused_before_estimating(self, monkeypatch, eps):
+        # 1e-12 used to ask numpy for 58 TiB of targets, 5e-324 to overflow int()
+        def no_estimate(*args):
+            raise AssertionError("eps estimated its upper bound")
+
+        monkeypatch.setattr(jspa, "estimate_upper_bound", no_estimate)
+        inst = small_instance(71, users=2, carriers=20, max_mux=1)
+        _, tables = make_tables(inst, 1)
+        with pytest.raises(ValueError, match=rf"^eps = {eps!r} gives eps a 20 x "):
+            eps_jspa(inst, tables, eps)
 
     def test_rejects_bad_epsilon(self):
         inst = small_instance(71, users=2, carriers=1, max_mux=1)

@@ -16,6 +16,7 @@ from nomajspa.model import (
     build_decoding_order,
     carrier_view,
     carrier_views,
+    check_eps_cells,
     check_grid_cells,
     f_eval,
     generate_instance,
@@ -311,6 +312,17 @@ class TestGeneration:
         check_grid_cells(2, 2.0 ** 24 - 1, 1.0, "delta")
         with pytest.raises(ValueError, match=r"^step = 1.0 gives opt a 2 x 16777217 table"):
             check_grid_cells(2, 2.0 ** 24, 1.0, "step")
+
+    def test_eps_cells_rule(self):
+        # N * (floor(4N/eps) + 1) <= 2^25: one row of 2^25 - 1 targets fits, 2^25 do not
+        check_eps_cells(1, 4.0 / (2 ** 25 - 1), "eps")
+        with pytest.raises(ValueError, match=r"^eps = 1.1920928955078125e-07 gives eps a 1 x "
+                                             r"33554433 table"):
+            check_eps_cells(1, 2.0 ** -23, "eps")
+        check_eps_cells(20, 0.1, "eps")
+        # 4N/eps overflows to inf: refused, not converted to an int
+        with pytest.raises(ValueError, match=r"^epsilons = 5e-324 gives eps a 20 x inf table"):
+            check_eps_cells(20, 5e-324, "epsilons")
 
     def test_out_of_range_gain_names_shadowing_and_seed(self):
         # 10 000 dB of shadowing puts 10^(-loss/10) past the float range

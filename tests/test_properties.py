@@ -211,10 +211,14 @@ def test_distinct_candidates_answer_like_the_full_stack(inst, seed):
         [0.0, inst.p_max], rng.uniform(0.0, inst.p_max, 4),
         entries, np.nextafter(entries, -np.inf), np.nextafter(entries, np.inf)]))
     budgets = budgets[budgets >= 0.0]
-    # sorted budgets are counted by searchsorted, shuffled ones position by position
+    # a stack of N > 1 rows is compared position by position, sorted or shuffled
     for grid in (budgets, rng.permutation(budgets)):
         grid = np.broadcast_to(grid, (N, grid.size))
         assert same_bits(best_values(cands, grid), best_values(oracle, grid))
+    # one carrier's sorted row alone is counted by searchsorted: its stacked row, bit for bit
+    stacked = pinned_values(cands, np.broadcast_to(budgets, (N, budgets.size)))[0]
+    for n in range(N):
+        assert same_bits(pinned_values(cands.carrier(n), budgets[None, :])[0][0], stacked[n])
     objective = BudgetObjective(tables)
     for n in range(N):
         assert same_bits(objective.profits(n, budgets),
