@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .jspa import brute_force_jspa, check_brute_force, eps_jspa, grad_jspa, opt_jspa
 from .model import (SystemConfig, build_decoding_order, check_eps_cells, check_finite,
-                    check_grid_cells, generate_instance, grid_levels, parse_bool, parse_fields,
-                    parse_list, read_kv_file)
+                    check_grid_cells, generate_instance, grid_levels, parse_fields, read_kv_file)
 from .ops import count_ops
 from .single_carrier import iscus_precompute
 
@@ -106,24 +105,6 @@ class ExperimentConfig:
         return cls(system=SystemConfig(**system), **parse_fields(cls, raw))
 
 
-@dataclass
-class RunRecord:
-    seed: int
-    K: int
-    N: int
-    M: int
-    solver: str
-    wsr: float
-    loss: float
-    ops: int
-    seconds: float
-
-    def csv_row(self, timing: bool) -> str:
-        seconds = self.seconds if timing else 0.0
-        return (f"{self.seed},{self.K},{self.N},{self.M},{self.solver},"
-                f"{self.wsr!r},{self.loss!r},{self.ops},{seconds:.6f}")
-
-
 def solver_runs(config: ExperimentConfig) -> list:
     """(CSV label, solve(instance, tables)) per row, `eps` once per epsilon.
 
@@ -150,11 +131,11 @@ def solver_tags(config: ExperimentConfig) -> list:
 
 
 def _instance_records(config: ExperimentConfig, seed: int, k: int) -> list:
-    """All rows for one seeded instance: every M, every solver."""
+    """All CSV lines for one seeded instance: every M, every solver."""
     instance = generate_instance(config.instance_system(k), seed)
     order = build_decoding_order(instance)
     runs = solver_runs(config)
-    records = []
+    rows = []
     for m in config.m_sweep:
         tables = [iscus_precompute(instance, order, n, m)
                   for n in range(instance.n_carriers)]
@@ -168,35 +149,35 @@ def _instance_records(config: ExperimentConfig, seed: int, k: int) -> list:
         reference = results.get("opt", (math.nan,))[0] or math.nan  # no opt, or opt worth 0
         for tag, (wsr, ops, elapsed) in results.items():
             loss = 0.0 if tag == "opt" else (reference - wsr) / reference
-            records.append(RunRecord(seed=seed, K=k, N=instance.n_carriers, M=m,
-                                     solver=tag, wsr=wsr, loss=loss, ops=ops,
-                                     seconds=elapsed))
-    return records
+            seconds = elapsed if config.timing else 0.0
+            rows.append(f"{seed},{k},{instance.n_carriers},{m},{tag},"
+                        f"{wsr!r},{loss!r},{ops},{seconds:.6f}\n")
+    return rows
 
 
-def run_experiment(config: ExperimentConfig, out_path: str | None = None):
-    """Run the campaign and stream rows into the CSV. Returns all records.
+def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> int:
+    """Run the campaign and stream rows into the CSV. Returns the row count.
 
-    Tasks are one instance each (a seed and a user count); with jobs > 1
-    they are dispatched to a process pool, and the single CSV writer in the
-    parent consumes completed tasks in submission order, so the output file
-    does not depend on the job count.
+    Tasks are one instance each (a seed and a user count). A pool of
+    min(jobs, tasks, cores) processes runs them when that is above 1, and
+    the single CSV writer in the parent consumes completed tasks in
+    submission order, so the output file does not depend on the pool size.
     """
     path = out_path if out_path is not None else config.out
     seeds = [seed for seed in range(config.seed_base, config.seed_base + config.seeds)
              for _ in config.k_sweep]
     ks = config.k_sweep * config.seeds
-    records = []
+    workers = min(config.jobs, len(seeds), os.cpu_count() or 1)
+    count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        with (ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
               else nullcontext()) as pool:
             for batch in (pool.map if pool else map)(_instance_records,
                                                      itertools.repeat(config), seeds, ks):
-                for record in batch:
-                    fh.write(record.csv_row(config.timing) + "\n")
-                records.extend(batch)
-    return records
+                fh.writelines(batch)
+                count += len(batch)
+    return count
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -206,28 +187,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     "NOMA power/subcarrier allocation.")
     parser.add_argument("--config", metavar="PATH",
                         help="flat key=value config file (defaults used if omitted)")
-    parser.add_argument("--seed-base", type=int, metavar="INT",
+    parser.add_argument("--seed-base", metavar="INT",
                         help="first seed of the campaign")
-    parser.add_argument("--solvers", type=functools.partial(parse_list, cast=str), metavar="LIST",
+    parser.add_argument("--solvers", metavar="LIST",
                         help="comma-separated subset of: " + ",".join(KNOWN_SOLVERS))
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
-    parser.add_argument("--count-ops", type=parse_bool, metavar="BOOL",
+    parser.add_argument("--count-ops", metavar="BOOL",
                         help="count basic operations per solver call (true/false)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    flags = vars(build_arg_parser().parse_args(argv))
+    path = flags.pop("config")
     try:
-        config = ExperimentConfig.from_mapping(read_kv_file(args.config) if args.config else {})
-        flags = {name: value for name, value in vars(args).items()
-                 if name != "config" and value is not None}
-        config = dataclasses.replace(config, **flags)
-        records = run_experiment(config)
+        # each flag is the text of the config key it names, laid over the file's
+        raw = read_kv_file(path) if path else {}
+        raw.update((key, text) for key, text in flags.items() if text is not None)
+        config = ExperimentConfig.from_mapping(raw)
+        count = run_experiment(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {len(records)} rows to {config.out}")
+    print(f"wrote {count} rows to {config.out}")
     return 0
 
 

@@ -151,8 +151,8 @@ class SystemConfig:
             raise ValueError("p_max_carrier_w must be 0 (unset) or at least delta_w")
         if self.min_distance_m <= 0 or self.min_distance_m >= self.cell_radius_m:
             raise ValueError("min_distance_m must be in (0, cell_radius_m)")
-        if self.min_weight <= 0:
-            raise ValueError("min_weight must be positive")
+        if not 0 < self.min_weight <= 1:  # weights are uniform on [0, 1] clamped up to it
+            raise ValueError("min_weight must be in (0, 1]")
         if self.shadowing_std_db < 0:
             raise ValueError("shadowing_std_db must be >= 0")
 
@@ -225,6 +225,14 @@ class Instance:
             tilde = eta / g
         if not np.all((tilde > 0.0) & (tilde < math.inf)):
             raise ValueError("the normalized noise noise / gains must be positive and finite")
+        # F_n's slope at zero power, and a bound on the log terms a weighted rate sums
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            slopes = bw * w[:, None] / tilde
+            logs = np.abs(np.log2(tilde)) + np.abs(np.log2(self.p_max + tilde))
+            bound = np.sum(bw * np.sum(w[:, None] * logs, axis=0))
+        if not (np.all(slopes < math.inf) and bound < math.inf):
+            raise ValueError("the weighted rates overflow a float: bandwidths * weights "
+                             "is too large for the normalized noise noise / gains")
         for name, arr in arrays:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -487,4 +495,5 @@ def generate_instance(config: SystemConfig, seed: int) -> Instance:
                         delta=config.delta_w, max_mux=config.max_mux)
     except ValueError as exc:  # the draw left the float range
         raise ValueError(f"seed {seed}: {exc} (shadowing_std_db = {config.shadowing_std_db!r}, "
-                         f"noise_psd_dbm_hz = {config.noise_psd_dbm_hz!r})") from None
+                         f"noise_psd_dbm_hz = {config.noise_psd_dbm_hz!r}, "
+                         f"bandwidth_hz = {config.bandwidth_hz!r})") from None

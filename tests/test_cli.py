@@ -141,9 +141,8 @@ class TestRunExperiment:
 
     def test_row_count_and_schema(self, tmp_path):
         out = tmp_path / "r.csv"
-        records = run_experiment(tiny_config(), out_path=str(out))
         # 3 seeds x 1 K x 2 M x 2 solvers
-        assert len(records) == 12
+        assert run_experiment(tiny_config(), out_path=str(out)) == 12
         rows = read_rows(out)
         assert len(rows) == 12
         assert {r["solver"] for r in rows} == {"opt", "grad"}
@@ -170,6 +169,39 @@ class TestRunExperiment:
         run_experiment(tiny_config(jobs=1), out_path=str(out1))
         run_experiment(tiny_config(jobs=2), out_path=str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("jobs, tasks, cores, workers", [
+        (10 ** 6, 2, 64, 2),  # never more workers than tasks
+        (10 ** 6, 3, 2, 2),  # nor than cores
+        (8, 3, None, None),  # an unknown core count is one core: no pool
+    ])
+    def test_pool_is_sized_by_jobs_tasks_and_cores(self, tmp_path, monkeypatch,
+                                                   jobs, tasks, cores, workers):
+        # a fork pool starts every worker at the first submit, so jobs = 5000 used
+        # to fork 5000 processes for a 3-task campaign
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_experiment(tiny_config(seeds=tasks), out_path=str(serial))
+        assert asked == []
+        run_experiment(tiny_config(seeds=tasks, jobs=jobs), out_path=str(pooled))
+        assert asked == ([workers] if workers else [])
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_loss_recomputable_from_wsr_columns(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -253,6 +285,14 @@ class TestRunExperiment:
 RUNNABLE = "k_sweep = 2\nm_sweep = 1\nseeds = 1\nsubcarriers = 2\ndelta_w = 1\ntiming = false\n"
 NON_FINITE_OR_NEGATIVE = [("p_max_w", "inf"), ("cell_radius_m", "inf"), ("bandwidth_hz", "inf"),
                           ("min_weight", "inf"), ("shadowing_std_db", "-1")]
+
+
+def forbid_solves(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a solve started")
+
+    for name in ("iscus_precompute", "grad_jspa", "opt_jspa", "eps_jspa"):
+        monkeypatch.setattr(cli, name, no_solve)
 
 
 class TestMain:
@@ -389,6 +429,60 @@ class TestMain:
         assert all(math.isfinite(r["wsr"]) and r["wsr"] > 0 for r in rows)
         assert rows[0]["loss"] < 1.0
 
+    @pytest.mark.parametrize("text", [
+        "k_sweep = 2\nm_sweep = 1\nseeds = 1\nsubcarriers = 6\nsolvers = brute\n",
+        f"{RUNNABLE}solvers = opt,eps\nepsilons = 1e-12\n",
+    ], ids=["brute_over_limit", "eps_table_too_large"])
+    def test_flags_are_validated_with_the_file(self, tmp_path, capsys, text):
+        # the file used to be validated alone, before the flags were laid over it
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out), "--solvers", "opt"]) == 0
+        assert [r["solver"] for r in read_rows(out)] == ["opt"]
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--seed-base", "x", "seed_base = 'x': invalid literal for int()"),
+        ("--count-ops", "maybe", "count_ops = 'maybe': expected a boolean"),
+    ])
+    def test_bad_flag_leaves_output_untouched(self, tmp_path, capsys, flag, text, message):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(RUNNABLE)
+        out = tmp_path / "r.csv"
+        out.write_text("earlier results\n")
+        assert main(["--config", str(cfg_file), "--out", str(out), flag, text]) == 2
+        assert message in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+
+    @pytest.mark.parametrize("value", ["2", "1e308"])
+    def test_min_weight_above_one_leaves_output_untouched(self, tmp_path, capsys, monkeypatch,
+                                                          value):
+        # 1e308 used to pass: grad never returned, opt raised an IndexError and
+        # eps blamed its estimate
+        forbid_solves(monkeypatch)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"{RUNNABLE}min_weight = {value}\n")
+        out = tmp_path / "r.csv"
+        out.write_text("earlier results\n")
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "min_weight must be in (0, 1]" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+
+    @pytest.mark.parametrize("solver", ["grad", "opt", "eps"])
+    def test_overflowing_rates_stop_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     solver):
+        # grad used to write a wsr of 0, opt to raise an IndexError and eps to
+        # report upper = nan; the draw is refused now, naming the seed
+        forbid_solves(monkeypatch)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"{RUNNABLE}bandwidth_hz = 1e308\nsolvers = {solver}\n")
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed 0: the weighted rates overflow a float")
+        assert "bandwidth_hz = 1e+308" in err
+        assert out.read_text() == CSV_HEADER + "\n"
+
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_negative_seed_base_leaves_output_untouched(self, tmp_path, capsys, how):
         cfg_file = tmp_path / "c.cfg"
@@ -435,11 +529,15 @@ class TestMain:
         assert "noma-jspa" in proc.stdout
 
     def test_parser_knows_documented_flags(self):
+        # each flag but --config is left as text under the config key it names
         parser = build_arg_parser()
         args = parser.parse_args(["--config", "x", "--seed-base", "3",
                                   "--solvers", "opt", "--out", "y",
                                   "--count-ops", "false"])
-        assert args.seed_base == 3 and args.count_ops is False
+        assert vars(args) == dict(config="x", seed_base="3", solvers="opt", out="y",
+                                  count_ops="false")
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(vars(args)) - {"config"} <= keys
 
 
 class TestOperationCounting:

@@ -299,6 +299,22 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SystemConfig(min_distance_m=2000.0)
 
+    def test_min_weight_range(self):
+        # weights are uniform on [0, 1] clamped up to min_weight; 1 is the sum-rate case
+        assert np.all(generate_instance(SystemConfig(users=4, min_weight=1.0), 0).weights == 1.0)
+        for bad in (0.0, -1.0, 1.0000001, 2.0, 1e308):
+            with pytest.raises(ValueError, match=r"^min_weight must be in \(0, 1\]"):
+                SystemConfig(min_weight=bad)
+
+    def test_overflowing_rates_name_bandwidth_and_seed(self):
+        # W_n = 1e308 / 3 keeps every slope finite, but not the rates' log terms
+        cfg = SystemConfig(users=3, subcarriers=3, max_mux=1, bandwidth_hz=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^seed 4: the weighted rates overflow .*"
+                                                 r"bandwidth_hz = 1e\+308\)$"):
+                generate_instance(cfg, 4)
+
     def test_uncountable_grid_rejected(self):
         # J + 1 must fit an int64: p_max_w / delta_w = 2^62 does, 2^63 and 1e301 do not
         assert SystemConfig(p_max_w=1.0, delta_w=2.0 ** -62).delta_w == 2.0 ** -62
@@ -371,6 +387,20 @@ class TestInstanceValidation:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="noise / gains must be positive and finite"):
                     Instance(gains=[[1.0], [gain]], noise=[[1.0], [noise]], **ok)
+
+    def test_rejects_overflowing_weighted_rates(self):
+        # each used to pass: grad then never returned, opt raised an IndexError and
+        # eps blamed its estimate
+        ok = dict(weights=[1.0, 1.0], bandwidths=[1.0], gains=np.ones((2, 1)),
+                  noise=np.ones((2, 1)), p_max=1.0, p_max_carrier=[1.0], delta=0.1, max_mux=1)
+        Instance(**ok)
+        for bad in [dict(weights=[1e308, 1.0], noise=[[4.0], [1.0]]),  # slopes finite, logs not
+                    dict(bandwidths=[1e308]),
+                    dict(bandwidths=[1e10], noise=[[1.0], [1e-300]])]:  # logs finite, a slope not
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^the weighted rates overflow a float"):
+                    Instance(**(ok | bad))
 
     def test_rejects_uncountable_grid(self):
         ok = dict(weights=[1.0, 1.0], bandwidths=[1.0], gains=np.ones((2, 1)),
