@@ -11,6 +11,7 @@ run, and NaN otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -18,7 +19,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .jspa import brute_force_jspa, check_brute_force, eps_jspa, grad_jspa, opt_jspa
@@ -162,6 +162,10 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> int
     min(jobs, tasks, cores) processes runs them when that is above 1, and
     the single CSV writer in the parent consumes completed tasks in
     submission order, so the output file does not depend on the pool size.
+    Rows stream into a temporary file beside the output, which replaces it
+    only once the campaign has finished: a campaign that stops early, say
+    at a refused draw, leaves an earlier output file as it was and removes
+    its temporary file.
     """
     path = out_path if out_path is not None else config.out
     seeds = [seed for seed in range(config.seed_base, config.seed_base + config.seeds)
@@ -169,14 +173,21 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> int
     ks = config.k_sweep * config.seeds
     workers = min(config.jobs, len(seeds), os.cpu_count() or 1)
     count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-              else nullcontext()) as pool:
-            for batch in (pool.map if pool else map)(_instance_records,
-                                                     itertools.repeat(config), seeds, ks):
-                fh.writelines(batch)
-                count += len(batch)
+    partial = f"{path}.{os.getpid()}.tmp"  # same directory, so os.replace is one rename
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.write(CSV_HEADER + "\n")
+            with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+                  else contextlib.nullcontext()) as pool:
+                for batch in (pool.map if pool else map)(_instance_records,
+                                                         itertools.repeat(config), seeds, ks):
+                    fh.writelines(batch)
+                    count += len(batch)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
     return count
 
 

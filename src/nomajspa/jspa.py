@@ -7,6 +7,7 @@ maximize sum_n F_n(b_n) subject to sum_n b_n <= p_max and 0 <= b_n <= cap_n.
 Four solvers are provided:
 
 * `grad_jspa`        projected gradient ascent with a bounded Brent line search,
+                     started at the continuous dual split (`dual_upper_bound`),
 * `opt_jspa`         exact optimum on the delta grid (knapsack DP by weights),
 * `eps_jspa`         (1 - eps)-approximation (profit scaling + DP by profits),
 * `brute_force_jspa` exhaustive grid enumeration, used as a test oracle.
@@ -35,15 +36,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Instance, check_eps_cells, check_grid_cells, grid_levels
+from .model import LN2, Instance, check_eps_cells, check_grid_cells, grid_levels
 from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
 from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
-                             best_columns, best_values, left_derivatives, stack_candidates)
+                             best_columns, best_values, lagrangian_maxima, left_derivatives,
+                             stack_candidates)
 
 _C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
 _C_KNAP_P = 3   # DP by profits, per candidate item
@@ -229,6 +232,95 @@ class BudgetObjective:
 
 
 # ---------------------------------------------------------------------------
+# The Lagrangian dual of the continuous split.
+
+
+class DualBound(NamedTuple):
+    """UB(lam) = lam * p_max + sum_n phi_n(lam) at the lam found, and its split b(lam)."""
+
+    upper: float
+    lam: float
+    split: np.ndarray
+
+
+def dual_upper_bound(instance: Instance, tables: list,
+                     objective: BudgetObjective | None = None) -> DualBound:
+    """An upper bound on every split's value, grid or not, and a near-optimal split.
+
+    Weak duality: for any lam >= 0 and any split b with sum b <= p_max and
+    0 <= b_n <= cap_n, sum_n F_n(b_n) <= lam * p_max + sum_n (F_n(b_n) - lam * b_n)
+    <= UB(lam) = lam * p_max + sum_n phi_n(lam), phi_n(lam) being the max of
+    F_n(b) - lam * b over [0, cap_n] (`single_carrier.lagrangian_maxima`).
+    F_n need not be concave. So UB(lam) bounds opt's, grad's and eps's wsr
+    alike, up to the rounding of the log terms both sides sum: the tests
+    hold every solver to wsr <= upper + _MARGIN * (the size of those terms),
+    the margin opt's fathoming takes relative to its sums.
+
+    UB is convex in lam, with slope g(lam) = p_max - sum_n b_n(lam). If g(0)
+    >= 0, as when the caps fit p_max, lam = 0 is the minimum. Otherwise the
+    search keeps a bracket lo < hi with g(lo) < 0 <= g(hi), from lo = 0 and
+    hi = max s / (c ln 2) over the pins, the steepest slope of any F_n, where
+    every b_n is 0. Where each b_n is an unclipped stationary point,
+    sum_n b_n = A / lam - B, linear in 1 / lam, so a secant in 1 / lam
+    through the bracket's ends lands on the root of g exactly once both ends
+    share their pieces. Where g jumps, as a b_n moves to another piece, the
+    secant keeps landing on the same side; then the next lam is where the
+    tangents of UB at lo and hi meet, which closes on a kink quadratically.
+    So a step is the secant once the last two steps landed on opposite
+    sides, else the tangent point.
+
+    The gap is the best UB sampled less the value where the tangents meet:
+    by convexity no lam in the bracket has a lower UB than that. The search
+    stops once the gap is at most (N + 1) * eps_mach of the best UB, the
+    rounding of the sum of N + 1 terms that evaluates UB, or once the next
+    lam is no float inside the bracket. Why it ends: each step lands
+    strictly inside the bracket and shrinks it, and a step after two that
+    did not halve the gap is the midpoint, so steps either halve the gap,
+    which the stopping rule bounds below, or halve the bracket, which
+    floats bound. Returns the best sampled lam, its UB and its split
+    b(lam), within the caps but not always within p_max.
+    """
+    if objective is None:
+        objective = BudgetObjective(tables)
+    cands, caps, p_max = objective.cands, instance.p_max_carrier, instance.p_max
+
+    def at(lam: float) -> DualBound:
+        phi, split = lagrangian_maxima(cands, caps, lam)
+        return DualBound(lam * p_max + float(phi.sum()), lam, split)
+
+    def slope(point: DualBound) -> float:
+        return p_max - float(point.split.sum())
+
+    lo = at(0.0)
+    if slope(lo) >= 0.0:
+        return lo
+    hi = at(float((cands.pins[..., 0] / cands.pins[..., 1]).max()) / LN2)
+    best = hi if hi.upper < lo.upper else lo
+    tol = (instance.n_carriers + 1) * np.finfo(float).eps
+    sides = (0, 0)  # where the last two steps landed: -1 on lo, 1 on hi
+    gaps = (math.inf, math.inf)  # the certified gap before each of them
+    while True:
+        g_lo, g_hi = slope(lo), slope(hi)
+        meet = (hi.upper - lo.upper + g_lo * lo.lam - g_hi * hi.lam) / (g_lo - g_hi)
+        gap = best.upper - (lo.upper + g_lo * (meet - lo.lam))
+        if gap <= tol * abs(best.upper):
+            return best
+        if gap > 0.5 * gaps[0]:
+            lam = 0.5 * (lo.lam + hi.lam)
+        elif lo.lam > 0.0 and sides[0] != sides[1]:
+            lam = 1.0 / (1.0 / hi.lam + (1.0 / lo.lam - 1.0 / hi.lam) * g_hi / (g_hi - g_lo))
+        else:
+            lam = meet
+        if not lo.lam < lam < hi.lam:
+            return best
+        point = at(lam)
+        best = point if point.upper < best.upper else best
+        side = 1 if slope(point) >= 0.0 else -1
+        lo, hi = (lo, point) if side > 0 else (point, hi)
+        sides, gaps = (sides[1], side), (gaps[1], gap)
+
+
+# ---------------------------------------------------------------------------
 # Gradient ascent on the budget split.
 
 
@@ -331,12 +423,16 @@ def default_grad_iteration_cap(p_max: float, xi: float) -> int:
 
 
 def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
-    """Projected gradient ascent on the budget vector, starting from zero.
+    """Projected gradient ascent on the budget vector, from the continuous dual split.
 
-    Each step moves along the per-subcarrier left derivatives g of F_n,
-    to the point P(p + alpha * g) of the projected arc that Brent's bounded
-    search (`_brent_max`) picks for alpha in [0, p_max / ||g||], and the
-    ascent stops once the iterate moves by at most xi. The search closes
+    It starts at `dual_upper_bound`'s split b(lam), projected onto the
+    budget simplex: the Lagrangian's maximizer at the best lam found, which
+    on the workload shapes is at or near the continuous optimum, so the
+    ascent mostly ends after one step. Each step moves along the
+    per-subcarrier left derivatives g of F_n, to the point P(p + alpha * g)
+    of the projected arc that Brent's bounded search (`_brent_max`) picks
+    for alpha in [0, p_max / ||g||], and the ascent stops once the iterate
+    moves by at most xi. The search closes
     its alpha bracket to tol = xi / ||g||, the resolution the stopping rule
     asks for: the projection P is nonexpansive, so
     ||P(p + alpha g) - P(p + alpha' g)|| <= |alpha - alpha'| * ||g||, and
@@ -348,11 +444,9 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
     """
     if not 0.0 < xi < math.inf:
         raise ValueError("xi must be positive and finite")
-    N = instance.n_carriers
     caps = instance.p_max_carrier
     objective = BudgetObjective(tables)
-
-    p = np.zeros(N)
+    p = project_simplex(dual_upper_bound(instance, tables, objective).split, instance.p_max, caps)
     cur = objective.value(p)
     history = [cur]
     converged = False

@@ -31,6 +31,9 @@ budget-split DP by profits    3    candidate item inspected
 simplex projection            3    coordinate per clipped-sum evaluation (the
                                    feasibility check and every polish probe)
 gradient/derivative lookup    4    subcarrier in single_carrier.left_derivatives
+Lagrangian block maximum      8    (subcarrier, stacked candidate, position)
+                                   pinned block, per lam, charged in
+                                   single_carrier.lagrangian_maxima
 ==========================  =====  ==============================================
 
 Counting is disabled by default; the disabled path is a single attribute

@@ -17,10 +17,12 @@ F_n is the resulting budget-value function (optimal weighted rate on
 subcarrier n as a function of its power budget); it is non-decreasing and
 sublinear. Every question about it is answered here over a stack of
 subcarriers (`stack_candidates`): `best_values` gives F_n at budgets,
-`best_columns` the column that attains it and `left_derivatives` its left
-derivative in closed form. The stack holds each subcarrier's distinct
-candidates only, E' <= K of them, which answer as all K do, bit for bit.
-All three read F_n through one kernel, `pinned_values`: a candidate
+`best_columns` the column that attains it, `left_derivatives` its left
+derivative in closed form and `lagrangian_maxima` the max of
+F_n(b) - lam * b over b, block by block in closed form. The stack holds
+each subcarrier's distinct candidates only, E' <= K of them, which answer
+as all K do, bit for bit.
+The first three read F_n through one kernel, `pinned_values`: a candidate
 truncated at a budget pins a leading block, which contributes one log, and
 the rest is a tail constant built once per stack, so a budget costs E'
 logs per subcarrier. `pinned_index` finds it by searchsorted on opt's one
@@ -49,6 +51,7 @@ _C_CELL = 8
 _C_LOOKUP = 6
 _C_TAIL = 6
 _C_DERIV = 4
+_C_DUAL = 8
 
 _SMALLEST = np.nextafter(0.0, 1.0)  # x >= _SMALLEST means x > 0 for x >= 0
 
@@ -473,6 +476,35 @@ def left_derivatives(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
     zero = budgets <= 0.0
     tally(budgets.size * _C_DERIV)
     return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
+
+
+def lagrangian_maxima(cands: Candidates, caps: np.ndarray, lam: float):
+    """phi_n(lam) = max of F_n(b) - lam * b over 0 <= b <= cap_n, and its b_n(lam), (N,) each.
+
+    On the block entry_x[n, e, l + 1] < b <= min(entry_x[n, e, l], cap_n),
+    entry_x[n, e, K] being 0, candidate e pins positions 0..l (see
+    pinned_index) and is worth s * log2(b + c) + t (see Candidates), which is
+    concave in b. So its best b there is the stationary point
+    s / (lam ln 2) - c clipped to the block, and phi_n is the best of these
+    over every (e, l) and of b = 0, worth 0 (pinned_values' rule for a zero
+    budget). At lam = 0, or one so small that s / lam overflows, every
+    stationary point is +inf and clips to the top of its block. Ties go to
+    b = 0, then to the first (e, l).
+    """
+    x = cands.entry_x
+    N = x.shape[0]
+    low = np.zeros_like(x)
+    low[..., :-1] = x[..., 1:]
+    top = np.minimum(x, caps[:, None, None])
+    s, c, t = np.moveaxis(cands.pins, -1, 0)
+    with np.errstate(divide="ignore", over="ignore"):
+        b = np.minimum(np.maximum(s / (lam * LN2) - c, low), top)
+    vals = np.where((low < top) & (b > 0.0), s * np.log2(b + c) + t - lam * b, -np.inf)
+    tally(x.size * _C_DUAL)
+    rows, vals = np.arange(N), vals.reshape(N, -1)
+    best = vals.argmax(axis=1)
+    phi = vals[rows, best]
+    return np.maximum(phi, 0.0), np.where(phi > 0.0, b.reshape(N, -1)[rows, best], 0.0)
 
 
 def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:

@@ -128,8 +128,8 @@ class TestConfig:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
-        (False, "b7c0d5ae52396ad13aa857ad156dacf53599804bdb8c689df224447e1e49e999"),
-        (True, "9d2a5478a3183ca6245b544f54ff2326d41176dbf9a85f061d94f181e8246915"),
+        (False, "5027b687f273a940cc61d4018d7067cee212decb8f618bbe75c82dffaf645939"),
+        (True, "17da5f1f855da0c0d7adfdc312ce85a0f696dc9e7e98666b3ecf9f7be166c0e6"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose
@@ -143,6 +143,7 @@ class TestRunExperiment:
         out = tmp_path / "r.csv"
         # 3 seeds x 1 K x 2 M x 2 solvers
         assert run_experiment(tiny_config(), out_path=str(out)) == 12
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]  # no temporary file left
         rows = read_rows(out)
         assert len(rows) == 12
         assert {r["solver"] for r in rows} == {"opt", "grad"}
@@ -472,16 +473,19 @@ class TestMain:
     def test_overflowing_rates_stop_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                      solver):
         # grad used to write a wsr of 0, opt to raise an IndexError and eps to
-        # report upper = nan; the draw is refused now, naming the seed
+        # report upper = nan; the draw is refused now, naming the seed, and it
+        # used to cut an earlier results file to the CSV header
         forbid_solves(monkeypatch)
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(f"{RUNNABLE}bandwidth_hz = 1e308\nsolvers = {solver}\n")
         out = tmp_path / "r.csv"
+        out.write_text("earlier results\n")
         assert main(["--config", str(cfg_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: seed 0: the weighted rates overflow a float")
         assert "bandwidth_hz = 1e+308" in err
-        assert out.read_text() == CSV_HEADER + "\n"
+        assert out.read_text() == "earlier results\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "r.csv"]
 
     @pytest.mark.parametrize("how", ["config", "flag"])
     def test_negative_seed_base_leaves_output_untouched(self, tmp_path, capsys, how):

@@ -16,7 +16,7 @@ from nomajspa.model import (
     wsr_from_x,
 )
 from nomajspa.single_carrier import (best_values, fn_value_many, iscus_precompute,
-                                     left_derivatives, stack_candidates)
+                                     lagrangian_maxima, left_derivatives, stack_candidates)
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
     BudgetObjective,
@@ -25,6 +25,7 @@ from nomajspa.jspa import (
     build_knapsack,
     check_brute_force,
     class_unit_caps,
+    dual_upper_bound,
     eps_jspa,
     estimate_upper_bound,
     grad_jspa,
@@ -408,7 +409,8 @@ class TestGradJspa:
         assert np.all(np.diff(hist) >= -1e-12 * max(1.0, hist.max()))
 
     def test_iteration_cap_returns_best_iterate_with_flag(self, monkeypatch):
-        inst = small_instance(5, users=4, carriers=3, max_mux=2)
+        # from its dual start this instance takes 3 iterations at xi = 1e-12
+        inst = small_instance(6, users=5, carriers=4, max_mux=2)
         _, tables = make_tables(inst, 2)
         monkeypatch.setattr(jspa, "default_grad_iteration_cap", lambda p_max, xi: 2)
         sol = grad_jspa(inst, tables, 1e-12)
@@ -423,32 +425,39 @@ class TestGradJspa:
         assert rel_err(sol.wsr, wsr_from_x(inst, order, sol.x)) <= 1e-9
 
     def test_trajectory_is_pinned(self):
-        # recorded with F_n valued by the pinned-block kernel and Brent's line search
+        # recorded with F_n valued by the pinned-block kernel, Brent's line
+        # search and the start at the continuous dual split
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
         sol = grad_jspa(inst, tables, 1e-4)
         assert sol.wsr.hex() == "0x1.8df3bab5cdd69p+24"
-        assert (sol.iterations, sol.converged) == (6, True)
+        assert (sol.iterations, sol.converged) == (1, True)
         assert sol.budgets.tobytes().hex() == (
-            "463f7258a5d1f13fa6b55b0cc2dbf53f26b4a750ec40f63faee2ac1faa12f53f"
-            "bec7977067b8f33fce75f6370080f43f80a26b80c24df43f3894e301d878f03f")
+            "66f28756a5d1f13fd80b4a0dc2dbf53ff9bba34eec40f63fec510e20aa12f53f"
+            "fd55717167b8f33fa4b3c6380080f43f25d45e81c24df43f1e16e501d878f03f")
 
     def test_each_accepted_step_is_projected_once(self, monkeypatch):
         # the step a line search accepts is one of the points it valued, so
-        # grad projects nothing else; Brent's search values 94 points over
-        # the 6 iterations here, so 20 per iteration leaves room
+        # grad projects its dual start and those points, nothing else
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
-        real = jspa.project_simplex
-        points = []
+        real_project, real_brent = jspa.project_simplex, jspa._brent_max
+        points, valued = [], []
 
         def recording(v, p_max, caps):
-            points.append(real(v, p_max, caps))
+            points.append(real_project(v, p_max, caps))
             return points[-1]
 
+        def counting(fun, *args):
+            def counted(alpha):
+                valued.append(alpha)
+                return fun(alpha)
+            return real_brent(counted, *args)
+
         monkeypatch.setattr(jspa, "project_simplex", recording)
+        monkeypatch.setattr(jspa, "_brent_max", counting)
         sol = grad_jspa(inst, tables, 1e-4)
-        assert len(points) <= 20 * sol.iterations
+        assert len(points) == 1 + len(valued)
         assert any(np.array_equal(sol.budgets, q) for q in points)
 
     def test_rejects_bad_tolerance(self):
@@ -808,6 +817,41 @@ class TestEstimation:
                 sol = eps_jspa(inst, tables, eps)
                 assert budget_feasible(inst, sol.budgets)
                 assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+
+
+class TestDualUpperBound:
+    def test_caps_that_fit_the_budget_give_lam_zero(self):
+        inst = generate_instance(SystemConfig(users=4, subcarriers=4, max_mux=2,
+                                              p_max_carrier_w=2.5), 3)
+        _, tables = make_tables(inst)
+        bound = dual_upper_bound(inst, tables)
+        caps = inst.p_max_carrier
+        assert bound.lam == 0.0 and np.array_equal(bound.split, caps)
+        assert bound.upper == float(best_values(stack_candidates(tables), caps[:, None]).sum())
+
+    def test_no_sampled_lam_lowers_the_bound(self):
+        # the search stops once no lam lowers UB by more than (N + 1) ulps
+        inst = small_instance(42, users=6, carriers=8, max_mux=3)
+        _, tables = make_tables(inst)
+        bound = dual_upper_bound(inst, tables)
+        assert opt_jspa(inst, tables).wsr <= bound.upper
+        cands = stack_candidates(tables)
+        tol = 9 * np.finfo(float).eps * bound.upper
+        for lam in bound.lam * np.concatenate((np.linspace(0.0, 2.0, 41),
+                                               1.0 + np.linspace(-1e-6, 1e-6, 41))):
+            phi, _ = lagrangian_maxima(cands, inst.p_max_carrier, lam)
+            assert lam * inst.p_max + float(phi.sum()) >= bound.upper - tol
+
+    def test_split_is_the_continuous_optimum_on_a_desk_instance(self):
+        # grad from the split takes one step, which moves it by at most xi
+        inst = generate_instance(SystemConfig(users=10, max_mux=3), 7)
+        _, tables = make_tables(inst)
+        bound = dual_upper_bound(inst, tables)
+        assert abs(float(bound.split.sum()) - inst.p_max) <= 1e-9 * inst.p_max
+        sol = grad_jspa(inst, tables, 1e-4)
+        assert (sol.iterations, sol.converged) == (1, True)
+        assert np.linalg.norm(sol.budgets - bound.split) <= 1e-4
+        assert sol.wsr <= bound.upper * (1 + jspa._MARGIN)
 
 
 class TestBudgetObjective:

@@ -18,6 +18,7 @@ from nomajspa.model import (
     carrier_views,
     check_eps_cells,
     check_grid_cells,
+    f_blocks,
     f_eval,
     generate_instance,
     p_from_x,
@@ -193,6 +194,12 @@ class TestBlockUtilities:
             assert rel_err(direct, summed) <= 1e-9
 
 
+def block_values(inst, order, j, i, grid):
+    """f_eval(inst, order, 0, j, i, x) at every x of grid, in one f_blocks read."""
+    x = np.repeat(np.asarray(grid, dtype=float)[:, None], i + 1, axis=1)
+    return f_blocks(*carrier_view(inst, order, 0)[:3], i, x)[:, j]
+
+
 class TestArgmaxF:
     def test_first_block_returns_budget(self):
         inst = small_instance(31, users=4, carriers=1, max_mux=2)
@@ -209,7 +216,7 @@ class TestArgmaxF:
         assert got == pytest.approx(2.0, abs=1e-12)
         # grid oracle: the same block utility maximized by scanning [0, 10]
         grid = np.arange(0.0, 10.0 + 1e-12, 1e-4)
-        vals = np.array([f_eval(inst, order, 0, 1, 1, x) for x in grid])
+        vals = block_values(inst, order, 1, 1, grid)
         assert abs(grid[np.argmax(vals)] - got) <= 1e-4
 
     def test_clamped_to_budget(self):
@@ -217,8 +224,15 @@ class TestArgmaxF:
         order = build_decoding_order(inst)
         assert argmax_f(inst, order, 0, 1, 1, 1.0) == 1.0
         grid = np.arange(0.0, 1.0 + 1e-12, 1e-4)
-        vals = np.array([f_eval(inst, order, 0, 1, 1, x) for x in grid])
+        vals = block_values(inst, order, 1, 1, grid)
         assert grid[np.argmax(vals)] == pytest.approx(1.0, abs=1e-4)
+
+    def test_block_values_are_f_eval_on_a_grid(self):
+        inst = single_carrier_instance([4.0, 1.0], [2.0, 1.0], p_max=10.0)
+        order = build_decoding_order(inst)
+        grid = np.linspace(0.0, 10.0, 11)
+        expect = [f_eval(inst, order, 0, 1, 1, x) for x in grid]
+        assert np.array_equal(block_values(inst, order, 1, 1, grid), expect)
 
     def test_unimodality_certificate(self):
         rng = np.random.default_rng(12)

@@ -10,7 +10,10 @@ keep the grid profits monotone, give the same values, columns and left
 derivatives stacked as one subcarrier at a time, and leave the exact solvers' agreement intact.
 The stack of each subcarrier's distinct candidates must answer every F_n
 reader as the full stack of all K does, bit for bit, at 0, p_max, random
-budgets and every candidate entry and its two float neighbours. eps's
+budgets and every candidate entry and its two float neighbours, and at
+several lam for the Lagrangian maxima. The continuous dual's bound must hold
+every solver's wsr up to rounding, and each Lagrangian maximum must bound
+F_n(b) - lam * b on a dense grid and be attained at its own b. eps's
 batched item selection must pick, per class, what the one-threshold-at-a-time
 search, a full scan and the whole grid's np.searchsorted pick, at the whole
 grid's profits, on instances and on synthetic profit families (flat,
@@ -42,14 +45,14 @@ from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, 
                        eps_targets, index_array_eps_budgets, stacked_profit)
 from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
-                           class_unit_caps, eps_jspa, estimate_upper_bound, grad_jspa,
-                           opt_jspa)
+                           class_unit_caps, dual_upper_bound, eps_jspa, estimate_upper_bound,
+                           grad_jspa, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
                             carrier_views, generate_instance, wsr_from_x)
 from nomajspa.single_carrier import (best_columns, best_values, candidate_values,
                                      fn_value_many, iscus_eval, iscus_precompute,
-                                     left_derivatives, pinned_values, sc_value, scus,
-                                     stack_candidates)
+                                     lagrangian_maxima, left_derivatives, pinned_values,
+                                     sc_value, scus, stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -228,6 +231,12 @@ def test_distinct_candidates_answer_like_the_full_stack(inst, seed):
         for got, expect in zip(best_columns(cands, b), best_columns(oracle, b), strict=True):
             assert same_bits(got, expect)
         assert same_bits(left_derivatives(cands, b), left_derivatives(oracle, b))
+    lam = dual_upper_bound(inst, tables).lam
+    for scale in (0.0, 0.5, 1.0, 2.0):
+        for got, expect in zip(lagrangian_maxima(cands, inst.p_max_carrier, scale * lam),
+                               lagrangian_maxima(oracle, inst.p_max_carrier, scale * lam),
+                               strict=True):
+            assert same_bits(got, expect)
 
 
 @PROPERTY
@@ -265,6 +274,43 @@ def test_lockstep_selection_and_eps_guarantee(inst):
         sol = eps_jspa(inst, tables, eps)
         assert budget_feasible(inst, sol.budgets)
         assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+
+
+@settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
+@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
+def test_dual_bound_certifies_every_solver(inst):
+    tables = tables_of(inst)
+    bound = dual_upper_bound(inst, tables)
+    assert bound.lam >= 0.0
+    assert np.all((bound.split >= 0.0) & (bound.split <= inst.p_max_carrier))
+    # UB >= every wsr up to the rounding of the log terms both sums add, so
+    # the margin is relative to their size, as opt's _MARGIN is: a dual split
+    # on the grid closes the gap, where UB has read 1.3e-15 relative below
+    # opt, and at 30 dB shadowing the log terms can be 1e9 times the wsr
+    scale = sum(magnitude(t) for t in tables)
+    for sol in (opt_jspa(inst, tables), grad_jspa(inst, tables, 1e-4),
+                eps_jspa(inst, tables, 0.1)):
+        assert sol.wsr <= bound.upper + jspa._MARGIN * scale
+
+
+@PROPERTY
+@given(instances(), st.sampled_from([0.0, 0.1, 1.0, 10.0]))
+def test_lagrangian_maxima_bound_a_dense_grid_and_are_attained(inst, scale):
+    # lam is the dual search's, scaled; at 0 every b_n is its cap
+    tables = tables_of(inst)
+    cands = stack_candidates(tables)
+    caps = inst.p_max_carrier
+    lam = scale * dual_upper_bound(inst, tables).lam
+    phi, b = lagrangian_maxima(cands, caps, lam)
+    tol = 1e-12 * np.array([magnitude(t) for t in tables])
+    # b_n(lam) attains phi_n(lam), valued as best_values values it
+    assert np.all((b >= 0.0) & (b <= caps))
+    assert np.all(np.abs(best_values(cands, b[:, None])[:, 0] - lam * b - phi) <= tol)
+    # no budget of a dense grid up to each cap, its kinks included, beats phi
+    grid = np.concatenate([np.linspace(0.0, 1.0, 4001)[None, :] * caps[:, None],
+                           np.minimum(cands.entry_x.reshape(len(tables), -1), caps[:, None])],
+                          axis=1)
+    assert np.all(best_values(cands, grid) - lam * grid <= phi[:, None] + tol[:, None])
 
 
 @contextmanager
