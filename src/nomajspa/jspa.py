@@ -6,8 +6,9 @@ maximize sum_n F_n(b_n) subject to sum_n b_n <= p_max and 0 <= b_n <= cap_n.
 
 Four solvers are provided:
 
-* `grad_jspa`        projected gradient ascent with a bounded Brent line search,
-                     started at the continuous dual split (`dual_upper_bound`),
+* `grad_jspa`        projected gradient ascent, halving its step along the
+                     projection arc (the Armijo rule), started at the
+                     continuous dual split (`dual_upper_bound`),
 * `opt_jspa`         exact optimum on the delta grid (knapsack DP by weights),
 * `eps_jspa`         (1 - eps)-approximation (profit scaling + DP by profits),
 * `brute_force_jspa` exhaustive grid enumeration, used as a test oracle.
@@ -51,7 +52,7 @@ from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
 _C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step, of the larger part
+_ARMIJO = 1e-4  # grad accepts a step that gains this share of its first-order gain
 # opt fathoms a column whose Lagrangian bound falls short of the incumbent by
 # more than _MARGIN times the largest magnitude a DP sum reaches, far above
 # their rounding
@@ -324,97 +325,6 @@ def dual_upper_bound(instance: Instance, tables: list,
 # Gradient ascent on the budget split.
 
 
-def _brent_max(fun, lo: float, hi: float, f_lo: float, tol: float):
-    """Bounded Brent maximizer on [lo, hi] returning the best point it sampled.
-
-    FMIN of Forsythe, Malcolm and Moler (1977), after Brent (1973, ch. 5),
-    with its comparisons turned to maximize: golden-section steps, replaced
-    by the vertex of the parabola through the three best points whenever
-    that vertex lies inside [a, b] and moves less than half the step before
-    last. It is seeded with both endpoints, f(lo) = f_lo given and f(hi)
-    valued first, and returns the best (x, f) among lo, hi and its own
-    samples, earliest on ties: never below f(lo), so on a merely
-    piecewise-unimodal objective the search stays an ascent.
-
-    It stops once the best interior point x lies within 2 * tol1 of both
-    ends of the bracket [a, b], tol1 = sqrt(eps_mach) * |x| + tol / 3:
-    tol / 3 is the caller's resolution, sqrt(eps_mach) * |x| the finest
-    that float values of a smooth f can tell apart near an extremum. No
-    sample falls within tol1 of x, and none of a parabolic step within
-    2 * tol1 of an end.
-
-    Why the loop ends. Every sample lies strictly inside [a, b] and moves
-    a or b to itself or to the old x, so the bracket shrinks at every
-    step: geometrically on golden steps, and a parabolic step is taken
-    only while it is shorter than half the step before last. The test
-    holds once both sides of x are at most 2 * tol1. For a tiny tol the
-    sqrt(eps_mach) * |x| term keeps tol1 at the float resolution of x, so
-    the bracket stops there instead of shrinking toward tol. Only a
-    maximum at lo = 0, where grad's search starts, lets x and with it tol1
-    go to 0. The bracket then closes on 0 mostly by golden steps, up to
-    about log_phi((hi - lo) / tol) of them, and where tol / 3 underflows
-    to 0 the search returns once a step no longer moves x, which happens
-    only among subnormal floats.
-    """
-    best_x, best_f = lo, f_lo
-
-    def sample(u: float) -> float:
-        nonlocal best_x, best_f
-        fu = fun(u)
-        if fu > best_f:
-            best_x, best_f = u, fu
-        return fu
-
-    sample(hi)
-    root_eps = math.sqrt(math.ulp(1.0))
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = sample(x)
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = root_eps * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return best_x, best_f
-        golden = True
-        if abs(e) > tol1:  # try the parabola through x, w and v
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = math.copysign(tol1, xm - x)
-                golden = False
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        if u == x:  # tol1 and d have underflowed at a subnormal x
-            return best_x, best_f
-        fu = sample(u)
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-
-
 def default_grad_iteration_cap(p_max: float, xi: float) -> int:
     """10 * ceil(log2(p_max / xi)) + 100, and at least one iteration at a huge xi."""
     ratio = p_max / xi  # inf at a subnormal xi, where the log is taken apart
@@ -428,19 +338,38 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
     It starts at `dual_upper_bound`'s split b(lam), projected onto the
     budget simplex: the Lagrangian's maximizer at the best lam found, which
     on the workload shapes is at or near the continuous optimum, so the
-    ascent mostly ends after one step. Each step moves along the
-    per-subcarrier left derivatives g of F_n, to the point P(p + alpha * g)
-    of the projected arc that Brent's bounded search (`_brent_max`) picks
-    for alpha in [0, p_max / ||g||], and the ascent stops once the iterate
-    moves by at most xi. The search closes
-    its alpha bracket to tol = xi / ||g||, the resolution the stopping rule
-    asks for: the projection P is nonexpansive, so
-    ||P(p + alpha g) - P(p + alpha' g)|| <= |alpha - alpha'| * ||g||, and
-    alpha within tol places the step within xi. The objective is only
-    piecewise concave, so a global optimum is not guaranteed. The line
-    search never accepts a loss, so the last iterate is the best; an
-    iteration cap returns it with converged=False instead of looping
-    forever. xi must be positive and finite.
+    ascent mostly ends at its first trial. Each iteration takes the
+    per-subcarrier left derivatives g of F_n at p and tries the points
+    q = P(p + alpha * g) of the projection arc at alpha = alpha_max * 2^-m,
+    m = 0, 1, ..., with alpha_max = p_max / ||g||: the Armijo rule along
+    the projection arc (Bertsekas 1976). A trial with ||q - p|| <= xi ends
+    the ascent as converged, without valuing q; otherwise the first q with
+    F(q) > F(p) + _ARMIJO * g.(q - p) becomes the next iterate.
+
+    (a) The stopping rule. ||P(p + alpha g) - p|| is non-decreasing in alpha
+    (Bertsekas, Nonlinear Programming, 2.3), so once a trial moves p by at
+    most xi, no smaller step on that arc moves it by more: no point left
+    to try could pass the rule that stops the ascent.
+    (b) An accepted step strictly increases F. p lies in the simplex, so
+    the projection's variational inequality gives (p + alpha g - q).(p - q)
+    <= 0, that is g.(q - p) >= ||q - p||^2 / alpha >= 0, and F(q) exceeds
+    F(p) by at least _ARMIJO times that. The test takes the gain as at
+    least 0, so rounding in g.(q - p) cannot admit a loss either: the last
+    iterate is the best, and `history` is non-decreasing.
+    (c) The halving ends. P is nonexpansive, so ||q - p|| <= alpha ||g||,
+    which is at most xi after about log2(p_max / xi) halvings, up to the
+    projection's rounding. Where xi is below that rounding, as a subnormal
+    xi is, the halving goes on until alpha * g stops moving p in floats,
+    a few dozen halvings more (at most 56 trials in an iteration of the
+    tests' subnormal cases): q is then P(p), which is p bit for bit, since p is the
+    projection's own output and its computed sum refits the budget, so the
+    step is 0. At the latest alpha itself halves to 0, with the same q; a
+    zero g tries alpha = 0 at once.
+
+    The objective is only piecewise concave, so a global optimum is not
+    guaranteed. An iteration cap returns the last iterate with
+    converged=False instead of looping forever. xi must be positive and
+    finite.
     """
     if not 0.0 < xi < math.inf:
         raise ValueError("xi must be positive and finite")
@@ -454,24 +383,19 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
     for iterations in range(1, default_grad_iteration_cap(instance.p_max, xi) + 1):
         grad = objective.derivatives(p)
         norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            converged = True
-            break
-        alpha_max = instance.p_max / norm
-
-        projected = {}  # alpha -> the projected point the line search valued
-
-        def along(alpha: float) -> float:
-            projected[alpha] = project_simplex(p + alpha * grad, instance.p_max, caps)
-            return objective.value(projected[alpha])
-
-        alpha, val = _brent_max(along, 0.0, alpha_max, cur, xi / norm)
-        new_p = projected.get(alpha, p)  # alpha = 0 keeps p, its own projection
-        step = float(np.linalg.norm(new_p - p))
-        p, cur = new_p, val
+        alpha = instance.p_max / norm if norm else 0.0
+        while True:
+            q = project_simplex(p + alpha * grad, instance.p_max, caps)
+            if float(np.linalg.norm(q - p)) <= xi:
+                converged = True
+                break
+            val = objective.value(q)
+            if val > cur + _ARMIJO * max(float(grad @ (q - p)), 0.0):
+                p, cur = q, val
+                break
+            alpha *= 0.5
         history.append(cur)
-        if step <= xi:
-            converged = True
+        if converged:
             break
     return _solution(objective, p, "grad", converged=converged,
                      iterations=iterations, history=history)

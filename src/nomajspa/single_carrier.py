@@ -315,19 +315,6 @@ def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
     return tables[n]
 
 
-def candidate_values(w_n, wp, ep, offset, entry_x: np.ndarray,
-                     budgets: np.ndarray) -> np.ndarray:
-    """Weighted rate of candidate columns entry_x truncated at budgets.
-
-    budgets broadcasts against entry_x without its position axis. This is
-    the direct form, 2 K logs per candidate and budget; the solvers use
-    `pinned_values`, and the tests hold it to this one.
-    """
-    vals = utility(w_n, wp, ep, offset, np.minimum(entry_x, budgets[..., None]))
-    # no power, no rate: avoid cancellation residue
-    return np.where(budgets <= 0.0, 0.0, vals)
-
-
 class Candidates(NamedTuple):
     """F_n inputs of N stacked subcarriers: E candidates of K positions each.
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from nomajspa.model import (DecodingOrder, Instance, SystemConfig, argmax_blocks,
-                            carrier_views, check_carrier, f_blocks, generate_instance)
+                            carrier_views, check_carrier, f_blocks, generate_instance, utility)
 from nomajspa.ops import tally
 from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, Candidates, _scus_dp,
                                      expand_active, pinned_tails, sc_value, scpc)
@@ -215,6 +215,18 @@ def per_carrier_backtrack(xopt, take, m, j, i, n_users):
         if take[m, j, i]:
             m, j = m - 1, i + 1
         i += 1
+
+
+def candidate_values(w_n, wp, ep, offset, entry_x, budgets):
+    """Weighted rate of candidate columns entry_x truncated at budgets.
+
+    budgets broadcasts against entry_x without its position axis. This is
+    the direct form, 2 K logs per candidate and budget, the oracle that
+    `single_carrier.pinned_values` is held to.
+    """
+    vals = utility(w_n, wp, ep, offset, np.minimum(entry_x, budgets[..., None]))
+    # no power, no rate: avoid cancellation residue
+    return np.where(budgets <= 0.0, 0.0, vals)
 
 
 def full_stack_candidates(tables):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nomajspa
@@ -115,6 +116,22 @@ class TestConfig:
             solvers=("opt", "grad", "eps"), k_sweep=(5, 10, 20), m_sweep=(1, 2, 3),
             seeds=3, seed_base=7, timing=False)
 
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11) or np.__version__ != "2.4.6",
+        reason="README's reference digests were recorded on Python 3.11 with numpy 2.4.6")
+    @pytest.mark.parametrize("line, flags", [(0, []), (1, ["--count-ops", "true"])],
+                             ids=["plain", "count_ops"])
+    def test_reference_campaign_matches_readme_digests(self, tmp_path, line, flags):
+        # README's `sha256sum "$R"` lines, in order, each after its command
+        root = Path(__file__).resolve().parents[1]
+        digests = [text.rsplit("# ", 1)[1] for text in (root / "README.md").read_text().splitlines()
+                   if text.startswith('sha256sum "$R"')]
+        out = tmp_path / "r.csv"
+        assert main(["--config", str(root / "tests" / "reference_campaign.cfg"),
+                     "--out", str(out)] + flags) == 0
+        assert len(digests) == 2
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[line]
+
     def test_readme_config_block_names_every_key(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         cfg_file = tmp_path / "readme.cfg"
@@ -128,8 +145,8 @@ class TestConfig:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
-        (False, "5027b687f273a940cc61d4018d7067cee212decb8f618bbe75c82dffaf645939"),
-        (True, "17da5f1f855da0c0d7adfdc312ce85a0f696dc9e7e98666b3ecf9f7be166c0e6"),
+        (False, "905a9736a616c4bf0b75ca69ef9be15cf0c474e0a0eee88b84132cb8db4e66df"),
+        (True, "df43a6b0c4f8d638404b23396c76f6486d1f7de81749e820eda692163ac0e745"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

@@ -376,6 +376,25 @@ class TestProjectSimplex:
                     y *= p_max / y.sum()
                 assert np.sum((v - x) ** 2) <= np.sum((v - y) ** 2) + 1e-9
 
+    def test_step_along_the_arc_never_shrinks_and_ascends(self):
+        # the premises of grad's arc halving: ||P(p + alpha g) - p|| is
+        # non-decreasing in alpha, and g.(q - p) >= ||q - p||^2 / alpha
+        rng = np.random.default_rng(5)
+        alphas = np.geomspace(1e-6, 1e2, 60)
+        for _ in range(200):
+            size = int(rng.integers(1, 9))
+            caps = rng.uniform(0.5, 3.0, size)
+            p_max = float(rng.uniform(0.5, caps.sum() * 1.2))
+            p = project_simplex(rng.uniform(-1.0, 3.0, size), p_max, caps)
+            g = rng.normal(0.0, 2.0, size)
+            steps, gains = [], []
+            for alpha in alphas:
+                q = project_simplex(p + alpha * g, p_max, caps)
+                steps.append(np.linalg.norm(q - p))
+                gains.append(float(g @ (q - p)) - steps[-1] ** 2 / alpha)
+            assert np.all(np.diff(steps) >= -1e-12 * max(1.0, p_max))
+            assert min(gains) >= -1e-9 * max(1.0, p_max)
+
 
 class TestGradJspa:
     def test_single_carrier_takes_whole_budget(self):
@@ -409,7 +428,8 @@ class TestGradJspa:
         assert np.all(np.diff(hist) >= -1e-12 * max(1.0, hist.max()))
 
     def test_iteration_cap_returns_best_iterate_with_flag(self, monkeypatch):
-        # from its dual start this instance takes 3 iterations at xi = 1e-12
+        # from its dual start this instance takes 3 iterations of the arc
+        # halving at xi = 1e-12
         inst = small_instance(6, users=5, carriers=4, max_mux=2)
         _, tables = make_tables(inst, 2)
         monkeypatch.setattr(jspa, "default_grad_iteration_cap", lambda p_max, xi: 2)
@@ -425,8 +445,9 @@ class TestGradJspa:
         assert rel_err(sol.wsr, wsr_from_x(inst, order, sol.x)) <= 1e-9
 
     def test_trajectory_is_pinned(self):
-        # recorded with F_n valued by the pinned-block kernel, Brent's line
-        # search and the start at the continuous dual split
+        # recorded with F_n valued by the pinned-block kernel, the start at
+        # the continuous dual split and Brent's line search, which the arc
+        # halving matches here bit for bit
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
         sol = grad_jspa(inst, tables, 1e-4)
@@ -437,28 +458,102 @@ class TestGradJspa:
             "fd55717167b8f33fa4b3c6380080f43f25d45e81c24df43f1e16e501d878f03f")
 
     def test_each_accepted_step_is_projected_once(self, monkeypatch):
-        # the step a line search accepts is one of the points it valued, so
-        # grad projects its dual start and those points, nothing else
+        # grad projects its start and each trial once, and values the start
+        # and each trial that moves p by more than xi once: every projected
+        # point but the last trial, in order. Replaying the valued trials
+        # against history shows each of them moved p by more than xi and
+        # that the last one is within xi of the budgets returned.
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
-        real_project, real_brent = jspa.project_simplex, jspa._brent_max
+        real_project, real_value = jspa.project_simplex, BudgetObjective.value
         points, valued = [], []
 
         def recording(v, p_max, caps):
             points.append(real_project(v, p_max, caps))
             return points[-1]
 
-        def counting(fun, *args):
-            def counted(alpha):
-                valued.append(alpha)
-                return fun(alpha)
-            return real_brent(counted, *args)
+        def valuing(objective, budgets):
+            valued.append((budgets.copy(), real_value(objective, budgets)))
+            return valued[-1][1]
 
-        monkeypatch.setattr(jspa, "project_simplex", recording)
-        monkeypatch.setattr(jspa, "_brent_max", counting)
-        sol = grad_jspa(inst, tables, 1e-4)
-        assert len(points) == 1 + len(valued)
-        assert any(np.array_equal(sol.budgets, q) for q in points)
+        xi = 1e-4
+        for start in ("dual", "zero"):
+            with monkeypatch.context() as m:
+                if start == "zero":
+                    zero_start(m)
+                m.setattr(jspa, "project_simplex", recording)
+                m.setattr(BudgetObjective, "value", valuing)
+                points.clear()
+                valued.clear()
+                sol = grad_jspa(inst, tables, xi)
+            assert sol.converged
+            assert len(valued) == len(points) - 1
+            assert all(np.array_equal(q, b) for q, (b, _) in zip(points, valued))
+            p, accepted = points[0], 0
+            for q, val in valued[1:]:
+                assert np.linalg.norm(q - p) > xi
+                if val == sol.history[accepted + 1]:
+                    p, accepted = q, accepted + 1
+            assert np.linalg.norm(points[-1] - p) <= xi
+            assert np.array_equal(sol.budgets, p)
+            assert accepted == sol.iterations - 1
+            assert accepted >= (1 if start == "zero" else 0)
+
+    @pytest.mark.parametrize("start", ["dual", "zero"])
+    @pytest.mark.parametrize("xi", [1e-300, 5e-324])
+    def test_ends_converged_at_a_subnormal_tolerance(self, monkeypatch, xi, start):
+        # each iteration tries at most about log2(p_max / xi) steps plus the
+        # few dozen halvings before alpha * g stops moving p in floats
+        if start == "zero":
+            zero_start(monkeypatch)
+        real_project = jspa.project_simplex
+        projections = []
+
+        def counting(v, p_max, caps):
+            projections.append(None)
+            return real_project(v, p_max, caps)
+
+        monkeypatch.setattr(jspa, "project_simplex", counting)
+        for seed, carriers in ((42, 8), (6, 4)):
+            inst = small_instance(seed, users=5, carriers=carriers, max_mux=2)
+            _, tables = make_tables(inst, 2)
+            projections.clear()
+            sol = grad_jspa(inst, tables, xi)
+            assert sol.converged
+            trials = math.log2(inst.p_max) - math.log2(xi) + 64
+            assert len(projections) <= 1 + sol.iterations * trials
+            assert budget_feasible(inst, sol.budgets)
+
+    @pytest.mark.parametrize("mux", [1, 2, 3])
+    def test_zero_start_ascends_to_the_optimum(self, monkeypatch, mux):
+        # the dual start almost never accepts a step; from zero every
+        # iteration but the last does, each gaining value, and the ascent
+        # ends within criterion 07's mean loss bound of opt
+        zero_start(monkeypatch)
+        cfg = SystemConfig(users=10, subcarriers=20, max_mux=3)
+        for seed in (0, 1):
+            inst = generate_instance(cfg, seed)
+            _, tables = make_tables(inst, mux)
+            sol = grad_jspa(inst, tables, 1e-4)
+            hist = np.asarray(sol.history)
+            assert sol.converged and sol.iterations > 1
+            assert len(hist) == sol.iterations + 1
+            assert np.all(np.diff(hist[:-1]) > 0.0) and hist[-1] == hist[-2]
+            opt = opt_jspa(inst, tables).wsr
+            assert (opt - sol.wsr) / opt <= 1e-3
+
+    def test_zero_gradient_ends_at_the_start(self, monkeypatch):
+        # alpha = 0 tries P(p) itself, which is p bit for bit: the projection
+        # returns points whose computed sum refits the budget
+        inst = small_instance(42, users=6, carriers=8, max_mux=3)
+        _, tables = make_tables(inst)
+        start = grad_jspa(inst, tables, 1e-4)
+        monkeypatch.setattr(BudgetObjective, "derivatives",
+                            lambda objective, budgets: np.zeros_like(budgets))
+        sol = grad_jspa(inst, tables, 5e-324)
+        assert (sol.iterations, sol.converged) == (1, True)
+        assert np.array_equal(sol.budgets, start.budgets)
+        assert sol.history == [start.wsr, start.wsr]
 
     def test_rejects_bad_tolerance(self):
         inst = small_instance(6, users=2, carriers=2, max_mux=1)
@@ -468,80 +563,11 @@ class TestGradJspa:
                 grad_jspa(inst, tables, xi)
 
 
-def recorded(fun):
-    """fun, and the (x, f(x)) pairs it was called with, in call order."""
-    calls = []
-
-    def wrapped(x):
-        calls.append((x, fun(x)))
-        return calls[-1][1]
-    return wrapped, calls
-
-
-def golden_evaluations(fun, lo, hi, tol):
-    """Evaluations a plain golden search takes to close [lo, hi] to tol, hi included."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = fun(c), fun(d)
-    count = 3
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = fun(d)
-        count += 1
-    return count
-
-
-class TestBrentMax:
-    def test_finds_the_vertex_of_a_parabola(self):
-        for c in (0.013, 0.3, 0.77, 0.999):
-            x, fx = jspa._brent_max(lambda a: -(a - c) ** 2, 0.0, 1.0, -c * c, 1e-6)
-            assert abs(x - c) <= 1e-6
-            assert fx == -(x - c) ** 2
-
-    def test_increasing_function_returns_the_far_end(self):
-        assert jspa._brent_max(lambda a: a ** 3, 0.0, 2.0, 0.0, 1e-6) == (2.0, 8.0)
-
-    def test_a_best_start_is_kept(self):
-        fun, calls = recorded(lambda a: -a)
-        assert jspa._brent_max(fun, 0.0, 3.0, 0.0, 1e-6) == (0.0, 0.0)
-        assert calls[0] == (3.0, -3.0) and all(f < 0.0 for _, f in calls)
-
-    @pytest.mark.parametrize("lo", [0.0, 0.1, 0.2, 0.25, 0.5])
-    def test_two_peaks_never_lose_and_return_a_sample(self, lo):
-        # a narrow high peak at 0.2 beside a broad low one at 0.7: the search
-        # settles on the low one, so from lo = 0.2 only f(lo) keeps the ascent
-        def two_peaks(a):
-            return max(1.1 - 60.0 * (a - 0.2) ** 2, 1.0 - 40.0 * (a - 0.7) ** 2)
-
-        f_lo = two_peaks(lo)
-        fun, calls = recorded(two_peaks)
-        x, fx = jspa._brent_max(fun, lo, 1.0, f_lo, 1e-7)
-        assert fx == max([f_lo] + [f for _, f in calls]) >= f_lo
-        assert (x, fx) == (lo, f_lo) or (x, fx) in calls
-
-    @pytest.mark.parametrize("tol", [1e-300, 5e-324, 0.0])
-    def test_ends_at_a_left_maximum_for_any_tolerance(self, tol):
-        # x and tol1 go to 0 here; golden steps reach the subnormals and stop
-        fun, calls = recorded(lambda a: -a)
-        assert jspa._brent_max(fun, 0.0, 10.0, 0.0, tol) == (0.0, 0.0)
-        assert len(calls) < 2000
-
-    def test_fewer_evaluations_than_golden_section(self):
-        def smooth(a):
-            return math.log1p(a) - 0.3 * a
-
-        for tol in (1e-3, 1e-6, 1e-9):
-            fun, calls = recorded(smooth)
-            x, _ = jspa._brent_max(fun, 0.0, 10.0, 0.0, tol)
-            assert abs(x - (1.0 / 0.3 - 1.0)) <= tol
-            assert len(calls) < golden_evaluations(smooth, 0.0, 10.0, tol)
+def zero_start(monkeypatch):
+    """Start grad from the zero split instead of the continuous dual one."""
+    monkeypatch.setattr(jspa, "dual_upper_bound",
+                        lambda inst, tables, objective: jspa.DualBound(
+                            0.0, 0.0, np.zeros(inst.n_carriers)))
 
 
 class TestBuildKnapsack:

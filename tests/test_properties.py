@@ -21,7 +21,7 @@ steps, a class with lmax = 0 and one with no reachable target); its DP by
 profits, in whole or one-item chunks, what the index-array DP picks; and
 eps must keep its (1 - eps) guarantee. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
-and converge. opt's fathomed DP by weights must backtrack the units of the
+and converge; from the zero split each accepted step must gain, at any xi. opt's fathomed DP by weights must backtrack the units of the
 per-level scan chained over every class, bit for bit, on grids of up to 400
 levels and on synthetic profit families (flat, exactly linear, noisy,
 integer steps, kinked, concave, caps below the grid, J < N), as it runs,
@@ -38,21 +38,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (batched_scus_dp, full_stack_candidates, per_carrier_backtrack,
-                      per_carrier_offset, per_carrier_order, per_carrier_scus_dp,
-                      per_carrier_view, rel_err)
+from conftest import (batched_scus_dp, candidate_values, full_stack_candidates,
+                      per_carrier_backtrack, per_carrier_offset, per_carrier_order,
+                      per_carrier_scus_dp, per_carrier_view, rel_err)
 from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, class_rows,
-                       eps_targets, index_array_eps_budgets, stacked_profit)
+                       eps_targets, index_array_eps_budgets, stacked_profit, zero_start)
 from nomajspa import jspa
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, dual_upper_bound, eps_jspa, estimate_upper_bound,
                            grad_jspa, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
                             carrier_views, generate_instance, wsr_from_x)
-from nomajspa.single_carrier import (best_columns, best_values, candidate_values,
-                                     fn_value_many, iscus_eval, iscus_precompute,
-                                     lagrangian_maxima, left_derivatives, pinned_values,
-                                     sc_value, scus, stack_candidates)
+from nomajspa.single_carrier import (best_columns, best_values, fn_value_many, iscus_eval,
+                                     iscus_precompute, lagrangian_maxima, left_derivatives,
+                                     pinned_values, sc_value, scus, stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -257,6 +256,20 @@ def test_grad_ascends_to_a_feasible_converged_split(inst):
     assert np.all(np.diff(sol.history) >= 0.0)
     assert sol.converged
 
+
+@PROPERTY
+@given(instances(), st.sampled_from([1e-4, 1e-12, 5e-324]))
+def test_grad_from_zero_gains_at_every_accepted_step(inst, xi):
+    # from the zero split, where grad takes steps the dual start seldom
+    # needs, each accepted step gains value, the budgets stay feasible and
+    # the halving ends at any tolerance, a subnormal one included
+    with pytest.MonkeyPatch.context() as m:
+        zero_start(m)
+        sol = grad_jspa(inst, tables_of(inst), xi)
+    assert sol.converged
+    assert budget_feasible(inst, sol.budgets)
+    hist = np.asarray(sol.history)
+    assert np.all(np.diff(hist[:-1]) > 0.0) and hist[-1] == hist[-2]
 
 @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
 @given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
