@@ -16,14 +16,16 @@ Four solvers are provided:
 The discretized split is a multiple-choice knapsack: class n holds items
 (weight l*delta, profit F_n(l*delta)) for l = 0..J, at most one item per
 class, knapsack capacity p_max. opt runs the paper's DP by weights over it
-but values only the states its Lagrangian bound cannot fathom: a column k
-after some classes is dropped once best[k] plus the bound on any
-completion falls short of a feasible split's value. A class adds each
-live column to its items in one pass, O(lmax) cells and O(J) scratch. On
-the desk, fine-grid and many-user shapes a class keeps at most a few dozen
-columns; flat or tied profits keep all of them and pay the full O(J^2)
-band, one column at a time. The choices are bit for bit those of the full
-DP.
+without building the (N, J + 1) table of profits. Priced at the
+continuous dual's lam, each class's best reduced profit lies at the floor
+or ceiling of a pinned block's stationary point, a few reads per block;
+reduced-cost fixing then keeps only the items within the duality gap of
+it, one to three per class on the workload shapes, and the DP values
+those items on the columns its Lagrangian bound cannot fathom, a few
+dozen at most. So opt's cost barely grows with J. Flat or tied profits
+keep every item and column and pay the full O(J^2) band, one numpy pass
+per item with O(J) scratch. The choices are bit for bit those of the
+full DP.
 
 eps keeps, per class, the first grid item reaching each multiple of its
 profit scale. One binary search finds them for every class at once, one
@@ -35,6 +37,9 @@ the per-item loop's tie rule.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,17 +51,21 @@ from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
 from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
-                             best_columns, best_values, lagrangian_maxima, left_derivatives,
+                             Candidates, GridBlocks, best_columns, best_values, block_values,
+                             grid_blocks, lagrangian_maxima, left_derivatives, pinned_blocks,
                              stack_candidates)
 
-_C_KNAP_W = 2   # DP by weights, per (level, item) cell inspected
+_C_KNAP_W = 2   # DP by weights, per (column, item) cell relaxed or column bound tested
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _ARMIJO = 1e-4  # grad accepts a step that gains this share of its first-order gain
-# opt fathoms a column whose Lagrangian bound falls short of the incumbent by
-# more than _MARGIN times the largest magnitude a DP sum reaches, far above
-# their rounding
+# opt fathoms a column whose Lagrangian bound, or an item whose reduced profit,
+# falls short by more than _MARGIN times the largest magnitude its sums reach,
+# the log terms F_n adds up included: far above their rounding
 _MARGIN = 1e-9
+# opt reads grid profits in stacked reads of at most _READ_BUDGETS budgets (one
+# subcarrier's row at least), so a read of every item keeps O(J) scratch per row
+_READ_BUDGETS = 2 ** 12
 # eps's DP by profits relaxes items in chunks of at most _DP_CELLS candidate
 # weights (one item at least), so its scratch is O(T) cells for T targets, not
 # O(items * T); chunks of 10 to 300 items timed alike on every workload shape
@@ -215,6 +224,11 @@ class BudgetObjective:
     def __init__(self, tables: list):
         self.cands = stack_candidates(tables)
 
+    @functools.cached_property
+    def blocks(self):
+        """The stack's non-empty pinned blocks, gathered on first use (`pinned_blocks`)."""
+        return pinned_blocks(self.cands)
+
     def profits(self, n: int, budgets: np.ndarray) -> np.ndarray:
         """F_n of subcarrier n on a vector of budgets."""
         return best_values(self.cands.carrier(n), budgets[None, :])[0]
@@ -285,8 +299,10 @@ def dual_upper_bound(instance: Instance, tables: list,
         objective = BudgetObjective(tables)
     cands, caps, p_max = objective.cands, instance.p_max_carrier, instance.p_max
 
+    maxima = lagrangian_maxima(objective.blocks, caps)
+
     def at(lam: float) -> DualBound:
-        phi, split = lagrangian_maxima(cands, caps, lam)
+        phi, split = maxima(lam)
         return DualBound(lam * p_max + float(phi.sum()), lam, split)
 
     def slope(point: DualBound) -> float:
@@ -418,9 +434,10 @@ def _grid(levels: int, delta: float) -> np.ndarray:
 def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray:
     """Grid profits profits[n, l] = F_n(l * delta), read-only, (N, J + 1).
 
-    One subcarrier at a time keeps the kernel's temporaries to one class.
-    A grid over `model.GRID_CELLS` cells raises ValueError before any of it
-    is allocated.
+    Brute force's knapsack, and the tests' oracle of opt; opt itself reads
+    only the few grid profits it keeps. One subcarrier at a time keeps the
+    kernel's temporaries to one class. A grid over `model.GRID_CELLS` cells
+    raises ValueError before any of it is allocated.
     """
     check_grid_cells(instance.n_carriers, instance.p_max, instance.delta, "delta")
     grid = _grid(instance.n_power_levels, instance.delta)
@@ -429,158 +446,212 @@ def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray
     return profits
 
 
-def _lagrangian_split(profits: np.ndarray, caps: np.ndarray, lam: float):
-    """x_n(lam), the first argmax of c_n[l] - lam * l over l <= lmax_n, and phi_n(lam), its max."""
-    levels = np.arange(profits.shape[1])
-    reduced = profits - lam * levels
-    reduced[levels > caps[:, None]] = -np.inf
-    tally(reduced.size * _C_KNAP_W)
-    x = reduced.argmax(axis=1)
-    return x, reduced[np.arange(x.size), x]
+def _grid_profits(cands: Candidates, ls: np.ndarray, delta: float) -> np.ndarray:
+    """F_n(l * delta) at grid indices ls (N, L), row n on subcarrier n, in bounded reads."""
+    rows = max(1, _READ_BUDGETS // ls.shape[1])
+    return np.concatenate([best_values(Candidates(*(a[n:n + rows] for a in cands)),
+                                       ls[n:n + rows] * delta)
+                           for n in range(0, ls.shape[0], rows)])
 
 
-def _knapsack_multiplier(profits: np.ndarray, caps: np.ndarray):
-    """A lam >= 0 whose split x(lam) fits the J units, for opt's Lagrangian bound.
+def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.ndarray,
+                    lmax: np.ndarray) -> float:
+    """A feasible grid split's value: the dual split, floored, its spare units filled greedily.
 
-    Where the caps fit J, the smallest positive in-cap gain c_n[l] - c_n[l - 1]
-    (0 if there is none). Else the (J + 1)-th largest in-cap gain, floored
-    at 0: at most J gains exceed it, so a concave class takes no more units
-    than its gains above lam and the split fits. A class that is not
-    concave may take more; then lam rises to the next larger gain until it
-    fits, or until no gain is left above it. Returns lam with its split
-    x(lam) and phi(lam) (`_lagrangian_split`).
+    The split lies within the caps; scaled down to p_max where it overspends
+    (a projection costs a multiplier search there), it is floored to the
+    grid. Each spare unit then goes to the class whose next unit gains
+    most, while some gain is positive; every profit it needs is read in one
+    stacked read. -inf if the floored split still overspends, which
+    fathoms nothing.
     """
-    J = profits.shape[1] - 1
-    gains = np.diff(profits, axis=1)
-    gains[np.arange(J) >= caps[:, None]] = -np.inf  # gain l + 1 lies in the cap iff l < lmax
-    if caps.sum() <= J:
-        positive = gains[gains > 0.0]
-        lam = float(positive.min()) if positive.size else 0.0
-        return (lam, *_lagrangian_split(profits, caps, lam))
-    lam = max(0.0, float(np.partition(gains, gains.size - J - 1, axis=None)[gains.size - J - 1]))
-    above = gains[gains > lam]
-    x, phi = _lagrangian_split(profits, caps, lam)
-    while above.size and x.sum() > J:
-        lam = float(above.min())
-        above = above[above > lam]
-        x, phi = _lagrangian_split(profits, caps, lam)
-    return lam, x, phi
-
-
-def _incumbent(profits: np.ndarray, caps: np.ndarray, x: np.ndarray) -> float:
-    """Value of the split x with its spare units filled greedily; -inf if x overspends.
-
-    Each spare unit goes to the class whose next unit gains most, while
-    some gain is positive. A lam from `_knapsack_multiplier` never
-    overspends; a smaller one may, and then nothing is fathomed.
-    """
-    J = profits.shape[1] - 1
+    J, delta = instance.n_power_levels, instance.delta
+    total = float(split.sum())
+    if total > instance.p_max:
+        split = split * (instance.p_max / total)
+    x = np.minimum(np.floor(split / delta).astype(np.int64), lmax)
     spare = J - int(x.sum())
     if spare < 0:
         return -np.inf
-    rows = np.arange(x.size)
-    x = x.copy()
-    gain = np.where(x < caps, profits[rows, np.minimum(x + 1, J)] - profits[rows, x], -np.inf)
+    ls = np.minimum(x[:, None] + np.arange(min(spare, int((lmax - x).max())) + 1), lmax[:, None])
+    profits = _grid_profits(objective.cands, ls, delta)
+    # a unit past the read, or past a class's cap, gains -inf or 0 and is never taken
+    gains = np.diff(profits, axis=1, append=-np.inf).tolist()
+    heads = [(-row[0], n) for n, row in enumerate(gains)]
+    heapq.heapify(heads)
+    at = [0] * x.size
     for _ in range(spare):
-        n = int(gain.argmax())
-        if not gain[n] > 0.0:
+        gain, n = heads[0]
+        if not -gain > 0.0:
             break
-        x[n] += 1
-        gain[n] = profits[n, x[n] + 1] - profits[n, x[n]] if x[n] < caps[n] else -np.inf
-    return float(profits[rows, x].sum())
+        at[n] += 1
+        heapq.heapreplace(heads, (-gains[n][at[n]], n))
+    tally(ls.size * _C_KNAP_W)
+    return float(profits[np.arange(x.size), at].sum())
 
 
-def _finish(best: np.ndarray, cn: np.ndarray, r0: int, r1: int, c0: int, c1: int):
-    """Rows r0..r1 of one class over columns c0..c1: each row's float max and smallest-j tie.
+def _kept_items(grid: GridBlocks, peaks: np.ndarray, reduced: np.ndarray, thresholds: np.ndarray,
+                lam: float, delta: float) -> tuple:
+    """Per class, the sorted grid indices whose reduced profit reaches its threshold.
 
-    Row l's window is max(c0, l - lmax) <= k <= min(c1, l), lmax = cn.size - 1.
-    One sweep over the columns k, ascending, adds best[k] to the items that
-    feed rows max(r0, k)..min(r1, k + lmax) and keeps each row's running max
-    with >=: an exact tie goes to the larger k, the smaller j = l - k, the
-    one `np.argmax` over j picks.
+    peaks holds each block's first index, the floor and ceiling of its
+    stationary point (clipped to the block) and its last index, and reduced
+    their reduced profits s * log2(b + c) + t - lam * l. That is concave in
+    l as a real function, so the indices of a block that reach a threshold
+    are an interval around its floor and ceiling. From each of the two that
+    reaches it a lane runs outward: to the block's end if the end reaches
+    it too, else by galloping (steps 1, 2, 4, ... until one falls short,
+    then bisection between the last step that reached it and the first that
+    did not), every lane in step, one stacked block read per round. Item 0,
+    worth 0, is kept where 0 reaches the threshold. Returns the classes and
+    indices of the union, sorted by class and index.
+
+    Why an item that reaches the threshold by more than rounding is kept.
+    Its read is some block's; the block's floor and ceiling lie within
+    rounding of the real stationary point, so the one on the item's side
+    reads at least the item's value less rounding, and its lane runs. Past
+    that anchor the real function does not increase, so every step up to
+    the item reads at least the item's value less rounding too, and the
+    lane stops short of the item only at a step that fell short of the
+    threshold, which none of them does. Reads are each block candidate's
+    alone; a kept index is then valued as F_n, the best candidate there.
     """
-    lmax = cn.size - 1
+    reach = reduced >= thresholds[grid.carrier, None]
+    right, left = np.flatnonzero(reach[:, 2]), np.flatnonzero(reach[:, 1])
+    lane = np.concatenate((right, left))
+    way = np.repeat((1, -1), (right.size, left.size))
+    anchor = np.concatenate((peaks[right, 2], peaks[left, 1]))
+    end = way * (np.concatenate((peaks[right, 3], peaks[left, 0])) - anchor)  # steps to the end
+    whole = np.concatenate((reach[right, 3], reach[left, 0]))
+    good = np.where(whole, end, 0)  # the last step known to reach the threshold
+    bad = end + whole  # the first known to fall short, or one past the end
+    step = np.ones(lane.size, dtype=np.int64)
+    thr = thresholds[grid.carrier[lane]]
+    while True:
+        act = np.flatnonzero(bad - good > 1)
+        if not act.size:
+            break
+        g, b = good[act], bad[act]
+        probe = np.minimum(g + step[act], (g + b) // 2)
+        ls = anchor[act] + way[act] * probe
+        ok = block_values(grid, lane[act], ls, delta) - lam * ls >= thr[act]
+        good[act], bad[act] = np.where(ok, probe, g), np.where(ok, b, probe)
+        step[act] <<= ok
+    zero = np.flatnonzero(thresholds <= 0.0)
+    cls = np.concatenate((grid.carrier[lane], zero))
+    start = np.concatenate((np.where(way > 0, anchor, anchor - good), np.zeros_like(zero)))
+    length = np.concatenate((good + 1, np.ones_like(zero)))
+    width = int(grid.hi.max(initial=0)) + 1
+    first = np.cumsum(length) - length
+    keys = np.repeat(cls * width + start - first, length) + np.arange(int(length.sum()))
+    keys = np.unique(keys)
+    return keys // width, keys % width
+
+
+def _relax(ks: list, bk: list, js: list, cj: list, r0: int, r1: int) -> tuple:
+    """Rows r0..r1 of one class from live columns ks (ascending, worth bk) and kept items js.
+
+    Returns the rows some cell reaches, ascending, each with its float max
+    and the smallest j that attains it, as lists. Items go in ascending
+    order, one numpy pass each over the span of its live columns, -inf
+    where a column is not live, and a row takes a cell only if it is
+    strictly larger, so an exact tie keeps the smaller j, the one the full
+    DP's argmax over j picks. Scratch is O(J).
+    """
+    # item j feeds the window from the columns r0 - j <= k <= r1 - j
+    spans = [(j, c, bisect.bisect_left(ks, r0 - j), bisect.bisect_right(ks, r1 - j))
+             for j, c in zip(js, cj)]
+    tally(sum(hi - lo for _, _, lo, hi in spans) * _C_KNAP_W)
+    k0 = ks[0]
+    cols = np.full(ks[-1] - k0 + 1, -np.inf)  # best over the live span, -inf between
+    cols[np.asarray(ks) - k0] = bk
     top = np.full(r1 - r0 + 1, -np.inf)
-    at = np.zeros(r1 - r0 + 1, dtype=np.int64)  # each row's column k
-    cells = 0
-    for k in range(max(c0, r0 - lmax), min(c1, r1) + 1):
-        lo, hi = max(r0, k), min(r1, k + lmax)
-        vals = cn[lo - k:hi - k + 1] + best[k]
-        rows = slice(lo - r0, hi - r0 + 1)
-        win = vals >= top[rows]
-        np.copyto(top[rows], vals, where=win)
-        np.copyto(at[rows], k, where=win)
-        cells += hi - lo + 1
-    tally(cells * _C_KNAP_W)
-    return top, np.arange(r0, r1 + 1) - at
+    at = np.zeros(r1 - r0 + 1, dtype=np.int64)
+    for j, c, lo, hi in spans:
+        if lo < hi:
+            a, b = ks[lo], ks[hi - 1]  # the item's first and last column
+            vals = cols[a - k0:b - k0 + 1] + c
+            rows = slice(a + j - r0, b + j - r0 + 1)
+            win = vals > top[rows]
+            np.copyto(top[rows], vals, where=win)
+            np.copyto(at[rows], j, where=win)
+    rows = np.flatnonzero(top > -np.inf)
+    return (rows + r0).tolist(), top[rows].tolist(), at[rows].tolist()
 
 
-def _grid_units(profits: np.ndarray, caps: np.ndarray) -> np.ndarray:
+def _grid_units(items: list, lmax: np.ndarray, J: int, lam: float, phi: np.ndarray,
+                floor: float) -> np.ndarray:
     """Units per class of the DP by weights' optimum, backtracked from level J.
+
+    items[n] is class n's kept grid indices, ascending, and their profits
+    c_n[j]; phi_n bounds its reduced profits c_n[l] - lam * l over l <=
+    lmax_n, and floor is a feasible split's value less a margin.
 
     The DP: best[k] after classes 0..n-1 is their best profit within k
     units, and class n relaxes it to nxt[l] = max over j <= min(l, lmax_n)
     of best[l - j] + c_n[j], picking the smallest j among exact float ties.
     This returns, bit for bit, what that DP over every level and item
-    backtracks from J, but values only the columns a Lagrangian bound
-    cannot fathom.
+    backtracks from J, but values only the kept items of the columns a
+    Lagrangian bound cannot fathom.
 
-    The bound. With lam from `_knapsack_multiplier`, phi_m(lam) = max over
-    l <= lmax_m of c_m[l] - lam * l and Phi_n = sum_{m >= n} phi_m, any
-    completion of column k by classes n..N-1 within J - k units is worth at
-    most best[k] + lam * (J - k) + Phi_n (weak duality of the multiple-choice
-    knapsack; Sinha and Zoltners 1979, Pisinger 1995). The incumbent is
-    `_incumbent` of the split x(lam), a feasible value. Before class n a
-    column is live when its bound reaches the incumbent less a margin,
-    _MARGIN times the largest magnitude any sum here reaches
-    (sum_n max |c_n| + lam * J), and when k >= J - sum_{m >= n} lmax_m: the
-    backtrack descends from J by at most lmax_m per class. Class n values
-    the rows a0..min(J, a1 + lmax_n) of its live span [a0, a1] over that
-    span, one column at a time (`_finish`); the last class values row J
-    alone. Other rows hold -inf. Each class keeps its valued rows' choices
-    for the backtrack.
+    The bound. With Phi_n = sum_{m >= n} phi_m, any completion of column k
+    by classes n..N-1 within J - k units is worth at most best[k] +
+    lam * (J - k) + Phi_n (weak duality of the multiple-choice knapsack;
+    Sinha and Zoltners 1979, Pisinger 1995). Before class n a column is
+    live when its bound reaches floor and when k >= J - sum_{m >= n} lmax_m:
+    the backtrack descends from J by at most lmax_m per class. Class n
+    relaxes its live columns by its kept items (`_relax`), and keeps, for
+    the backtrack and for class n + 1, only the rows live before class
+    n + 1; the last class values row J alone.
 
     Why the units are the full DP's. Let k_n be the column the full DP's
-    backtrack passes before class n. By induction on n, k_n is live and
-    the windowed best[k_n] equals the full DP's. The full path is worth
-    the optimum, so read as reals k_n's bound is at least OPT, which is at
-    least the incumbent; the floats of the bound, the path and the
-    incumbent each round by at most about N ulps of that magnitude, far
-    under the margin, so k_n passes the test, and k_n >= J - sum lmax. Row
-    l = k_{n+1} then lies in the valued rows and its window holds k_n. Every
-    window cell is a full-DP cell built from a best entry no larger than
-    the full DP's, and rounding is monotone, so no cell beats the full
-    DP's max at row l, and the cells of smaller j fall short of it; cell
-    k_n reaches it. So row l picks the full DP's item and value. A cell
-    built on a -inf entry (an unvalued row, read only where every column
-    is live) is -inf, which the same argument covers, and the backtrack
-    reads only path rows.
+    backtrack passes before class n and j_n its item there.
+    - j_n is kept. Read as reals, the path is worth OPT, at least the
+      feasible value, and its items fit J, so OPT <= lam * J +
+      sum_{m != n} phi_m + c_n[j_n] - lam * j_n: j_n's reduced profit is at
+      least phi_n - (UB - OPT), UB = lam * J + Phi_0, which the test
+      `opt_jspa` keeps an item by undercuts by the margin.
+    - k_n is live: its bound is at least OPT, which the floor undercuts by
+      the margin.
+    - Rounding stays far under the margin. The floats of the bound, the
+      path and the feasible value round by a few ulps of the sums'
+      magnitude. `opt_jspa`'s phi_m is a max over some grid reads, so it
+      is at most the whole grid's, and short of it only where the float
+      peak of a block sits next to the point it reads, by a few ulps of
+      the log terms the reads sum; the margin is relative to those.
+    So, by induction on n with the relaxed best[k_n] equal to the full
+    DP's, row l = k_{n+1} holds cell (k_n, j_n), which reaches the full
+    DP's max there. Every other cell of the row is a full-DP cell built
+    from a best entry no larger than the full DP's, and rounding is
+    monotone, so none beats that max; the cells of smaller j fall strictly
+    short of it in the full DP, and so here. So row l picks the full DP's
+    item and value, and the backtrack reads only path rows.
     """
-    N, J = profits.shape[0], profits.shape[1] - 1
-    lam, x, phi = _knapsack_multiplier(profits, caps)
-    scale = float(np.maximum(profits.max(axis=1), -profits.min(axis=1)).sum()) + lam * J
-    floor = _incumbent(profits, caps, x) - _MARGIN * scale
-    tail = np.cumsum(phi[::-1])[::-1]  # Phi_n
-    reach = np.maximum(J - np.cumsum(caps[::-1])[::-1], 0)  # lowest column a backtrack reads
-    room = lam * np.arange(J, -1, -1)  # lam * (J - k)
-    best = np.zeros(J + 1)
-    choices = []  # per class: its first valued row and each valued row's item
-    for n in range(N):
-        k0 = int(reach[n])
-        live = np.flatnonzero(best[k0:] + room[k0:] + tail[n] >= floor) + k0
-        a0, a1 = int(live[0]), int(live[-1])
-        lmax = int(caps[n])
-        r0, r1 = (J if n == N - 1 else a0), min(J, a1 + lmax)
-        top, j = _finish(best, profits[n, :lmax + 1], r0, r1, a0, a1)
-        choices.append((r0, j))
-        best = np.full(J + 1, -np.inf)
-        best[r0:r1 + 1] = top
+    N = len(items)
+    tail = np.cumsum(phi[::-1])[::-1].tolist()  # Phi_n
+    # the lowest column a backtrack reads before each class
+    reach = np.maximum(J - np.cumsum(lmax[::-1])[::-1], 0).tolist()
+    ks = np.arange(reach[0], J + 1)
+    tally(ks.size * _C_KNAP_W)
+    ks = ks[lam * (J - ks) + tail[0] >= floor].tolist()  # every column is worth 0 before class 0
+    bk = [0.0] * len(ks)
+    choices = []  # per class: the rows it keeps, ascending, and each row's item
+    for n, (js, cj) in enumerate(items):
+        r0, r1 = (J if n == N - 1 else ks[0] + int(js[0])), min(J, ks[-1] + int(js[-1]))
+        rows, vals, at = _relax(ks, bk, js.tolist(), cj.tolist(), r0, r1)
+        if n < N - 1:
+            tally(len(rows) * _C_KNAP_W)
+            live = [i for i, (r, v) in enumerate(zip(rows, vals))
+                    if r >= reach[n + 1] and v + lam * (J - r) + tail[n + 1] >= floor]
+            rows, vals, at = ([a[i] for i in live] for a in (rows, vals, at))
+        choices.append((rows, at))
+        ks, bk = rows, vals
     units = np.zeros(N, dtype=np.int64)
     level = J
     for n in range(N - 1, -1, -1):
-        r0, j = choices[n]
-        units[n] = j[level - r0]
-        level -= units[n]
+        rows, at = choices[n]
+        units[n] = at[bisect.bisect_left(rows, level)]
+        level -= int(units[n])
     return units
 
 
@@ -588,17 +659,70 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exact optimum of the grid-discretized split via DP by weights.
 
     The paper's DP by weights over the multiple-choice knapsack of grid
-    profits (`build_knapsack`), with the states its Lagrangian bound
-    fathoms left out (`_grid_units`); the choices are bit for bit those of
-    the full DP. Cost: the profit table, a few O(N J) passes for the
-    multiplier, and per class one O(lmax) pass per live column, with O(J)
-    scratch; at worst, on flat profits, every column is live and that is
-    the full O(N J^2) band, one numpy pass per column.
+    profits c_n[l] = F_n(l * delta), bit for bit, without building the
+    (N, J + 1) table of them:
+    1. lam is the continuous dual's price (`dual_upper_bound`) per grid
+       unit, or, where that is 0, the least slope of any F_n at its cap.
+    2. phi_n(lam), the max of c_n[l] - lam * l, lies on some pinned block of
+       some candidate, where F_n is concave, at the floor or ceiling of the
+       block's stationary point. Each block holding grid points
+       (`single_carrier.grid_blocks`) is read there and at its ends, each
+       read the one pinned_values makes.
+    3. The dual split, scaled into p_max where it overspends, floored and
+       filled greedily, is feasible (`_grid_incumbent`).
+    4. With UB = lam * J + sum_n phi_n, reduced-cost fixing (Pisinger 1995)
+       keeps item l of class n only if c_n[l] - lam * l >= phi_n -
+       (UB - incumbent) - margin (`_kept_items`); one stacked read values
+       the kept items.
+    5. The DP runs over the kept items of the live columns (`_grid_units`,
+       which proves the units are the full DP's).
+    The margin is _MARGIN times the largest magnitude the sums reach, the
+    log terms F_n adds up included, so it covers their rounding.
+
+    Cost: the dual search, a few stacked reads over the blocks and the
+    kept items, and the DP's cells. On the workload shapes a class keeps
+    one to three items and a few live columns, so opt's cost barely grows
+    with J. A class whose reduced profits stay within the margin of their
+    max over a long range (flat, or tied at the price) keeps all of them;
+    at worst, with every item kept and every column live, that is the full
+    O(N J^2) band, one numpy pass per item, with O(J) scratch per class. A
+    grid over `model.GRID_CELLS` cells raises ValueError before anything
+    is read.
     """
+    N, J, delta = instance.n_carriers, instance.n_power_levels, instance.delta
+    check_grid_cells(N, instance.p_max, delta, "delta")
     objective = BudgetObjective(tables)
-    profits = build_knapsack(instance, objective)
-    units = _grid_units(profits, class_unit_caps(instance))
-    return _solution(objective, units * instance.delta, "opt")
+    lmax = class_unit_caps(instance)
+    dual = dual_upper_bound(instance, tables, objective)
+    # caps that fit p_max give the dual lam = 0, a price that fathoms no
+    # column; any price bounds, and at the least slope of any F_n at its cap
+    # a concave class still takes its cap, so the bound stays tight
+    lam = (dual.lam or float(objective.derivatives(instance.p_max_carrier).min())) * delta
+    full = objective.cands.entry_x[:, 0, 0]
+    grid = grid_blocks(objective.blocks, full, lmax, delta)
+    s, c, t = grid.pins.T
+    with np.errstate(divide="ignore", over="ignore"):
+        star = s / (lam * LN2) - c / delta
+    star = np.minimum(np.maximum(star, grid.lo), grid.hi)
+    peaks = np.stack((grid.lo, np.floor(star), np.ceil(star), grid.hi), axis=1).astype(np.int64)
+    reduced = block_values(grid, np.arange(peaks.shape[0])[:, None], peaks, delta) - lam * peaks
+    # per class: phi_n, and the largest magnitude of the log terms its reads sum
+    size = np.abs(t) + s * (np.abs(np.log2(c)) + np.abs(np.log2(grid.full + c)))
+    top = np.zeros((N, 2))
+    np.maximum.at(top, grid.carrier, np.stack((reduced.max(axis=1), size), axis=1))
+    phi = top[:, 0]
+    margin = _MARGIN * (float(top[:, 1].sum()) + lam * J)
+    incumbent = _grid_incumbent(instance, objective, dual.split, lmax)
+    thresholds = phi - (lam * J + float(phi.sum()) - incumbent) - margin
+    cls, ls = _kept_items(grid, peaks, reduced, thresholds, lam, delta)
+    count = np.bincount(cls, minlength=N)
+    first = np.cumsum(count) - count
+    kept = np.zeros((N, int(count.max())), dtype=np.int64)
+    kept[cls, np.arange(cls.size) - first[cls]] = ls
+    profits = _grid_profits(objective.cands, kept, delta)
+    items = [(kept[n, :count[n]], profits[n, :count[n]]) for n in range(N)]
+    units = _grid_units(items, lmax, J, lam, phi, incumbent - margin)
+    return _solution(objective, units * delta, "opt")
 
 
 def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:

@@ -73,8 +73,11 @@ def grid_countable(amount: float, delta: float) -> bool:
     return amount / delta + 1e-9 < 2.0 ** 63
 
 
-# opt's knapsack is an (N, J + 1) table of grid profits: at most GRID_CELLS
-# floats, 256 MB, so a grid that is countable but too fine is refused up front;
+# A grid of N x (J + 1) points may hold at most GRID_CELLS of them, so one that
+# is countable but too fine is refused up front. That bounds the (N, J + 1)
+# table of grid profits brute force and the tests build, 256 MB of floats, and
+# opt's worst case: opt reads only the few grid points it keeps, but a class
+# that keeps every item pays the O(J^2) band, with O(J) scratch per class.
 # eps's (N, floor(4N/eps) + 1) table of item choices is held to the same count
 GRID_CELLS = 2 ** 25
 
@@ -82,7 +85,9 @@ GRID_CELLS = 2 ** 25
 def check_grid_cells(carriers: int, amount: float, delta: float, name: str) -> None:
     """Raise ValueError, naming the step as `name`, unless carriers * (J + 1) <= GRID_CELLS.
 
-    J = grid_levels(amount, delta); the grid must be countable.
+    J = grid_levels(amount, delta); the grid must be countable. opt checks it
+    before it reads anything, and `jspa.build_knapsack` before it allocates
+    the table; the rule bounds both (see GRID_CELLS).
     """
     levels = int(grid_levels(amount, delta)) + 1
     if carriers * levels > GRID_CELLS:

@@ -19,21 +19,27 @@ user-selection DP cell        8    (m, j, i) table cell; iscus_precompute
                                    cells, blocks and maximizers, on the call
                                    that builds the table set (the first of
                                    its N calls) and 0 on the others
-collection lookup             6    (stacked candidate, budget) pair, charged
-                                   only in single_carrier.pinned_values
+collection lookup             6    (stacked candidate, budget) pair in
+                                   single_carrier.pinned_values; block end
+                                   placed on the grid in grid_blocks; grid
+                                   read of one block in block_values
+pinned-block gather           2    (subcarrier, stacked candidate, position)
+                                   cell, once per stack whose blocks are
+                                   asked for (single_carrier.pinned_blocks)
 pinned-block tails            6    (stacked candidate, position) term,
                                    charged in single_carrier.pinned_tails
                                    when a solve stacks its tables
-budget-split DP by weights    2    (level, item) cell inspected in a live
-                                   window, and (class, level) reduced profit
-                                   of each Lagrangian split
+budget-split DP by weights    2    (live column, kept item) cell relaxed in
+                                   jspa._relax, column tested against the
+                                   Lagrangian bound, and (class, unit) gain
+                                   of the greedy incumbent
 budget-split DP by profits    3    candidate item inspected
 simplex projection            3    coordinate per clipped-sum evaluation (the
                                    feasibility check and every polish probe)
 gradient/derivative lookup    4    subcarrier in single_carrier.left_derivatives
-Lagrangian block maximum      8    (subcarrier, stacked candidate, position)
-                                   pinned block, per lam, charged in
-                                   single_carrier.lagrangian_maxima
+Lagrangian block maximum      8    gathered pinned block (padded to the
+                                   widest subcarrier's count), per lam,
+                                   charged in single_carrier.lagrangian_maxima
 ==========================  =====  ==============================================
 
 Counting is disabled by default; the disabled path is a single attribute

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 
-from nomajspa.model import (DecodingOrder, Instance, SystemConfig, argmax_blocks,
+from nomajspa.model import (LN2, DecodingOrder, Instance, SystemConfig, argmax_blocks,
                             carrier_views, check_carrier, f_blocks, generate_instance, utility)
+from nomajspa import jspa
 from nomajspa.ops import tally
 from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, Candidates, _scus_dp,
                                      expand_active, pinned_tails, sc_value, scpc)
@@ -247,3 +248,147 @@ def full_stack_candidates(tables):
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def every_cell_lagrangian_maxima(cands, caps, lam):
+    """phi_n(lam) and b_n(lam) read over every (n, e, l) cell of the stack, empty blocks
+    included: the oracle that `single_carrier.lagrangian_maxima` over the gathered
+    blocks must match bit for bit."""
+    x = cands.entry_x
+    N = x.shape[0]
+    low = np.zeros_like(x)
+    low[..., :-1] = x[..., 1:]
+    top = np.minimum(x, caps[:, None, None])
+    s, c, t = np.moveaxis(cands.pins, -1, 0)
+    with np.errstate(divide="ignore", over="ignore"):
+        b = np.minimum(np.maximum(s / (lam * LN2) - c, low), top)
+    vals = np.where((low < top) & (b > 0.0), s * np.log2(b + c) + t - lam * b, -np.inf)
+    rows, vals = np.arange(N), vals.reshape(N, -1)
+    best = vals.argmax(axis=1)
+    phi = vals[rows, best]
+    return np.maximum(phi, 0.0), np.where(phi > 0.0, b.reshape(N, -1)[rows, best], 0.0)
+
+
+# opt's DP by weights over the whole (N, J + 1) table of grid profits, with its
+# Lagrangian fathoming: the solver `jspa.opt_jspa` ran before it stopped
+# building the table, kept as its oracle (`table_units`)
+
+
+def lagrangian_split(profits, caps, lam):
+    """x_n(lam), the first argmax of c_n[l] - lam * l over l <= lmax_n, and phi_n(lam), its max."""
+    levels = np.arange(profits.shape[1])
+    reduced = profits - lam * levels
+    reduced[levels > caps[:, None]] = -np.inf
+    x = reduced.argmax(axis=1)
+    return x, reduced[np.arange(x.size), x]
+
+
+def knapsack_multiplier(profits, caps):
+    """A lam >= 0 whose split x(lam) fits the J units, for the Lagrangian bound.
+
+    Where the caps fit J, the smallest positive in-cap gain c_n[l] - c_n[l - 1]
+    (0 if there is none). Else the (J + 1)-th largest in-cap gain, floored
+    at 0: at most J gains exceed it, so a concave class takes no more units
+    than its gains above lam and the split fits. A class that is not
+    concave may take more; then lam rises to the next larger gain until it
+    fits, or until no gain is left above it. Returns lam with its split
+    x(lam) and phi(lam) (`lagrangian_split`).
+    """
+    J = profits.shape[1] - 1
+    gains = np.diff(profits, axis=1)
+    gains[np.arange(J) >= caps[:, None]] = -np.inf  # gain l + 1 lies in the cap iff l < lmax
+    if caps.sum() <= J:
+        positive = gains[gains > 0.0]
+        lam = float(positive.min()) if positive.size else 0.0
+        return (lam, *lagrangian_split(profits, caps, lam))
+    lam = max(0.0, float(np.partition(gains, gains.size - J - 1, axis=None)[gains.size - J - 1]))
+    above = gains[gains > lam]
+    x, phi = lagrangian_split(profits, caps, lam)
+    while above.size and x.sum() > J:
+        lam = float(above.min())
+        above = above[above > lam]
+        x, phi = lagrangian_split(profits, caps, lam)
+    return lam, x, phi
+
+
+def table_incumbent(profits, caps, x):
+    """Value of the split x with its spare units filled greedily; -inf if x overspends.
+
+    Each spare unit goes to the class whose next unit gains most, while
+    some gain is positive.
+    """
+    J = profits.shape[1] - 1
+    spare = J - int(x.sum())
+    if spare < 0:
+        return -np.inf
+    rows = np.arange(x.size)
+    x = x.copy()
+    gain = np.where(x < caps, profits[rows, np.minimum(x + 1, J)] - profits[rows, x], -np.inf)
+    for _ in range(spare):
+        n = int(gain.argmax())
+        if not gain[n] > 0.0:
+            break
+        x[n] += 1
+        gain[n] = profits[n, x[n] + 1] - profits[n, x[n]] if x[n] < caps[n] else -np.inf
+    return float(profits[rows, x].sum())
+
+
+def table_finish(best, cn, r0, r1, c0, c1):
+    """Rows r0..r1 of one class over columns c0..c1: each row's float max and smallest-j tie.
+
+    Row l's window is max(c0, l - lmax) <= k <= min(c1, l), lmax = cn.size - 1.
+    One sweep over the columns k, ascending, adds best[k] to the items that
+    feed rows max(r0, k)..min(r1, k + lmax) and keeps each row's running max
+    with >=: an exact tie goes to the larger k, the smaller j = l - k.
+    """
+    lmax = cn.size - 1
+    top = np.full(r1 - r0 + 1, -np.inf)
+    at = np.zeros(r1 - r0 + 1, dtype=np.int64)  # each row's column k
+    for k in range(max(c0, r0 - lmax), min(c1, r1) + 1):
+        lo, hi = max(r0, k), min(r1, k + lmax)
+        vals = cn[lo - k:hi - k + 1] + best[k]
+        rows = slice(lo - r0, hi - r0 + 1)
+        win = vals >= top[rows]
+        np.copyto(top[rows], vals, where=win)
+        np.copyto(at[rows], k, where=win)
+    return top, np.arange(r0, r1 + 1) - at
+
+
+def table_units(profits, caps, multiplier=knapsack_multiplier):
+    """Units per class of the DP by weights' optimum on a whole profit table, backtracked
+    from level J, with the columns its Lagrangian bound fathoms left out.
+
+    lam, x(lam) and phi(lam) come from `multiplier`; the incumbent is
+    `table_incumbent` of x(lam). Before class n a column is live when
+    best[k] + lam * (J - k) + sum_{m >= n} phi_m reaches the incumbent less
+    `jspa._MARGIN` times the largest magnitude a sum here reaches, and when
+    k >= J - sum_{m >= n} lmax_m. Class n values the rows a0..min(J, a1 +
+    lmax_n) of its live span [a0, a1] (`table_finish`); the last class
+    values row J alone. The choices are bit for bit the full DP's.
+    """
+    N, J = profits.shape[0], profits.shape[1] - 1
+    lam, x, phi = multiplier(profits, caps)
+    scale = float(np.maximum(profits.max(axis=1), -profits.min(axis=1)).sum()) + lam * J
+    floor = table_incumbent(profits, caps, x) - jspa._MARGIN * scale
+    tail = np.cumsum(phi[::-1])[::-1]
+    reach = np.maximum(J - np.cumsum(caps[::-1])[::-1], 0)
+    room = lam * np.arange(J, -1, -1)
+    best = np.zeros(J + 1)
+    choices = []
+    for n in range(N):
+        k0 = int(reach[n])
+        live = np.flatnonzero(best[k0:] + room[k0:] + tail[n] >= floor) + k0
+        a0, a1 = int(live[0]), int(live[-1])
+        lmax = int(caps[n])
+        r0, r1 = (J if n == N - 1 else a0), min(J, a1 + lmax)
+        top, j = table_finish(best, profits[n, :lmax + 1], r0, r1, a0, a1)
+        choices.append((r0, j))
+        best = np.full(J + 1, -np.inf)
+        best[r0:r1 + 1] = top
+    units = np.zeros(N, dtype=np.int64)
+    level = J
+    for n in range(N - 1, -1, -1):
+        r0, j = choices[n]
+        units[n] = j[level - r0]
+        level -= units[n]
+    return units

@@ -146,7 +146,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "905a9736a616c4bf0b75ca69ef9be15cf0c474e0a0eee88b84132cb8db4e66df"),
-        (True, "df43a6b0c4f8d638404b23396c76f6486d1f7de81749e820eda692163ac0e745"),
+        (True, "e1601c744dc8d40e0aad2f4a64c570a40affd7b7aaa3c2b0ee5807b3e6145d60"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import rel_err, small_instance
+from conftest import (knapsack_multiplier, lagrangian_split, rel_err, small_instance,
+                      table_incumbent, table_units)
 from nomajspa.model import (
     Instance,
     LN2,
@@ -16,7 +17,8 @@ from nomajspa.model import (
     wsr_from_x,
 )
 from nomajspa.single_carrier import (best_values, fn_value_many, iscus_precompute,
-                                     lagrangian_maxima, left_derivatives, stack_candidates)
+                                     lagrangian_maxima, left_derivatives, pinned_blocks,
+                                     stack_candidates)
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
     BudgetObjective,
@@ -187,13 +189,16 @@ def index_array_eps_budgets(instance, tables, eps, upper):
     return units * instance.delta
 
 
+LEVELS = np.arange(201)
+
+
 def per_level_relaxation(best, cn, lmax):
     """One class of opt's DP by weights, every level scanning every affordable item.
 
     The relaxation `opt_jspa` ran before its Lagrangian fathoming, kept as
-    the oracle of each class `jspa._grid_units` values (`jspa._finish`):
-    nxt[l] is the float max of best[l - j] + cn[j] over j <= min(l, lmax),
-    choice[l] its smallest j.
+    the oracle of each class `jspa._grid_units` relaxes (`jspa._relax`) and
+    of the table DP (`conftest.table_units`): nxt[l] is the float max of
+    best[l - j] + cn[j] over j <= min(l, lmax), choice[l] its smallest j.
     """
     J = best.size - 1
     nxt = np.empty(J + 1)
@@ -223,14 +228,39 @@ def full_dp_units(profits, caps):
     return units
 
 
+def fixed_units(profits, caps, multiplier=knapsack_multiplier):
+    """`jspa._grid_units` over the items reduced-cost fixing keeps from a whole profit table.
+
+    lam, x(lam) and phi(lam) come from `multiplier` and the feasible value
+    is `table_incumbent` of x(lam); an item is kept, and a column live, by
+    opt's rules, with the table's exact phi and a margin of `jspa._MARGIN`
+    times the largest magnitude a sum reaches.
+    """
+    caps = np.asarray(caps, dtype=np.int64)
+    J = profits.shape[1] - 1
+    lam, x, phi = multiplier(profits, caps)
+    incumbent = table_incumbent(profits, caps, x)
+    margin = jspa._MARGIN * (float(np.abs(profits).max(axis=1).sum()) + lam * J)
+    thresholds = phi - (lam * J + float(phi.sum()) - incumbent) - margin
+    items = []
+    for n, lmax in enumerate(caps):
+        js = np.flatnonzero(profits[n, :lmax + 1] - lam * np.arange(lmax + 1) >= thresholds[n])
+        items.append((js, profits[n, js]))
+    return jspa._grid_units(items, caps, J, lam, phi, incumbent - margin)
+
+
+def lam_0(profits, caps):
+    """The multiplier lam = 0, with its split and maxima."""
+    return (0.0, *lagrangian_split(profits, caps, 0.0))
+
+
 # opt's DP as it runs, and with each of its shortcuts forced: lam = 0; and no
-# fathoming (margin = inf, so every reachable column is live, which needs a
-# profit that is not 0)
+# fathoming (margin = inf, so every item is kept and every reachable column
+# is live, which needs a profit that is not 0): (patches of jspa, multiplier)
 DP_SETTINGS = {
-    "default": {},
-    "lam_0": {"_knapsack_multiplier":
-              lambda profits, caps: (0.0, *jspa._lagrangian_split(profits, caps, 0.0))},
-    "margin_inf": {"_MARGIN": math.inf},
+    "default": ({}, knapsack_multiplier),
+    "lam_0": ({}, lam_0),
+    "margin_inf": ({"_MARGIN": math.inf}, knapsack_multiplier),
 }
 
 
@@ -239,33 +269,35 @@ def band_cells(J, lmax):
     return sum(min(l, lmax) + 1 for l in range(J + 1))
 
 
-def finish_cells(cn, r0, r1, c0, c1):
-    """Cells `jspa._finish` values: each row l over max(c0, l - lmax) <= k <= min(c1, l)."""
-    rows = np.arange(r0, r1 + 1)
-    return int((np.minimum(c1, rows) - np.maximum(c0, rows - (cn.size - 1)) + 1).sum())
+def relax_cells(ks, js, r0, r1):
+    """Cells `jspa._relax` values: each kept item j over the columns r0 - j <= k <= r1 - j."""
+    js = np.asarray(js)
+    return int((np.searchsorted(ks, r1 - js, side="right") - np.searchsorted(ks, r0 - js)).sum())
 
 
 def assert_relaxes_like_oracle(profits, caps, settings=tuple(DP_SETTINGS)):
-    """`jspa._grid_units` backtracks the full DP's units, bit for bit, in every setting.
-
-    And no class values more cells than its band.
-    """
+    """The table DP (`table_units`) and `jspa._grid_units` over the items reduced-cost
+    fixing keeps (`fixed_units`) backtrack the full DP's units, bit for bit, in every setting;
+    `jspa._relax` relaxes each class once, valuing no more cells than its full band."""
     profits = np.asarray(profits, dtype=float)
     caps = np.asarray(caps, dtype=np.int64)
     J = profits.shape[1] - 1
     expect = full_dp_units(profits, caps)
     for name in settings:
+        patches, multiplier = DP_SETTINGS[name]
         with pytest.MonkeyPatch.context() as patch:
-            for attr, value in DP_SETTINGS[name].items():
+            for attr, value in patches.items():
                 patch.setattr(jspa, attr, value)
-            finish = jspa._finish
+            relax, lmax = jspa._relax, iter(caps.tolist())
 
-            def in_band(best, cn, r0, r1, c0, c1):
-                assert finish_cells(cn, r0, r1, c0, c1) <= band_cells(J, cn.size - 1)
-                return finish(best, cn, r0, r1, c0, c1)
+            def in_band(ks, bk, js, cj, r0, r1):
+                assert relax_cells(ks, js, r0, r1) <= band_cells(J, next(lmax))
+                return relax(ks, bk, js, cj, r0, r1)
 
-            patch.setattr(jspa, "_finish", in_band)
-            assert np.array_equal(jspa._grid_units(profits, caps), expect), name
+            patch.setattr(jspa, "_relax", in_band)
+            assert np.array_equal(table_units(profits, caps, multiplier), expect), name
+            assert np.array_equal(fixed_units(profits, caps, multiplier), expect), name
+            assert next(lmax, None) is None, name
 
 
 def select_rounds_bound(instance):
@@ -650,12 +682,23 @@ class TestOptJspa:
         finally:
             tracemalloc.stop()
         assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
-        # the peak, about 2.1 MB (tracemalloc), is the multiplier's (N, J + 1)
-        # temporaries beside the profits: their gains and one reduced copy,
-        # 0.64 MB each. The fathomed pass then holds a few rows of J + 1
-        # floats; a full DP table of one class would take (J + 1)^2 floats,
-        # 128 MB
-        assert peak < 3.5e6
+        # the peak, about 0.17 MB (tracemalloc), is the stack, its blocks and
+        # the first class's column test over J + 1 levels; the (N, J + 1)
+        # profit table alone would take 0.64 MB, and a full DP table of one
+        # class (J + 1)^2 floats, 128 MB
+        assert peak < 1e6
+
+    def test_never_builds_the_profit_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("opt built the (N, J + 1) profit table")
+
+        inst = generate_instance(SystemConfig(users=5, max_mux=2), 41)
+        _, tables = make_tables(inst)
+        profits = build_knapsack(inst, BudgetObjective(tables))
+        expect = table_units(profits, class_unit_caps(inst)) * inst.delta
+        monkeypatch.setattr(jspa, "build_knapsack", no_table)
+        monkeypatch.setattr(jspa, "_grid", no_table)
+        assert np.array_equal(opt_jspa(inst, tables).budgets, expect)
 
     def test_too_fine_a_grid_is_refused_before_it_is_built(self, monkeypatch):
         # p_max / delta = 1e9 levels: the 2 x (1e9 + 1) profits would take 16 GB
@@ -667,58 +710,79 @@ class TestOptJspa:
         objective = BudgetObjective(make_tables(inst)[1])
         with pytest.raises(ValueError, match=r"^delta = 1e-08 gives opt a 2 x "):
             build_knapsack(inst, objective)
+        with pytest.raises(ValueError, match=r"^delta = 1e-08 gives opt a 2 x "):
+            opt_jspa(inst, make_tables(inst)[1])
 
 
-class TestRelaxClass:
+class TestGridUnits:
     """opt's DP by weights, class by class, on hand-built profits, held to the full DP."""
-
-    LEVELS = np.arange(201)
-
-    @staticmethod
-    def cells(monkeypatch):
-        """Per class, the cells `jspa._finish` values, each tallied at _C_KNAP_W."""
-        calls = []
-        finish = jspa._finish
-
-        def recorded(best, cn, r0, r1, c0, c1):
-            calls.append(finish_cells(cn, r0, r1, c0, c1))
-            with count_ops() as ops:
-                out = finish(best, cn, r0, r1, c0, c1)
-            assert ops.total == calls[-1] * jspa._C_KNAP_W
-            return out
-
-        monkeypatch.setattr(jspa, "_finish", recorded)
-        return calls
 
     def test_exactly_linear_classes_tie_at_their_multiplier(self):
         # every gain is exactly 3, so lam = 3 and every split ties in the bound
-        cn = 3.0 * self.LEVELS
-        assert jspa._knapsack_multiplier(np.stack([cn, cn]), np.array([200, 200]))[0] == 3.0
-        assert_relaxes_like_oracle(np.stack([2.0 * np.sqrt(self.LEVELS), cn, cn]), [200] * 3)
+        cn = 3.0 * LEVELS
+        assert knapsack_multiplier(np.stack([cn, cn]), np.array([200, 200]))[0] == 3.0
+        assert_relaxes_like_oracle(np.stack([2.0 * np.sqrt(LEVELS), cn, cn]), [200] * 3)
 
     def test_identical_classes_tie_exactly(self):
-        cn = 1e6 * np.log2(1.0 + self.LEVELS / 7.0)
+        cn = 1e6 * np.log2(1.0 + LEVELS / 7.0)
         assert_relaxes_like_oracle(np.stack([cn, cn, cn]), [200, 200, 200])
 
     def test_noisy_class_matches_the_full_dp(self):
         # near-linear, so rounding makes its gains a random walk around 1.4e-3
-        cn = 1e6 * np.log2(1.0 + 1e-9 * self.LEVELS)
+        cn = 1e6 * np.log2(1.0 + 1e-9 * LEVELS)
         assert not np.all(np.diff(cn, 2) <= 0.0)
-        assert_relaxes_like_oracle(np.stack([np.sqrt(self.LEVELS), cn, cn]), [200] * 3)
+        assert_relaxes_like_oracle(np.stack([np.sqrt(LEVELS), cn, cn]), [200] * 3)
+
+    @pytest.mark.parametrize("lmax", [0, 1, 5])
+    def test_cap_below_the_grid(self, lmax):
+        cn = 1e6 * np.log2(1.0 + LEVELS / 3.0)
+        caps = [lmax, 200, lmax]
+        assert_relaxes_like_oracle(np.stack([cn, np.sqrt(LEVELS), cn]), caps)
+
+    def test_overspending_multiplier_fathoms_nothing(self):
+        # at lam = 0 every class takes its top item, 600 units past J = 200
+        cn = 1e6 * np.log2(1.0 + LEVELS / 3.0)
+        profits = np.stack([cn, cn, cn])
+        caps = np.array([200, 200, 200])
+        assert table_incumbent(profits, caps, lagrangian_split(profits, caps, 0.0)[0]) == -math.inf
+        assert_relaxes_like_oracle(profits, caps, ("lam_0",))
+
+
+class TestRelaxClass:
+    """What relaxing one class costs `jspa._relax`: the cells it values, the memory it
+    holds and the live columns and kept items it is handed."""
+
+    @staticmethod
+    def cells(monkeypatch):
+        """Per class, the cells `jspa._relax` values, each tallied at _C_KNAP_W."""
+        calls = []
+        relax = jspa._relax
+
+        def recorded(ks, bk, js, cj, r0, r1):
+            calls.append(relax_cells(ks, js, r0, r1))
+            with count_ops() as ops:
+                out = relax(ks, bk, js, cj, r0, r1)
+            assert ops.total == calls[-1] * jspa._C_KNAP_W
+            return out
+
+        monkeypatch.setattr(jspa, "_relax", recorded)
+        return calls
 
     def test_flat_class_scans_every_level(self, monkeypatch):
-        # all ties: no column is fathomed, so the first class values its whole band
+        # all ties: every item is kept and no column is fathomed, so the first
+        # class values its whole band
         cells = self.cells(monkeypatch)
         assert_relaxes_like_oracle(np.zeros((2, 501)), [500, 500], ("default", "lam_0"))
         assert cells == [band_cells(500, 500), 501] * 2
 
     def test_flat_class_memory_is_bounded(self):
-        # J = 4000 flat levels leave every column live; the column sweep holds a
-        # few rows of J + 1 cells, where the whole band would take 64 MB of floats
+        # J = 4000 flat levels keep every item and leave every column live; each
+        # numpy pass holds a few rows of J + 1 cells, where the whole band
+        # would take 64 MB of floats
         profits = np.zeros((2, 4001))
         tracemalloc.start()
         try:
-            units = jspa._grid_units(profits, np.array([4000, 4000]))
+            units = fixed_units(profits, [4000, 4000])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -726,13 +790,13 @@ class TestRelaxClass:
         assert peak < 2e6
 
     def test_small_grid_cells_per_class(self, monkeypatch):
-        cn = 1e6 * np.log2(1.0 + self.LEVELS[:41] / 7.0)
+        cn = 1e6 * np.log2(1.0 + LEVELS[:41] / 7.0)
         monkeypatch.setattr(jspa, "_MARGIN", math.inf)
         cells = self.cells(monkeypatch)
-        profits = np.stack([np.sqrt(self.LEVELS[:41]), cn, cn])
-        units = jspa._grid_units(profits, np.array([40, 40, 40]))
+        profits = np.stack([np.sqrt(LEVELS[:41]), cn, cn])
+        units = fixed_units(profits, [40, 40, 40])
         assert np.array_equal(units, full_dp_units(profits, [40, 40, 40]))
-        # every column live: two whole bands, then row 40 alone
+        # every item kept and every column live: two whole bands, then row 40 alone
         assert cells == [band_cells(40, 40)] * 2 + [41]
 
     def test_live_columns_are_few_on_a_desk_instance(self, monkeypatch):
@@ -740,32 +804,18 @@ class TestRelaxClass:
         _, tables = make_tables(inst, 2)
         profits = build_knapsack(inst, BudgetObjective(tables))
         caps = class_unit_caps(inst)
-        spans = []
-        finish = jspa._finish
+        sizes = []
+        relax = jspa._relax
 
-        def recorded(best, cn, r0, r1, c0, c1):
-            spans.append(c1 - c0 + 1)
-            return finish(best, cn, r0, r1, c0, c1)
+        def recorded(ks, bk, js, cj, r0, r1):
+            sizes.append((len(ks), len(js)))
+            return relax(ks, bk, js, cj, r0, r1)
 
-        monkeypatch.setattr(jspa, "_finish", recorded)
-        units = jspa._grid_units(profits, caps)
+        monkeypatch.setattr(jspa, "_relax", recorded)
+        units = opt_jspa(inst, tables).budgets / inst.delta
         assert np.array_equal(units, full_dp_units(profits, caps))
-        assert len(spans) == inst.n_carriers and max(spans) <= 32
-
-    @pytest.mark.parametrize("lmax", [0, 1, 5])
-    def test_cap_below_the_grid(self, lmax):
-        cn = 1e6 * np.log2(1.0 + self.LEVELS / 3.0)
-        caps = [lmax, 200, lmax]
-        assert_relaxes_like_oracle(np.stack([cn, np.sqrt(self.LEVELS), cn]), caps)
-
-    def test_overspending_multiplier_fathoms_nothing(self):
-        # at lam = 0 every class takes its top item, 600 units past J = 200
-        cn = 1e6 * np.log2(1.0 + self.LEVELS / 3.0)
-        profits = np.stack([cn, cn, cn])
-        caps = np.array([200, 200, 200])
-        assert jspa._incumbent(profits, caps, jspa._lagrangian_split(profits, caps, 0.0)[0]) \
-            == -math.inf
-        assert_relaxes_like_oracle(profits, caps, ("lam_0",))
+        live, kept = np.array(sizes).T
+        assert len(sizes) == inst.n_carriers and live.max() <= 32 and kept.max() <= 4
 
 
 class TestBruteForce:
@@ -861,11 +911,11 @@ class TestDualUpperBound:
         _, tables = make_tables(inst)
         bound = dual_upper_bound(inst, tables)
         assert opt_jspa(inst, tables).wsr <= bound.upper
-        cands = stack_candidates(tables)
+        maxima = lagrangian_maxima(pinned_blocks(stack_candidates(tables)), inst.p_max_carrier)
         tol = 9 * np.finfo(float).eps * bound.upper
         for lam in bound.lam * np.concatenate((np.linspace(0.0, 2.0, 41),
                                                1.0 + np.linspace(-1e-6, 1e-6, 41))):
-            phi, _ = lagrangian_maxima(cands, inst.p_max_carrier, lam)
+            phi, _ = maxima(lam)
             assert lam * inst.p_max + float(phi.sum()) >= bound.upper - tol
 
     def test_split_is_the_continuous_optimum_on_a_desk_instance(self):

@@ -21,11 +21,19 @@ steps, a class with lmax = 0 and one with no reachable target); its DP by
 profits, in whole or one-item chunks, what the index-array DP picks; and
 eps must keep its (1 - eps) guarantee. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
-and converge; from the zero split each accepted step must gain, at any xi. opt's fathomed DP by weights must backtrack the units of the
-per-level scan chained over every class, bit for bit, on grids of up to 400
-levels and on synthetic profit families (flat, exactly linear, noisy,
-integer steps, kinked, concave, caps below the grid, J < N), as it runs,
-at lam = 0, with no column fathomed and in one-row slices. Instances
+and converge; from the zero split each accepted step must gain, at any xi.
+opt's fathomed DP by weights, on a whole table and on the items
+reduced-cost fixing keeps from it, must backtrack the units
+of the per-level scan chained over every class, bit for bit, on grids of
+up to 400 levels and on synthetic profit families (flat, exactly linear,
+noisy, integer steps, kinked, concave, caps below the grid, J < N), as it
+runs, at lam = 0 and with nothing fathomed. opt itself,
+which never builds the table, must pick the table DP's units bit for bit,
+also with nothing fathomed and read a row at a time, on instances biased
+toward J < N, caps that fit p_max and a dead channel; and its grid block
+reads must put every grid index in one block per candidate, reading F_n
+there bit for bit. The gathered Lagrangian blocks must answer as every
+(n, e, l) cell does. Instances
 cover K = 1, M = K, tied channels or weights, binding per-carrier caps and
 30 dB shadowing; budgets cover 0, one grid step, the
 cap, p_max and every candidate kink. The eps properties also draw 2-level grids over three
@@ -38,9 +46,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (batched_scus_dp, candidate_values, full_stack_candidates,
-                      per_carrier_backtrack, per_carrier_offset, per_carrier_order,
-                      per_carrier_scus_dp, per_carrier_view, rel_err)
+from conftest import (batched_scus_dp, candidate_values, every_cell_lagrangian_maxima,
+                      full_stack_candidates, per_carrier_backtrack, per_carrier_offset,
+                      per_carrier_order, per_carrier_scus_dp, per_carrier_view, rel_err,
+                      table_units)
 from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, class_rows,
                        eps_targets, index_array_eps_budgets, stacked_profit, zero_start)
 from nomajspa import jspa
@@ -49,8 +58,9 @@ from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, b
                            grad_jspa, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
                             carrier_views, generate_instance, wsr_from_x)
-from nomajspa.single_carrier import (best_columns, best_values, fn_value_many, iscus_eval,
-                                     iscus_precompute, lagrangian_maxima, left_derivatives,
+from nomajspa.single_carrier import (best_columns, best_values, block_values, fn_value_many,
+                                     grid_blocks, iscus_eval, iscus_precompute,
+                                     lagrangian_maxima, left_derivatives, pinned_blocks,
                                      pinned_values, sc_value, scus, stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -230,12 +240,15 @@ def test_distinct_candidates_answer_like_the_full_stack(inst, seed):
         for got, expect in zip(best_columns(cands, b), best_columns(oracle, b), strict=True):
             assert same_bits(got, expect)
         assert same_bits(left_derivatives(cands, b), left_derivatives(oracle, b))
+    # the gathered blocks answer as every (n, e, l) cell of either stack
     lam = dual_upper_bound(inst, tables).lam
+    maxima = lagrangian_maxima(pinned_blocks(cands), inst.p_max_carrier)
     for scale in (0.0, 0.5, 1.0, 2.0):
-        for got, expect in zip(lagrangian_maxima(cands, inst.p_max_carrier, scale * lam),
-                               lagrangian_maxima(oracle, inst.p_max_carrier, scale * lam),
-                               strict=True):
-            assert same_bits(got, expect)
+        got = maxima(scale * lam)
+        for stack in (cands, oracle):
+            expect = every_cell_lagrangian_maxima(stack, inst.p_max_carrier, scale * lam)
+            for a, b in zip(got, expect, strict=True):
+                assert same_bits(a, b)
 
 
 @PROPERTY
@@ -314,7 +327,7 @@ def test_lagrangian_maxima_bound_a_dense_grid_and_are_attained(inst, scale):
     cands = stack_candidates(tables)
     caps = inst.p_max_carrier
     lam = scale * dual_upper_bound(inst, tables).lam
-    phi, b = lagrangian_maxima(cands, caps, lam)
+    phi, b = lagrangian_maxima(pinned_blocks(cands), caps)(lam)
     tol = 1e-12 * np.array([magnitude(t) for t in tables])
     # b_n(lam) attains phi_n(lam), valued as best_values values it
     assert np.all((b >= 0.0) & (b <= caps))
@@ -346,6 +359,58 @@ def test_dp_by_profits_matches_index_array_dp(inst):
             with eps_forced(dp_cells):
                 budgets = eps_jspa(inst, tables, eps).budgets
             assert np.array_equal(budgets, expect)
+
+
+@PROPERTY
+@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
+def test_grid_blocks_read_every_grid_index_once_per_candidate(inst):
+    # each grid index l in 1..lmax_n lies in one block of each stacked
+    # candidate, and the best of those blocks' reads is F_n(l * delta), bit for bit
+    objective = BudgetObjective(tables_of(inst))
+    cands, lmax = objective.cands, class_unit_caps(inst)
+    grid = grid_blocks(objective.blocks, cands.entry_x[:, 0, 0], lmax, inst.delta)
+    profits = build_knapsack(inst, objective)
+    for n in range(inst.n_carriers):
+        ls = np.arange(1, lmax[n] + 1)
+        mine = np.flatnonzero(grid.carrier == n)
+        inside = (grid.lo[mine, None] <= ls) & (ls <= grid.hi[mine, None])
+        assert np.all(inside.sum(axis=0) == cands.entry_x.shape[1])
+        which, at = np.nonzero(inside)
+        vals = np.full(inside.shape, -np.inf)
+        vals[which, at] = block_values(grid, mine[which], ls[at], inst.delta)
+        assert same_bits(vals.max(axis=0, initial=-np.inf), profits[n, 1:lmax[n] + 1])
+
+
+@st.composite
+def degenerate_instances(draw):
+    """`instances`, biased toward the cases opt's shortcuts meet: J < N, caps
+    that fit p_max (lam = 0), and a subcarrier whose channel is all but dead,
+    so its F_n is nearly flat."""
+    inst = draw(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
+    if draw(st.booleans()):
+        return inst
+    gains = inst.gains.copy()
+    gains[:, 0] *= 1e-30
+    return Instance(weights=inst.weights, bandwidths=inst.bandwidths, gains=gains,
+                    noise=inst.noise, p_max=inst.p_max, p_max_carrier=inst.p_max_carrier,
+                    delta=inst.delta, max_mux=inst.max_mux)
+
+
+# opt as it runs; with no fathoming (every item kept, every reachable column
+# live); and with its grid profits read a row at a time
+OPT_SETTINGS = ({}, {"_MARGIN": np.inf}, {"_READ_BUDGETS": 1})
+
+
+@settings(PROPERTY, max_examples=60)
+@given(degenerate_instances())
+def test_opt_picks_the_table_dps_units(inst):
+    tables = tables_of(inst)
+    expect = table_units(build_knapsack(inst, BudgetObjective(tables)), class_unit_caps(inst))
+    for patches in OPT_SETTINGS:
+        with pytest.MonkeyPatch.context() as patch:
+            for attr, value in patches.items():
+                patch.setattr(jspa, attr, value)
+            assert same_bits(opt_jspa(inst, tables).budgets, expect * inst.delta), patches
 
 
 @PROPERTY

@@ -26,15 +26,19 @@ from nomajspa.model import (LN2, Instance, active_positions, argmax_f, build_dec
                             carrier_view, f_eval)
 from nomajspa.ops import count_ops
 from nomajspa.single_carrier import (
+    Candidates,
     best_columns,
     best_values,
     expand_active,
     fn_value_many,
+    grid_blocks,
     iscpc_eval,
     iscpc_precompute,
     iscus_eval,
     iscus_precompute,
     left_derivatives,
+    pinned_blocks,
+    pinned_index,
     sc_value,
     scpc,
     scus,
@@ -370,6 +374,47 @@ class TestStackCandidates:
             for got, expect in zip(best_columns(cands, b), best_columns(full, b)):
                 assert got.tobytes() == expect.tobytes()
             assert left_derivatives(cands, b).tobytes() == left_derivatives(full, b).tobytes()
+
+
+class TestPinnedBlocks:
+    def test_blocks_are_the_non_empty_cells_in_c_order(self):
+        # equal neighbours leave a block empty; a pad repeats the row's last block, empty
+        x = np.array([[[10.0, 5.0, 5.0, 1.0], [10.0, 10.0, 2.0, 0.0]],
+                      [[10.0, 0.0, 0.0, 0.0], [10.0, 0.0, 0.0, 0.0]]])
+        pins = np.arange(x.size * 3, dtype=float).reshape(x.shape + (3,))
+        blocks = pinned_blocks(Candidates(entry_x=x, pins=pins))
+        assert blocks.top.tolist() == [[10.0, 5.0, 1.0, 10.0, 2.0], [10.0, 10.0] + [10.0] * 3]
+        assert blocks.low.tolist() == [[5.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0] + [10.0] * 3]
+        assert np.array_equal(blocks.pins[0, :, 0], pins[0].reshape(-1, 3)[[0, 2, 3, 5, 6], 0])
+
+    @staticmethod
+    def assert_places_like_pinned_index(x, lmax, delta):
+        """Each grid index 1..lmax lies in one block, the one pinned_index gives
+        its budget min(l * delta, full) (pins[..., 2] names each position)."""
+        pins = np.zeros(x.shape + (3,))
+        pins[..., 2] = np.arange(x.shape[-1])
+        full = x[:, 0, 0]
+        grid = grid_blocks(pinned_blocks(Candidates(entry_x=x, pins=pins)), full,
+                           np.array([lmax]), delta)
+        ls = np.arange(1, lmax + 1)
+        expect = pinned_index(x, np.minimum(ls * delta, full)[None, :])[0, 0]
+        got = np.full(ls.size, -1)
+        for lo, hi, t in zip(grid.lo, grid.hi, grid.pins[:, 2]):
+            assert np.all(got[lo - 1:hi] == -1)
+            got[lo - 1:hi] = t
+        assert np.array_equal(got, expect)
+
+    def test_grid_blocks_place_each_grid_index_as_pinned_index_does(self):
+        # 1.7 / 0.1 floors to 17, yet 17 * 0.1 > 1.7; 4.3 / 0.1 floors to 42,
+        # yet 43 * 0.1 == 4.3: the float products decide, not the quotient.
+        # The cap, 97, lies below the full budget
+        self.assert_places_like_pinned_index(np.array([[[10.0, 8.1, 4.3, 1.7, 0.3]]]), 97, 0.1)
+
+    def test_a_grid_step_past_the_full_budget_reads_at_it(self):
+        # 147 * (10 / 147) rounds above 10: pinned_values clips it to the full budget
+        delta = 10.0 / 147
+        assert 147 * delta > 10.0
+        self.assert_places_like_pinned_index(np.array([[[10.0, 4.0, 0.0]]]), 147, delta)
 
 
 BUDGET_ENTRY_POINTS = {
