@@ -51,8 +51,8 @@ from .ops import tally
 # fn_value_many and iscus_eval are no solver's path any more, but they stay
 # names of this module: perfbench traces each layer at the name it is called by
 from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
-                             Candidates, GridBlocks, best_columns, best_values, block_values,
-                             grid_blocks, lagrangian_maxima, left_derivatives, pinned_blocks,
+                             GridBlocks, best_columns, best_values, block_values, grid_blocks,
+                             lagrangian_maxima, left_derivatives, pinned_blocks,
                              stack_candidates)
 
 _C_KNAP_W = 2   # DP by weights, per (column, item) cell relaxed or column bound tested
@@ -63,9 +63,6 @@ _ARMIJO = 1e-4  # grad accepts a step that gains this share of its first-order g
 # falls short by more than _MARGIN times the largest magnitude its sums reach,
 # the log terms F_n adds up included: far above their rounding
 _MARGIN = 1e-9
-# opt reads grid profits in stacked reads of at most _READ_BUDGETS budgets (one
-# subcarrier's row at least), so a read of every item keeps O(J) scratch per row
-_READ_BUDGETS = 2 ** 12
 # eps's DP by profits relaxes items in chunks of at most _DP_CELLS candidate
 # weights (one item at least), so its scratch is O(T) cells for T targets, not
 # O(items * T); chunks of 10 to 300 items timed alike on every workload shape
@@ -198,7 +195,9 @@ def project_simplex(v: np.ndarray, p_max: float, caps: np.ndarray) -> np.ndarray
     The KKT conditions give x = clip(v - lam, 0, caps) with lam = 0 if the
     clipped point already fits the budget, otherwise the unique lam > 0
     that makes the budget tight, found exactly by `_budget_multiplier` in
-    O(N log N) plus a few clipped sums.
+    O(N log N) plus a few clipped sums, or 63 where v overspends p_max only
+    by rounding: the root then lands at or below 0, and every bit of lam is
+    bisected.
     """
     v = np.asarray(v, dtype=float)
     base = np.minimum(np.maximum(v, 0.0), caps)
@@ -229,10 +228,6 @@ class BudgetObjective:
         """The stack's non-empty pinned blocks, gathered on first use (`pinned_blocks`)."""
         return pinned_blocks(self.cands)
 
-    def profits(self, n: int, budgets: np.ndarray) -> np.ndarray:
-        """F_n of subcarrier n on a vector of budgets."""
-        return best_values(self.cands.carrier(n), budgets[None, :])[0]
-
     def value(self, budgets: np.ndarray) -> float:
         return float(best_values(self.cands, budgets[:, None]).sum())
 
@@ -258,8 +253,7 @@ class DualBound(NamedTuple):
     split: np.ndarray
 
 
-def dual_upper_bound(instance: Instance, tables: list,
-                     objective: BudgetObjective | None = None) -> DualBound:
+def dual_upper_bound(instance: Instance, objective: BudgetObjective) -> DualBound:
     """An upper bound on every split's value, grid or not, and a near-optimal split.
 
     Weak duality: for any lam >= 0 and any split b with sum b <= p_max and
@@ -295,8 +289,6 @@ def dual_upper_bound(instance: Instance, tables: list,
     floats bound. Returns the best sampled lam, its UB and its split
     b(lam), within the caps but not always within p_max.
     """
-    if objective is None:
-        objective = BudgetObjective(tables)
     cands, caps, p_max = objective.cands, instance.p_max_carrier, instance.p_max
 
     maxima = lagrangian_maxima(objective.blocks, caps)
@@ -391,7 +383,7 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
         raise ValueError("xi must be positive and finite")
     caps = instance.p_max_carrier
     objective = BudgetObjective(tables)
-    p = project_simplex(dual_upper_bound(instance, tables, objective).split, instance.p_max, caps)
+    p = project_simplex(dual_upper_bound(instance, objective).split, instance.p_max, caps)
     cur = objective.value(p)
     history = [cur]
     converged = False
@@ -435,23 +427,16 @@ def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray
     """Grid profits profits[n, l] = F_n(l * delta), read-only, (N, J + 1).
 
     Brute force's knapsack, and the tests' oracle of opt; opt itself reads
-    only the few grid profits it keeps. One subcarrier at a time keeps the
-    kernel's temporaries to one class. A grid over `model.GRID_CELLS` cells
-    raises ValueError before any of it is allocated.
+    only the few grid profits it keeps. One bounded `best_values` read. A
+    grid over `model.GRID_CELLS` cells raises ValueError before any of it
+    is allocated.
     """
-    check_grid_cells(instance.n_carriers, instance.p_max, instance.delta, "delta")
+    N = instance.n_carriers
+    check_grid_cells(N, instance.p_max, instance.delta, "delta")
     grid = _grid(instance.n_power_levels, instance.delta)
-    profits = np.stack([objective.profits(n, grid) for n in range(instance.n_carriers)])
+    profits = best_values(objective.cands, np.broadcast_to(grid, (N, grid.size)))
     profits.flags.writeable = False
     return profits
-
-
-def _grid_profits(cands: Candidates, ls: np.ndarray, delta: float) -> np.ndarray:
-    """F_n(l * delta) at grid indices ls (N, L), row n on subcarrier n, in bounded reads."""
-    rows = max(1, _READ_BUDGETS // ls.shape[1])
-    return np.concatenate([best_values(Candidates(*(a[n:n + rows] for a in cands)),
-                                       ls[n:n + rows] * delta)
-                           for n in range(0, ls.shape[0], rows)])
 
 
 def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.ndarray,
@@ -474,7 +459,7 @@ def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.nd
     if spare < 0:
         return -np.inf
     ls = np.minimum(x[:, None] + np.arange(min(spare, int((lmax - x).max())) + 1), lmax[:, None])
-    profits = _grid_profits(objective.cands, ls, delta)
+    profits = best_values(objective.cands, ls * delta)
     # a unit past the read, or past a class's cap, gains -inf or 0 and is never taken
     gains = np.diff(profits, axis=1, append=-np.inf).tolist()
     heads = [(-row[0], n) for n, row in enumerate(gains)]
@@ -693,7 +678,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     check_grid_cells(N, instance.p_max, delta, "delta")
     objective = BudgetObjective(tables)
     lmax = class_unit_caps(instance)
-    dual = dual_upper_bound(instance, tables, objective)
+    dual = dual_upper_bound(instance, objective)
     # caps that fit p_max give the dual lam = 0, a price that fathoms no
     # column; any price bounds, and at the least slope of any F_n at its cap
     # a concave class still takes its cap, so the bound stays tight
@@ -719,7 +704,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     first = np.cumsum(count) - count
     kept = np.zeros((N, int(count.max())), dtype=np.int64)
     kept[cls, np.arange(cls.size) - first[cls]] = ls
-    profits = _grid_profits(objective.cands, kept, delta)
+    profits = best_values(objective.cands, kept * delta)
     items = [(kept[n, :count[n]], profits[n, :count[n]]) for n in range(N)]
     units = _grid_units(items, lmax, J, lam, phi, incumbent - margin)
     return _solution(objective, units * delta, "opt")

@@ -25,18 +25,20 @@ as all K do, bit for bit.
 The first three read F_n through one kernel, `pinned_values`: a candidate
 truncated at a budget pins a leading block, which contributes one log, and
 the rest is a tail constant built once per stack, so a budget costs E'
-logs per subcarrier. `pinned_index` finds it by searchsorted on one
-subcarrier's long sorted row (a whole grid), by one comparison on stacked
-reads. The blocks that hold some budget are gathered once per stack
-(`pinned_blocks`) for `lagrangian_maxima` and for opt's grid reads:
-`grid_blocks` gives each block's grid indices, and `block_values` reads a
-block's candidate at them as pinned_values does, bit for bit.
-`fn_value_many` and `iscus_eval` ask the first two of one table.
+logs per subcarrier. `pinned_index` finds it by one comparison, for
+every read; `best_values` reads at most _READ_BUDGETS budgets at a time, a
+whole grid included. The blocks that hold some budget are gathered once
+per stack (`pinned_blocks`) for `lagrangian_maxima` and for opt's grid
+reads: `grid_blocks` gives each block's grid indices, and `block_values`
+reads a block's candidate at them, bit for bit as pinned_values does, since
+both value a pin by `_pin_value`. `fn_value_many` and `iscus_eval` ask the
+first two of one table.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,6 +61,8 @@ _C_DUAL = 8
 _C_GATHER = 2
 
 _SMALLEST = np.nextafter(0.0, 1.0)  # x >= _SMALLEST means x > 0 for x >= 0
+# best_values reads at most _READ_BUDGETS budgets at a time (one at least)
+_READ_BUDGETS = 2 ** 12
 
 
 def sc_value(instance: Instance, order: DecodingOrder, n: int, x_col: np.ndarray) -> float:
@@ -333,10 +337,6 @@ class Candidates(NamedTuple):
     entry_x: np.ndarray  # (N, E, K)
     pins: np.ndarray     # (N, E, K, 3)
 
-    def carrier(self, n: int) -> "Candidates":
-        """Subcarrier n alone, still stacked (views, no copies)."""
-        return Candidates(*(a[n:n + 1] for a in self))
-
 
 def pinned_tails(wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray) -> np.ndarray:
     """Utility of each candidate after its pinned block: tails[n, e, l].
@@ -395,23 +395,17 @@ def pinned_index(entry_x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Last pinned position l = count(entry_x[n, e] >= b) - 1, (N, E, L).
 
     entry_x is (N, E, K) with non-increasing rows, budgets (N, L) positive
-    and at most each row's first entry, so l >= 0. A sorted grid of one
-    subcarrier (`jspa.build_knapsack`'s, L = J + 1) is counted by how many
-    budgets each position reaches, in O(E (K log L + L)); a stack (N > 1, a
-    few budgets per row) is compared in one pass, faster than a searchsorted
-    per row. Both agree.
+    and at most each row's first entry, so l >= 0. Budgets go in any order;
+    `best_values` bounds the (N, E, L, K) comparison.
     """
-    N, E, K = entry_x.shape
-    L = budgets.shape[1]
-    if N == 1 and L > 1 and np.all(budgets[0, 1:] >= budgets[0, :-1]):
-        # reach[0, e, i] budgets are <= entry_x[0, e, i]; count(g) = #{i: reach > g}
-        reach = np.searchsorted(budgets[0], entry_x, side="right")
-        rows = np.arange(E)[:, None] * (L + 1)
-        hist = np.bincount((reach + rows).ravel(), minlength=E * (L + 1))
-        return K - 1 - np.cumsum(hist.reshape(N, E, L + 1)[..., :L], axis=-1)
     reached = entry_x[:, :, None, :] >= budgets[:, None, :, None]
     # rows are non-increasing: the count is the first position not reached
-    return np.where(reached[..., -1], K, np.argmin(reached, axis=-1)) - 1
+    return np.where(reached[..., -1], entry_x.shape[2], np.argmin(reached, axis=-1)) - 1
+
+
+def _pin_value(s, c, t, b):
+    """A pin (s, c, t) at budget b (see Candidates): every F_n read's one formula."""
+    return s * np.log2(b + c) + t
 
 
 def pinned_values(cands: Candidates, budgets: np.ndarray):
@@ -430,15 +424,28 @@ def pinned_values(cands: Candidates, budgets: np.ndarray):
     rows = np.arange(0, N * E * K, K).reshape(N, E, 1)
     pins = np.take(cands.pins.reshape(-1, 3), last + rows, axis=0)
     b = b[:, None, :]
-    vals = pins[..., 0] * np.log2(b + pins[..., 1]) + pins[..., 2]
+    vals = _pin_value(*pins.transpose(3, 0, 1, 2), b)
     tally(last.size * _C_LOOKUP)
     # no power, no rate: avoid cancellation residue
     return np.where(b <= 0.0, 0.0, vals), pins
 
 
 def best_values(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
-    """F_n of every stacked subcarrier at every budget: budgets and result (N, L)."""
-    return pinned_values(cands, budgets)[0].max(axis=1)
+    """F_n of every stacked subcarrier at every budget: budgets and result (N, L).
+
+    Reads blocks of at most _READ_BUDGETS budgets (whole rows, or spans of
+    one row), each cell on its own, so its scratch is bounded and its bits
+    are one read's.
+    """
+    N, L = budgets.shape
+    cols = max(1, min(L, _READ_BUDGETS))
+    rows = max(1, _READ_BUDGETS // cols)
+    out = np.empty((N, L))
+    for n, l in itertools.product(range(0, N, rows), range(0, L, cols)):
+        block = Candidates(cands.entry_x[n:n + rows], cands.pins[n:n + rows])
+        vals = pinned_values(block, budgets[n:n + rows, l:l + cols])[0]
+        vals.max(axis=1, out=out[n:n + rows, l:l + cols])
+    return out
 
 
 def best_columns(cands: Candidates, budgets: np.ndarray):
@@ -534,7 +541,7 @@ def lagrangian_maxima(blocks: Blocks, caps: np.ndarray):
     def at(lam: float):
         with np.errstate(divide="ignore", over="ignore"):
             b = np.minimum(np.maximum(s / (lam * LN2) - c, low), top)
-        vals = np.where(live & (b > 0.0), s * np.log2(b + c) + t - lam * b, -np.inf)
+        vals = np.where(live & (b > 0.0), _pin_value(s, c, t, b) - lam * b, -np.inf)
         tally(low.size * _C_DUAL)
         best = vals.argmax(axis=1)
         phi = vals[rows, best]
@@ -583,16 +590,14 @@ def block_values(grid: GridBlocks, which: np.ndarray, ls: np.ndarray, delta: flo
     """Candidate values on grid blocks `which` at grid indices ls in them, like shapes.
 
     Each is s * log2(min(l * delta, full) + c) + t, the read pinned_values
-    makes of that candidate at l, bit for bit.
+    makes of that candidate at l, through the same `_pin_value`.
     """
-    pins = grid.pins[which]
     tally(ls.size * _C_LOOKUP)
-    return pins[..., 0] * np.log2(np.minimum(ls * delta, grid.full[which]) + pins[..., 1]) \
-        + pins[..., 2]
+    return _pin_value(*grid.pins.T[:, which], np.minimum(ls * delta, grid.full[which]))
 
 
 def fn_value_many(tables: ScusTables, budgets: np.ndarray) -> np.ndarray:
-    """F_n of one subcarrier on a whole vector of budgets in one pass."""
+    """F_n of one subcarrier on a vector of budgets, in any order, in bounded scratch."""
     budgets = np.asarray(budgets, dtype=float)
     _check_budget(budgets, tables.p_max)
     return best_values(stack_candidates([tables]), budgets[None, :])[0]

@@ -136,9 +136,9 @@ def assert_selects_like_oracles(lmax, targets, profit_fn, rows):
 
 
 def class_rows(instance, objective):
-    """Each class's grid profits 0..lmax_n, one `BudgetObjective.profits` read per class."""
-    return [objective.profits(n, np.arange(lmax + 1) * instance.delta)
-            for n, lmax in enumerate(class_unit_caps(instance))]
+    """Each class's grid profits 0..lmax_n, cut from the whole grid's (`build_knapsack`)."""
+    profits = build_knapsack(instance, objective)
+    return [profits[n, :lmax + 1] for n, lmax in enumerate(class_unit_caps(instance))]
 
 
 def index_array_eps_budgets(instance, tables, eps, upper):
@@ -598,7 +598,7 @@ class TestGradJspa:
 def zero_start(monkeypatch):
     """Start grad from the zero split instead of the continuous dual one."""
     monkeypatch.setattr(jspa, "dual_upper_bound",
-                        lambda inst, tables, objective: jspa.DualBound(
+                        lambda inst, objective: jspa.DualBound(
                             0.0, 0.0, np.zeros(inst.n_carriers)))
 
 
@@ -623,6 +623,24 @@ class TestBuildKnapsack:
         assert inst.n_power_levels == 1000
         assert profits.shape == (20, 1001)
         assert not profits.flags.writeable
+
+    def test_one_carrier_grid_read_memory_is_bounded(self):
+        # J = 10^6 on one subcarrier: the table is 8 MB, and a lookup
+        # scratch sized by the grid, (E, J + 1) ints or pins, takes 30-240 MB
+        J = 10 ** 6
+        inst = generate_instance(SystemConfig(users=10, subcarriers=1, max_mux=3,
+                                              delta_w=10 / J), 3)
+        _, tables = make_tables(inst)
+        objective = BudgetObjective(tables)
+        tracemalloc.start()
+        try:
+            profits = build_knapsack(inst, objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profits.shape == (1, J + 1)
+        # the table, its grid and one read block's scratch: about 17 MB
+        assert peak < 3 * profits.nbytes
 
     def test_per_carrier_caps_limit_selectable_items(self):
         cfg = SystemConfig(users=3, subcarriers=2, max_mux=2, p_max_carrier_w=3.0,
@@ -900,7 +918,7 @@ class TestDualUpperBound:
         inst = generate_instance(SystemConfig(users=4, subcarriers=4, max_mux=2,
                                               p_max_carrier_w=2.5), 3)
         _, tables = make_tables(inst)
-        bound = dual_upper_bound(inst, tables)
+        bound = dual_upper_bound(inst, BudgetObjective(tables))
         caps = inst.p_max_carrier
         assert bound.lam == 0.0 and np.array_equal(bound.split, caps)
         assert bound.upper == float(best_values(stack_candidates(tables), caps[:, None]).sum())
@@ -909,7 +927,7 @@ class TestDualUpperBound:
         # the search stops once no lam lowers UB by more than (N + 1) ulps
         inst = small_instance(42, users=6, carriers=8, max_mux=3)
         _, tables = make_tables(inst)
-        bound = dual_upper_bound(inst, tables)
+        bound = dual_upper_bound(inst, BudgetObjective(tables))
         assert opt_jspa(inst, tables).wsr <= bound.upper
         maxima = lagrangian_maxima(pinned_blocks(stack_candidates(tables)), inst.p_max_carrier)
         tol = 9 * np.finfo(float).eps * bound.upper
@@ -922,7 +940,7 @@ class TestDualUpperBound:
         # grad from the split takes one step, which moves it by at most xi
         inst = generate_instance(SystemConfig(users=10, max_mux=3), 7)
         _, tables = make_tables(inst)
-        bound = dual_upper_bound(inst, tables)
+        bound = dual_upper_bound(inst, BudgetObjective(tables))
         assert abs(float(bound.split.sum()) - inst.p_max) <= 1e-9 * inst.p_max
         sol = grad_jspa(inst, tables, 1e-4)
         assert (sol.iterations, sol.converged) == (1, True)

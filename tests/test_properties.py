@@ -10,8 +10,9 @@ keep the grid profits monotone, give the same values, columns and left
 derivatives stacked as one subcarrier at a time, and leave the exact solvers' agreement intact.
 The stack of each subcarrier's distinct candidates must answer every F_n
 reader as the full stack of all K does, bit for bit, at 0, p_max, random
-budgets and every candidate entry and its two float neighbours, and at
-several lam for the Lagrangian maxima. The continuous dual's bound must hold
+budgets and every candidate entry and its two float neighbours, read in one
+block or in blocks of 7 budgets or of 1, and at several lam for the
+Lagrangian maxima. The continuous dual's bound must hold
 every solver's wsr up to rounding, and each Lagrangian maximum must bound
 F_n(b) - lam * b on a dense grid and be attained at its own b. eps's
 batched item selection must pick, per class, what the one-threshold-at-a-time
@@ -29,10 +30,10 @@ up to 400 levels and on synthetic profit families (flat, exactly linear,
 noisy, integer steps, kinked, concave, caps below the grid, J < N), as it
 runs, at lam = 0 and with nothing fathomed. opt itself,
 which never builds the table, must pick the table DP's units bit for bit,
-also with nothing fathomed and read a row at a time, on instances biased
-toward J < N, caps that fit p_max and a dead channel; and its grid block
-reads must put every grid index in one block per candidate, reading F_n
-there bit for bit. The gathered Lagrangian blocks must answer as every
+also with nothing fathomed and with F_n read a budget at a time, on
+instances biased toward J < N, caps that fit p_max and a dead channel; and
+its grid block reads must put every grid index in one block per candidate,
+reading F_n there bit for bit. The gathered Lagrangian blocks must answer as every
 (n, e, l) cell does. Instances
 cover K = 1, M = K, tied channels or weights, binding per-carrier caps and
 30 dB shadowing; budgets cover 0, one grid step, the
@@ -52,14 +53,14 @@ from conftest import (batched_scus_dp, candidate_values, every_cell_lagrangian_m
                       table_units)
 from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, class_rows,
                        eps_targets, index_array_eps_budgets, stacked_profit, zero_start)
-from nomajspa import jspa
+from nomajspa import jspa, single_carrier
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, dual_upper_bound, eps_jspa, estimate_upper_bound,
                            grad_jspa, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
                             carrier_views, generate_instance, wsr_from_x)
-from nomajspa.single_carrier import (best_columns, best_values, block_values, fn_value_many,
-                                     grid_blocks, iscus_eval, iscus_precompute,
+from nomajspa.single_carrier import (Candidates, best_columns, best_values, block_values,
+                                     fn_value_many, grid_blocks, iscus_eval, iscus_precompute,
                                      lagrangian_maxima, left_derivatives, pinned_blocks,
                                      pinned_values, sc_value, scus, stack_candidates)
 
@@ -168,13 +169,9 @@ def test_kernel_matches_candidate_values(inst):
         # the stack holds the table's distinct rows, padded with its last one
         expect = candidate_values(t.w_n, t.wp, t.ep, t.offset, cands.entry_x[n, :, None, :],
                                   budgets[None, :])
-        sorted_vals = pinned_values(cands.carrier(n), budgets[None, :])[0][0]
-        # one budget at a time takes the position-by-position count
-        single = np.stack([pinned_values(cands.carrier(n), np.array([[b]]))[0][0, :, 0]
-                           for b in budgets], axis=1)
-        assert np.array_equal(single, sorted_vals)
-        assert np.abs(sorted_vals - expect).max() <= 1e-12 * magnitude(t)
-        assert np.all(sorted_vals[:, budgets == 0.0] == 0.0)
+        vals = pinned_values(Candidates(*(a[n:n + 1] for a in cands)), budgets[None, :])[0][0]
+        assert np.abs(vals - expect).max() <= 1e-12 * magnitude(t)
+        assert np.all(vals[:, budgets == 0.0] == 0.0)
 
 
 @PROPERTY
@@ -194,8 +191,12 @@ def test_stacked_readers_are_bit_equal(inst, seed):
     rng = np.random.default_rng(seed)
     N = inst.n_carriers
     kinks = [probe_budgets(inst, tables, n) for n in range(N)]
+    # one table's read is its row of the whole stack's, rows padded with their last kink
+    width = max(k.size for k in kinks)
+    stacked = best_values(objective.cands, np.stack([np.pad(k, (0, width - k.size), "edge")
+                                                     for k in kinks]))
     for n, t in enumerate(tables):
-        assert np.array_equal(fn_value_many(t, kinks[n]), objective.profits(n, kinks[n]))
+        assert np.array_equal(fn_value_many(t, kinks[n]), stacked[n, :kinks[n].size])
     for _ in range(6):
         b = np.array([rng.choice(k[k <= inst.p_max_carrier[n]])
                       for n, k in enumerate(kinks)])
@@ -223,25 +224,23 @@ def test_distinct_candidates_answer_like_the_full_stack(inst, seed):
         [0.0, inst.p_max], rng.uniform(0.0, inst.p_max, 4),
         entries, np.nextafter(entries, -np.inf), np.nextafter(entries, np.inf)]))
     budgets = budgets[budgets >= 0.0]
-    # a stack of N > 1 rows is compared position by position, sorted or shuffled
+    # sorted or shuffled, in one read block or in blocks of 7 budgets (one
+    # row, seven columns) or of one
     for grid in (budgets, rng.permutation(budgets)):
         grid = np.broadcast_to(grid, (N, grid.size))
-        assert same_bits(best_values(cands, grid), best_values(oracle, grid))
-    # one carrier's sorted row alone is counted by searchsorted: its stacked row, bit for bit
-    stacked = pinned_values(cands, np.broadcast_to(budgets, (N, budgets.size)))[0]
-    for n in range(N):
-        assert same_bits(pinned_values(cands.carrier(n), budgets[None, :])[0][0], stacked[n])
-    objective = BudgetObjective(tables)
-    for n in range(N):
-        assert same_bits(objective.profits(n, budgets),
-                         best_values(oracle.carrier(n), budgets[None, :])[0])
+        expect = best_values(oracle, grid)
+        assert same_bits(best_values(cands, grid), expect)
+        for read_budgets in (1, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(single_carrier, "_READ_BUDGETS", read_budgets)
+                assert same_bits(best_values(cands, grid), expect)
     for b in budgets:
         b = np.full(N, b)
         for got, expect in zip(best_columns(cands, b), best_columns(oracle, b), strict=True):
             assert same_bits(got, expect)
         assert same_bits(left_derivatives(cands, b), left_derivatives(oracle, b))
     # the gathered blocks answer as every (n, e, l) cell of either stack
-    lam = dual_upper_bound(inst, tables).lam
+    lam = dual_upper_bound(inst, BudgetObjective(tables)).lam
     maxima = lagrangian_maxima(pinned_blocks(cands), inst.p_max_carrier)
     for scale in (0.0, 0.5, 1.0, 2.0):
         got = maxima(scale * lam)
@@ -306,7 +305,7 @@ def test_lockstep_selection_and_eps_guarantee(inst):
 @given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
 def test_dual_bound_certifies_every_solver(inst):
     tables = tables_of(inst)
-    bound = dual_upper_bound(inst, tables)
+    bound = dual_upper_bound(inst, BudgetObjective(tables))
     assert bound.lam >= 0.0
     assert np.all((bound.split >= 0.0) & (bound.split <= inst.p_max_carrier))
     # UB >= every wsr up to the rounding of the log terms both sums add, so
@@ -326,7 +325,7 @@ def test_lagrangian_maxima_bound_a_dense_grid_and_are_attained(inst, scale):
     tables = tables_of(inst)
     cands = stack_candidates(tables)
     caps = inst.p_max_carrier
-    lam = scale * dual_upper_bound(inst, tables).lam
+    lam = scale * dual_upper_bound(inst, BudgetObjective(tables)).lam
     phi, b = lagrangian_maxima(pinned_blocks(cands), caps)(lam)
     tol = 1e-12 * np.array([magnitude(t) for t in tables])
     # b_n(lam) attains phi_n(lam), valued as best_values values it
@@ -397,8 +396,8 @@ def degenerate_instances(draw):
 
 
 # opt as it runs; with no fathoming (every item kept, every reachable column
-# live); and with its grid profits read a row at a time
-OPT_SETTINGS = ({}, {"_MARGIN": np.inf}, {"_READ_BUDGETS": 1})
+# live); and with every F_n read a budget at a time
+OPT_SETTINGS = ((), ((jspa, "_MARGIN", np.inf),), ((single_carrier, "_READ_BUDGETS", 1),))
 
 
 @settings(PROPERTY, max_examples=60)
@@ -408,8 +407,8 @@ def test_opt_picks_the_table_dps_units(inst):
     expect = table_units(build_knapsack(inst, BudgetObjective(tables)), class_unit_caps(inst))
     for patches in OPT_SETTINGS:
         with pytest.MonkeyPatch.context() as patch:
-            for attr, value in patches.items():
-                patch.setattr(jspa, attr, value)
+            for module, attr, value in patches:
+                patch.setattr(module, attr, value)
             assert same_bits(opt_jspa(inst, tables).budgets, expect * inst.delta), patches
 
 
