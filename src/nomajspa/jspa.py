@@ -27,7 +27,10 @@ keep every item and column and pay the full O(J^2) band, one numpy pass
 per item with O(J) scratch. The choices are bit for bit those of the
 full DP.
 
-eps keeps, per class, the first grid item reaching each multiple of its
+eps scales profits by a certified lower bound on the optimum, a feasible
+grid split's value, and runs as many targets as the continuous dual's
+bound over it allows, about N/eps where the paper's estimate needs 4N/eps.
+It keeps, per class, the first grid item reaching each multiple of its
 profit scale. One binary search finds them for every class at once, one
 stacked F_n read per depth of the classes' search trees, so its cost grows
 with log J, not J, and it keeps only what it probed. Its DP by profits
@@ -58,6 +61,7 @@ from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
 _C_KNAP_W = 2   # DP by weights, per (column, item) cell relaxed or column bound tested
 _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
+_GALLOPS = 8    # doublings of the projection's gallop from lam = 0 before it bisects bits
 _ARMIJO = 1e-4  # grad accepts a step that gains this share of its first-order gain
 # opt fathoms a column whose Lagrangian bound, or an item whose reduced profit,
 # falls short by more than _MARGIN times the largest magnitude its sums reach,
@@ -160,6 +164,19 @@ def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
     two adjacent floats. The first step is the lam spacing over which the
     sum moves by its residual at the root or by one ulp of p_max, whichever
     is larger, and at least one ulp of lam.
+
+    Where v overspends p_max only by rounding, the root lands at or below 0
+    and lam is a few ulps of the v_i. There the computed sum moves only
+    where some fl(v_i - lam) does: for v_i far above lam, at a multiple d
+    of g = ulp(v_i) / 8 or at d's successor (a rounding tie), d being v_i
+    less a midpoint of two floats below it. So, with g taken from the
+    least v_i over twice the gallop's reach, the gallop runs up from 0
+    over the multiples of g, its first step by the same rule, and a
+    bisection closes on two adjacent multiples; their inner neighbours are
+    probed first, which ends the search where the sum moves there and only
+    narrows the bracket where it does not. A gallop still short of p_max
+    after _GALLOPS doublings (the walk's rounding put the root below a
+    kink) leaves the rest to the bisection on bits.
     """
     def clipped_sum(lam: float) -> float:
         tally(v.size * _C_PROJ)
@@ -171,7 +188,26 @@ def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
     # over(lo) holds (lam = 0 does not fit), over(hi) does not (all zero)
     lo, hi = 0, _float_bits(float(v.max()))
     root, free = _breakpoint_root(v, p_max, caps)
-    if lo < root < _bits_float(hi):
+    if not root > 0.0:
+        spacing = max(clipped_sum(0.0) - p_max, math.ulp(p_max)) / max(free, 1.0)
+        big = v[v > 2.0 ** (_GALLOPS + 1) * spacing]  # twice the gallop's reach
+        g = math.ulp(float(big.min() if big.size else v.max())) / 8.0
+        m_lo, step = 0, max(1, int(spacing / g))
+        for _ in range(_GALLOPS):
+            if clipped_sum((m_lo + step) * g) <= p_max:
+                m_hi = m_lo + step
+                while m_hi - m_lo > 1:
+                    mid = (m_lo + m_hi) // 2
+                    m_lo, m_hi = (mid, m_hi) if clipped_sum(mid * g) > p_max else (m_lo, mid)
+                lo, hi = _float_bits(m_lo * g), _float_bits(m_hi * g)
+                for probe in (lo + 1, hi - 1):
+                    if lo < probe < hi:
+                        lo, hi = (probe, hi) if over(probe) else (lo, probe)
+                break
+            m_lo, step = m_lo + step, 2 * step
+        else:
+            lo = _float_bits(m_lo * g)
+    elif root < _bits_float(hi):
         residual = clipped_sum(root) - p_max
         up = residual > 0.0
         lo, hi = (_float_bits(root), hi) if up else (lo, _float_bits(root))
@@ -195,9 +231,8 @@ def project_simplex(v: np.ndarray, p_max: float, caps: np.ndarray) -> np.ndarray
     The KKT conditions give x = clip(v - lam, 0, caps) with lam = 0 if the
     clipped point already fits the budget, otherwise the unique lam > 0
     that makes the budget tight, found exactly by `_budget_multiplier` in
-    O(N log N) plus a few clipped sums, or 63 where v overspends p_max only
-    by rounding: the root then lands at or below 0, and every bit of lam is
-    bisected.
+    O(N log N) plus a few clipped sums, or about ten where v overspends
+    p_max only by rounding.
     """
     v = np.asarray(v, dtype=float)
     base = np.minimum(np.maximum(v, 0.0), caps)
@@ -475,6 +510,17 @@ def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.nd
     return float(profits[np.arange(x.size), at].sum())
 
 
+def _log_terms(pins: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Largest magnitude of the log terms a pin's reads up to budget `full` sum.
+
+    pins.T holds the planes s, c and t; the size is |t| + s * (|log2 c| +
+    |log2(full + c)|), the scale of the rounding in any F_n value read
+    there, so `_MARGIN` times it covers that rounding.
+    """
+    s, c, t = pins.T
+    return np.abs(t) + s * (np.abs(np.log2(c)) + np.abs(np.log2(full + c)))
+
+
 def _kept_items(grid: GridBlocks, peaks: np.ndarray, reduced: np.ndarray, thresholds: np.ndarray,
                 lam: float, delta: float) -> tuple:
     """Per class, the sorted grid indices whose reduced profit reaches its threshold.
@@ -685,16 +731,16 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     lam = (dual.lam or float(objective.derivatives(instance.p_max_carrier).min())) * delta
     full = objective.cands.entry_x[:, 0, 0]
     grid = grid_blocks(objective.blocks, full, lmax, delta)
-    s, c, t = grid.pins.T
+    s, c, _ = grid.pins.T
     with np.errstate(divide="ignore", over="ignore"):
         star = s / (lam * LN2) - c / delta
     star = np.minimum(np.maximum(star, grid.lo), grid.hi)
     peaks = np.stack((grid.lo, np.floor(star), np.ceil(star), grid.hi), axis=1).astype(np.int64)
     reduced = block_values(grid, np.arange(peaks.shape[0])[:, None], peaks, delta) - lam * peaks
     # per class: phi_n, and the largest magnitude of the log terms its reads sum
-    size = np.abs(t) + s * (np.abs(np.log2(c)) + np.abs(np.log2(grid.full + c)))
     top = np.zeros((N, 2))
-    np.maximum.at(top, grid.carrier, np.stack((reduced.max(axis=1), size), axis=1))
+    np.maximum.at(top, grid.carrier,
+                  np.stack((reduced.max(axis=1), _log_terms(grid.pins, grid.full)), axis=1))
     phi = top[:, 0]
     margin = _MARGIN * (float(top[:, 1].sum()) + lam * J)
     incumbent = _grid_incumbent(instance, objective, dual.split, lmax)
@@ -781,6 +827,8 @@ def estimate_upper_bound(instance: Instance, tables: list,
     monotonicity and sublinearity of the budget-value functions. Oversized
     items keep their coarse weight but their profit saturates at the
     subcarrier's own power cap, which preserves both sides of the bracket.
+    eps scales by this bracket only where its certified one (`eps_bracket`)
+    is wider.
     """
     if objective is None:
         objective = BudgetObjective(tables)
@@ -803,19 +851,20 @@ def estimate_upper_bound(instance: Instance, tables: list,
     return 2.0 * max(greedy, float(profits.max(initial=0.0)))
 
 
-def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn) -> list:
+def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn, top: np.ndarray) -> list:
     """Per class n, the smallest grid index in [1, lmax_n] whose profit reaches each target.
 
     lmax is (N,), targets an ascending array, and profit_fn maps an (N, L) int
-    index array to its (N, L) profits, row n read on class n. Returns, per
-    class, (ls, profits): the sorted distinct indices that first reach some
-    target and their profits. A target above the profit of lmax_n has no
-    item, and a class with lmax_n < 1 has none.
+    index array to its (N, L) profits, row n read on class n; top is the
+    caller's read of every class's cap, profit_fn(lmax[:, None])[:, 0].
+    Returns, per class, (ls, profits): the sorted distinct indices that
+    first reach some target and their profits. A target above the profit
+    of lmax_n has no item, and a class with lmax_n < 1 has none.
 
     One binary search tree per class, all walked together; F(l) is the
     class's profit at grid index l. A node is a class, a grid interval
-    [lo, hi], the run [t0, t1) of targets it holds and F(hi). Round 0
-    reads every class's top F(lmax_n) in one call, and a class's root is
+    [lo, hi], the run [t0, t1) of targets it holds and F(hi). Round 0 is
+    the caller's read of every class's top F(lmax_n), and a class's root is
     [1, lmax_n] with the targets up to that top. Each round, every node
     with lo < hi probes mid = (lo + hi) // 2. All the round's probes go
     into one (N, L) `profit_fn` call, short rows padded with lmax_n, an
@@ -834,11 +883,10 @@ def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn) -> list:
     are disjoint intervals and a mid lies below its hi, so no index is
     probed twice, apart from the lmax_n padding. The tree over [1, lmax_n]
     is ceil(log2(lmax_n)) deep, so there are at most ceil(log2(J + 1)) + 1
-    calls, each of at most N * T budgets for T targets, and nothing kept is
-    sized by lmax.
+    reads, round 0's included, each of at most N * T budgets for T targets,
+    and nothing kept is sized by lmax.
     """
     lmax = np.asarray(lmax, dtype=np.int64)
-    top = profit_fn(lmax[:, None])[:, 0]
     runs = np.where(lmax >= 1, np.searchsorted(targets, top, side="right"), 0)
     cls = np.flatnonzero(runs)
     # one row (class, lo, hi, t0, t1) per node, and f its F(hi)
@@ -870,48 +918,91 @@ def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn) -> list:
     return [(node[a:b, 1], f[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def eps_bracket(instance: Instance, tables: list, objective: BudgetObjective,
+                lmax: np.ndarray, top: np.ndarray) -> tuple[float, float]:
+    """The bracket (lower, upper), lower <= OPT <= upper <= 4 * lower, eps scales by.
+
+    OPT is the grid optimum and top holds each class's profit at its cap,
+    F_n(lmax_n * delta). The certified bracket: lower is the better of two
+    feasible grid splits, the dual split floored and filled
+    (`_grid_incumbent`) and the best class alone at its cap; upper is
+    `dual_upper_bound`'s UB, which bounds every split, plus the margin opt
+    fathoms by, `_MARGIN` times the log terms the sums reach (`_log_terms`,
+    per class at its largest) and lam * p_max, which covers the rounding
+    both sides of UB >= OPT sum. On the workload shapes upper / lower is
+    below 1 + 2e-5, and on coarse grids (J = 14 to 40) at most 1.34. Where
+    it is over 4, or lower is 0, this returns the paper's bracket
+    (U / 4, U) from `estimate_upper_bound` instead.
+    """
+    dual = dual_upper_bound(instance, objective)
+    lower = max(_grid_incumbent(instance, objective, dual.split, lmax),
+                float(top.max(initial=0.0)))
+    full = objective.cands.entry_x[:, 0, 0]
+    size = float(_log_terms(objective.blocks.pins, full).max(axis=0).sum())
+    upper = dual.upper + _MARGIN * (size + dual.lam * instance.p_max)
+    if upper <= 4.0 * lower:
+        return lower, upper
+    upper = estimate_upper_bound(instance, tables, objective)
+    return upper / 4.0, upper
+
+
 def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     """Approximation scheme: value within a factor (1 - eps) of the grid optimum.
 
-    Profits are scaled by eps*U/(4N) and floored to small integers. Each
-    class keeps the grid items that first reach the multiples of that scale
-    up to floor(4N/eps) (`select_items`), then a DP by profits finds, for
-    every reachable scaled profit q, the least total weight (in exact grid
-    units) achieving it; the answer is the largest q whose weight fits the
-    budget. The reported value re-evaluates the recovered items unscaled,
-    since scaling is only a search device.
+    With a bracket LB <= OPT <= UB, profits are scaled by eps * LB / N and
+    floored to small integers, and T = floor(N * (UB / LB) / eps) targets
+    cover every feasible scaled total. Each class keeps the grid items that
+    first reach the multiples of that scale up to T (`select_items`), then
+    a DP by profits finds, for every reachable scaled profit q, the least
+    total weight (in exact grid units) achieving it; the answer is the
+    largest q whose weight fits the budget. A split's floors lose less than
+    N * scale = eps * LB <= eps * OPT, so the answer is worth at least
+    (1 - eps) OPT. The reported value re-evaluates the recovered items
+    unscaled, since scaling is only a search device.
 
-    Time and memory, with T = floor(4N/eps) targets: the thresholds of all
+    The bracket is `eps_bracket`'s, certified by the continuous dual: the
+    textbook FPTAS's scaling by a lower bound (Kellerer, Pferschy and
+    Pisinger 2004, 11.3), where the paper scales by U / 4 from its estimate
+    U >= OPT >= U / 4. Where the certified bracket is wider than 4, or
+    certifies no positive value, the estimate's (U / 4, U) stands in, so
+    UB / LB <= 4 and T <= floor(4N/eps) always, the count
+    `model.check_eps_cells` bounds the choice table by.
+
+    Time and memory, with T <= floor(4N/eps) targets: the thresholds of all
     classes cost at most ceil(log2(J + 1)) + 1 stacked F_n reads, each of at
     most N * T budgets, and O(N * T) kept floats, whatever J is. The DP
     relaxes a class's items a chunk at a time, one shifted copy of the
-    weights per item, so beside its (N, T + 1) int32 choices and a few rows of
-    T + 1 cells it holds a few arrays of at most max(_DP_CELLS, T + 1)
-    cells.
+    weights per item, read from one strided view laid out per solve, so
+    beside its (N, T + 1) int32 choices and a few rows of T + 1 cells it
+    holds a few arrays of at most max(_DP_CELLS, T + 1) cells.
 
     eps must be positive and finite, and its choice table within
     `model.GRID_CELLS` cells (`model.check_eps_cells`): either failing raises
-    ValueError before anything is estimated or allocated. U comes from
-    `estimate_upper_bound`, which bounds the optimum; were U below it, a
-    feasible split could carry the DP past its top scaled profit, and eps
-    raises ValueError instead of dropping that split.
+    ValueError before anything is read or allocated. Were upper below the
+    optimum, a feasible split could carry the DP past its top scaled
+    profit, and eps raises ValueError instead of dropping that split.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    N = instance.n_carriers
+    N, J, delta = instance.n_carriers, instance.n_power_levels, instance.delta
     check_eps_cells(N, eps, "eps")
-    J = instance.n_power_levels
     objective = BudgetObjective(tables)
-    upper = estimate_upper_bound(instance, tables, objective)
+    lmax = class_unit_caps(instance)
+
+    def profit_fn(ls):
+        return best_values(objective.cands, ls * delta)
+
+    top = profit_fn(lmax[:, None])[:, 0]
+    lower, upper = eps_bracket(instance, tables, objective, lmax, top)
     if upper <= 0:
         return _solution(objective, np.zeros(N), f"eps:{eps:g}")
-    scale = eps * upper / (4.0 * N)
-    q_cap = int(math.floor(4.0 * N / eps))
+    scale = eps * lower / N
+    # upper / lower <= 4, and float products and quotients are monotone
+    q_cap = int(math.floor(N * (upper / lower) / eps))
     targets = np.arange(1, q_cap + 1) * scale
 
     items = []  # per class: (grid indices, scaled profits) of its selected items
-    for ls, profits in select_items(class_unit_caps(instance), targets,
-                                    lambda ls: best_values(objective.cands, ls * instance.delta)):
+    for ls, profits in select_items(lmax, targets, profit_fn, top):
         # each item reaches targets[0] = scale, so its scaled profit is >= 1
         items.append((ls, np.floor(profits / scale).astype(np.int64)))
 
@@ -920,6 +1011,11 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     weight[0] = 0
     choice = np.full((N, q_cap + 1), -1, dtype=np.int32)  # item taken, by position
     rows = max(1, _DP_CELLS // (q_cap + 1))  # items relaxed per chunk
+    # row head - q of the windows is the weights before a class, shifted
+    # right by q and inf-padded; an item past q_cap raises before reading
+    head = min(max((int(q.max(initial=0)) for _, q in items), default=0), q_cap + 1)
+    pad = np.full(head + q_cap + 1, inf, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(pad, q_cap + 1)
     for n, (ls, scaled) in enumerate(items):
         # least units reaching a profit of q or more: an item that takes a
         # feasible total past q_cap proves upper below the optimum
@@ -928,13 +1024,11 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
             raise ValueError(
                 f"upper = {upper:g} is below the value of a feasible split: class {n}'s "
                 f"items take the scaled profit past the DP's top, {q_cap}")
-        # row top - q of the windows is weight shifted right by q, inf-padded;
-        # weight itself holds the skip, always allowed, and is relaxed in place
-        top = int(scaled.max(initial=0))
-        pad = np.concatenate((np.full(top, inf, dtype=np.int64), weight))
-        windows = np.lib.stride_tricks.sliding_window_view(pad, q_cap + 1)
+        # the windows read class n's input; weight holds the skip, always
+        # allowed, and is relaxed in place
+        pad[head:] = weight
         for i0 in range(0, ls.size, rows):
-            cand = windows[top - scaled[i0:i0 + rows]]
+            cand = windows[head - scaled[i0:i0 + rows]]
             cand += ls[i0:i0 + rows, None]
             tally(cand.size * _C_KNAP_P)
             low = cand.min(axis=0)
@@ -955,4 +1049,4 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
             ls, scaled = items[n]
             units[n] = ls[i]
             q -= int(scaled[i])
-    return _solution(objective, units * instance.delta, f"eps:{eps:g}")
+    return _solution(objective, units * delta, f"eps:{eps:g}")

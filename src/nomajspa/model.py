@@ -78,7 +78,10 @@ def grid_countable(amount: float, delta: float) -> bool:
 # table of grid profits brute force and the tests build, 256 MB of floats, and
 # opt's worst case: opt reads only the few grid points it keeps, but a class
 # that keeps every item pays the O(J^2) band, with O(J) scratch per class.
-# eps's (N, floor(4N/eps) + 1) table of item choices is held to the same count
+# eps's (N, T + 1) table of item choices is held to the same count: T, its
+# number of targets, is floor(N * (UB / LB) / eps) for a bracket with
+# UB / LB <= 4 (`jspa.eps_bracket`), so T <= floor(4N/eps), which
+# check_eps_cells bounds before eps reads anything
 GRID_CELLS = 2 ** 25
 
 
@@ -98,9 +101,12 @@ def check_grid_cells(carriers: int, amount: float, delta: float, name: str) -> N
 def check_eps_cells(carriers: int, eps: float, name: str) -> None:
     """Raise ValueError, naming eps as `name`, unless carriers * (floor(4N/eps) + 1) <= GRID_CELLS.
 
-    That is eps's (N, T + 1) int32 table of item choices for T = floor(4N/eps)
-    targets, N = carriers; eps must be positive. It is counted in floats, so
-    an eps small enough to make 4N/eps inf is refused, not overflowed.
+    That bounds eps's (N, T + 1) int32 table of item choices, N = carriers:
+    eps scales by a bracket LB <= OPT <= UB with UB <= 4 LB, so its
+    T = floor(N * (UB / LB) / eps) targets are at most floor(4N/eps), the
+    paper's count, whatever the bracket turns out to be. eps must be
+    positive. It is counted in floats, so an eps small enough to make
+    4N/eps inf is refused, not overflowed.
     """
     targets = np.floor(4.0 * carriers / float(eps)) + 1.0
     if carriers * targets > GRID_CELLS:

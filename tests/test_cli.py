@@ -145,8 +145,8 @@ class TestConfig:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
-        (False, "905a9736a616c4bf0b75ca69ef9be15cf0c474e0a0eee88b84132cb8db4e66df"),
-        (True, "e1601c744dc8d40e0aad2f4a64c570a40affd7b7aaa3c2b0ee5807b3e6145d60"),
+        (False, "83a6625109318e810a0c211d5195c3c9ed4490cd66793ea48844517107f4268b"),
+        (True, "0b9b95d2cc81c0de4b1e8ba6631e0bed53e5785f229ba9e0cfacf64c75330b61"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose
@@ -400,7 +400,7 @@ class TestMain:
         def no_solve(*args):
             raise AssertionError("a solve started")
 
-        monkeypatch.setattr(jspa, "estimate_upper_bound", no_solve)
+        monkeypatch.setattr(jspa, "eps_bracket", no_solve)
         monkeypatch.setattr(cli, "iscus_precompute", no_solve)
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)

@@ -28,6 +28,7 @@ from nomajspa.jspa import (
     check_brute_force,
     class_unit_caps,
     dual_upper_bound,
+    eps_bracket,
     eps_jspa,
     estimate_upper_bound,
     grad_jspa,
@@ -102,10 +103,24 @@ def grid_select_items(row, lmax, targets):
     return ls, cn[ls]
 
 
-def eps_targets(instance, upper, eps):
-    """eps_jspa's thresholds: the multiples of eps * U / (4N) up to floor(4N / eps)."""
-    N = instance.n_carriers
-    return np.arange(1, int(math.floor(4.0 * N / eps)) + 1) * (eps * upper / (4.0 * N))
+def own_bracket(instance, tables):
+    """eps_jspa's bracket (lower, upper), from the cap reads eps makes."""
+    objective = BudgetObjective(tables)
+    lmax = class_unit_caps(instance)
+    top = best_values(objective.cands, lmax[:, None] * instance.delta)[:, 0]
+    return eps_bracket(instance, tables, objective, lmax, top)
+
+
+def target_count(instance, bracket, eps):
+    """T = floor(N * (upper / lower) / eps), eps_jspa's number of targets."""
+    lower, upper = bracket
+    return int(math.floor(instance.n_carriers * (upper / lower) / eps))
+
+
+def eps_targets(instance, bracket, eps):
+    """eps_jspa's thresholds: the multiples of eps * lower / N up to `target_count`."""
+    scale = eps * bracket[0] / instance.n_carriers
+    return np.arange(1, target_count(instance, bracket, eps) + 1) * scale
 
 
 def stacked_profit(objective, delta):
@@ -113,10 +128,16 @@ def stacked_profit(objective, delta):
     return lambda ls: best_values(objective.cands, ls * delta)
 
 
-def eps_select_items(instance, objective, upper, eps):
+def selected(lmax, targets, profit_fn):
+    """`select_items` after its round 0, the read of every class's cap."""
+    lmax = np.asarray(lmax)
+    return select_items(lmax, targets, profit_fn, profit_fn(lmax[:, None])[:, 0])
+
+
+def eps_select_items(instance, objective, bracket, eps):
     """`select_items` as eps_jspa calls it: per class (ls, profits)."""
-    return select_items(class_unit_caps(instance), eps_targets(instance, upper, eps),
-                        stacked_profit(objective, instance.delta))
+    return selected(class_unit_caps(instance), eps_targets(instance, bracket, eps),
+                    stacked_profit(objective, instance.delta))
 
 
 def assert_selects_like_oracles(lmax, targets, profit_fn, rows):
@@ -124,7 +145,7 @@ def assert_selects_like_oracles(lmax, targets, profit_fn, rows):
 
     rows[n] holds class n's grid profits 0..lmax_n, as profit_fn reads them.
     """
-    picked = select_items(lmax, targets, profit_fn)
+    picked = selected(lmax, targets, profit_fn)
     assert len(picked) == len(rows)
     for (ls, profits), row, top in zip(picked, rows, lmax):
         top = int(top)
@@ -141,20 +162,20 @@ def class_rows(instance, objective):
     return [profits[n, :lmax + 1] for n, lmax in enumerate(class_unit_caps(instance))]
 
 
-def index_array_eps_budgets(instance, tables, eps, upper):
+def index_array_eps_budgets(instance, tables, eps, lower, upper):
     """eps_jspa's budgets by the index-array DP by profits it ran before its slice form.
 
-    Kept as the oracle of that DP: the same items, read off each class's
-    whole grid (`grid_select_items`), then every item in turn relaxes
-    `np.arange(q_item, q_cap + 1)` by fancy indexing, skipping items of no
-    scaled profit inside the loop.
+    Kept as the oracle of that DP on the bracket lower <= OPT <= upper: the
+    same items, read off each class's whole grid (`grid_select_items`),
+    then every item in turn relaxes `np.arange(q_item, q_cap + 1)` by fancy
+    indexing, skipping items of no scaled profit inside the loop.
     """
     N = instance.n_carriers
     if upper <= 0:
         return np.zeros(N)
     objective = BudgetObjective(tables)
-    scale = eps * upper / (4.0 * N)
-    q_cap = int(math.floor(4.0 * N / eps))
+    scale = eps * lower / N
+    q_cap = target_count(instance, (lower, upper), eps)
     targets = np.arange(1, q_cap + 1) * scale
     items = []
     for row in class_rows(instance, objective):
@@ -357,7 +378,79 @@ def active_projection_cases(seed=23, draws=900):
             yield mode, v, p_max, caps, oracle
 
 
+def bit_bisection_multiplier(v, p_max, caps):
+    """The smallest float lam whose clipped sum fits p_max, by bisecting all of lam's bits.
+
+    `_budget_multiplier`'s search without its root and gallop, kept as its
+    oracle where the breakpoint root lands at or below 0.
+    """
+    def over(b):
+        lam = float(np.int64(b).view(np.float64))
+        return float(np.minimum(np.maximum(v - lam, 0.0), caps).sum()) > p_max
+
+    lo, hi = 0, int(np.float64(v.max()).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if over(mid) else (lo, mid)
+    return float(np.int64(hi).view(np.float64))
+
+
+def rounding_overspend_cases(seed=29, draws=300):
+    """Seeded (v, p_max, caps) where v's clipped sum overspends p_max by 1 to 4 ulps.
+
+    v is partly negative, some entries tied, tiny (1e-20) or above their
+    caps; 81 of the 300 draws put the breakpoint root at or below 0.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(draws):
+        size = int(rng.integers(1, 41))
+        v = rng.uniform(-0.2, 1.0, size) * 10.0 ** rng.uniform(-3.0, 1.0)
+        if i % 4 == 1:
+            v = rng.choice(v, size)
+        if i % 5 == 2:
+            v[rng.random(size) < 0.2] = 1e-20
+        caps = np.where(rng.random(size) < 0.3, np.abs(v) * 0.5, np.abs(v) + 1.0)
+        p_max = float(np.minimum(np.maximum(v, 0.0), caps).sum())
+        for _ in range(int(rng.integers(1, 5))):
+            p_max = float(np.nextafter(p_max, 0.0))
+        if p_max > 0.0:
+            yield v, p_max, caps
+
+
 class TestProjectSimplex:
+    # grad's dual starts that overspend p_max by rounding alone: (users, max_mux,
+    # delta_w, seed) of many_users seed 41, desk K = 10 seed 43, fine_grid 42 and 43
+    ROUNDING_STARTS = [(40, 3, 0.05, 41), (10, 2, 0.01, 43), (5, 2, 0.0025, 42),
+                       (5, 2, 0.0025, 43)]
+
+    @pytest.mark.parametrize("users, max_mux, delta_w, seed", ROUNDING_STARTS)
+    def test_rounding_overspend_takes_few_clipped_sums(self, users, max_mux, delta_w, seed):
+        # these starts bisected all 63 bits of lam; the gallop over multiples
+        # of ulp(min v) / 8 takes 8 to 11 clipped sums, the first check's included
+        inst = generate_instance(SystemConfig(users=users, max_mux=max_mux,
+                                              delta_w=delta_w), seed)
+        _, tables = make_tables(inst)
+        v = dual_upper_bound(inst, BudgetObjective(tables)).split
+        caps = inst.p_max_carrier
+        assert jspa._breakpoint_root(v, inst.p_max, caps)[0] <= 0.0
+        with count_ops() as counter:
+            out = project_simplex(v, inst.p_max, caps)
+        assert counter.total <= 12 * jspa._C_PROJ * v.size
+        lam = bit_bisection_multiplier(v, inst.p_max, caps)
+        assert jspa._budget_multiplier(v, inst.p_max, caps) == lam
+        assert np.array_equal(out, np.minimum(np.maximum(v - lam, 0.0), caps))
+
+    def test_rounding_overspend_matches_the_bit_bisection(self):
+        sums = []  # clipped sums where the root lands at or below 0
+        for v, p_max, caps in rounding_overspend_cases():
+            with count_ops() as counter:
+                lam = jspa._budget_multiplier(v, p_max, caps)
+            assert lam == bit_bisection_multiplier(v, p_max, caps)
+            if jspa._breakpoint_root(v, p_max, caps)[0] <= 0.0:
+                sums.append(counter.total / (jspa._C_PROJ * v.size))
+        # 81 such draws, a median of 11 sums; 2 pass a kink and take 67
+        assert len(sums) >= 60 and np.median(sums) <= 14 and max(sums) <= 70
+
     def test_bit_identical_to_bisection(self):
         seen = {}
         for mode, v, p_max, caps, (expected, lo, hi) in active_projection_cases():
@@ -693,6 +786,9 @@ class TestOptJspa:
         inst = generate_instance(SystemConfig(users=5, max_mux=2, delta_w=0.0025), 71004)
         _, tables = make_tables(inst)
         assert inst.n_power_levels == 4000
+        # the first np.unique of a process imports numpy.ma, about 1.1 MB,
+        # which is no part of a solve: pay it before tracing
+        np.unique(np.zeros(1))
         tracemalloc.start()
         try:
             sol = opt_jspa(inst, tables)
@@ -1004,13 +1100,13 @@ class TestSelectItems:
         objective = BudgetObjective(tables)
         top = fn_value_many(tables[0], [inst.n_power_levels * inst.delta])[0]
         huge = top * 16.0 * inst.n_carriers  # first threshold lands above every top
-        for ls, profits in eps_select_items(inst, objective, huge, 1.0):
+        for ls, profits in eps_select_items(inst, objective, (huge / 4.0, huge), 1.0):
             assert ls.size == 0 and profits.size == 0
 
     def test_empty_on_nonpositive_estimate(self, monkeypatch):
         inst = small_instance(51, users=3, carriers=2, max_mux=2)
         _, tables = make_tables(inst, 2)
-        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: 0.0)
+        monkeypatch.setattr(jspa, "eps_bracket", lambda *args: (0.0, 0.0))
         sol = eps_jspa(inst, tables, 0.5)
         assert np.array_equal(sol.budgets, np.zeros(inst.n_carriers)) and sol.wsr == 0.0
 
@@ -1019,7 +1115,7 @@ class TestSelectItems:
         linear = lambda ls: ls.astype(float)
 
         def one_class(lmax, targets):
-            return select_items(np.array([lmax]), targets, linear)[0][0].tolist()
+            return selected(np.array([lmax]), targets, linear)[0][0].tolist()
 
         step = 5
         assert one_class(100, np.arange(1, 9) * float(step)) == [step * k for k in range(1, 9)]
@@ -1031,8 +1127,8 @@ class TestSelectItems:
         assert one_class(100, np.array([50.0, 100.0, 101.0])) == [50, 100]
         assert one_class(0, np.array([0.0])) == []
         # classes are searched together, each on its own row and cap
-        picked = select_items(np.array([100, 0, 50]), np.array([20.0, 70.0, 101.0]),
-                              lambda ls: ls * np.array([[1.0], [1.0], [2.0]]))
+        picked = selected(np.array([100, 0, 50]), np.array([20.0, 70.0, 101.0]),
+                          lambda ls: ls * np.array([[1.0], [1.0], [2.0]]))
         assert [ls.tolist() for ls, _ in picked] == [[20, 70], [], [10, 35]]
         assert [profits.tolist() for _, profits in picked] == [[20.0, 70.0], [], [20.0, 70.0]]
 
@@ -1042,10 +1138,10 @@ class TestSelectItems:
             inst = small_instance(seed + 600, users=3, carriers=2, max_mux=2)
             _, tables = make_tables(inst, 2)
             objective = BudgetObjective(tables)
-            upper = estimate_upper_bound(inst, tables)
+            bracket = own_bracket(inst, tables)
             eps = float(rng.choice([0.5, 0.2, 0.1]))
-            targets = eps_targets(inst, upper, eps)
-            picked = eps_select_items(inst, objective, upper, eps)
+            targets = eps_targets(inst, bracket, eps)
+            picked = eps_select_items(inst, objective, bracket, eps)
             for n, (ls, _) in enumerate(picked):
                 levels = int(class_unit_caps(inst)[n])
                 row = fn_value_many(tables[n], np.arange(levels + 1) * inst.delta)
@@ -1055,7 +1151,7 @@ class TestSelectItems:
         inst = small_instance(53, users=4, carriers=2, max_mux=2, levels=512)
         _, tables = make_tables(inst, 2)
         objective = BudgetObjective(tables)
-        upper = estimate_upper_bound(inst, tables)
+        bracket = own_bracket(inst, tables)
         calls = []
         profit = stacked_profit(objective, inst.delta)
 
@@ -1065,7 +1161,7 @@ class TestSelectItems:
 
         eps = 0.25
         caps = class_unit_caps(inst)
-        picked = select_items(caps, eps_targets(inst, upper, eps), counting)
+        picked = selected(caps, eps_targets(inst, bracket, eps), counting)
         assert len(calls) <= select_rounds_bound(inst)
         # one stacked read per round, each row non-decreasing and within its cap
         for ls in calls:
@@ -1073,7 +1169,7 @@ class TestSelectItems:
             assert np.all((ls >= 1) & (ls <= caps[:, None]))
         for n, (ls, profits) in enumerate(picked):
             scalar = lambda l: float(fn_value_many(tables[n], np.array([l * inst.delta]))[0])
-            expect = carried_lo_select_items(int(caps[n]), eps_targets(inst, upper, eps), scalar)
+            expect = carried_lo_select_items(int(caps[n]), eps_targets(inst, bracket, eps), scalar)
             assert ls.tolist() == expect
             assert np.array_equal(profits, fn_value_many(tables[n], ls * inst.delta))
 
@@ -1082,10 +1178,10 @@ class TestSelectItems:
             inst = small_instance(seed + 650, users=4, carriers=3, max_mux=2, levels=300)
             _, tables = make_tables(inst, 2)
             objective = BudgetObjective(tables)
-            upper = estimate_upper_bound(inst, tables)
+            bracket = own_bracket(inst, tables)
             rows = class_rows(inst, objective)
             for eps in (0.5, 0.1, 0.05):
-                assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, upper, eps),
+                assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, bracket, eps),
                                             stacked_profit(objective, inst.delta), rows)
 
 
@@ -1109,19 +1205,19 @@ class TestEpsJspa:
     def test_single_class_returns_best_selected_item(self):
         inst = small_instance(71, users=3, carriers=1, max_mux=2)
         _, tables = make_tables(inst, 2)
-        upper = estimate_upper_bound(inst, tables)
+        bracket = own_bracket(inst, tables)
         objective = BudgetObjective(tables)
         for eps in (0.7, 0.3, 0.05):
-            [(_, profits)] = eps_select_items(inst, objective, upper, eps)
+            [(_, profits)] = eps_select_items(inst, objective, bracket, eps)
             assert eps_jspa(inst, tables, eps).wsr == pytest.approx(profits.max(), rel=1e-12)
 
     @staticmethod
     def grid_reads(monkeypatch, inst, tables):
-        """The (N, L) grid indices of every F_n read eps makes after its estimate.
+        """The (N, L) grid indices of every F_n read eps makes but its bracket's.
 
-        U is read beforehand, so the estimate's own F_n read is not recorded.
+        The bracket is read beforehand, so its own F_n reads are not recorded.
         """
-        upper = estimate_upper_bound(inst, tables)
+        bracket = own_bracket(inst, tables)
         real = jspa.best_values
         reads = []
 
@@ -1130,7 +1226,7 @@ class TestEpsJspa:
             return real(cands, budgets)
 
         monkeypatch.setattr(jspa, "best_values", values)
-        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: upper)
+        monkeypatch.setattr(jspa, "eps_bracket", lambda *args: bracket)
         return reads
 
     def test_each_profit_is_looked_up_once(self, monkeypatch):
@@ -1140,8 +1236,8 @@ class TestEpsJspa:
         sol = eps_jspa(inst, tables, 0.1)
         assert np.count_nonzero(sol.budgets) > 0
         caps = class_unit_caps(inst)
-        # every read is the threshold search's: round 0 reads each class's
-        # cap, and later rounds pad their rows with it
+        # every read is the threshold search's: eps reads each class's cap
+        # for the bracket and round 0, and later rounds pad their rows with it
         assert len(reads) <= select_rounds_bound(inst)
         assert np.array_equal(reads[0], caps[:, None])
         lookups = [(n, l) for ls in reads[1:] for n, row in enumerate(ls.tolist())
@@ -1179,16 +1275,16 @@ class TestEpsJspa:
         assert peak < 4e6
 
     def test_tiny_epsilon_dp_memory_is_bounded(self):
-        # eps = 1e-3 on 3 carriers: q_cap = 12000, and a class has over 500 items,
-        # so one array of a class's candidate weights would take about 50 MB
+        # eps = 2.5e-4 on 3 carriers: q_cap = 12000, and a class has over 800 items,
+        # so one array of a class's candidate weights would take about 80 MB
         inst = generate_instance(SystemConfig(users=3, subcarriers=3, max_mux=2,
                                               delta_w=0.01), 4)
         _, tables = make_tables(inst)
-        eps = 1e-3
-        upper = estimate_upper_bound(inst, tables)
-        q_cap = int(4 * inst.n_carriers / eps)
+        eps = 2.5e-4
+        bracket = own_bracket(inst, tables)
+        q_cap = target_count(inst, bracket, eps)
         items = max(ls.size for ls, _ in
-                    eps_select_items(inst, BudgetObjective(tables), upper, eps))
+                    eps_select_items(inst, BudgetObjective(tables), bracket, eps))
         assert items * (q_cap + 1) * 8 > 40e6
         tracemalloc.start()
         try:
@@ -1204,23 +1300,57 @@ class TestEpsJspa:
     def test_upper_below_the_optimum_is_rejected(self, monkeypatch):
         inst = generate_instance(SystemConfig(users=5, subcarriers=4, delta_w=0.5), 3)
         _, tables = make_tables(inst, 2)
-        upper = estimate_upper_bound(inst, tables)
+        lower, upper = own_bracket(inst, tables)
         opt = opt_jspa(inst, tables).wsr
-        # 0.3 U used to return a third below opt, 0.1 U to fail inside numpy
+        # a bracket of 0.3 U used to return a third below opt, of 0.1 U to
+        # fail inside numpy
         for share in (0.3, 0.1):
-            monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: share * upper)
+            monkeypatch.setattr(jspa, "eps_bracket", lambda *args: (share * lower, share * upper))
             with pytest.raises(ValueError, match="upper = .* class"):
                 eps_jspa(inst, tables, 0.1)
-        monkeypatch.setattr(jspa, "estimate_upper_bound", lambda *args: 1.001 * opt)
+        monkeypatch.setattr(jspa, "eps_bracket", lambda *args: (lower, 1.001 * opt))
         assert eps_jspa(inst, tables, 0.1).wsr >= 0.9 * opt
+
+    def test_bracket_wider_than_four_takes_the_estimate(self, monkeypatch):
+        # a dual bound ten times too high leaves a certified bracket wider
+        # than 4: eps then scales by the estimate's (U / 4, U), as the paper does
+        inst = small_instance(74, users=4, carriers=3, max_mux=2, levels=200)
+        _, tables = make_tables(inst, 2)
+        certified = own_bracket(inst, tables)
+        assert certified[1] <= certified[0] * (1 + 1e-4)
+        real_dual, real_estimate = jspa.dual_upper_bound, jspa.estimate_upper_bound
+        estimates = []
+
+        def estimate(*args):
+            estimates.append(real_estimate(*args))
+            return estimates[-1]
+
+        monkeypatch.setattr(jspa, "dual_upper_bound",
+                            lambda *args: real_dual(*args)._replace(upper=10 * certified[1]))
+        monkeypatch.setattr(jspa, "estimate_upper_bound", estimate)
+        upper = estimate_upper_bound(inst, tables)
+        assert own_bracket(inst, tables) == (upper / 4.0, upper)
+        real_select, counts = jspa.select_items, []
+
+        def select(lmax, targets, *args):
+            counts.append(targets.size)
+            return real_select(lmax, targets, *args)
+
+        monkeypatch.setattr(jspa, "select_items", select)
+        opt = opt_jspa(inst, tables).wsr
+        for eps in (0.5, 0.1):
+            sol = eps_jspa(inst, tables, eps)
+            assert counts[-1] == math.floor(4 * inst.n_carriers / eps)
+            assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+        assert estimates == [upper] * 3
 
     @pytest.mark.parametrize("eps", [1e-12, 5e-324])
     def test_too_large_a_choice_table_is_refused_before_estimating(self, monkeypatch, eps):
         # 1e-12 used to ask numpy for 58 TiB of targets, 5e-324 to overflow int()
         def no_estimate(*args):
-            raise AssertionError("eps estimated its upper bound")
+            raise AssertionError("eps estimated its bracket")
 
-        monkeypatch.setattr(jspa, "estimate_upper_bound", no_estimate)
+        monkeypatch.setattr(jspa, "eps_bracket", no_estimate)
         inst = small_instance(71, users=2, carriers=20, max_mux=1)
         _, tables = make_tables(inst, 1)
         with pytest.raises(ValueError, match=rf"^eps = {eps!r} gives eps a 20 x "):

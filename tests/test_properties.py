@@ -38,7 +38,8 @@ reading F_n there bit for bit. The gathered Lagrangian blocks must answer as eve
 cover K = 1, M = K, tied channels or weights, binding per-carrier caps and
 30 dB shadowing; budgets cover 0, one grid step, the
 cap, p_max and every candidate kink. The eps properties also draw 2-level grids over three
-carriers, so J < N, and one checks the bracket U >= OPT >= U / 4.
+carriers, so J < N, and one checks both brackets: the estimate's U >= OPT >= U / 4, and
+the one eps scales by, LB <= OPT <= UB <= 4 LB, so eps's T <= floor(4N/eps) targets.
 """
 
 from contextlib import contextmanager
@@ -52,7 +53,8 @@ from conftest import (batched_scus_dp, candidate_values, every_cell_lagrangian_m
                       per_carrier_order, per_carrier_scus_dp, per_carrier_view, rel_err,
                       table_units)
 from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, class_rows,
-                       eps_targets, index_array_eps_budgets, stacked_profit, zero_start)
+                       eps_targets, index_array_eps_budgets, own_bracket, stacked_profit,
+                       zero_start)
 from nomajspa import jspa, single_carrier
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, dual_upper_bound, eps_jspa, estimate_upper_bound,
@@ -292,13 +294,28 @@ def test_lockstep_selection_and_eps_guarantee(inst):
     opt = opt_jspa(inst, tables).wsr
     assert upper >= opt * (1 - 1e-12)
     assert opt >= upper / 4.0 * (1 - 1e-12)
+    # eps's own bracket, up to the rounding of the log terms its sums add
+    bracket = own_bracket(inst, tables)
+    tol = jspa._MARGIN * sum(magnitude(t) for t in tables)
+    assert bracket[0] <= opt + tol and opt <= bracket[1] <= 4.0 * bracket[0]
     rows = class_rows(inst, objective)
-    for eps in (0.5, 0.1, 0.05):
-        assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, upper, eps),
-                                    stacked_profit(objective, inst.delta), rows)
-        sol = eps_jspa(inst, tables, eps)
-        assert budget_feasible(inst, sol.budgets)
-        assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+    counts = []  # each eps solve's T, the targets it hands select_items
+    select = jspa.select_items
+
+    def counting(lmax, targets, *args):
+        counts.append(targets.size)
+        return select(lmax, targets, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jspa, "select_items", counting)
+        for eps in (0.5, 0.1, 0.05):
+            assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, bracket, eps),
+                                        stacked_profit(objective, inst.delta), rows)
+            sol = eps_jspa(inst, tables, eps)
+            assert budget_feasible(inst, sol.budgets)
+            assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
+            assert counts[-1] == eps_targets(inst, bracket, eps).size
+            assert counts[-1] <= np.floor(4.0 * inst.n_carriers / eps)
 
 
 @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
@@ -350,9 +367,9 @@ def eps_forced(dp_cells: int):
 @given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
 def test_dp_by_profits_matches_index_array_dp(inst):
     tables = tables_of(inst)
-    upper = estimate_upper_bound(inst, tables)
+    lower, upper = own_bracket(inst, tables)
     for eps in (0.5, 0.1, 0.05):
-        expect = index_array_eps_budgets(inst, tables, eps, upper)
+        expect = index_array_eps_budgets(inst, tables, eps, lower, upper)
         # one item per chunk makes every class fold its chunks in turn
         for dp_cells in (jspa._DP_CELLS, 1):
             with eps_forced(dp_cells):
