@@ -27,15 +27,16 @@ keep every item and column and pay the full O(J^2) band, one numpy pass
 per item with O(J) scratch. The choices are bit for bit those of the
 full DP.
 
-eps scales profits by a certified lower bound on the optimum, a feasible
-grid split's value, and runs as many targets as the continuous dual's
-bound over it allows, about N/eps where the paper's estimate needs 4N/eps.
-It keeps, per class, the first grid item reaching each multiple of its
-profit scale. One binary search finds them for every class at once, one
-stacked F_n read per depth of the classes' search trees, so its cost grows
-with log J, not J, and it keeps only what it probed. Its DP by profits
-relaxes a class's items a chunk at a time, in integer arithmetic, with
-the per-item loop's tie rule.
+eps brackets the optimum between a feasible grid split's value and the
+continuous dual's bound. Where that split already proves the (1 - eps)
+guarantee, eps returns it. Elsewhere it scales profits by the bracket's
+lower end and runs as many targets as the bound over it allows, about
+N/eps where the paper's estimate needs 4N/eps. It keeps, per class, the
+first grid item reaching each multiple of its profit scale. One binary
+search finds them for every class at once, one stacked F_n read per depth
+of the classes' search trees, so its cost grows with log J, not J, and it
+keeps only what it probed. Its DP by profits relaxes a class's items a
+chunk at a time, in integer arithmetic, with the per-item loop's tie rule.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def _bits_float(b: int) -> float:
     return float(np.int64(b).view(np.float64))
 
 
+def _clipped_sum(v: np.ndarray, lam: float, caps: np.ndarray) -> float:
+    """sum(clip(v - lam, 0, caps)), the sum whose crossing of p_max defines lam."""
+    tally(v.size * _C_PROJ)
+    return float(np.minimum(np.maximum(v - lam, 0.0), caps).sum())
+
+
 def _breakpoint_root(v: np.ndarray, p_max: float, caps: np.ndarray) -> tuple[float, float]:
     """Closed-form root of g(lam) = sum clip(v - lam, 0, caps) = p_max.
 
@@ -143,6 +150,13 @@ def _breakpoint_root(v: np.ndarray, p_max: float, caps: np.ndarray) -> tuple[flo
     first piece where g drops to p_max. Returns the root, which carries the
     walk's rounding, and the free count (-slope of g) on its piece. Assumes
     g at the smallest kink, sum caps, exceeds p_max.
+
+    Where g stays flat after that kink (no coordinate free), the walk's g
+    there may sit within its rounding below p_max while the clipped sum,
+    the caps of the coordinates still capped, is above it; then lam lies
+    past the flat run. So one clipped sum at the kink decides, and where it
+    exceeds p_max the root is placed on the first sloped piece after the
+    run, from that sum.
     """
     kinks = np.concatenate((v - caps, v))
     order = np.argsort(kinks, kind="stable")
@@ -150,6 +164,10 @@ def _breakpoint_root(v: np.ndarray, p_max: float, caps: np.ndarray) -> tuple[flo
     free = np.cumsum(np.where(order < v.size, 1.0, -1.0))  # free coordinates above t[k]
     g = float(caps.sum()) - np.concatenate(([0.0], np.cumsum(free[:-1] * np.diff(t))))
     k = max(1, int(np.argmax(g <= p_max)))
+    if free[k] == 0.0:
+        flat = _clipped_sum(v, float(t[k]), caps)
+        if flat > p_max:  # g is flat up to the next kink, where a coordinate leaves its cap
+            return float(t[k + 1] + (flat - p_max) / free[k + 1]), float(free[k + 1])
     return float(t[k - 1] + (g[k - 1] - p_max) / free[k - 1]), float(free[k - 1])
 
 
@@ -179,8 +197,7 @@ def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
     kink) leaves the rest to the bisection on bits.
     """
     def clipped_sum(lam: float) -> float:
-        tally(v.size * _C_PROJ)
-        return float(np.minimum(np.maximum(v - lam, 0.0), caps).sum())
+        return _clipped_sum(v, lam, caps)
 
     def over(b: int) -> bool:
         return clipped_sum(_bits_float(b)) > p_max
@@ -475,15 +492,16 @@ def build_knapsack(instance: Instance, objective: BudgetObjective) -> np.ndarray
 
 
 def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.ndarray,
-                    lmax: np.ndarray) -> float:
-    """A feasible grid split's value: the dual split, floored, its spare units filled greedily.
+                    lmax: np.ndarray) -> tuple[float, np.ndarray]:
+    """A feasible grid split: the dual split, floored, its spare units filled greedily.
 
     The split lies within the caps; scaled down to p_max where it overspends
     (a projection costs a multiplier search there), it is floored to the
     grid. Each spare unit then goes to the class whose next unit gains
     most, while some gain is positive; every profit it needs is read in one
-    stacked read. -inf if the floored split still overspends, which
-    fathoms nothing.
+    stacked read. Returns the split's value and its units per class; the
+    value is -inf, which fathoms nothing, if the floored split still
+    overspends.
     """
     J, delta = instance.n_power_levels, instance.delta
     total = float(split.sum())
@@ -492,7 +510,7 @@ def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.nd
     x = np.minimum(np.floor(split / delta).astype(np.int64), lmax)
     spare = J - int(x.sum())
     if spare < 0:
-        return -np.inf
+        return -np.inf, x
     ls = np.minimum(x[:, None] + np.arange(min(spare, int((lmax - x).max())) + 1), lmax[:, None])
     profits = best_values(objective.cands, ls * delta)
     # a unit past the read, or past a class's cap, gains -inf or 0 and is never taken
@@ -507,7 +525,8 @@ def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.nd
         at[n] += 1
         heapq.heapreplace(heads, (-gains[n][at[n]], n))
     tally(ls.size * _C_KNAP_W)
-    return float(profits[np.arange(x.size), at].sum())
+    rows = np.arange(x.size)
+    return float(profits[rows, at].sum()), ls[rows, at]
 
 
 def _log_terms(pins: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -743,7 +762,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
                   np.stack((reduced.max(axis=1), _log_terms(grid.pins, grid.full)), axis=1))
     phi = top[:, 0]
     margin = _MARGIN * (float(top[:, 1].sum()) + lam * J)
-    incumbent = _grid_incumbent(instance, objective, dual.split, lmax)
+    incumbent, _ = _grid_incumbent(instance, objective, dual.split, lmax)
     thresholds = phi - (lam * J + float(phi.sum()) - incumbent) - margin
     cls, ls = _kept_items(grid, peaks, reduced, thresholds, lam, delta)
     count = np.bincount(cls, minlength=N)
@@ -918,88 +937,122 @@ def select_items(lmax: np.ndarray, targets: np.ndarray, profit_fn, top: np.ndarr
     return [(node[a:b, 1], f[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+class Bracket(NamedTuple):
+    """eps's bracket lower <= OPT <= upper and a feasible grid split's units per class."""
+
+    lower: float
+    upper: float
+    units: np.ndarray
+
+
 def eps_bracket(instance: Instance, tables: list, objective: BudgetObjective,
-                lmax: np.ndarray, top: np.ndarray) -> tuple[float, float]:
-    """The bracket (lower, upper), lower <= OPT <= upper <= 4 * lower, eps scales by.
+                lmax: np.ndarray, top: np.ndarray) -> Bracket:
+    """The bracket lower <= OPT <= upper <= 4 * lower eps scales by, and lower's split.
 
     OPT is the grid optimum and top holds each class's profit at its cap,
     F_n(lmax_n * delta). The certified bracket: lower is the better of two
     feasible grid splits, the dual split floored and filled
-    (`_grid_incumbent`) and the best class alone at its cap; upper is
+    (`_grid_incumbent`) and the best class alone at its cap (lmax_n <= J
+    units, so it fits), and units are that split's; upper is
     `dual_upper_bound`'s UB, which bounds every split, plus the margin opt
     fathoms by, `_MARGIN` times the log terms the sums reach (`_log_terms`,
     per class at its largest) and lam * p_max, which covers the rounding
     both sides of UB >= OPT sum. On the workload shapes upper / lower is
-    below 1 + 2e-5, and on coarse grids (J = 14 to 40) at most 1.34. Where
-    it is over 4, or lower is 0, this returns the paper's bracket
-    (U / 4, U) from `estimate_upper_bound` instead.
+    below 1 + 2.4e-5, and on coarse grids (J = 14 to 40) at most 1.34.
+    Where it is over 4, or lower is 0, the paper's bracket (U / 4, U) from
+    `estimate_upper_bound` stands in; units stay the better split's.
     """
     dual = dual_upper_bound(instance, objective)
-    lower = max(_grid_incumbent(instance, objective, dual.split, lmax),
-                float(top.max(initial=0.0)))
+    incumbent, units = _grid_incumbent(instance, objective, dual.split, lmax)
+    lower = max(incumbent, float(top.max(initial=0.0)))
+    if lower > incumbent:  # the best class alone at its cap
+        best = int(np.argmax(top))
+        units = np.zeros_like(lmax)
+        units[best] = lmax[best]
     full = objective.cands.entry_x[:, 0, 0]
     size = float(_log_terms(objective.blocks.pins, full).max(axis=0).sum())
     upper = dual.upper + _MARGIN * (size + dual.lam * instance.p_max)
     if upper <= 4.0 * lower:
-        return lower, upper
+        return Bracket(lower, upper, units)
     upper = estimate_upper_bound(instance, tables, objective)
-    return upper / 4.0, upper
+    return Bracket(upper / 4.0, upper, units)
 
 
 def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     """Approximation scheme: value within a factor (1 - eps) of the grid optimum.
 
-    With a bracket LB <= OPT <= UB, profits are scaled by eps * LB / N and
-    floored to small integers, and T = floor(N * (UB / LB) / eps) targets
-    cover every feasible scaled total. Each class keeps the grid items that
-    first reach the multiples of that scale up to T (`select_items`), then
-    a DP by profits finds, for every reachable scaled profit q, the least
-    total weight (in exact grid units) achieving it; the answer is the
-    largest q whose weight fits the budget. A split's floors lose less than
-    N * scale = eps * LB <= eps * OPT, so the answer is worth at least
-    (1 - eps) OPT. The reported value re-evaluates the recovered items
-    unscaled, since scaling is only a search device.
+    `eps_bracket` gives LB <= OPT <= UB and a feasible grid split worth LB.
+    Where that split, valued as eps reports it, reaches (1 - eps) * UB, it
+    already meets the guarantee, (1 - eps) * UB >= (1 - eps) * OPT, and eps
+    returns it: the early stop of a bound-and-scale knapsack FPTAS
+    (Kellerer, Pferschy and Pisinger 2004, ch. 11). On the workload shapes
+    UB / LB - 1 is at most 2.4e-5, so the stop fires at every eps that
+    `model.check_eps_cells` admits at N = 20; coarse grids (J = 40) reach
+    the DP below eps of about 2e-3. Otherwise eps runs the paper's scheme
+    on the bracket (`_eps_dp`): profits scaled by eps * LB / N, one DP by
+    profits over the items that first reach each multiple of that scale.
 
-    The bracket is `eps_bracket`'s, certified by the continuous dual: the
-    textbook FPTAS's scaling by a lower bound (Kellerer, Pferschy and
-    Pisinger 2004, 11.3), where the paper scales by U / 4 from its estimate
-    U >= OPT >= U / 4. Where the certified bracket is wider than 4, or
-    certifies no positive value, the estimate's (U / 4, U) stands in, so
-    UB / LB <= 4 and T <= floor(4N/eps) always, the count
-    `model.check_eps_cells` bounds the choice table by.
-
-    Time and memory, with T <= floor(4N/eps) targets: the thresholds of all
-    classes cost at most ceil(log2(J + 1)) + 1 stacked F_n reads, each of at
-    most N * T budgets, and O(N * T) kept floats, whatever J is. The DP
-    relaxes a class's items a chunk at a time, one shifted copy of the
-    weights per item, read from one strided view laid out per solve, so
-    beside its (N, T + 1) int32 choices and a few rows of T + 1 cells it
-    holds a few arrays of at most max(_DP_CELLS, T + 1) cells.
+    The bracket is certified by the continuous dual: the textbook FPTAS's
+    scaling by a lower bound (11.3 there), where the paper scales by U / 4
+    from its estimate U >= OPT >= U / 4. Where the certified bracket is
+    wider than 4, or certifies no positive value, the estimate's (U / 4, U)
+    stands in, so UB / LB <= 4 and the DP's T <= floor(4N/eps) targets
+    always, the count `model.check_eps_cells` bounds the choice table by.
 
     eps must be positive and finite, and its choice table within
     `model.GRID_CELLS` cells (`model.check_eps_cells`): either failing raises
-    ValueError before anything is read or allocated. Were upper below the
-    optimum, a feasible split could carry the DP past its top scaled
-    profit, and eps raises ValueError instead of dropping that split.
+    ValueError before anything is read or allocated, whichever path the
+    solve then takes.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    N, J, delta = instance.n_carriers, instance.n_power_levels, instance.delta
-    check_eps_cells(N, eps, "eps")
+    check_eps_cells(instance.n_carriers, eps, "eps")
     objective = BudgetObjective(tables)
     lmax = class_unit_caps(instance)
+    top = best_values(objective.cands, lmax[:, None] * instance.delta)[:, 0]
+    lower, upper, units = eps_bracket(instance, tables, objective, lmax, top)
+    tag = f"eps:{eps:g}"
+    sol = _solution(objective, units * instance.delta, tag)
+    if sol.wsr >= (1.0 - eps) * upper:
+        return sol
+    units = _eps_dp(instance, objective, lmax, top, lower, upper, eps)
+    return _solution(objective, units * instance.delta, tag)
 
-    def profit_fn(ls):
-        return best_values(objective.cands, ls * delta)
 
-    top = profit_fn(lmax[:, None])[:, 0]
-    lower, upper = eps_bracket(instance, tables, objective, lmax, top)
+def _eps_dp(instance: Instance, objective: BudgetObjective, lmax: np.ndarray, top: np.ndarray,
+            lower: float, upper: float, eps: float) -> np.ndarray:
+    """Units per class of the paper's eps-JSPA on the bracket lower <= OPT <= upper <= 4 * lower.
+
+    top holds each class's profit at its cap lmax_n. Profits are scaled by
+    eps * lower / N and floored to small integers, and T = floor(N * (upper
+    / lower) / eps) targets cover every feasible scaled total. Each class
+    keeps the grid items that first reach the multiples of that scale up to
+    T (`select_items`), then a DP by profits finds, for every reachable
+    scaled profit q, the least total weight (in exact grid units) achieving
+    it; the answer is the largest q whose weight fits the budget. A split's
+    floors lose less than N * scale = eps * lower <= eps * OPT, so the
+    answer is worth at least (1 - eps) OPT. Zero units where upper <= 0.
+
+    Time and memory, with T <= floor(4N/eps) targets: the thresholds of all
+    classes cost at most ceil(log2(J + 1)) stacked F_n reads past top, each
+    of at most N * T budgets, and O(N * T) kept floats, whatever J is. The
+    DP relaxes a class's items a chunk at a time, one shifted copy of the
+    weights per item, read from one strided view laid out per solve, so
+    beside its (N, T + 1) int32 choices and a few rows of T + 1 cells it
+    holds a few arrays of at most max(_DP_CELLS, T + 1) cells. Were upper
+    below the optimum, a feasible split could carry the DP past its top
+    scaled profit, and this raises ValueError instead of dropping that split.
+    """
+    N, J, delta = instance.n_carriers, instance.n_power_levels, instance.delta
     if upper <= 0:
-        return _solution(objective, np.zeros(N), f"eps:{eps:g}")
+        return np.zeros(N, dtype=np.int64)
     scale = eps * lower / N
     # upper / lower <= 4, and float products and quotients are monotone
     q_cap = int(math.floor(N * (upper / lower) / eps))
     targets = np.arange(1, q_cap + 1) * scale
+
+    def profit_fn(ls):
+        return best_values(objective.cands, ls * delta)
 
     items = []  # per class: (grid indices, scaled profits) of its selected items
     for ls, profits in select_items(lmax, targets, profit_fn, top):
@@ -1049,4 +1102,4 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
             ls, scaled = items[n]
             units[n] = ls[i]
             q -= int(scaled[i])
-    return _solution(objective, units * delta, f"eps:{eps:g}")
+    return units

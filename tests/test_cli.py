@@ -22,10 +22,11 @@ from nomajspa.cli import (
     run_experiment,
     solver_tags,
 )
-from nomajspa.model import SystemConfig, build_decoding_order, read_kv_file
+from nomajspa.model import SystemConfig, build_decoding_order, generate_instance, read_kv_file
 from nomajspa.ops import count_ops
 from nomajspa.single_carrier import iscus_precompute, scpc, scus
 from conftest import small_instance
+from test_jspa import eps_dp
 
 
 def tiny_config(**kw):
@@ -145,8 +146,8 @@ class TestConfig:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
-        (False, "83a6625109318e810a0c211d5195c3c9ed4490cd66793ea48844517107f4268b"),
-        (True, "0b9b95d2cc81c0de4b1e8ba6631e0bed53e5785f229ba9e0cfacf64c75330b61"),
+        (False, "9b4ba3ecec5c71fab5e1c43bfbd5247072b989555eab248205f2776b7b95c559"),
+        (True, "1d7c14af5afaa10918087b02abfc8f6ddba652f779d4108457dfb8a927e80d54"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose
@@ -155,6 +156,46 @@ class TestRunExperiment:
         out = tmp_path / "r.csv"
         run_experiment(cfg, out_path=str(out))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_eps_dp_budgets_over_the_reference_campaign_are_pinned(self):
+        # eps stops at its bracket on every draw of the reference campaign, so
+        # its CSV no longer reaches the DP by profits: this pins the budgets
+        # the DP picks there on eps's own bracket
+        path = Path(__file__).resolve().parent / "reference_campaign.cfg"
+        config = ExperimentConfig.from_mapping(read_kv_file(path))
+        digest = hashlib.sha256()
+        for seed in range(config.seed_base, config.seed_base + config.seeds):
+            for k in config.k_sweep:
+                instance = generate_instance(config.instance_system(k), seed)
+                order = build_decoding_order(instance)
+                for m in config.m_sweep:
+                    tables = [iscus_precompute(instance, order, n, m)
+                              for n in range(instance.n_carriers)]
+                    for eps in config.epsilons:
+                        digest.update(eps_dp(instance, tables, eps).budgets.tobytes())
+        assert digest.hexdigest() == (
+            "e41551ae92c9332597fa3f3ab716b863646f309575d922216bfd1c447568df1d")
+
+    def test_dp_campaign_reaches_the_dp_within_its_guarantee(self, tmp_path, monkeypatch):
+        # the campaign CI runs so that eps's DP by profits runs at campaign size
+        path = Path(__file__).resolve().parent / "dp_campaign.cfg"
+        config = ExperimentConfig.from_mapping(read_kv_file(path))
+        assert config == ExperimentConfig(
+            system=SystemConfig(delta_w=0.25), solvers=("opt", "eps"), epsilons=(0.001,),
+            k_sweep=(5, 10, 20), m_sweep=(1, 2, 3), seeds=6, seed_base=41, timing=False)
+        dp, runs = jspa._eps_dp, []
+
+        def counting(*args):
+            runs.append(args)
+            return dp(*args)
+
+        monkeypatch.setattr(jspa, "_eps_dp", counting)
+        out = tmp_path / "dp.csv"
+        assert run_experiment(config, out_path=str(out)) == 108
+        losses = [float(row.split(",")[6]) for row in out.read_text().splitlines()[1:]
+                  if ",eps:" in row]
+        assert len(losses) == 54 and max(losses) <= 0.001
+        assert runs  # 5 of the 54 eps solves
 
     def test_row_count_and_schema(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -20,7 +20,8 @@ search, a full scan and the whole grid's np.searchsorted pick, at the whole
 grid's profits, on instances and on synthetic profit families (flat,
 steps, a class with lmax = 0 and one with no reachable target); its DP by
 profits, in whole or one-item chunks, what the index-array DP picks; and
-eps must keep its (1 - eps) guarantee. Gradient ascent must stay
+eps must keep its (1 - eps) guarantee, and stay at most opt, whether it
+returns its bracket's split or runs the DP. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
 and converge; from the zero split each accepted step must gain, at any xi.
 opt's fathomed DP by weights, on a whole table and on the items
@@ -53,8 +54,8 @@ from conftest import (batched_scus_dp, candidate_values, every_cell_lagrangian_m
                       per_carrier_order, per_carrier_scus_dp, per_carrier_view, rel_err,
                       table_units)
 from test_jspa import (assert_relaxes_like_oracle, assert_selects_like_oracles, class_rows,
-                       eps_targets, index_array_eps_budgets, own_bracket, stacked_profit,
-                       zero_start)
+                       eps_dp, eps_targets, index_array_eps_budgets, own_bracket,
+                       stacked_profit, zero_start)
 from nomajspa import jspa, single_carrier
 from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, build_knapsack,
                            class_unit_caps, dual_upper_bound, eps_jspa, estimate_upper_bound,
@@ -297,9 +298,9 @@ def test_lockstep_selection_and_eps_guarantee(inst):
     # eps's own bracket, up to the rounding of the log terms its sums add
     bracket = own_bracket(inst, tables)
     tol = jspa._MARGIN * sum(magnitude(t) for t in tables)
-    assert bracket[0] <= opt + tol and opt <= bracket[1] <= 4.0 * bracket[0]
+    assert bracket.lower <= opt + tol and opt <= bracket.upper <= 4.0 * bracket.lower
     rows = class_rows(inst, objective)
-    counts = []  # each eps solve's T, the targets it hands select_items
+    counts = []  # each DP's T, the targets it hands select_items
     select = jspa.select_items
 
     def counting(lmax, targets, *args):
@@ -311,11 +312,37 @@ def test_lockstep_selection_and_eps_guarantee(inst):
         for eps in (0.5, 0.1, 0.05):
             assert_selects_like_oracles(class_unit_caps(inst), eps_targets(inst, bracket, eps),
                                         stacked_profit(objective, inst.delta), rows)
-            sol = eps_jspa(inst, tables, eps)
+            sol = eps_dp(inst, tables, eps, bracket)
             assert budget_feasible(inst, sol.budgets)
             assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
             assert counts[-1] == eps_targets(inst, bracket, eps).size
             assert counts[-1] <= np.floor(4.0 * inst.n_carriers / eps)
+
+
+@settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
+@given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
+def test_eps_meets_its_guarantee_on_either_path(inst):
+    # eps returns its bracket's split where that proves the guarantee, else
+    # runs the DP; either way (1 - eps) opt <= wsr <= opt, up to the rounding
+    # of the log terms both sums add, and a stop proves (1 - eps) UB as well
+    tables = tables_of(inst)
+    opt = opt_jspa(inst, tables).wsr
+    upper = own_bracket(inst, tables).upper
+    tol = jspa._MARGIN * sum(magnitude(t) for t in tables)
+    dp, runs = jspa._eps_dp, []
+
+    def counting(*args):
+        runs.append(args[-1])
+        return dp(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jspa, "_eps_dp", counting)
+        for eps in (0.5, 0.1, 0.05, 1e-3):
+            sol = eps_jspa(inst, tables, eps)
+            assert budget_feasible(inst, sol.budgets)
+            assert (1 - eps) * opt * (1 - 1e-12) <= sol.wsr <= opt + tol
+            if eps not in runs:
+                assert sol.wsr >= (1 - eps) * upper
 
 
 @settings(PROPERTY, max_examples=2 * PROPERTY.max_examples)  # half draw J < N
@@ -367,13 +394,13 @@ def eps_forced(dp_cells: int):
 @given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
 def test_dp_by_profits_matches_index_array_dp(inst):
     tables = tables_of(inst)
-    lower, upper = own_bracket(inst, tables)
+    lower, upper, _ = own_bracket(inst, tables)
     for eps in (0.5, 0.1, 0.05):
         expect = index_array_eps_budgets(inst, tables, eps, lower, upper)
         # one item per chunk makes every class fold its chunks in turn
         for dp_cells in (jspa._DP_CELLS, 1):
             with eps_forced(dp_cells):
-                budgets = eps_jspa(inst, tables, eps).budgets
+                budgets = eps_dp(inst, tables, eps, (lower, upper)).budgets
             assert np.array_equal(budgets, expect)
 
 
