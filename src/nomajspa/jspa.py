@@ -22,10 +22,11 @@ or ceiling of a pinned block's stationary point, a few reads per block;
 reduced-cost fixing then keeps only the items within the duality gap of
 it, one to three per class on the workload shapes, and the DP values
 those items on the columns its Lagrangian bound cannot fathom, a few
-dozen at most. So opt's cost barely grows with J. Flat or tied profits
-keep every item and column and pay the full O(J^2) band, one numpy pass
-per item with O(J) scratch. The choices are bit for bit those of the
-full DP.
+dozen at most. So opt's cost barely grows with J. Such a class relaxes
+in plain Python floats, a shift where it keeps one item. Flat or tied
+profits keep every item and column and pay the full O(J^2) band, one
+numpy pass per item with O(J) scratch. The choices are bit for bit those
+of the full DP.
 
 eps brackets the optimum between a feasible grid split's value and the
 continuous dual's bound. Where that split already proves the (1 - eps)
@@ -72,6 +73,11 @@ _MARGIN = 1e-9
 # weights (one item at least), so its scratch is O(T) cells for T targets, not
 # O(items * T); chunks of 10 to 300 items timed alike on every workload shape
 _DP_CELLS = 2 ** 16
+# opt's DP by weights relaxes a class of several items in Python floats when
+# it has at most _PASS_CELLS cells per item, else by one numpy pass per item:
+# a pass costs about what 25 to 40 cells cost in Python floats, the measured
+# crossover at 2 to 16 items
+_PASS_CELLS = 32
 
 BRUTE_FORCE_LIMIT = 10 ** 7
 
@@ -183,11 +189,14 @@ def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
     sum moves by its residual at the root or by one ulp of p_max, whichever
     is larger, and at least one ulp of lam.
 
-    Where v overspends p_max only by rounding, the root lands at or below 0
-    and lam is a few ulps of the v_i. There the computed sum moves only
-    where some fl(v_i - lam) does: for v_i far above lam, at a multiple d
-    of g = ulp(v_i) / 8 or at d's successor (a rounding tie), d being v_i
-    less a midpoint of two floats below it. So, with g taken from the
+    Where v overspends p_max only by rounding, the root lands at or below 0,
+    or above it by no more than the walk's rounding, and lam is a few ulps
+    of the v_i; 2 (N + 1) ulps of sum caps + max |v| bound that rounding
+    (of the kinks, the 2N - 1 terms the walk sums, and its division).
+    There the computed sum moves only where some fl(v_i - lam) does: for
+    v_i far above lam, at a multiple d of g = ulp(v_i) / 8 or at d's
+    successor (a rounding tie), d being v_i less a midpoint of two floats
+    below it. So, with g taken from the
     least v_i over twice the gallop's reach, the gallop runs up from 0
     over the multiples of g, its first step by the same rule, and a
     bisection closes on two adjacent multiples; their inner neighbours are
@@ -205,7 +214,8 @@ def _budget_multiplier(v: np.ndarray, p_max: float, caps: np.ndarray) -> float:
     # over(lo) holds (lam = 0 does not fit), over(hi) does not (all zero)
     lo, hi = 0, _float_bits(float(v.max()))
     root, free = _breakpoint_root(v, p_max, caps)
-    if not root > 0.0:
+    rounding = 2 * (v.size + 1) * math.ulp(float(caps.sum()) + float(np.abs(v).max()))
+    if not root > rounding:
         spacing = max(clipped_sum(0.0) - p_max, math.ulp(p_max)) / max(free, 1.0)
         big = v[v > 2.0 ** (_GALLOPS + 1) * spacing]  # twice the gallop's reach
         g = math.ulp(float(big.min() if big.size else v.max())) / 8.0
@@ -602,16 +612,43 @@ def _relax(ks: list, bk: list, js: list, cj: list, r0: int, r1: int) -> tuple:
     """Rows r0..r1 of one class from live columns ks (ascending, worth bk) and kept items js.
 
     Returns the rows some cell reaches, ascending, each with its float max
-    and the smallest j that attains it, as lists. Items go in ascending
-    order, one numpy pass each over the span of its live columns, -inf
-    where a column is not live, and a row takes a cell only if it is
-    strictly larger, so an exact tie keeps the smaller j, the one the full
-    DP's argmax over j picks. Scratch is O(J).
+    and the smallest j that attains it, as lists; bk and cj are finite. A
+    cell is one (column, item) pair, worth bk + c. One kept item shifts the
+    columns: row k + j takes cell (k, j). Several items with at most
+    _PASS_CELLS cells per item go cell by cell in Python floats, items in
+    ascending order, and a row takes a cell only if it is strictly larger,
+    so an exact tie keeps the smaller j, the one the full DP's argmax over
+    j picks. More cells go to `_relax_passes`, which makes the same float
+    adds and keeps the same ties, so every path gives the same bits.
     """
     # item j feeds the window from the columns r0 - j <= k <= r1 - j
     spans = [(j, c, bisect.bisect_left(ks, r0 - j), bisect.bisect_right(ks, r1 - j))
              for j, c in zip(js, cj)]
-    tally(sum(hi - lo for _, _, lo, hi in spans) * _C_KNAP_W)
+    cells = sum(hi - lo for _, _, lo, hi in spans)
+    tally(cells * _C_KNAP_W)
+    if len(spans) == 1:
+        j, c, lo, hi = spans[0]
+        return [k + j for k in ks[lo:hi]], [b + c for b in bk[lo:hi]], [j] * (hi - lo)
+    if cells > _PASS_CELLS * len(spans):
+        return _relax_passes(ks, bk, spans, r0, r1)
+    top, at = {}, {}
+    for j, c, lo, hi in spans:
+        for k, b in zip(ks[lo:hi], bk[lo:hi]):
+            r, v = k + j, b + c
+            if v > top.get(r, -math.inf):
+                top[r] = v
+                at[r] = j
+    rows = sorted(top)
+    return rows, [top[r] for r in rows], [at[r] for r in rows]
+
+
+def _relax_passes(ks: list, bk: list, spans: list, r0: int, r1: int) -> tuple:
+    """`_relax` by one numpy pass per item (j, c, lo, hi), valuing ks[lo:hi].
+
+    Each pass spans the item's live columns, -inf where a column is not
+    live, and a row takes a cell only if it is strictly larger. The flat
+    or tied class that keeps every item takes this path; scratch is O(J).
+    """
     k0 = ks[0]
     cols = np.full(ks[-1] - k0 + 1, -np.inf)  # best over the live span, -inf between
     cols[np.asarray(ks) - k0] = bk
@@ -652,7 +689,8 @@ def _grid_units(items: list, lmax: np.ndarray, J: int, lam: float, phi: np.ndarr
     the backtrack descends from J by at most lmax_m per class. Class n
     relaxes its live columns by its kept items (`_relax`), and keeps, for
     the backtrack and for class n + 1, only the rows live before class
-    n + 1; the last class values row J alone.
+    n + 1; the last class values row J alone. Columns, values, items and
+    rows pass from class to class as lists.
 
     Why the units are the full DP's. Let k_n be the column the full DP's
     backtrack passes before class n and j_n its item there.
@@ -688,12 +726,14 @@ def _grid_units(items: list, lmax: np.ndarray, J: int, lam: float, phi: np.ndarr
     choices = []  # per class: the rows it keeps, ascending, and each row's item
     for n, (js, cj) in enumerate(items):
         r0, r1 = (J if n == N - 1 else ks[0] + int(js[0])), min(J, ks[-1] + int(js[-1]))
-        rows, vals, at = _relax(ks, bk, js.tolist(), cj.tolist(), r0, r1)
+        rows, vals, at = _relax(ks, bk, js, cj, r0, r1)
         if n < N - 1:
             tally(len(rows) * _C_KNAP_W)
+            low, rest = reach[n + 1], tail[n + 1]
             live = [i for i, (r, v) in enumerate(zip(rows, vals))
-                    if r >= reach[n + 1] and v + lam * (J - r) + tail[n + 1] >= floor]
-            rows, vals, at = ([a[i] for i in live] for a in (rows, vals, at))
+                    if r >= low and v + lam * (J - r) + rest >= floor]
+            if len(live) < len(rows):
+                rows, vals, at = ([a[i] for i in live] for a in (rows, vals, at))
         choices.append((rows, at))
         ks, bk = rows, vals
     units = np.zeros(N, dtype=np.int64)
@@ -732,10 +772,11 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     Cost: the dual search, a few stacked reads over the blocks and the
     kept items, and the DP's cells. On the workload shapes a class keeps
     one to three items and a few live columns, so opt's cost barely grows
-    with J. A class whose reduced profits stay within the margin of their
-    max over a long range (flat, or tied at the price) keeps all of them;
-    at worst, with every item kept and every column live, that is the full
-    O(N J^2) band, one numpy pass per item, with O(J) scratch per class. A
+    with J, and the DP goes in plain Python floats (`_relax`). A class
+    whose reduced profits stay within the margin of their max over a long
+    range (flat, or tied at the price) keeps all of them; at worst, with
+    every item kept and every column live, that is the full O(N J^2) band,
+    one numpy pass per item, with O(J) scratch per class. A
     grid over `model.GRID_CELLS` cells raises ValueError before anything
     is read.
     """
@@ -770,7 +811,8 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     kept = np.zeros((N, int(count.max())), dtype=np.int64)
     kept[cls, np.arange(cls.size) - first[cls]] = ls
     profits = best_values(objective.cands, kept * delta)
-    items = [(kept[n, :count[n]], profits[n, :count[n]]) for n in range(N)]
+    items = [(js[:c], cj[:c])
+             for js, cj, c in zip(kept.tolist(), profits.tolist(), count.tolist())]
     units = _grid_units(items, lmax, J, lam, phi, incumbent - margin)
     return _solution(objective, units * delta, "opt")
 

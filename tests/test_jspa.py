@@ -414,7 +414,8 @@ def rounding_overspend_cases(seed=29, draws=300):
     """Seeded (v, p_max, caps) where v's clipped sum overspends p_max by 1 to 4 ulps.
 
     v is partly negative, some entries tied, tiny (1e-20) or above their
-    caps; 81 of the 300 draws put the breakpoint root at or below 0.
+    caps. 296 of the 300 draws give p_max > 0; of these, 79 put the
+    breakpoint root at or below 0 and 208 within the walk's rounding above it.
     """
     rng = np.random.default_rng(seed)
     for i in range(draws):
@@ -456,18 +457,18 @@ class TestProjectSimplex:
         assert np.array_equal(out, np.minimum(np.maximum(v - lam, 0.0), caps))
 
     def test_rounding_overspend_matches_the_bit_bisection(self):
-        # clipped sums where the root lands at or below 0, and where g is flat
-        # at p_max from 0 up to a kink, so lam lies far above rounding of 0
+        # clipped sums on every draw: the root lands at or below 0 (79 draws),
+        # a few ulps above it (208: these took 51 to 61 before they galloped
+        # from 0 too) or, where g is flat at p_max from 0 up to a kink, far
+        # above rounding of 0 (9)
         sums = []
         for v, p_max, caps in rounding_overspend_cases():
             with count_ops() as counter:
                 lam = jspa._budget_multiplier(v, p_max, caps)
             assert lam == bit_bisection_multiplier(v, p_max, caps)
-            if jspa._breakpoint_root(v, p_max, caps)[0] <= 0.0 or lam > 2.0 ** -20 * v.max():
-                sums.append(counter.total / (jspa._C_PROJ * v.size))
-        # 79 and 9 such draws, a median of 11 sums and at most 20; 2 of the
-        # flat draws took 67 where the walk's rounding ended it before the run
-        assert len(sums) >= 60 and np.median(sums) <= 14 and max(sums) <= 24
+            sums.append(counter.total / (jspa._C_PROJ * v.size))
+        # 296 draws, a median of 11 sums and at most 21
+        assert len(sums) >= 280 and np.median(sums) <= 14 and max(sums) <= 24
 
     def test_bit_identical_to_bisection(self):
         seen = {}
@@ -948,6 +949,52 @@ class TestRelaxClass:
         assert np.array_equal(units, full_dp_units(profits, caps))
         live, kept = np.array(sizes).T
         assert len(sizes) == inst.n_carriers and live.max() <= 32 and kept.max() <= 4
+
+    # the workload shapes at seed 41: desk (K x M, N = 20, J = 1000), fine_grid
+    # (K 5, M 2, J = 4000) and many_users (K 40, M 3, J = 200)
+    SHAPES = ([pytest.param({"users": k}, m, id=f"desk-K{k}-M{m}")
+               for k in (5, 10, 20) for m in (1, 2, 3)]
+              + [pytest.param({"users": 5, "max_mux": 2, "delta_w": 0.0025}, 2, id="fine_grid"),
+                 pytest.param({"users": 40, "max_mux": 3, "delta_w": 0.05}, 3, id="many_users")])
+
+    @pytest.mark.parametrize("system, max_active", SHAPES)
+    def test_workload_shapes_relax_in_python_floats(self, monkeypatch, system, max_active):
+        # every class keeps few items over few live columns, so none takes a
+        # numpy pass: at most 26 cells, and 13 per item, in any class here
+        # and at seeds 42 to 48, against _PASS_CELLS = 32
+        inst = generate_instance(SystemConfig(**system), 41)
+        _, tables = make_tables(inst, max_active)
+        sizes, passes = [], []
+        relax, relax_passes = jspa._relax, jspa._relax_passes
+
+        def recorded(ks, bk, js, cj, r0, r1):
+            sizes.append((len(ks), len(js)))
+            return relax(ks, bk, js, cj, r0, r1)
+
+        def counted(*args):
+            passes.append(args)
+            return relax_passes(*args)
+
+        monkeypatch.setattr(jspa, "_relax", recorded)
+        monkeypatch.setattr(jspa, "_relax_passes", counted)
+        opt_jspa(inst, tables)
+        live, kept = np.array(sizes).T
+        assert len(sizes) == inst.n_carriers and live.max() <= 32 and kept.max() <= 4
+        assert not passes
+
+    def test_flat_class_takes_the_numpy_passes(self, monkeypatch):
+        # the flat J = 4000 class of test_flat_class_memory_is_bounded: its
+        # first class values about J / 2 cells per item, its last one row
+        calls = []
+        relax_passes = jspa._relax_passes
+
+        def counted(ks, bk, spans, r0, r1):
+            calls.append(len(spans))
+            return relax_passes(ks, bk, spans, r0, r1)
+
+        monkeypatch.setattr(jspa, "_relax_passes", counted)
+        assert not fixed_units(np.zeros((2, 4001)), [4000, 4000]).any()
+        assert calls == [4001]
 
 
 class TestBruteForce:

@@ -29,7 +29,10 @@ reduced-cost fixing keeps from it, must backtrack the units
 of the per-level scan chained over every class, bit for bit, on grids of
 up to 400 levels and on synthetic profit families (flat, exactly linear,
 noisy, integer steps, kinked, concave, caps below the grid, J < N), as it
-runs, at lam = 0 and with nothing fathomed. opt itself,
+runs, at lam = 0 and with nothing fathomed; one class relaxed in plain
+Python floats must give the numpy passes' rows, value bits and items, with
+exact ties, gaps between live columns, one item, and windows that cut an
+item's span. opt itself,
 which never builds the table, must pick the table DP's units bit for bit,
 also with nothing fathomed and with F_n read a budget at a time, on
 instances biased toward J < N, caps that fit p_max and a dead channel; and
@@ -43,6 +46,8 @@ carriers, so J < N, and one checks both brackets: the estimate's U >= OPT >= U /
 the one eps scales by, LB <= OPT <= UB <= 4 LB, so eps's T <= floor(4N/eps) targets.
 """
 
+import bisect
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -502,6 +507,46 @@ def profit_families(draw):
 @given(profit_families())
 def test_relaxation_matches_per_level_oracle_on_profit_families(family):
     assert_relaxes_like_oracle(*family)
+
+
+# a few dyadic floats, so cells tie exactly, or any finite float
+RELAX_VALUES = (st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, 1e6])
+                | st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def relax_classes(draw):
+    """One class as `jspa._relax` is handed it: (ks, bk, js, cj, r0, r1).
+
+    Live columns with gaps between them (-inf in the numpy passes' span);
+    one kept item or several; and a window r0..r1 anywhere around the
+    cells' rows, so it may cut an item's span of columns.
+    """
+    ks = sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=30)))
+    js = sorted(draw(st.sets(st.integers(0, 40), min_size=1,
+                             max_size=draw(st.sampled_from([1, 3, 12])))))
+    bk = draw(st.lists(RELAX_VALUES, min_size=len(ks), max_size=len(ks)))
+    cj = draw(st.lists(RELAX_VALUES, min_size=len(js), max_size=len(js)))
+    r0 = draw(st.integers(max(0, ks[0] + js[0] - 3), ks[-1] + js[-1]))
+    return ks, bk, js, cj, r0, draw(st.integers(r0, ks[-1] + js[-1] + 3))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(relax_classes())
+def test_plain_float_relax_matches_the_numpy_passes(case):
+    # rows, the bits of each row's value and its item: in Python floats
+    # (every class, and as _relax routes it) as in one numpy pass per item
+    ks, bk, js, cj, r0, r1 = case
+    spans = [(j, c, bisect.bisect_left(ks, r0 - j), bisect.bisect_right(ks, r1 - j))
+             for j, c in zip(js, cj)]
+    rows, vals, at = jspa._relax_passes(ks, bk, spans, r0, r1)
+    routed = jspa._relax(*case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jspa, "_PASS_CELLS", math.inf)
+        plain = jspa._relax(*case)
+    for got in (plain, routed):
+        assert got[0] == rows and got[2] == at
+        assert same_bits(np.array(got[1], dtype=float), np.array(vals, dtype=float))
 
 
 @settings(PROPERTY, max_examples=100)
