@@ -65,9 +65,9 @@ _C_KNAP_P = 3   # DP by profits, per candidate item
 _C_PROJ = 3     # projection, per coordinate per clipped-sum evaluation
 _GALLOPS = 8    # doublings of the projection's gallop from lam = 0 before it bisects bits
 _ARMIJO = 1e-4  # grad accepts a step that gains this share of its first-order gain
-# opt fathoms a column whose Lagrangian bound, or an item whose reduced profit,
-# falls short by more than _MARGIN times the largest magnitude its sums reach,
-# the log terms F_n adds up included: far above their rounding
+# the rounding margin (`_margin`) is _MARGIN times the largest magnitude the
+# sums of a solve reach, the log terms F_n adds up included: far above their
+# rounding. opt fathoms by it, and every solution's upper bound includes it
 _MARGIN = 1e-9
 # eps's DP by profits relaxes items in chunks of at most _DP_CELLS candidate
 # weights (one item at least), so its scratch is O(T) cells for T targets, not
@@ -99,6 +99,9 @@ class JspaSolution:
 
     budgets is the per-subcarrier power split (watts), x the cumulative-power
     matrix (K, N) realizing it, wsr the achieved weighted sum-rate in bits/s.
+    upper is the solve's certificate (`_certificate`): no feasible split,
+    on the grid or off it, is worth more, the rounding of both sides
+    included, so upper - wsr bounds how far wsr may be from the optimum.
     converged is False only when gradient ascent hit its iteration cap.
     """
 
@@ -106,16 +109,17 @@ class JspaSolution:
     budgets: np.ndarray
     x: np.ndarray
     wsr: float
+    upper: float
     converged: bool = True
     iterations: int = 0
     history: list = field(default_factory=list)
 
 
-def _solution(objective: "BudgetObjective", budgets: np.ndarray, solver: str,
+def _solution(objective: "BudgetObjective", budgets: np.ndarray, solver: str, upper: float,
               **kw) -> JspaSolution:
     budgets = np.asarray(budgets, dtype=float)
     x, total = objective.columns(budgets)
-    return JspaSolution(solver=solver, budgets=budgets, x=x, wsr=total, **kw)
+    return JspaSolution(solver=solver, budgets=budgets, x=x, wsr=total, upper=upper, **kw)
 
 
 def budget_feasible(instance: Instance, budgets: np.ndarray) -> bool:
@@ -290,6 +294,20 @@ class BudgetObjective:
         """The stack's non-empty pinned blocks, gathered on first use (`pinned_blocks`)."""
         return pinned_blocks(self.cands)
 
+    @functools.cached_property
+    def log_size(self) -> float:
+        """The size of the log terms any F_n read sums, per subcarrier at its largest, summed.
+
+        A block's pin (s, c, t) reads s * log2(b + c) + t at a budget b up
+        to the subcarrier's full one, so its size is |t| + s * (|log2 c| +
+        |log2(full + c)|), the scale of the rounding in any value read
+        there; `_margin` is relative to it.
+        """
+        s, c, t = self.blocks.pins.T
+        full = self.cands.entry_x[:, 0, 0]
+        terms = np.abs(t) + s * (np.abs(np.log2(c)) + np.abs(np.log2(full + c)))
+        return float(terms.max(axis=0).sum())
+
     def value(self, budgets: np.ndarray) -> float:
         return float(best_values(self.cands, budgets[:, None]).sum())
 
@@ -323,9 +341,9 @@ def dual_upper_bound(instance: Instance, objective: BudgetObjective) -> DualBoun
     <= UB(lam) = lam * p_max + sum_n phi_n(lam), phi_n(lam) being the max of
     F_n(b) - lam * b over [0, cap_n] (`single_carrier.lagrangian_maxima`).
     F_n need not be concave. So UB(lam) bounds opt's, grad's and eps's wsr
-    alike, up to the rounding of the log terms both sides sum: the tests
-    hold every solver to wsr <= upper + _MARGIN * (the size of those terms),
-    the margin opt's fathoming takes relative to its sums.
+    alike, up to the rounding of the log terms both sides sum; each
+    solution's `JspaSolution.upper` is this UB plus the margin that covers
+    it (`_certificate`). The UB returned here carries no margin.
 
     UB is convex in lam, with slope g(lam) = p_max - sum_n b_n(lam). If g(0)
     >= 0, as when the caps fit p_max, lam = 0 is the minimum. Otherwise the
@@ -391,6 +409,36 @@ def dual_upper_bound(instance: Instance, objective: BudgetObjective) -> DualBoun
         sides, gaps = (sides[1], side), (gaps[1], gap)
 
 
+def _margin(instance: Instance, objective: BudgetObjective, lam: float) -> float:
+    """The rounding margin at a price lam per watt: `_MARGIN` times the sums' largest magnitude.
+
+    That magnitude is the log terms' size (`BudgetObjective.log_size`) and
+    lam * p_max. It covers the rounding both sides of UB(lam) >= a split's
+    value sum, and opt's fathoming takes it at its own price.
+    """
+    return _MARGIN * (objective.log_size + lam * instance.p_max)
+
+
+class Certificate(NamedTuple):
+    """A solve's dual bound and upper = dual.upper plus the margin, >= every split's value."""
+
+    dual: DualBound
+    upper: float
+
+
+def _certificate(instance: Instance, objective: BudgetObjective) -> Certificate:
+    """The continuous dual (`dual_upper_bound`) and the upper bound it certifies.
+
+    UB bounds every feasible split's value, grid or not, and the margin at
+    the dual's lam (`_margin`) covers the rounding of both sides. Every
+    solver calls it once per solve and reports upper on its solution. A
+    feasible grid split (`_grid_incumbent`) stays out of it: grad needs
+    none, and opt and eps build theirs on dual.split.
+    """
+    dual = dual_upper_bound(instance, objective)
+    return Certificate(dual, dual.upper + _margin(instance, objective, dual.lam))
+
+
 # ---------------------------------------------------------------------------
 # Gradient ascent on the budget split.
 
@@ -405,7 +453,7 @@ def default_grad_iteration_cap(p_max: float, xi: float) -> int:
 def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
     """Projected gradient ascent on the budget vector, from the continuous dual split.
 
-    It starts at `dual_upper_bound`'s split b(lam), projected onto the
+    It starts at the dual split b(lam) of `_certificate`, projected onto the
     budget simplex: the Lagrangian's maximizer at the best lam found, which
     on the workload shapes is at or near the continuous optimum, so the
     ascent mostly ends at its first trial. Each iteration takes the
@@ -445,7 +493,8 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
         raise ValueError("xi must be positive and finite")
     caps = instance.p_max_carrier
     objective = BudgetObjective(tables)
-    p = project_simplex(dual_upper_bound(instance, objective).split, instance.p_max, caps)
+    cert = _certificate(instance, objective)
+    p = project_simplex(cert.dual.split, instance.p_max, caps)
     cur = objective.value(p)
     history = [cur]
     converged = False
@@ -467,7 +516,7 @@ def grad_jspa(instance: Instance, tables: list, xi: float) -> JspaSolution:
         history.append(cur)
         if converged:
             break
-    return _solution(objective, p, "grad", converged=converged,
+    return _solution(objective, p, "grad", cert.upper, converged=converged,
                      iterations=iterations, history=history)
 
 
@@ -537,17 +586,6 @@ def _grid_incumbent(instance: Instance, objective: BudgetObjective, split: np.nd
     tally(ls.size * _C_KNAP_W)
     rows = np.arange(x.size)
     return float(profits[rows, at].sum()), ls[rows, at]
-
-
-def _log_terms(pins: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Largest magnitude of the log terms a pin's reads up to budget `full` sum.
-
-    pins.T holds the planes s, c and t; the size is |t| + s * (|log2 c| +
-    |log2(full + c)|), the scale of the rounding in any F_n value read
-    there, so `_MARGIN` times it covers that rounding.
-    """
-    s, c, t = pins.T
-    return np.abs(t) + s * (np.abs(np.log2(c)) + np.abs(np.log2(full + c)))
 
 
 def _kept_items(grid: GridBlocks, peaks: np.ndarray, reduced: np.ndarray, thresholds: np.ndarray,
@@ -751,7 +789,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     The paper's DP by weights over the multiple-choice knapsack of grid
     profits c_n[l] = F_n(l * delta), bit for bit, without building the
     (N, J + 1) table of them:
-    1. lam is the continuous dual's price (`dual_upper_bound`) per grid
+    1. lam is the continuous dual's price (`_certificate`) per grid
        unit, or, where that is 0, the least slope of any F_n at its cap.
     2. phi_n(lam), the max of c_n[l] - lam * l, lies on some pinned block of
        some candidate, where F_n is concave, at the floor or ceiling of the
@@ -766,8 +804,9 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
        the kept items.
     5. The DP runs over the kept items of the live columns (`_grid_units`,
        which proves the units are the full DP's).
-    The margin is _MARGIN times the largest magnitude the sums reach, the
-    log terms F_n adds up included, so it covers their rounding.
+    The margin is `_margin` at lam per watt: relative to the largest
+    magnitude the sums reach, the log terms F_n adds up included, so it
+    covers their rounding. upper is the certificate's.
 
     Cost: the dual search, a few stacked reads over the blocks and the
     kept items, and the DP's cells. On the workload shapes a class keeps
@@ -784,11 +823,12 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     check_grid_cells(N, instance.p_max, delta, "delta")
     objective = BudgetObjective(tables)
     lmax = class_unit_caps(instance)
-    dual = dual_upper_bound(instance, objective)
+    cert = _certificate(instance, objective)
     # caps that fit p_max give the dual lam = 0, a price that fathoms no
     # column; any price bounds, and at the least slope of any F_n at its cap
     # a concave class still takes its cap, so the bound stays tight
-    lam = (dual.lam or float(objective.derivatives(instance.p_max_carrier).min())) * delta
+    price = cert.dual.lam or float(objective.derivatives(instance.p_max_carrier).min())
+    lam = price * delta
     full = objective.cands.entry_x[:, 0, 0]
     grid = grid_blocks(objective.blocks, full, lmax, delta)
     s, c, _ = grid.pins.T
@@ -797,13 +837,10 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     star = np.minimum(np.maximum(star, grid.lo), grid.hi)
     peaks = np.stack((grid.lo, np.floor(star), np.ceil(star), grid.hi), axis=1).astype(np.int64)
     reduced = block_values(grid, np.arange(peaks.shape[0])[:, None], peaks, delta) - lam * peaks
-    # per class: phi_n, and the largest magnitude of the log terms its reads sum
-    top = np.zeros((N, 2))
-    np.maximum.at(top, grid.carrier,
-                  np.stack((reduced.max(axis=1), _log_terms(grid.pins, grid.full)), axis=1))
-    phi = top[:, 0]
-    margin = _MARGIN * (float(top[:, 1].sum()) + lam * J)
-    incumbent, _ = _grid_incumbent(instance, objective, dual.split, lmax)
+    phi = np.zeros(N)
+    np.maximum.at(phi, grid.carrier, reduced.max(axis=1))
+    margin = _margin(instance, objective, price)
+    incumbent, _ = _grid_incumbent(instance, objective, cert.dual.split, lmax)
     thresholds = phi - (lam * J + float(phi.sum()) - incumbent) - margin
     cls, ls = _kept_items(grid, peaks, reduced, thresholds, lam, delta)
     count = np.bincount(cls, minlength=N)
@@ -814,14 +851,15 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     items = [(js[:c], cj[:c])
              for js, cj, c in zip(kept.tolist(), profits.tolist(), count.tolist())]
     units = _grid_units(items, lmax, J, lam, phi, incumbent - margin)
-    return _solution(objective, units * delta, "opt")
+    return _solution(objective, units * delta, "opt", cert.upper)
 
 
 def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:
     """Exhaustive enumeration of every grid budget vector (test oracle).
 
     Guarded: refuses instances with more than BRUTE_FORCE_LIMIT candidate
-    vectors before pruning (see check_brute_force).
+    vectors before pruning (see check_brute_force). upper is the
+    certificate every solver reports.
     """
     J = instance.n_power_levels
     N = instance.n_carriers
@@ -847,7 +885,8 @@ def brute_force_jspa(instance: Instance, tables: list) -> JspaSolution:
         units[n] = 0
 
     enumerate_class(0, 0, 0.0)
-    return _solution(objective, best_units * instance.delta, "brute")
+    return _solution(objective, best_units * instance.delta, "brute",
+                     _certificate(instance, objective).upper)
 
 
 # ---------------------------------------------------------------------------
@@ -988,34 +1027,29 @@ class Bracket(NamedTuple):
 
 
 def eps_bracket(instance: Instance, tables: list, objective: BudgetObjective,
-                lmax: np.ndarray, top: np.ndarray) -> Bracket:
+                lmax: np.ndarray, top: np.ndarray, cert: Certificate) -> Bracket:
     """The bracket lower <= OPT <= upper <= 4 * lower eps scales by, and lower's split.
 
-    OPT is the grid optimum and top holds each class's profit at its cap,
-    F_n(lmax_n * delta). The certified bracket: lower is the better of two
-    feasible grid splits, the dual split floored and filled
-    (`_grid_incumbent`) and the best class alone at its cap (lmax_n <= J
-    units, so it fits), and units are that split's; upper is
-    `dual_upper_bound`'s UB, which bounds every split, plus the margin opt
-    fathoms by, `_MARGIN` times the log terms the sums reach (`_log_terms`,
-    per class at its largest) and lam * p_max, which covers the rounding
-    both sides of UB >= OPT sum. On the workload shapes upper / lower is
-    below 1 + 2.4e-5, and on coarse grids (J = 14 to 40) at most 1.34.
-    Where it is over 4, or lower is 0, the paper's bracket (U / 4, U) from
-    `estimate_upper_bound` stands in; units stay the better split's.
+    OPT is the grid optimum, top holds each class's profit at its cap,
+    F_n(lmax_n * delta), and cert is the solve's `_certificate`. The
+    certified bracket: lower is the better of two feasible grid splits,
+    the dual split floored and filled (`_grid_incumbent`) and the best
+    class alone at its cap (lmax_n <= J units, so it fits), and units are
+    that split's; upper is cert.upper, the dual's UB, which bounds every
+    split, plus the one rounding margin (`_margin`) opt fathoms by. On the
+    workload shapes upper / lower is below 1 + 2.4e-5, and on coarse grids
+    (J = 14 to 40) at most 1.34. Where it is over 4, or lower is 0, the
+    paper's bracket (U / 4, U) from `estimate_upper_bound` stands in;
+    units stay the better split's.
     """
-    dual = dual_upper_bound(instance, objective)
-    incumbent, units = _grid_incumbent(instance, objective, dual.split, lmax)
+    incumbent, units = _grid_incumbent(instance, objective, cert.dual.split, lmax)
     lower = max(incumbent, float(top.max(initial=0.0)))
     if lower > incumbent:  # the best class alone at its cap
         best = int(np.argmax(top))
         units = np.zeros_like(lmax)
         units[best] = lmax[best]
-    full = objective.cands.entry_x[:, 0, 0]
-    size = float(_log_terms(objective.blocks.pins, full).max(axis=0).sum())
-    upper = dual.upper + _MARGIN * (size + dual.lam * instance.p_max)
-    if upper <= 4.0 * lower:
-        return Bracket(lower, upper, units)
+    if cert.upper <= 4.0 * lower:
+        return Bracket(lower, cert.upper, units)
     upper = estimate_upper_bound(instance, tables, objective)
     return Bracket(upper / 4.0, upper, units)
 
@@ -1040,6 +1074,8 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     wider than 4, or certifies no positive value, the estimate's (U / 4, U)
     stands in, so UB / LB <= 4 and the DP's T <= floor(4N/eps) targets
     always, the count `model.check_eps_cells` bounds the choice table by.
+    Either way the solution's upper is the certificate's, not the
+    estimate's U, which can read a few ulps below OPT.
 
     eps must be positive and finite, and its choice table within
     `model.GRID_CELLS` cells (`model.check_eps_cells`): either failing raises
@@ -1052,13 +1088,14 @@ def eps_jspa(instance: Instance, tables: list, eps: float) -> JspaSolution:
     objective = BudgetObjective(tables)
     lmax = class_unit_caps(instance)
     top = best_values(objective.cands, lmax[:, None] * instance.delta)[:, 0]
-    lower, upper, units = eps_bracket(instance, tables, objective, lmax, top)
+    cert = _certificate(instance, objective)
+    lower, upper, units = eps_bracket(instance, tables, objective, lmax, top, cert)
     tag = f"eps:{eps:g}"
-    sol = _solution(objective, units * instance.delta, tag)
+    sol = _solution(objective, units * instance.delta, tag, cert.upper)
     if sol.wsr >= (1.0 - eps) * upper:
         return sol
     units = _eps_dp(instance, objective, lmax, top, lower, upper, eps)
-    return _solution(objective, units * instance.delta, tag)
+    return _solution(objective, units * instance.delta, tag, cert.upper)
 
 
 def _eps_dp(instance: Instance, objective: BudgetObjective, lmax: np.ndarray, top: np.ndarray,

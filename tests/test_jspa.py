@@ -108,7 +108,8 @@ def own_bracket(instance, tables):
     objective = BudgetObjective(tables)
     lmax = class_unit_caps(instance)
     top = best_values(objective.cands, lmax[:, None] * instance.delta)[:, 0]
-    return eps_bracket(instance, tables, objective, lmax, top)
+    return eps_bracket(instance, tables, objective, lmax, top,
+                       jspa._certificate(instance, objective))
 
 
 def eps_dp(instance, tables, eps, bracket=None):
@@ -123,7 +124,8 @@ def eps_dp(instance, tables, eps, bracket=None):
     top = jspa.best_values(objective.cands, lmax[:, None] * instance.delta)[:, 0]
     lower, upper = (own_bracket(instance, tables) if bracket is None else bracket)[:2]
     units = jspa._eps_dp(instance, objective, lmax, top, lower, upper, eps)
-    return jspa._solution(objective, units * instance.delta, f"eps:{eps:g}")
+    return jspa._solution(objective, units * instance.delta, f"eps:{eps:g}",
+                          jspa._certificate(instance, objective).upper)
 
 
 def target_count(instance, bracket, eps):
@@ -1107,6 +1109,60 @@ class TestDualUpperBound:
         assert (sol.iterations, sol.converged) == (1, True)
         assert np.linalg.norm(sol.budgets - bound.split) <= 1e-4
         assert sol.wsr <= bound.upper * (1 + jspa._MARGIN)
+        assert sol.wsr <= sol.upper
+
+
+def tiny_grid_cases():
+    """Tiny grids brute force enumerates: K = 1, M = K, tied weights, binding caps, J < N."""
+    yield small_instance(81, users=1, carriers=3, max_mux=1, levels=10)
+    yield small_instance(82, users=3, carriers=3, max_mux=3, levels=10)
+    inst = small_instance(83, users=3, carriers=2, max_mux=2, levels=12)
+    yield Instance(weights=np.full(3, inst.weights[0]), bandwidths=inst.bandwidths,
+                   gains=inst.gains, noise=inst.noise, p_max=inst.p_max,
+                   p_max_carrier=inst.p_max_carrier, delta=inst.delta, max_mux=inst.max_mux)
+    for cap in (2.5, 6.0):  # caps that fit p_max (lam = 0), and caps that bind beside it
+        yield generate_instance(SystemConfig(users=3, subcarriers=3, max_mux=2,
+                                             p_max_carrier_w=cap, delta_w=0.5), 84)
+    yield small_instance(85, users=2, carriers=4, max_mux=1, levels=2)
+
+
+class TestCertificate:
+    """Every solution carries the upper bound its solve certified (`jspa._certificate`)."""
+
+    @pytest.mark.parametrize("inst", list(tiny_grid_cases()),
+                             ids=["k1", "m_eq_k", "tied_weights", "caps_fit", "caps_bind",
+                                  "j_below_n"])
+    def test_upper_bounds_the_grid_optimum_and_every_solver(self, inst):
+        _, tables = make_tables(inst)
+        cert = jspa._certificate(inst, BudgetObjective(tables))
+        brute = brute_force_jspa(inst, tables)
+        sols = (opt_jspa(inst, tables), grad_jspa(inst, tables, 1e-4),
+                eps_jspa(inst, tables, 0.1), brute)
+        assert brute.wsr <= sols[0].upper
+        for sol in sols:
+            assert sol.upper == cert.upper and sol.wsr <= sol.upper
+        assert cert.dual.upper < cert.upper < math.inf
+
+    def test_log_size_is_computed_once_per_solve(self, monkeypatch):
+        # opt takes the margin twice, at the dual's lam and at its own price
+        # (they differ where the dual's lam is 0, as on `fit`), from one pass
+        calls = []
+        prop = BudgetObjective.__dict__["log_size"]
+        size = prop.func
+
+        def counting(objective):
+            calls.append(objective)
+            return size(objective)
+
+        monkeypatch.setattr(prop, "func", counting)
+        fit = generate_instance(SystemConfig(users=4, subcarriers=4, max_mux=2,
+                                             p_max_carrier_w=2.5), 3)
+        for inst in (fit, small_instance(42, users=6, carriers=8, max_mux=3)):
+            _, tables = make_tables(inst)
+            for solve in (opt_jspa, lambda *a: grad_jspa(*a, 1e-4), lambda *a: eps_jspa(*a, 0.1)):
+                calls.clear()
+                solve(inst, tables)
+                assert len(calls) == 1
 
 
 class TestBudgetObjective:

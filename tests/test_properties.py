@@ -13,7 +13,9 @@ reader as the full stack of all K does, bit for bit, at 0, p_max, random
 budgets and every candidate entry and its two float neighbours, read in one
 block or in blocks of 7 budgets or of 1, and at several lam for the
 Lagrangian maxima. The continuous dual's bound must hold
-every solver's wsr up to rounding, and each Lagrangian maximum must bound
+every solver's wsr up to rounding, every solution's own upper bound must
+hold its wsr and lie within the rounding margin of that bound, and brute
+force must stay at most opt's upper bound; each Lagrangian maximum must bound
 F_n(b) - lam * b on a dense grid and be attained at its own b. eps's
 batched item selection must pick, per class, what the one-threshold-at-a-time
 search, a full scan and the whole grid's np.searchsorted pick, at the whole
@@ -265,6 +267,7 @@ def test_opt_equals_brute_force(inst):
     opt, brute = opt_jspa(inst, tables), brute_force_jspa(inst, tables)
     assert rel_err(opt.wsr, brute.wsr) <= 1e-12
     assert rel_err(opt.wsr, wsr_from_x(inst, build_decoding_order(inst), opt.x)) <= 1e-9
+    assert brute.wsr <= opt.upper
 
 
 @PROPERTY
@@ -362,9 +365,17 @@ def test_dual_bound_certifies_every_solver(inst):
     # on the grid closes the gap, where UB has read 1.3e-15 relative below
     # opt, and at 30 dB shadowing the log terms can be 1e9 times the wsr
     scale = sum(magnitude(t) for t in tables)
-    for sol in (opt_jspa(inst, tables), grad_jspa(inst, tables, 1e-4),
-                eps_jspa(inst, tables, 0.1)):
+    # each solution's own upper is one finite bound for every solver, eps's
+    # DP path included, at least its wsr, and above UB by no more than the
+    # margin's share of those terms and lam * p_max: a bound that is not vacuous
+    slack = jspa._MARGIN * (scale + bound.lam * inst.p_max)
+    sols = (opt_jspa(inst, tables), grad_jspa(inst, tables, 1e-4),
+            eps_jspa(inst, tables, 0.1), eps_jspa(inst, tables, 1e-3))
+    assert len({sol.upper for sol in sols}) == 1
+    for sol in sols:
         assert sol.wsr <= bound.upper + jspa._MARGIN * scale
+        assert math.isfinite(sol.upper) and sol.wsr <= sol.upper
+        assert 0.0 <= sol.upper - bound.upper <= slack
 
 
 @PROPERTY
