@@ -57,8 +57,7 @@ from .ops import tally
 # names of this module: perfbench traces each layer at the name it is called by
 from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
                              GridBlocks, best_columns, best_values, block_values, grid_blocks,
-                             lagrangian_maxima, left_derivatives, pinned_blocks,
-                             stack_candidates)
+                             lagrangian_maxima, left_derivatives, stack_candidates)
 
 _C_KNAP_W = 2   # DP by weights, per (column, item) cell relaxed or column bound tested
 _C_KNAP_P = 3   # DP by profits, per candidate item
@@ -281,18 +280,13 @@ class BudgetObjective:
     """sum_n F_n, its per-subcarrier derivatives and each F_n on its own.
 
     Made once per solve: it stacks every subcarrier's distinct candidate
-    solutions and builds their pinned-block tails in one pass, so each
-    budget then costs one log per distinct candidate. Every solver values
-    F_n through it; the F_n readers themselves live in `single_carrier`.
+    solutions and gathers their pinned blocks in one pass, so each budget
+    then costs one log per block. Every solver values F_n through it; the
+    F_n readers themselves live in `single_carrier`.
     """
 
     def __init__(self, tables: list):
         self.cands = stack_candidates(tables)
-
-    @functools.cached_property
-    def blocks(self):
-        """The stack's non-empty pinned blocks, gathered on first use (`pinned_blocks`)."""
-        return pinned_blocks(self.cands)
 
     @functools.cached_property
     def log_size(self) -> float:
@@ -303,7 +297,7 @@ class BudgetObjective:
         |log2(full + c)|), the scale of the rounding in any value read
         there; `_margin` is relative to it.
         """
-        s, c, t = self.blocks.pins.T
+        s, c, t = self.cands.pins.T
         full = self.cands.entry_x[:, 0, 0]
         terms = np.abs(t) + s * (np.abs(np.log2(c)) + np.abs(np.log2(full + c)))
         return float(terms.max(axis=0).sum())
@@ -371,7 +365,7 @@ def dual_upper_bound(instance: Instance, objective: BudgetObjective) -> DualBoun
     """
     cands, caps, p_max = objective.cands, instance.p_max_carrier, instance.p_max
 
-    maxima = lagrangian_maxima(objective.blocks, caps)
+    maxima = lagrangian_maxima(cands, caps)
 
     def at(lam: float) -> DualBound:
         phi, split = maxima(lam)
@@ -829,8 +823,7 @@ def opt_jspa(instance: Instance, tables: list) -> JspaSolution:
     # a concave class still takes its cap, so the bound stays tight
     price = cert.dual.lam or float(objective.derivatives(instance.p_max_carrier).min())
     lam = price * delta
-    full = objective.cands.entry_x[:, 0, 0]
-    grid = grid_blocks(objective.blocks, full, lmax, delta)
+    grid = grid_blocks(objective.cands, lmax, delta)
     s, c, _ = grid.pins.T
     with np.errstate(divide="ignore", over="ignore"):
         star = s / (lam * LN2) - c / delta

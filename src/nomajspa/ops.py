@@ -20,12 +20,14 @@ user-selection DP cell        8    (m, j, i) table cell; iscus_precompute
                                    that builds the table set (the first of
                                    its N calls) and 0 on the others
 collection lookup             6    (stacked candidate, budget) pair in
-                                   single_carrier.pinned_values; block end
-                                   placed on the grid in grid_blocks; grid
-                                   read of one block in block_values
+                                   single_carrier.pinned_values, which
+                                   places each budget in one block per
+                                   candidate; block end placed on the grid
+                                   in grid_blocks; grid read of one block
+                                   in block_values
 pinned-block gather           2    (subcarrier, stacked candidate, position)
-                                   cell, once per stack whose blocks are
-                                   asked for (single_carrier.pinned_blocks)
+                                   cell, once per stack
+                                   (single_carrier.pinned_blocks)
 pinned-block tails            6    (stacked candidate, position) term,
                                    charged in single_carrier.pinned_tails
                                    when a solve stacks its tables

@@ -22,17 +22,19 @@ derivative in closed form and `lagrangian_maxima` the max of
 F_n(b) - lam * b over b, block by block in closed form. The stack holds
 each subcarrier's distinct candidates only, E' <= K of them, which answer
 as all K do, bit for bit.
-The first three read F_n through one kernel, `pinned_values`: a candidate
-truncated at a budget pins a leading block, which contributes one log, and
-the rest is a tail constant built once per stack, so a budget costs E'
-logs per subcarrier. `pinned_index` finds it by one comparison, for
-every read; `best_values` reads at most _READ_BUDGETS budgets at a time, a
-whole grid included. The blocks that hold some budget are gathered once
-per stack (`pinned_blocks`) for `lagrangian_maxima` and for opt's grid
-reads: `grid_blocks` gives each block's grid indices, and `block_values`
-reads a block's candidate at them, bit for bit as pinned_values does, since
-both value a pin by `_pin_value`. `fn_value_many` and `iscus_eval` ask the
-first two of one table.
+The stack also holds the blocks of its candidates that some budget can
+lie in, gathered once per stack (`pinned_blocks`): a candidate truncated
+at a budget pins a leading block, which contributes one log, and the rest
+is a tail constant. Every read places a budget in its block of each
+candidate by one comparison, low < b <= top. The first three readers go
+through one kernel, `pinned_values`, which values each block at the
+budgets it holds, so a budget costs one log per block, at most M per
+candidate; `best_values` reads at most
+_READ_BUDGETS budgets at a time, a whole grid included. `lagrangian_maxima`
+scans the same blocks, and for opt's grid reads `grid_blocks` gives each
+block's grid indices and `block_values` reads a block's candidate at them,
+bit for bit as pinned_values does, since both value a pin by `_pin_value`.
+`fn_value_many` and `iscus_eval` ask the first two of one table.
 """
 
 from __future__ import annotations
@@ -325,17 +327,26 @@ def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
 
 
 class Candidates(NamedTuple):
-    """F_n inputs of N stacked subcarriers: E candidates of K positions each.
+    """F_n inputs of N stacked subcarriers: E candidates of K positions, read through B blocks.
 
     Each subcarrier holds its distinct candidates, in their order, padded
-    to E with copies of its last one (see stack_candidates). Once its
-    positions 0..l are pinned at a budget b, candidate e of subcarrier n is
-    worth pins[n, e, l] = (s, c, t) as s * log2(b + c) + t: s = w_n * wp[l],
-    c = ep[l] and t = w_n * tails[e, l] + offset.
+    to E with copies of its last one (see stack_candidates); every
+    candidate's first entry is the subcarrier's full budget. Candidate e of
+    subcarrier n pins its positions 0..l at a budget b in its block
+    entry_x[n, e, l + 1] < b <= entry_x[n, e, l], entry_x[n, e, K] being 0,
+    and is worth s * log2(b + c) + t there, concave in b: its pin (s, c, t)
+    has s = w_n * wp[l], c = ep[l] and t = w_n * tails[e, l] + offset
+    (see pinned_tails). Row n of low, top, pins and cand holds every
+    non-empty block of subcarrier n, in C order of (e, l), cand being its
+    candidate e, so each candidate's blocks cover (0, full] once; a pad
+    repeats the row's last block with low = top, an empty block.
     """
 
     entry_x: np.ndarray  # (N, E, K)
-    pins: np.ndarray     # (N, E, K, 3)
+    low: np.ndarray      # (N, B)
+    top: np.ndarray      # (N, B)
+    pins: np.ndarray     # (N, B, 3)
+    cand: np.ndarray     # (N, B)
 
 
 def pinned_tails(wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray) -> np.ndarray:
@@ -356,8 +367,38 @@ def pinned_tails(wp: np.ndarray, ep: np.ndarray, entry_x: np.ndarray) -> np.ndar
     return tails
 
 
+def pinned_blocks(tables: list, entry_x: np.ndarray) -> Candidates:
+    """The Candidates of N subcarriers' tables with candidate rows entry_x (N, E, K).
+
+    Gathers the non-empty blocks once per stack, with their pins; they are
+    3.5 to 29 % of the (n, e, l) cells on the workload shapes, at most M
+    per candidate, and the rest hold no budget, so no F_n reader lands
+    there.
+    """
+    wp = np.stack([t.wp for t in tables])
+    ep = np.stack([t.ep for t in tables])
+    w_n = np.array([t.w_n for t in tables])[:, None]
+    offset = np.array([t.offset for t in tables])[:, None]
+    N, _, K = entry_x.shape
+    low = np.zeros_like(entry_x)
+    low[..., :-1] = entry_x[..., 1:]
+    rows, cells = np.nonzero((low < entry_x).reshape(N, -1))
+    tally(entry_x.size * _C_GATHER)
+    count = np.bincount(rows, minlength=N)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    at = np.repeat(cells[np.cumsum(count) - 1][:, None], count.max(), axis=1)
+    at[rows, slot] = cells
+    flat, pos = np.arange(N)[:, None], at % K
+    top = entry_x.reshape(N, -1)[flat, at]
+    pad = np.arange(at.shape[1]) >= count[:, None]
+    tails = pinned_tails(wp, ep, entry_x).reshape(N, -1)[flat, at]
+    pins = np.stack((w_n * wp[flat, pos], ep[flat, pos], w_n * tails + offset), axis=-1)
+    return Candidates(entry_x=entry_x, low=np.where(pad, top, low.reshape(N, -1)[flat, at]),
+                      top=top, pins=pins, cand=at // K)
+
+
 def stack_candidates(tables: list) -> Candidates:
-    """Stack the distinct candidates of N subcarriers and build their tails in one pass.
+    """Stack the distinct candidates of N subcarriers and gather their blocks in one pass.
 
     Each subcarrier keeps the entry_x rows that differ from the row before
     them, in their order, and is padded to the stack's width E with copies
@@ -367,40 +408,20 @@ def stack_candidates(tables: list) -> Candidates:
     the row it copies to that row's slot.
 
     Every F_n reader answers as over all K rows, bit for bit. Equal rows
-    have equal pins, since the tails are an elementwise log2 and a per-row
-    cumsum. Among equal values argmax takes the first row; the first of a
-    run of copies is kept, and kept rows keep their order, so best_columns
-    and left_derivatives pick the same row. A padded row repeats an earlier
-    one, so it is never picked first. The zero-budget derivative is a max,
-    which copies do not change.
+    have equal blocks and pins, since the tails are an elementwise log2 and
+    a per-row cumsum. Among equal values argmax takes the first block, that
+    is the first row's; the first of a run of copies is kept, and kept rows
+    keep their order, so best_columns and left_derivatives pick the same
+    row. A padded row repeats an earlier one, so it is never picked first.
+    The zero-budget derivative is a max, which copies do not change.
     """
-    wp = np.stack([t.wp for t in tables])
-    ep = np.stack([t.ep for t in tables])
     full = np.stack([t.entry_x for t in tables])
     bits = full.view(np.int64)
     slot = np.zeros(full.shape[:2], dtype=np.int64)
     np.cumsum(np.any(bits[:, 1:] != bits[:, :-1], axis=-1), axis=1, out=slot[:, 1:])
     entry_x = np.repeat(full[:, -1:], slot[:, -1].max() + 1, axis=1)
     entry_x[np.arange(len(tables))[:, None], slot] = full
-    w_n = np.array([t.w_n for t in tables])[:, None, None]
-    offset = np.array([t.offset for t in tables])[:, None, None]
-    pins = np.empty(entry_x.shape + (3,))
-    pins[..., 0] = w_n * wp[:, None, :]
-    pins[..., 1] = ep[:, None, :]
-    pins[..., 2] = w_n * pinned_tails(wp, ep, entry_x) + offset
-    return Candidates(entry_x=entry_x, pins=pins)
-
-
-def pinned_index(entry_x: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Last pinned position l = count(entry_x[n, e] >= b) - 1, (N, E, L).
-
-    entry_x is (N, E, K) with non-increasing rows, budgets (N, L) positive
-    and at most each row's first entry, so l >= 0. Budgets go in any order;
-    `best_values` bounds the (N, E, L, K) comparison.
-    """
-    reached = entry_x[:, :, None, :] >= budgets[:, None, :, None]
-    # rows are non-increasing: the count is the first position not reached
-    return np.where(reached[..., -1], entry_x.shape[2], np.argmin(reached, axis=-1)) - 1
+    return pinned_blocks(tables, entry_x)
 
 
 def _pin_value(s, c, t, b):
@@ -408,42 +429,40 @@ def _pin_value(s, c, t, b):
     return s * np.log2(b + c) + t
 
 
-def pinned_values(cands: Candidates, budgets: np.ndarray):
-    """Weighted rate of every candidate truncated at every budget, one log each.
+def pinned_values(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
+    """Every block's candidate truncated at every budget the block holds, one log each.
 
-    budgets is (N, L). Candidate e pins positions 0..l at budget b (see
-    pinned_index) and is worth pins[e, l] at b (see Candidates). Returns
-    the values (N, E, L) and the pins they used (N, E, L, 3). A budget above
-    the full one truncates nothing; one at or below zero is worth 0 and
-    pins the powered positions, as the limit from above does. Every F_n
-    evaluator looks its candidates up here.
+    budgets is (N, L); returns (N, B, L). Each budget b lies in one block
+    low < b <= top of each candidate, and there the value is the block's
+    pin at b (see Candidates); elsewhere it is -inf. A budget above the
+    full one truncates nothing; one at or below zero is worth 0 and lies
+    in the blocks the limit from above gives. Every F_n evaluator looks
+    its candidates up here.
     """
-    N, E, K = cands.entry_x.shape
-    b = np.minimum(budgets, cands.entry_x[:, 0, :1])                     # (N, L)
-    last = pinned_index(cands.entry_x, np.maximum(b, _SMALLEST))
-    rows = np.arange(0, N * E * K, K).reshape(N, E, 1)
-    pins = np.take(cands.pins.reshape(-1, 3), last + rows, axis=0)
-    b = b[:, None, :]
-    vals = _pin_value(*pins.transpose(3, 0, 1, 2), b)
-    tally(last.size * _C_LOOKUP)
+    N, E, _ = cands.entry_x.shape
+    b = np.minimum(budgets, cands.entry_x[:, 0, :1])[:, None, :]        # (N, 1, L)
+    at = np.maximum(b, _SMALLEST)
+    hit = (cands.low[..., None] < at) & (at <= cands.top[..., None])
+    vals = _pin_value(*cands.pins.transpose(2, 0, 1)[..., None], b)
+    tally(N * E * budgets.shape[1] * _C_LOOKUP)
     # no power, no rate: avoid cancellation residue
-    return np.where(b <= 0.0, 0.0, vals), pins
+    return np.where(hit, np.where(b <= 0.0, 0.0, vals), -np.inf)
 
 
 def best_values(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
     """F_n of every stacked subcarrier at every budget: budgets and result (N, L).
 
     Reads blocks of at most _READ_BUDGETS budgets (whole rows, or spans of
-    one row), each cell on its own, so its scratch is bounded and its bits
-    are one read's.
+    one row), each cell on its own, so its scratch, a few floats per budget
+    and stacked block, is bounded and its bits are one read's.
     """
     N, L = budgets.shape
     cols = max(1, min(L, _READ_BUDGETS))
     rows = max(1, _READ_BUDGETS // cols)
     out = np.empty((N, L))
     for n, l in itertools.product(range(0, N, rows), range(0, L, cols)):
-        block = Candidates(cands.entry_x[n:n + rows], cands.pins[n:n + rows])
-        vals = pinned_values(block, budgets[n:n + rows, l:l + cols])[0]
+        block = Candidates(*(a[n:n + rows] for a in cands))
+        vals = pinned_values(block, budgets[n:n + rows, l:l + cols])
         vals.max(axis=1, out=out[n:n + rows, l:l + cols])
     return out
 
@@ -452,12 +471,13 @@ def best_columns(cands: Candidates, budgets: np.ndarray):
     """Best truncated candidate of every subcarrier at its budget (N,).
 
     Returns the columns (N, K) and their values (N,); ties between
-    candidates go to the shorter shared prefix.
+    candidates go to the shorter shared prefix, the first block.
     """
-    vals = pinned_values(cands, budgets[:, None])[0][..., 0]            # (N, E)
+    vals = pinned_values(cands, budgets[:, None])[..., 0]               # (N, B)
     rows = np.arange(vals.shape[0])
     best = np.argmax(vals, axis=1)
-    return np.minimum(cands.entry_x[rows, best], budgets[:, None]), vals[rows, best]
+    x = cands.entry_x[rows, cands.cand[rows, best]]
+    return np.minimum(x, budgets[:, None]), vals[rows, best]
 
 
 def left_derivatives(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
@@ -469,73 +489,35 @@ def left_derivatives(cands: Candidates, budgets: np.ndarray) -> np.ndarray:
     budget the selection is resolved in the limit from above, by the
     steepest candidate.
     """
-    vals, pins = pinned_values(cands, budgets[:, None])
-    vals, pins = vals[..., 0], pins[..., 0, :]                          # (N, E), (N, E, 3)
+    vals = pinned_values(cands, budgets[:, None])[..., 0]               # (N, B)
     rows = np.arange(vals.shape[0])
-    slopes = pins[..., 0] / ((budgets[:, None] + pins[..., 1]) * LN2)
-    zero = budgets <= 0.0
+    s, c, _ = cands.pins.transpose(2, 0, 1)
+    # the slope of each candidate's block at the budget, -inf on the other blocks
+    slopes = np.where(vals > -np.inf, s / ((budgets[:, None] + c) * LN2), -np.inf)
     tally(budgets.size * _C_DERIV)
-    return np.where(zero, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
+    return np.where(budgets <= 0.0, slopes.max(axis=1), slopes[rows, np.argmax(vals, axis=1)])
 
 
-class Blocks(NamedTuple):
-    """The non-empty pinned blocks of N stacked subcarriers, padded to a common width B.
-
-    Row n holds, in C order of (e, l), every block entry_x[n, e, l + 1] < b <=
-    entry_x[n, e, l] of subcarrier n, entry_x[n, e, K] being 0: there
-    candidate e pins positions 0..l (see pinned_index) and is worth
-    s * log2(b + c) + t (see Candidates), which is concave in b. A pad repeats
-    its row's last block with low = top, an empty block.
-    """
-
-    low: np.ndarray   # (N, B)
-    top: np.ndarray   # (N, B)
-    pins: np.ndarray  # (N, B, 3)
-
-
-def pinned_blocks(cands: Candidates) -> Blocks:
-    """Gather the non-empty blocks of a stack once, for every lam and grid read that follows.
-
-    They are 4 to 26 % of the (n, e, l) cells on the workload shapes; the
-    rest hold no budget, so no F_n reader lands there.
-    """
-    x = cands.entry_x
-    N = x.shape[0]
-    low = np.zeros_like(x)
-    low[..., :-1] = x[..., 1:]
-    rows, cells = np.nonzero((low < x).reshape(N, -1))
-    tally(x.size * _C_GATHER)
-    count = np.bincount(rows, minlength=N)
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
-    at = np.repeat(cells[np.cumsum(count) - 1][:, None], count.max(), axis=1)
-    at[rows, slot] = cells
-    flat = np.arange(N)[:, None]
-    top = x.reshape(N, -1)[flat, at]
-    pad = np.arange(at.shape[1]) >= count[:, None]
-    return Blocks(low=np.where(pad, top, low.reshape(N, -1)[flat, at]), top=top,
-                  pins=cands.pins.reshape(N, -1, 3)[flat, at])
-
-
-def lagrangian_maxima(blocks: Blocks, caps: np.ndarray):
+def lagrangian_maxima(cands: Candidates, caps: np.ndarray):
     """The function lam -> (phi_n(lam), b_n(lam)), (N,) each.
 
     phi_n(lam) is the max of F_n(b) - lam * b over 0 <= b <= cap_n and
-    b_n(lam) its maximizer. On block (e, l) of `pinned_blocks`, below cap_n,
-    candidate e is worth s * log2(b + c) + t, concave in b, so its best b
-    there is the stationary point s / (lam ln 2) - c clipped to the block,
-    and phi_n is the best of these over every block and of b = 0, worth 0
-    (pinned_values' rule for a zero budget). At lam = 0, or one so small
-    that s / lam overflows, every stationary point is +inf and clips to the
-    top of its block. Ties go to b = 0, then to the first (e, l). The cells
-    that hold no block are -inf in a reading over every (n, e, l), so
-    dropping them changes no value and no tie. What does not depend on lam
-    (the capped tops, the blocks left below their caps and the pins' three
-    planes) is laid out once here, for every lam of a search.
+    b_n(lam) its maximizer. On a block of the stack (see Candidates), below
+    cap_n, its candidate is worth s * log2(b + c) + t, concave in b, so its
+    best b there is the stationary point s / (lam ln 2) - c clipped to the
+    block, and phi_n is the best of these over every block and of b = 0,
+    worth 0 (pinned_values' rule for a zero budget). At lam = 0, or one so
+    small that s / lam overflows, every stationary point is +inf and clips
+    to the top of its block. Ties go to b = 0, then to the first (e, l).
+    The cells that hold no block are -inf in a reading over every (n, e,
+    l), so dropping them changes no value and no tie. What does not depend
+    on lam (the capped tops, the blocks left below their caps and the pins'
+    three planes) is laid out once here, for every lam of a search.
     """
-    low = blocks.low
-    top = np.minimum(blocks.top, caps[:, None])
+    low = cands.low
+    top = np.minimum(cands.top, caps[:, None])
     live = low < top
-    s, c, t = blocks.pins.transpose(2, 0, 1).copy()
+    s, c, t = cands.pins.transpose(2, 0, 1).copy()
     rows = np.arange(low.shape[0])
 
     def at(lam: float):
@@ -551,7 +533,7 @@ def lagrangian_maxima(blocks: Blocks, caps: np.ndarray):
 
 
 class GridBlocks(NamedTuple):
-    """The pinned blocks that hold grid budgets, flat: grid indices lo..hi lie in block g.
+    """The blocks that hold grid budgets, flat: grid indices lo..hi lie in block g.
 
     carrier[g] is its subcarrier n and full[g] that subcarrier's full budget
     entry_x[n, 0, 0], which clips every budget pinned_values reads.
@@ -564,7 +546,7 @@ class GridBlocks(NamedTuple):
     full: np.ndarray     # (G,)
 
 
-def grid_blocks(blocks: Blocks, full: np.ndarray, lmax: np.ndarray, delta: float) -> GridBlocks:
+def grid_blocks(cands: Candidates, lmax: np.ndarray, delta: float) -> GridBlocks:
     """The blocks holding some grid budget l * delta, 1 <= l <= lmax_n, with their grid ranges.
 
     pinned_values reads index l at b = min(l * delta, full_n), as float
@@ -572,9 +554,10 @@ def grid_blocks(blocks: Blocks, full: np.ndarray, lmax: np.ndarray, delta: float
     the l from last(low) + 1 to last(top), last(v) being the largest l <=
     lmax_n with min(l * delta, full_n) <= v. Floor(v / delta) is within one
     of it, and a comparison of the float products on each side places it
-    exactly, so every grid index lands in the block pinned_index gives it.
+    exactly, so every grid index lands in the block pinned_values reads it in.
     """
-    v = np.stack((blocks.low, blocks.top))
+    full = cands.entry_x[:, 0, 0]
+    v = np.stack((cands.low, cands.top))
     cap = lmax[:, None]
     last = np.floor(np.minimum(v / delta, cap)).astype(np.int64)
     last -= last * delta > v
@@ -583,7 +566,7 @@ def grid_blocks(blocks: Blocks, full: np.ndarray, lmax: np.ndarray, delta: float
     tally(v.size * _C_LOOKUP)
     n, g = np.nonzero(last[0] < last[1])
     return GridBlocks(carrier=n, lo=last[0, n, g] + 1, hi=last[1, n, g],
-                      pins=blocks.pins[n, g], full=full[n])
+                      pins=cands.pins[n, g], full=full[n])
 
 
 def block_values(grid: GridBlocks, which: np.ndarray, ls: np.ndarray, delta: float) -> np.ndarray:

@@ -9,8 +9,8 @@ from nomajspa.model import (LN2, DecodingOrder, Instance, SystemConfig, argmax_b
                             carrier_views, check_carrier, f_blocks, generate_instance, utility)
 from nomajspa import jspa
 from nomajspa.ops import tally
-from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, Candidates, _scus_dp,
-                                     expand_active, pinned_tails, sc_value, scpc)
+from nomajspa.single_carrier import (_C_ARGMAX, _C_BLOCK, _C_CELL, _scus_dp, expand_active,
+                                     pinned_blocks, pinned_tails, sc_value, scpc)
 
 
 def single_carrier_instance(eta_tilde, weights, w_hz=1.0, p_max=10.0, delta=0.5,
@@ -232,34 +232,46 @@ def candidate_values(w_n, wp, ep, offset, entry_x, budgets):
 
 def full_stack_candidates(tables):
     """Every subcarrier's K candidates stacked, copies included, with their
-    tails: the oracle whose answers `single_carrier.stack_candidates` must
+    blocks: the oracle whose answers `single_carrier.stack_candidates` must
     give bit for bit through every F_n reader."""
+    return pinned_blocks(tables, np.stack([t.entry_x for t in tables]))
+
+
+def every_cell_pins(tables, entry_x):
+    """The pin (s, c, t) of every (n, e, l) cell of candidate rows entry_x (N, E, K),
+    the cells that hold no budget included: (N, E, K, 3), as `Candidates` defines it."""
     wp = np.stack([t.wp for t in tables])
     ep = np.stack([t.ep for t in tables])
-    entry_x = np.stack([t.entry_x for t in tables])
     w_n = np.array([t.w_n for t in tables])[:, None, None]
     offset = np.array([t.offset for t in tables])[:, None, None]
     pins = np.empty(entry_x.shape + (3,))
     pins[..., 0] = w_n * wp[:, None, :]
     pins[..., 1] = ep[:, None, :]
     pins[..., 2] = w_n * pinned_tails(wp, ep, entry_x) + offset
-    return Candidates(entry_x=entry_x, pins=pins)
+    return pins
+
+
+def pinned_index(entry_x, budgets):
+    """Last pinned position l = count(entry_x[n, e] >= b) - 1, (N, E, L), by
+    counting every position: the placement that `single_carrier.pinned_values`
+    finds by its one block comparison. budgets is (N, L), positive and at
+    most each row's first entry."""
+    return (entry_x[:, :, None, :] >= budgets[:, None, :, None]).sum(axis=-1) - 1
 
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
-def every_cell_lagrangian_maxima(cands, caps, lam):
-    """phi_n(lam) and b_n(lam) read over every (n, e, l) cell of the stack, empty blocks
-    included: the oracle that `single_carrier.lagrangian_maxima` over the gathered
-    blocks must match bit for bit."""
-    x = cands.entry_x
+def every_cell_lagrangian_maxima(tables, x, caps, lam):
+    """phi_n(lam) and b_n(lam) read over every (n, e, l) cell of candidate rows x of
+    the tables, empty blocks included: the oracle that `single_carrier.lagrangian_maxima`
+    over the gathered blocks must match bit for bit."""
     N = x.shape[0]
     low = np.zeros_like(x)
     low[..., :-1] = x[..., 1:]
     top = np.minimum(x, caps[:, None, None])
-    s, c, t = np.moveaxis(cands.pins, -1, 0)
+    s, c, t = np.moveaxis(every_cell_pins(tables, x), -1, 0)
     with np.errstate(divide="ignore", over="ignore"):
         b = np.minimum(np.maximum(s / (lam * LN2) - c, low), top)
     vals = np.where((low < top) & (b > 0.0), s * np.log2(b + c) + t - lam * b, -np.inf)

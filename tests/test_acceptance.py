@@ -245,10 +245,12 @@ def test_criterion_09_left_derivative_finite_difference():
         kept = 0
         while kept < 100:
             p_bar = float(rng.uniform(2 * h, inst.p_max))
-            vb, va = pinned_values(cands, np.array([[p_bar - h, p_bar]]))[0][0].T
-            if int(np.argmax(va)) != int(np.argmax(vb)):
+            # per block, each read at the two budgets; cand names its candidate
+            vb, va = pinned_values(cands, np.array([[p_bar - h, p_bar]]))[0].T
+            cand = cands.cand[0]
+            if cand[np.argmax(va)] != cand[np.argmax(vb)]:
                 continue  # candidate switch inside the stencil
-            stored = cands.entry_x[0, int(np.argmax(va))]
+            stored = cands.entry_x[0, cand[np.argmax(va)]]
             if np.any((stored > p_bar - 2 * h) & (stored < p_bar + h)):
                 continue  # truncation kink inside the stencil
             kept += 1

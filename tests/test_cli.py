@@ -28,6 +28,9 @@ from nomajspa.single_carrier import iscus_precompute, scpc, scus
 from conftest import small_instance
 from test_jspa import eps_dp
 
+# the Python and numpy versions the campaign digests below were recorded on
+PINNED_VERSIONS = sys.version_info[:2] == (3, 11) and np.__version__ == "2.4.6"
+
 
 def tiny_config(**kw):
     base = dict(
@@ -118,7 +121,7 @@ class TestConfig:
             seeds=3, seed_base=7, timing=False)
 
     @pytest.mark.skipif(
-        sys.version_info[:2] != (3, 11) or np.__version__ != "2.4.6",
+        not PINNED_VERSIONS,
         reason="README's reference digests were recorded on Python 3.11 with numpy 2.4.6")
     @pytest.mark.parametrize("line, flags", [(0, []), (1, ["--count-ops", "true"])],
                              ids=["plain", "count_ops"])
@@ -196,6 +199,14 @@ class TestRunExperiment:
                   if ",eps:" in row]
         assert len(losses) == 54 and max(losses) <= 0.001
         assert runs  # 5 of the 54 eps solves
+        if not PINNED_VERSIONS:
+            return
+        # its bytes, plain and with count_ops, pin the DP's choices at campaign size
+        ops = tmp_path / "dp_ops.csv"
+        run_experiment(dataclasses.replace(config, count_ops=True), out_path=str(ops))
+        assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, ops)] == [
+            "4b36b6346b78131d9848e5c46b56b46743bada3426a32de8483faedd9df5dff3",
+            "22d044c2ad50fecdcc113c9ea80155bfc97a6b333addb1fb5d1bc28bfc544656"]
 
     def test_row_count_and_schema(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -387,9 +398,15 @@ class TestMain:
         # row and exit 0, opt to fail on a negative array size
         *((f"{RUNNABLE.replace('delta_w = 1', 'delta_w = 1e-300')}solvers = {solvers}\n",
            "delta_w = 1e-300") for solvers in ("eps", "opt")),
+        # finite and not negative, but out of range
+        (f"{RUNNABLE}xi = 0\n", "xi must be positive"),
+        (f"{RUNNABLE}jobs = 0\n", "jobs must be >= 1"),
+        (f"{RUNNABLE}bandwidth_hz = 0\n", "bandwidth_hz and p_max_w must be positive"),
+        (f"{RUNNABLE}p_max_carrier_w = 20\n", "p_max_carrier_w must be 0 (unset) or in (0, "),
     ], ids=["unknown_solver", "unknown_key", "unparsable_value", "repeated_key",
             "removed_key", *(key for key, _ in NON_FINITE_OR_NEGATIVE), "noise_psd_overflow",
-            "uncountable_grid_eps", "uncountable_grid_opt"])
+            "uncountable_grid_eps", "uncountable_grid_opt", "xi_zero", "jobs_zero",
+            "bandwidth_zero", "carrier_cap_above_p_max"])
     def test_bad_config_reports_error(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(text)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from nomajspa.model import (
     wsr_from_x,
 )
 from nomajspa.single_carrier import (best_values, fn_value_many, iscus_precompute,
-                                     lagrangian_maxima, left_derivatives, pinned_blocks,
-                                     stack_candidates)
+                                     lagrangian_maxima, left_derivatives, stack_candidates)
 from nomajspa.jspa import (
     BRUTE_FORCE_LIMIT,
     BudgetObjective,
@@ -1051,6 +1051,13 @@ class TestEstimation:
             assert upper >= opt * (1 - 1e-9)
             assert opt >= upper / 4.0 * (1 - 1e-9)
 
+    def test_hull_pops_the_points_on_or_below_the_frontier(self):
+        # (2, 2.5) lies below the chord from (1, 2) to (3, 4); (2, 1.5) lies
+        # below the one from (1, 1) to (3, 3), and (1, 1) on the one from (0, 0)
+        w = np.array([1.0, 2.0, 3.0])
+        assert jspa._hull_increments(w, np.array([2.0, 2.5, 4.0])) == [(1.0, 2.0), (2.0, 2.0)]
+        assert jspa._hull_increments(w, np.array([1.0, 1.5, 3.0])) == [(3.0, 3.0)]
+
     def test_degenerate_channel_estimates_zero(self):
         inst = Instance(weights=[1.0, 1.0], bandwidths=[1e6, 1e6],
                         gains=np.full((2, 2), 1e-30), noise=np.full((2, 2), 1e-10),
@@ -1092,7 +1099,7 @@ class TestDualUpperBound:
         _, tables = make_tables(inst)
         bound = dual_upper_bound(inst, BudgetObjective(tables))
         assert opt_jspa(inst, tables).wsr <= bound.upper
-        maxima = lagrangian_maxima(pinned_blocks(stack_candidates(tables)), inst.p_max_carrier)
+        maxima = lagrangian_maxima(stack_candidates(tables), inst.p_max_carrier)
         tol = 9 * np.finfo(float).eps * bound.upper
         for lam in bound.lam * np.concatenate((np.linspace(0.0, 2.0, 41),
                                                1.0 + np.linspace(-1e-6, 1e-6, 41))):
@@ -1317,6 +1324,34 @@ class TestEpsJspa:
                 sol = eps_jspa(inst, tables, eps)
                 assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
                 assert budget_feasible(inst, sol.budgets)
+
+    def test_an_overspending_floored_split_is_no_incumbent(self):
+        # floored, the split takes 6 units where the grid has 3: its value is
+        # -inf, which fathoms nothing, and nothing of the objective is read
+        grid = types.SimpleNamespace(n_power_levels=3, delta=1.0, p_max=10.0)
+        value, units = jspa._grid_incumbent(grid, None, np.array([3.0, 3.0]), np.array([5, 5]))
+        assert value == -math.inf and units.tolist() == [3, 3]
+
+    def test_best_class_alone_stands_in_for_a_failed_incumbent(self, monkeypatch):
+        # with no feasible grid split from the dual, the bracket's lower end is
+        # the best class alone at its cap, and eps keeps its guarantee
+        cases = []
+        for seed in range(4):
+            inst = small_instance(seed + 700, users=3, carriers=2, max_mux=2)
+            _, tables = make_tables(inst, 2)
+            cases.append((inst, tables, opt_jspa(inst, tables).wsr))
+        monkeypatch.setattr(jspa, "_grid_incumbent",
+                            lambda instance, objective, split, lmax: (-math.inf, 0 * lmax))
+        for inst, tables, opt in cases:
+            lower, _, units = own_bracket(inst, tables)
+            lmax = class_unit_caps(inst)
+            best = int(np.argmax(units))
+            assert np.count_nonzero(units) == 1 and units[best] == lmax[best]
+            assert lower == fn_value_many(tables[best], [lmax[best] * inst.delta])[0]
+            for eps in (0.5, 0.1):
+                sol = eps_jspa(inst, tables, eps)
+                assert budget_feasible(inst, sol.budgets)
+                assert sol.wsr >= (1 - eps) * opt * (1 - 1e-12)
 
     def test_fine_epsilon_recovers_exact_optimum(self):
         for seed in range(6):

@@ -391,6 +391,11 @@ class TestInstanceValidation:
             kwargs = ok | {key: bad}
             with pytest.raises(ValueError):
                 Instance(**kwargs)
+        for key, bad, message in [("gains", np.ones((1, 1)), "^inconsistent array shapes"),
+                                  ("p_max_carrier", [1.0, 1.0], "one entry per subcarrier"),
+                                  ("p_max_carrier", [2.0], r"caps must lie in \(0, p_max\]")]:
+            with pytest.raises(ValueError, match=message):
+                Instance(**(ok | {key: bad}))
 
     def test_rejects_normalized_noise_out_of_range(self):
         # 1 / 5e-324 overflows to inf and 5e-324 / 1e10 underflows to 0

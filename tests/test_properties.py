@@ -71,8 +71,8 @@ from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrie
                             carrier_views, generate_instance, wsr_from_x)
 from nomajspa.single_carrier import (Candidates, best_columns, best_values, block_values,
                                      fn_value_many, grid_blocks, iscus_eval, iscus_precompute,
-                                     lagrangian_maxima, left_derivatives, pinned_blocks,
-                                     pinned_values, sc_value, scus, stack_candidates)
+                                     lagrangian_maxima, left_derivatives, pinned_values,
+                                     sc_value, scus, stack_candidates)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -179,7 +179,9 @@ def test_kernel_matches_candidate_values(inst):
         # the stack holds the table's distinct rows, padded with its last one
         expect = candidate_values(t.w_n, t.wp, t.ep, t.offset, cands.entry_x[n, :, None, :],
                                   budgets[None, :])
-        vals = pinned_values(Candidates(*(a[n:n + 1] for a in cands)), budgets[None, :])[0][0]
+        # each budget's blocks, one per candidate, in candidate order
+        per_block = pinned_values(Candidates(*(a[n:n + 1] for a in cands)), budgets[None, :])[0].T
+        vals = per_block[per_block > -np.inf].reshape(budgets.size, -1).T
         assert np.abs(vals - expect).max() <= 1e-12 * magnitude(t)
         assert np.all(vals[:, budgets == 0.0] == 0.0)
 
@@ -251,11 +253,12 @@ def test_distinct_candidates_answer_like_the_full_stack(inst, seed):
         assert same_bits(left_derivatives(cands, b), left_derivatives(oracle, b))
     # the gathered blocks answer as every (n, e, l) cell of either stack
     lam = dual_upper_bound(inst, BudgetObjective(tables)).lam
-    maxima = lagrangian_maxima(pinned_blocks(cands), inst.p_max_carrier)
+    maxima = lagrangian_maxima(cands, inst.p_max_carrier)
     for scale in (0.0, 0.5, 1.0, 2.0):
         got = maxima(scale * lam)
         for stack in (cands, oracle):
-            expect = every_cell_lagrangian_maxima(stack, inst.p_max_carrier, scale * lam)
+            expect = every_cell_lagrangian_maxima(tables, stack.entry_x, inst.p_max_carrier,
+                                                  scale * lam)
             for a, b in zip(got, expect, strict=True):
                 assert same_bits(a, b)
 
@@ -386,7 +389,7 @@ def test_lagrangian_maxima_bound_a_dense_grid_and_are_attained(inst, scale):
     cands = stack_candidates(tables)
     caps = inst.p_max_carrier
     lam = scale * dual_upper_bound(inst, BudgetObjective(tables)).lam
-    phi, b = lagrangian_maxima(pinned_blocks(cands), caps)(lam)
+    phi, b = lagrangian_maxima(cands, caps)(lam)
     tol = 1e-12 * np.array([magnitude(t) for t in tables])
     # b_n(lam) attains phi_n(lam), valued as best_values values it
     assert np.all((b >= 0.0) & (b <= caps))
@@ -427,7 +430,7 @@ def test_grid_blocks_read_every_grid_index_once_per_candidate(inst):
     # candidate, and the best of those blocks' reads is F_n(l * delta), bit for bit
     objective = BudgetObjective(tables_of(inst))
     cands, lmax = objective.cands, class_unit_caps(inst)
-    grid = grid_blocks(objective.blocks, cands.entry_x[:, 0, 0], lmax, inst.delta)
+    grid = grid_blocks(cands, lmax, inst.delta)
     profits = build_knapsack(inst, objective)
     for n in range(inst.n_carriers):
         ls = np.arange(1, lmax[n] + 1)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from conftest import (
     batched_scus_dp,
     block_funs,
+    every_cell_pins,
     full_stack_candidates,
     ordered_grid_max,
     ordered_grid_max_bruteforce,
@@ -18,6 +20,7 @@ from conftest import (
     scpc_objective,
     per_carrier_backtrack,
     per_carrier_scus_dp,
+    pinned_index,
     scus_subset_oracle,
     single_carrier_instance,
     small_instance,
@@ -26,7 +29,6 @@ from nomajspa.model import (LN2, Instance, active_positions, argmax_f, build_dec
                             carrier_view, f_eval)
 from nomajspa.ops import count_ops
 from nomajspa.single_carrier import (
-    Candidates,
     best_columns,
     best_values,
     expand_active,
@@ -38,7 +40,7 @@ from nomajspa.single_carrier import (
     iscus_precompute,
     left_derivatives,
     pinned_blocks,
-    pinned_index,
+    pinned_values,
     sc_value,
     scpc,
     scus,
@@ -348,8 +350,8 @@ class TestStackCandidates:
     def test_all_rows_distinct_keep_all(self):
         t = one_table(*self.DISTINCT)
         cands, full = stack_candidates([t]), full_stack_candidates([t])
-        assert np.array_equal(cands.entry_x, full.entry_x)
-        assert cands.pins.tobytes() == full.pins.tobytes()
+        for got, expect in zip(cands, full, strict=True):
+            assert got.tobytes() == expect.tobytes()
 
     def test_zeros_of_either_sign_stay_apart(self):
         t = one_table(*self.DISTINCT)
@@ -376,32 +378,77 @@ class TestStackCandidates:
             assert left_derivatives(cands, b).tobytes() == left_derivatives(full, b).tobytes()
 
 
+def named_positions(x):
+    """Tables for candidate rows x (N, E, K) whose pins name their position:
+    s = w_n * wp[l] = l + 1. pinned_blocks reads nothing else of a table."""
+    K = x.shape[-1]
+    return [types.SimpleNamespace(w_n=1.0, wp=np.arange(1.0, K + 1), ep=np.full(K, 2.0),
+                                  offset=0.0)] * x.shape[0]
+
+
 class TestPinnedBlocks:
     def test_blocks_are_the_non_empty_cells_in_c_order(self):
         # equal neighbours leave a block empty; a pad repeats the row's last block, empty
         x = np.array([[[10.0, 5.0, 5.0, 1.0], [10.0, 10.0, 2.0, 0.0]],
                       [[10.0, 0.0, 0.0, 0.0], [10.0, 0.0, 0.0, 0.0]]])
-        pins = np.arange(x.size * 3, dtype=float).reshape(x.shape + (3,))
-        blocks = pinned_blocks(Candidates(entry_x=x, pins=pins))
+        tables = named_positions(x)
+        blocks = pinned_blocks(tables, x)
         assert blocks.top.tolist() == [[10.0, 5.0, 1.0, 10.0, 2.0], [10.0, 10.0] + [10.0] * 3]
         assert blocks.low.tolist() == [[5.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0] + [10.0] * 3]
-        assert np.array_equal(blocks.pins[0, :, 0], pins[0].reshape(-1, 3)[[0, 2, 3, 5, 6], 0])
+        assert blocks.cand.tolist() == [[0, 0, 0, 1, 1], [0, 1, 1, 1, 1]]
+        cells = every_cell_pins(tables, x).reshape(2, -1, 3)
+        assert blocks.pins[0].tobytes() == cells[0, [0, 2, 3, 5, 6]].tobytes()
+        assert blocks.pins[1].tobytes() == cells[1, [0, 4, 4, 4, 4]].tobytes()
+
+    def test_pinned_values_place_each_budget_as_pinned_index_does(self):
+        # every candidate's block at every budget, the entries and their float
+        # neighbours included: the one comparison low < b <= top, in the
+        # gathered blocks, pins the positions that counting them does
+        x = np.array([[[10.0, 8.1, 4.3, 4.3, 0.3], [10.0, 10.0, 2.0, 0.0, 0.0],
+                       [10.0, 10.0, 10.0, 10.0, 10.0]],
+                      [[10.0, 0.0, 0.0, 0.0, 0.0], [10.0, 3.0, 3.0, 3.0, 0.0],
+                       [10.0, 3.0, 3.0, 3.0, 0.0]]])
+        entries = x.ravel()
+        b = np.unique(np.concatenate([entries, np.nextafter(entries, 0.0),
+                                      np.nextafter(entries, np.inf), [1e-300, 5.0]]))
+        b = np.broadcast_to(b[b > 0.0], (2, b[b > 0.0].size))
+        cands = pinned_blocks(named_positions(x), x)
+        hit = pinned_values(cands, b) > -np.inf
+        expect = pinned_index(x, np.minimum(b, 10.0))
+        for n, l in np.ndindex(b.shape):
+            g = np.flatnonzero(hit[n, :, l])
+            assert cands.cand[n, g].tolist() == [0, 1, 2]
+            assert (cands.pins[n, g, 0] - 1).tolist() == expect[n, :, l].tolist()
+
+    def test_best_columns_truncate_the_winning_blocks_candidate(self):
+        # candidate 0 has four blocks, so a budget it wins in its second block
+        # or later lies in a block whose index is no candidate's
+        x = np.array([[[10.0, 8.1, 4.3, 4.3, 0.3], [10.0, 10.0, 2.0, 0.0, 0.0],
+                       [10.0, 10.0, 10.0, 10.0, 10.0]]])
+        cands = pinned_blocks(named_positions(x), x)
+        won = set()
+        for b in np.linspace(0.1, 10.0, 100):
+            per_block = pinned_values(cands, np.array([[b]]))[0, :, 0]
+            per_candidate = per_block[per_block > -np.inf]
+            e = int(np.argmax(per_candidate))
+            column, value = best_columns(cands, np.array([b]))
+            assert np.array_equal(column[0], np.minimum(x[0, e], b))
+            assert value[0] == per_candidate[e]
+            won.add((e, int(np.argmax(per_block))))
+        assert any(e != g for e, g in won)
 
     @staticmethod
     def assert_places_like_pinned_index(x, lmax, delta):
         """Each grid index 1..lmax lies in one block, the one pinned_index gives
-        its budget min(l * delta, full) (pins[..., 2] names each position)."""
-        pins = np.zeros(x.shape + (3,))
-        pins[..., 2] = np.arange(x.shape[-1])
+        its budget min(l * delta, full) (see named_positions)."""
         full = x[:, 0, 0]
-        grid = grid_blocks(pinned_blocks(Candidates(entry_x=x, pins=pins)), full,
-                           np.array([lmax]), delta)
+        grid = grid_blocks(pinned_blocks(named_positions(x), x), np.array([lmax]), delta)
         ls = np.arange(1, lmax + 1)
         expect = pinned_index(x, np.minimum(ls * delta, full)[None, :])[0, 0]
         got = np.full(ls.size, -1)
-        for lo, hi, t in zip(grid.lo, grid.hi, grid.pins[:, 2]):
+        for lo, hi, s in zip(grid.lo, grid.hi, grid.pins[:, 0]):
             assert np.all(got[lo - 1:hi] == -1)
-            got[lo - 1:hi] = t
+            got[lo - 1:hi] = s - 1
         assert np.array_equal(got, expect)
 
     def test_grid_blocks_place_each_grid_index_as_pinned_index_does(self):
