@@ -36,8 +36,8 @@ N/eps where the paper's estimate needs 4N/eps. It keeps, per class, the
 first grid item reaching each multiple of its profit scale. One binary
 search finds them for every class at once, one stacked F_n read per depth
 of the classes' search trees, so its cost grows with log J, not J, and it
-keeps only what it probed. Its DP by profits relaxes a class's items a
-chunk at a time, in integer arithmetic, with the per-item loop's tie rule.
+keeps only what it probed. Its DP by profits relaxes a class's items in
+integer arithmetic, one numpy pass per item.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ _ARMIJO = 1e-4  # grad accepts a step that gains this share of its first-order g
 # sums of a solve reach, the log terms F_n adds up included: far above their
 # rounding. opt fathoms by it, and every solution's upper bound includes it
 _MARGIN = 1e-9
-# eps's DP by profits relaxes items in chunks of at most _DP_CELLS candidate
-# weights (one item at least), so its scratch is O(T) cells for T targets, not
-# O(items * T); chunks of 10 to 300 items timed alike on every workload shape
-_DP_CELLS = 2 ** 16
 # opt's DP by weights relaxes a class of several items in Python floats when
 # it has at most _PASS_CELLS cells per item, else by one numpy pass per item:
 # a pass costs about what 25 to 40 cells cost in Python floats, the measured
@@ -1108,10 +1104,8 @@ def _eps_dp(instance: Instance, objective: BudgetObjective, lmax: np.ndarray, to
     Time and memory, with T <= floor(4N/eps) targets: the thresholds of all
     classes cost at most ceil(log2(J + 1)) stacked F_n reads past top, each
     of at most N * T budgets, and O(N * T) kept floats, whatever J is. The
-    DP relaxes a class's items a chunk at a time, one shifted copy of the
-    weights per item, read from one strided view laid out per solve, so
-    beside its (N, T + 1) int32 choices and a few rows of T + 1 cells it
-    holds a few arrays of at most max(_DP_CELLS, T + 1) cells. Were upper
+    DP relaxes a class's items one numpy pass per item, so it holds three
+    rows of T + 1 cells beside the (N, T + 1) int32 choices. Were upper
     below the optimum, a feasible split could carry the DP past its top
     scaled profit, and this raises ValueError instead of dropping that split.
     """
@@ -1135,12 +1129,6 @@ def _eps_dp(instance: Instance, objective: BudgetObjective, lmax: np.ndarray, to
     weight = np.full(q_cap + 1, inf, dtype=np.int64)  # least units to reach profit q
     weight[0] = 0
     choice = np.full((N, q_cap + 1), -1, dtype=np.int32)  # item taken, by position
-    rows = max(1, _DP_CELLS // (q_cap + 1))  # items relaxed per chunk
-    # row head - q of the windows is the weights before a class, shifted
-    # right by q and inf-padded; an item past q_cap raises before reading
-    head = min(max((int(q.max(initial=0)) for _, q in items), default=0), q_cap + 1)
-    pad = np.full(head + q_cap + 1, inf, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(pad, q_cap + 1)
     for n, (ls, scaled) in enumerate(items):
         # least units reaching a profit of q or more: an item that takes a
         # feasible total past q_cap proves upper below the optimum
@@ -1149,20 +1137,16 @@ def _eps_dp(instance: Instance, objective: BudgetObjective, lmax: np.ndarray, to
             raise ValueError(
                 f"upper = {upper:g} is below the value of a feasible split: class {n}'s "
                 f"items take the scaled profit past the DP's top, {q_cap}")
-        # the windows read class n's input; weight holds the skip, always
-        # allowed, and is relaxed in place
-        pad[head:] = weight
-        for i0 in range(0, ls.size, rows):
-            cand = windows[head - scaled[i0:i0 + rows]]
-            cand += ls[i0:i0 + rows, None]
-            tally(cand.size * _C_KNAP_P)
-            low = cand.min(axis=0)
-            # strict: ties keep the skip or an earlier chunk's item
-            cols = np.flatnonzero(low < weight)
-            low = low[cols]
-            weight[cols] = low
-            # and within the chunk the earliest item of the least weight
-            choice[n, cols] = (cand[:, cols] == low).argmax(axis=0) + i0
+        tally(ls.size * (q_cap + 1) * _C_KNAP_P)
+        # weight holds the skip, always allowed, and is relaxed in place from
+        # the weights before class n; strict, so ties keep the skip, then the
+        # earliest item
+        before = weight.copy()
+        for i, (l, q) in enumerate(zip(ls.tolist(), scaled.tolist())):
+            cand = before[:q_cap + 1 - q] + l
+            win = cand < weight[q:]
+            np.copyto(weight[q:], cand, where=win)
+            np.copyto(choice[n, q:], i, where=win)
 
     q_best = int(np.nonzero(weight <= J)[0][-1])
     # walk the layers back, peeling one item (or a skip) per class

@@ -160,8 +160,11 @@ class SystemConfig:
         # a cap under one grid step leaves no item
         if self.p_max_carrier_w > 0 and grid_levels(self.p_max_carrier_w, self.delta_w) == 0:
             raise ValueError("p_max_carrier_w must be 0 (unset) or at least delta_w")
-        if self.min_distance_m <= 0 or self.min_distance_m >= self.cell_radius_m:
-            raise ValueError("min_distance_m must be in (0, cell_radius_m)")
+        # beyond the hexagon's inner radius only its corners are left, and the
+        # rejection sampler's acceptance falls toward 0
+        if not 0 < self.min_distance_m < math.sqrt(3.0) / 2.0 * self.cell_radius_m:
+            raise ValueError("min_distance_m must be in (0, sqrt(3)/2 * cell_radius_m), "
+                             "the cell's inner radius")
         if not 0 < self.min_weight <= 1:  # weights are uniform on [0, 1] clamped up to it
             raise ValueError("min_weight must be in (0, 1]")
         if self.shadowing_std_db < 0:

@@ -35,7 +35,8 @@ budget-split DP by weights    2    (live column, kept item) cell relaxed in
                                    jspa._relax, column tested against the
                                    Lagrangian bound, and (class, unit) gain
                                    of the greedy incumbent
-budget-split DP by profits    3    candidate item inspected
+budget-split DP by profits    3    (item, target column) pair relaxed in
+                                   jspa._eps_dp
 simplex projection            3    coordinate per clipped-sum evaluation (the
                                    feasibility check and every polish probe)
 gradient/derivative lookup    4    subcarrier in single_carrier.left_derivatives

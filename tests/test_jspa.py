@@ -1494,8 +1494,8 @@ class TestEpsJspa:
         finally:
             tracemalloc.stop()
         assert sol.wsr >= (1 - eps) * opt_jspa(inst, tables).wsr * (1 - 1e-12)
-        # chunks of _DP_CELLS weights (0.5 MB), their improved columns and a
-        # mask, beside the (N, q_cap + 1) choices and a few rows of q_cap + 1
+        # three rows of q_cap + 1 weights and a mask, beside the (N, q_cap + 1)
+        # choices
         assert peak < 4e6
 
     def test_upper_below_the_optimum_is_rejected(self, monkeypatch):

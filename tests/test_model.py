@@ -313,6 +313,16 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SystemConfig(min_distance_m=2000.0)
 
+    def test_min_distance_stays_inside_the_inner_radius(self):
+        # past sqrt(3)/2 * cell_radius_m only the hexagon's corners are left: at
+        # 999 m of 1000 the rejection sampler took seconds to place 5 users
+        for radius, distance in ((1000.0, 999.0), (1000.0, 1000.0 * math.sqrt(3.0) / 2.0),
+                                 (100.0, 87.0)):
+            with pytest.raises(ValueError, match=r"^min_distance_m must be in"):
+                SystemConfig(users=5, cell_radius_m=radius, min_distance_m=distance)
+        inst = generate_instance(SystemConfig(users=40, min_distance_m=860.0), 3)
+        assert inst.gains.shape == (40, 20) and np.all(inst.gains > 0)
+
     def test_min_weight_range(self):
         # weights are uniform on [0, 1] clamped up to min_weight; 1 is the sum-rate case
         assert np.all(generate_instance(SystemConfig(users=4, min_weight=1.0), 0).weights == 1.0)

@@ -21,9 +21,9 @@ batched item selection must pick, per class, what the one-threshold-at-a-time
 search, a full scan and the whole grid's np.searchsorted pick, at the whole
 grid's profits, on instances and on synthetic profit families (flat,
 steps, a class with lmax = 0 and one with no reachable target); its DP by
-profits, in whole or one-item chunks, what the index-array DP picks; and
-eps must keep its (1 - eps) guarantee, and stay at most opt, whether it
-returns its bracket's split or runs the DP. Gradient ascent must stay
+profits, one item per pass, what the index-array DP picks, tied channels
+included; and eps must keep its (1 - eps) guarantee, and stay at most opt,
+whether it returns its bracket's split or runs the DP. Gradient ascent must stay
 feasible, report the wsr of its own columns, never lose along its history
 and converge; from the zero split each accepted step must gain, at any xi.
 opt's fathomed DP by weights, on a whole table and on the items
@@ -50,7 +50,6 @@ the one eps scales by, LB <= OPT <= UB <= 4 LB, so eps's T <= floor(4N/eps) targ
 
 import bisect
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -401,14 +400,6 @@ def test_lagrangian_maxima_bound_a_dense_grid_and_are_attained(inst, scale):
     assert np.all(best_values(cands, grid) - lam * grid <= phi[:, None] + tol[:, None])
 
 
-@contextmanager
-def eps_forced(dp_cells: int):
-    """Force the size of eps's DP chunks: dp_cells = 1 relaxes one item per chunk."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(jspa, "_DP_CELLS", dp_cells)
-        yield
-
-
 @PROPERTY
 @given(st.one_of(instances(), instances(levels=(2,), min_carriers=3)))
 def test_dp_by_profits_matches_index_array_dp(inst):
@@ -416,11 +407,27 @@ def test_dp_by_profits_matches_index_array_dp(inst):
     lower, upper, _ = own_bracket(inst, tables)
     for eps in (0.5, 0.1, 0.05):
         expect = index_array_eps_budgets(inst, tables, eps, lower, upper)
-        # one item per chunk makes every class fold its chunks in turn
-        for dp_cells in (jspa._DP_CELLS, 1):
-            with eps_forced(dp_cells):
-                budgets = eps_dp(inst, tables, eps, (lower, upper)).budgets
-            assert np.array_equal(budgets, expect)
+        assert np.array_equal(eps_dp(inst, tables, eps, (lower, upper)).budgets, expect)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("eps", [0.05, 1e-3])
+def test_dp_by_profits_matches_index_array_dp_on_tied_channels(seed, eps):
+    # every subcarrier sees the same gains, noise and bandwidth, so the classes
+    # are identical: at many columns a skip ties an item, and an item ties
+    # another class's, exactly; the strict, item-ordered relaxation must break
+    # each tie as the index-array DP does
+    base = generate_instance(SystemConfig(users=4, subcarriers=3, max_mux=2), seed)
+    inst = Instance(weights=base.weights, bandwidths=np.full(3, base.bandwidths[0]),
+                    gains=np.broadcast_to(base.gains[:, :1], base.gains.shape),
+                    noise=np.broadcast_to(base.noise[:, :1], base.noise.shape),
+                    p_max=base.p_max, p_max_carrier=base.p_max_carrier, delta=base.delta,
+                    max_mux=base.max_mux)
+    tables = tables_of(inst)
+    assert all(np.array_equal(t.entry_x, tables[0].entry_x) for t in tables)
+    lower, upper, _ = own_bracket(inst, tables)
+    expect = index_array_eps_budgets(inst, tables, eps, lower, upper)
+    assert np.array_equal(eps_dp(inst, tables, eps, (lower, upper)).budgets, expect)
 
 
 @PROPERTY
