@@ -57,7 +57,7 @@ from .ops import tally
 # names of this module: perfbench traces each layer at the name it is called by
 from .single_carrier import (fn_value_many, iscus_eval,  # noqa: F401
                              GridBlocks, best_columns, best_values, block_values, grid_blocks,
-                             lagrangian_maxima, left_derivatives, stack_candidates)
+                             lagrangian_maxima, left_derivatives, table_stack)
 
 _C_KNAP_W = 2   # DP by weights, per (column, item) cell relaxed or column bound tested
 _C_KNAP_P = 3   # DP by profits, per candidate item
@@ -275,14 +275,17 @@ def project_simplex(v: np.ndarray, p_max: float, caps: np.ndarray) -> np.ndarray
 class BudgetObjective:
     """sum_n F_n, its per-subcarrier derivatives and each F_n on its own.
 
-    Made once per solve: it stacks every subcarrier's distinct candidate
-    solutions and gathers their pinned blocks in one pass, so each budget
-    then costs one log per block. Every solver values F_n through it; the
-    F_n readers themselves live in `single_carrier`.
+    Made once per solve, on the stack of every subcarrier's distinct
+    candidate solutions and their pinned blocks, so each budget then costs
+    one log per block. The stack of a table set `iscus_precompute` holds is
+    built once and shared by every solve of that set; any other list of
+    tables is stacked anew (`single_carrier.table_stack`). Every solver
+    values F_n through it; the F_n readers themselves live in
+    `single_carrier`.
     """
 
     def __init__(self, tables: list):
-        self.cands = stack_candidates(tables)
+        self.cands = table_stack(tables)
 
     @functools.cached_property
     def log_size(self) -> float:
@@ -694,6 +697,20 @@ def _relax_passes(ks: list, bk: list, spans: list, r0: int, r1: int) -> tuple:
     return (rows + r0).tolist(), top[rows].tolist(), at[rows].tolist()
 
 
+def _last_live(lo: int, J: int, lam: float, rest: float, floor: float) -> int:
+    """The last column k of lo..J whose bound lam * (J - k) + rest reaches floor; lo - 1 if none.
+
+    The bound, and its float, fall as k grows (lam >= 0), so the live
+    columns are lo..top, and a bisection on the float test finds top in
+    about log2(J) tests.
+    """
+    a, b = lo - 1, J + 1  # live(a) is taken as true, live(b) as false
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (mid, b) if lam * (J - mid) + rest >= floor else (a, mid)
+    return a
+
+
 def _grid_units(items: list, lmax: np.ndarray, J: int, lam: float, phi: np.ndarray,
                 floor: float) -> np.ndarray:
     """Units per class of the DP by weights' optimum, backtracked from level J.
@@ -714,7 +731,10 @@ def _grid_units(items: list, lmax: np.ndarray, J: int, lam: float, phi: np.ndarr
     lam * (J - k) + Phi_n (weak duality of the multiple-choice knapsack;
     Sinha and Zoltners 1979, Pisinger 1995). Before class n a column is
     live when its bound reaches floor and when k >= J - sum_{m >= n} lmax_m:
-    the backtrack descends from J by at most lmax_m per class. Class n
+    the backtrack descends from J by at most lmax_m per class. Before
+    class 0 every column is worth 0, so the bound falls as k grows and the
+    live columns run from the lowest the backtrack reads up to the last
+    whose bound reaches floor (`_last_live`); only those are built. Class n
     relaxes its live columns by its kept items (`_relax`), and keeps, for
     the backtrack and for class n + 1, only the rows live before class
     n + 1; the last class values row J alone. Columns, values, items and
@@ -747,10 +767,11 @@ def _grid_units(items: list, lmax: np.ndarray, J: int, lam: float, phi: np.ndarr
     tail = np.cumsum(phi[::-1])[::-1].tolist()  # Phi_n
     # the lowest column a backtrack reads before each class
     reach = np.maximum(J - np.cumsum(lmax[::-1])[::-1], 0).tolist()
-    ks = np.arange(reach[0], J + 1)
-    tally(ks.size * _C_KNAP_W)
-    ks = ks[lam * (J - ks) + tail[0] >= floor].tolist()  # every column is worth 0 before class 0
-    bk = [0.0] * len(ks)
+    # charged per column from reach[0] to J, as when every column's bound was
+    # tested; _last_live tests about log2 J of them (ROADMAP item 13)
+    tally((J + 1 - reach[0]) * _C_KNAP_W)
+    ks = list(range(reach[0], _last_live(reach[0], J, lam, tail[0], floor) + 1))
+    bk = [0.0] * len(ks)  # every column is worth 0 before class 0
     choices = []  # per class: the rows it keeps, ascending, and each row's item
     for n, (js, cj) in enumerate(items):
         r0, r1 = (J if n == N - 1 else ks[0] + int(js[0])), min(J, ks[-1] + int(js[-1]))

@@ -74,14 +74,17 @@ def grid_countable(amount: float, delta: float) -> bool:
 
 
 # A grid of N x (J + 1) points may hold at most GRID_CELLS of them, so one that
-# is countable but too fine is refused up front. That bounds the (N, J + 1)
-# table of grid profits brute force and the tests build, 256 MB of floats, and
-# opt's worst case: opt reads only the few grid points it keeps, but a class
-# that keeps every item pays the O(J^2) band, with O(J) scratch per class.
-# eps's (N, T + 1) table of item choices is held to the same count: T, its
-# number of targets, is floor(N * (UB / LB) / eps) for a bracket with
-# UB / LB <= 4 (`jspa.eps_bracket`), so T <= floor(4N/eps), which
-# check_eps_cells bounds before eps reads anything
+# is countable but too fine is refused up front. It bounds three things:
+# - the (N, J + 1) table of grid profits `jspa.build_knapsack` builds, the
+#   tests' oracle of opt, 256 MB of floats; brute force reads it too, but
+#   `jspa.BRUTE_FORCE_LIMIT` holds brute force's grids far below this;
+# - opt's worst case, a flat or tied class that keeps every item and pays
+#   the O(J^2) band with O(J) scratch per class; otherwise opt's scratch is
+#   sized by the columns and items it keeps, not by J;
+# - eps's (N, T + 1) table of item choices: T, its number of targets, is
+#   floor(N * (UB / LB) / eps) for a bracket with UB / LB <= 4
+#   (`jspa.eps_bracket`), so T <= floor(4N/eps), which check_eps_cells
+#   bounds before eps reads anything
 GRID_CELLS = 2 ** 25
 
 

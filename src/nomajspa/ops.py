@@ -17,8 +17,9 @@ power-control sweep           6    outer/backtrack iteration
 user-selection DP cell        8    (m, j, i) table cell; iscus_precompute
                                    charges the DP of all N subcarriers, its
                                    cells, blocks and maximizers, on the call
-                                   that builds the table set (the first of
-                                   its N calls) and 0 on the others
+                                   that runs it (the first for an instance
+                                   and order) and 0 on the others, every M
+                                   of a sweep included
 collection lookup             6    (stacked candidate, budget) pair in
                                    single_carrier.pinned_values, which
                                    places each budget in one block per
@@ -30,7 +31,10 @@ pinned-block gather           2    (subcarrier, stacked candidate, position)
                                    (single_carrier.pinned_blocks)
 pinned-block tails            6    (stacked candidate, position) term,
                                    charged in single_carrier.pinned_tails
-                                   when a solve stacks its tables
+                                   when a solve stacks its tables; the
+                                   stack a memoized table set's solves
+                                   share (single_carrier.table_stack), and
+                                   its gather, are built with counting off
 budget-split DP by weights    2    (live column, kept item) cell relaxed in
                                    jspa._relax, column tested against the
                                    Lagrangian bound, and (class, unit) gain

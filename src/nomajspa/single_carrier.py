@@ -8,10 +8,13 @@ dynamic program over table cells (m, j, i). Both have precomputed variants
 budget and answer any smaller budget by componentwise truncation, which is
 what makes the multi-carrier solvers cheap. The selection DP (`_scus_dp`)
 and its backtrack (`_entry_columns`) run over a stack of subcarriers: the
-first `iscus_precompute` call of an (instance, order, max_active) fills the
-tables of all N subcarriers in one batched pass, and that call and the next
-ones with the same three are served from it, one subcarrier's table each.
-`scus` runs the same DP on its one subcarrier.
+first `iscus_precompute` call of an (instance, order) runs the DP for all N
+subcarriers in one batched pass, at max(max_active, instance.max_mux) planes,
+and every max_active up to that is backtracked from its own plane, so one DP
+serves a campaign's whole sweep of M. Each max_active's table set is
+memoized, and so is its stack (`table_stack`), built on the first solve
+that asks for it and shared by every solver of that set. `scus` runs the
+same DP on its one subcarrier.
 
 F_n is the resulting budget-value function (optimal weighted rate on
 subcarrier n as a function of its power budget); it is non-decreasing and
@@ -42,14 +45,14 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (LN2, DecodingOrder, Instance, argmax_blocks, carrier_view, carrier_views,
                     check_carrier, f_blocks, utility)
-from .ops import tally
+from .ops import count_ops, tally
 
 # per-step tally constants, see ops module docstring
 _C_ARGMAX = 6
@@ -283,20 +286,43 @@ def scus(instance: Instance, order: DecodingOrder, n: int, max_active: int,
     return _entry_columns(xopt, take)[0, 0]
 
 
-def _table_set(instance: Instance, order: DecodingOrder, max_active: int) -> tuple:
-    """The ScusTables of every subcarrier, from one batched DP and backtrack."""
-    w_n, wp, ep, offset = carrier_views(instance, order)
-    _, xopt, take = _scus_dp(w_n[:, None], wp, ep, max_active, instance.p_max)
-    entry_x = _entry_columns(xopt, take)
-    entry_x.flags.writeable = False
-    return tuple(map(functools.partial(ScusTables, max_active, instance.p_max),
-                     w_n, wp, ep, offset, entry_x))
+@dataclass
+class _Memo:
+    """The selection DP of one (instance, order) and the table sets and stacks served from it.
+
+    xopt and take are `_scus_dp`'s planes 0..planes of every subcarrier;
+    sets and stacks map a max_active to its table set and to that set's
+    `stack_candidates`, the latter built on the first solve that asks.
+    Instance and DecodingOrder are frozen with read-only arrays, so their
+    identity fixes what the memo holds; it refers to them weakly.
+    """
+
+    instance: weakref.ref
+    order: weakref.ref
+    planes: int
+    p_max: float
+    views: tuple  # carrier_views' (w_n, wp, ep, offset)
+    xopt: np.ndarray
+    take: np.ndarray
+    sets: dict = field(default_factory=dict)
+    stacks: dict = field(default_factory=dict)
+
+    def table_set(self, max_active: int) -> tuple:
+        """Every subcarrier's ScusTables at max_active <= planes, backtracked from that plane.
+
+        Plane m of the DP reads only planes m and m - 1, so planes 0..max_active
+        are those of a DP at max_active, bit for bit.
+        """
+        if max_active not in self.sets:
+            m = max_active + 1
+            entry_x = _entry_columns(self.xopt[:, :m], self.take[:, :m])
+            entry_x.flags.writeable = False
+            self.sets[max_active] = tuple(map(
+                functools.partial(ScusTables, max_active, self.p_max), *self.views, entry_x))
+        return self.sets[max_active]
 
 
-# The last table set built: weak references to its instance and order, its
-# max_active and its tables. Instance and DecodingOrder are frozen with
-# read-only arrays, so their identity fixes what the tables hold.
-_last_set = (lambda: None, lambda: None, 0, ())
+_memo = None  # the last (instance, order)'s _Memo
 
 
 def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
@@ -309,21 +335,50 @@ def iscus_precompute(instance: Instance, order: DecodingOrder, n: int,
     every smaller budget exactly.
 
     Callers ask for one subcarrier's tables at a time, but the DP runs for
-    all N of (instance, order, max_active) in one batched pass, on the first
-    call, which also charges the whole set's ops. The next calls with the
-    same three return that set's tables, the same objects, until another
-    set is built. The set refers to its instance and order weakly, so it
-    keeps neither alive.
+    all N subcarriers of (instance, order) in one batched pass, once, at
+    max(max_active, instance.max_mux) planes, on the first call, which also
+    charges its ops. Every max_active up to that is backtracked from its
+    own plane, so a campaign's sweep of M shares one DP. The next calls
+    with the same three return that M's set, the same objects, and every
+    solve of a set shares its one stack (`table_stack`), until another
+    (instance, order) is asked for. The memo refers to its instance and
+    order weakly, so it keeps neither alive.
     """
-    global _last_set
+    global _memo
     if max_active < 1:
         raise ValueError("max_active must be >= 1")
     check_carrier(instance, n)
-    inst_ref, order_ref, last_active, tables = _last_set
-    if inst_ref() is not instance or order_ref() is not order or last_active != max_active:
-        tables = _table_set(instance, order, max_active)
-        _last_set = (weakref.ref(instance), weakref.ref(order), max_active, tables)
-    return tables[n]
+    memo = _memo
+    if (memo is None or memo.instance() is not instance or memo.order() is not order
+            or memo.planes < max_active):
+        planes = max(max_active, instance.max_mux)
+        w_n, wp, ep, _ = views = carrier_views(instance, order)
+        _, xopt, take = _scus_dp(w_n[:, None], wp, ep, planes, instance.p_max)
+        memo = _memo = _Memo(weakref.ref(instance), weakref.ref(order), planes, instance.p_max,
+                             views, xopt, take)
+    return memo.table_set(max_active)[n]
+
+
+def table_stack(tables: list) -> Candidates:
+    """The `stack_candidates` of a list of tables, built once per memoized table set.
+
+    Where tables are, one by one, the very objects of a set `iscus_precompute`
+    holds, the set's stack is built on the first call and then returned
+    again, read-only; any other list, equal values included, is stacked anew.
+    A held set's stack is shared by every solve of the set, so it is built
+    with counting off and charged to none: no solver's ops depend on which
+    solver of the set asked first.
+    """
+    memo, m = _memo, tables[0].max_active
+    held = memo.sets.get(m) if memo is not None else None
+    if held is None or len(held) != len(tables) or any(a is not b for a, b in zip(held, tables)):
+        return stack_candidates(tables)
+    if m not in memo.stacks:
+        with count_ops(enabled=False):
+            memo.stacks[m] = stack_candidates(held)
+        for a in memo.stacks[m]:
+            a.flags.writeable = False
+    return memo.stacks[m]
 
 
 class Candidates(NamedTuple):

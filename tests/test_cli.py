@@ -13,13 +13,14 @@ import pytest
 
 import nomajspa
 
-from nomajspa import cli, jspa
+from nomajspa import cli, jspa, single_carrier
 from nomajspa.cli import (
     CSV_HEADER,
     ExperimentConfig,
     build_arg_parser,
     main,
     run_experiment,
+    solver_runs,
     solver_tags,
 )
 from nomajspa.model import SystemConfig, build_decoding_order, generate_instance, read_kv_file
@@ -150,7 +151,7 @@ class TestConfig:
 class TestRunExperiment:
     @pytest.mark.parametrize("count_ops, digest", [
         (False, "9b4ba3ecec5c71fab5e1c43bfbd5247072b989555eab248205f2776b7b95c559"),
-        (True, "1d7c14af5afaa10918087b02abfc8f6ddba652f779d4108457dfb8a927e80d54"),
+        (True, "ce88a26ced5e0f559692921877be651ed7a2d4006bc9443eb50227635efb80e0"),
     ], ids=["plain", "count_ops"])
     def test_seeded_campaign_bytes_are_pinned(self, tmp_path, count_ops, digest):
         # a change that moves any wsr, loss or ops digit must re-pin this on purpose
@@ -159,6 +160,50 @@ class TestRunExperiment:
         out = tmp_path / "r.csv"
         run_experiment(cfg, out_path=str(out))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_each_table_set_is_stacked_once(self, tmp_path, monkeypatch):
+        # opt, grad and eps solve each (instance, M)'s tables on one shared stack
+        stack, stacked = single_carrier.stack_candidates, []
+
+        def counting(tables):
+            stacked.append((tables[0].wp.size, tables[0].max_active))
+            return stack(tables)
+
+        monkeypatch.setattr(single_carrier, "stack_candidates", counting)
+        cfg = tiny_config(solvers=("opt", "grad", "eps"), k_sweep=(2, 3), m_sweep=(1, 2),
+                          seeds=2)
+        run_experiment(cfg, out_path=str(tmp_path / "r.csv"))
+        assert stacked == [(k, m) for _ in range(2) for k in (2, 3) for m in (1, 2)]
+        # a list of equal copies is no memoized set: each solve stacks it anew,
+        # and every solution keeps its bits
+        instance = generate_instance(cfg.instance_system(3), 0)
+        order = build_decoding_order(instance)
+        tables = [iscus_precompute(instance, order, n, 2) for n in range(instance.n_carriers)]
+        copies = [dataclasses.replace(t) for t in tables]
+        expect = [solve(instance, tables) for _, solve in solver_runs(cfg)]
+        stacked.clear()
+        for want, (_, solve) in zip(expect, solver_runs(cfg)):
+            got = solve(instance, copies)
+            assert (got.wsr, got.upper, got.budgets.tobytes(), got.x.tobytes()) == (
+                want.wsr, want.upper, want.budgets.tobytes(), want.x.tobytes())
+        assert stacked == [(3, 2)] * len(expect)
+
+    def test_a_solvers_ops_do_not_depend_on_the_solvers_listed(self, tmp_path):
+        # the shared stack is charged to no solver, so each solver's rows keep
+        # their ops whether it runs alone, first or after the others
+        def rows(solvers):
+            out = tmp_path / "r.csv"
+            run_experiment(tiny_config(solvers=solvers, k_sweep=(2, 3), count_ops=True),
+                           out_path=str(out))
+            lines = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            return {(r[0], r[1], r[3], r[4]): (r[5], int(r[7])) for r in lines}
+
+        together = rows(("opt", "grad", "eps"))
+        for solver in (("grad",), ("eps",), ("opt",)):
+            alone = rows(solver)
+            assert alone and all(ops > 0 for _, ops in alone.values())
+            assert alone == {key: together[key] for key in alone}
+        assert rows(("eps", "grad", "opt")) == together
 
     def test_eps_dp_budgets_over_the_reference_campaign_are_pinned(self):
         # eps stops at its bracket on every draw of the reference campaign, so
@@ -206,7 +251,7 @@ class TestRunExperiment:
         run_experiment(dataclasses.replace(config, count_ops=True), out_path=str(ops))
         assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, ops)] == [
             "4b36b6346b78131d9848e5c46b56b46743bada3426a32de8483faedd9df5dff3",
-            "22d044c2ad50fecdcc113c9ea80155bfc97a6b333addb1fb5d1bc28bfc544656"]
+            "389544d418babf7e25e1ee55842d99ee833aee79c2e365843b57a7fd715871aa"]
 
     def test_row_count_and_schema(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -823,6 +823,26 @@ class TestOptJspa:
         # class (J + 1)^2 floats, 128 MB
         assert peak < 1e6
 
+    def test_one_carrier_solve_memory_is_bounded(self):
+        # N = 1, J = 10^6: the columns live before class 0 start at the lowest
+        # the backtrack reads, 0 here, and only column 0 is live; a bound
+        # tested at every level would hold (J + 1) ints and floats, about 24 MB
+        J = 10 ** 6
+        inst = generate_instance(SystemConfig(users=10, subcarriers=1, max_mux=3,
+                                              delta_w=10 / J), 3)
+        _, tables = make_tables(inst)
+        assert inst.n_power_levels == J
+        np.unique(np.zeros(1))  # numpy.ma's import, as in the fine_grid test
+        tracemalloc.start()
+        try:
+            sol = opt_jspa(inst, tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.wsr > 0 and budget_feasible(inst, sol.budgets)
+        # about 0.06 MB (tracemalloc), the stack included
+        assert peak < 1e6
+
     def test_never_builds_the_profit_table(self, monkeypatch):
         def no_table(*args):
             raise AssertionError("opt built the (N, J + 1) profit table")

@@ -49,6 +49,7 @@ the one eps scales by, LB <= OPT <= UB <= 4 LB, so eps's T <= floor(4N/eps) targ
 """
 
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -68,10 +69,11 @@ from nomajspa.jspa import (BudgetObjective, brute_force_jspa, budget_feasible, b
                            grad_jspa, opt_jspa)
 from nomajspa.model import (Instance, SystemConfig, build_decoding_order, carrier_view,
                             carrier_views, generate_instance, wsr_from_x)
+from nomajspa.ops import count_ops
 from nomajspa.single_carrier import (Candidates, best_columns, best_values, block_values,
                                      fn_value_many, grid_blocks, iscus_eval, iscus_precompute,
                                      lagrangian_maxima, left_derivatives, pinned_values,
-                                     sc_value, scus, stack_candidates)
+                                     sc_value, scus, stack_candidates, table_stack)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -92,14 +94,26 @@ def instances(draw, max_carriers=3, levels=(4, 10, 20), min_carriers=1):
     tie = draw(st.sampled_from(["none", "weights", "channels"]))
     if tie == "none":
         return inst
-    weights, gains = inst.weights, inst.gains
     if tie == "weights":
-        weights = np.full(users, weights[0])
-    else:
-        gains = np.broadcast_to(gains[:1], gains.shape)
-    return Instance(weights=weights, bandwidths=inst.bandwidths, gains=gains,
-                    noise=inst.noise, p_max=inst.p_max, p_max_carrier=inst.p_max_carrier,
-                    delta=inst.delta, max_mux=inst.max_mux)
+        return dataclasses.replace(inst, weights=np.full(users, inst.weights[0]))
+    return tied_channels(inst)
+
+
+def tied_channels(inst):
+    """The instance with every user on the first user's channels."""
+    return dataclasses.replace(inst, gains=np.broadcast_to(inst.gains[:1], inst.gains.shape))
+
+
+@st.composite
+def corner_instances(draw):
+    """K = 1, M = K or tied channels, on up to three subcarriers."""
+    kind = draw(st.sampled_from(["one user", "M = K", "tied channels"]))
+    users = 1 if kind == "one user" else draw(st.integers(2, 6))
+    max_mux = draw(st.integers(1, users)) if kind == "tied channels" else users
+    cfg = SystemConfig(users=users, subcarriers=draw(st.integers(1, 3)), max_mux=max_mux,
+                       delta_w=1.0)
+    inst = generate_instance(cfg, draw(st.integers(0, 2 ** 16)))
+    return tied_channels(inst) if kind == "tied channels" else inst
 
 
 def tables_of(inst):
@@ -166,6 +180,53 @@ def test_batched_selection_dp_matches_per_carrier_oracle(inst, data):
         _, xopt, take = per_carrier_scus_dp(inst, order, n, m, b)
         assert np.array_equal(scus(inst, order, n, m, b),
                               per_carrier_backtrack(xopt, take, m, 0, 0, K))
+
+
+@PROPERTY
+@given(corner_instances(), st.data())
+def test_one_selection_dp_serves_every_max_active(inst, data):
+    # the first call runs the DP once, at max_mux planes, and charges it; each
+    # M's tables, backtracked from plane M, are a DP's at M, byte for byte, and
+    # every solve of them shares one stack, stack_candidates' bytes
+    N = inst.n_carriers
+    order = build_decoding_order(inst)
+    w_n, wp, ep, _ = carrier_views(inst, order)
+    asked = data.draw(st.permutations(range(1, inst.max_mux + 1)), label="max_active order")
+    for i, m in enumerate(asked):
+        with count_ops() as ops:
+            tables = [iscus_precompute(inst, order, n, m) for n in range(N)]
+        assert (ops.total > 0) == (i == 0)
+        _, xopt, take = single_carrier._scus_dp(w_n[:, None], wp, ep, m, inst.p_max)
+        assert same_bits(np.stack([t.entry_x for t in tables]),
+                         single_carrier._entry_columns(xopt, take))
+        stack = table_stack(tables)
+        assert table_stack(tables) is stack and BudgetObjective(tables).cands is stack
+        assert all(same_bits(a, b) for a, b in zip(stack, stack_candidates(tables), strict=True))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(corner_instances(), st.one_of(st.none(), corner_instances()))
+def test_interleaved_instances_never_share_tables_or_stacks(a, b):
+    # A, B, A, B being another draw or A's twin, equal in every value and
+    # sharing A's order: the memo holds one (instance, order), so the second A
+    # is served anew, and no list of tables is ever given another set's tables
+    # or stack
+    order = build_decoding_order(a)
+    b, b_order = (dataclasses.replace(a), order) if b is None else (b, build_decoding_order(b))
+
+    def served(inst, order):
+        tables = [iscus_precompute(inst, order, n, inst.max_mux) for n in range(inst.n_carriers)]
+        return tables, table_stack(tables)
+
+    (ta, sa), (tb, sb), (again, sa2) = served(a, order), served(b, b_order), served(a, order)
+    assert not any(t is u for t in again for u in ta + tb)
+    assert len({id(sa), id(sb), id(sa2)}) == 3
+    assert all(same_bits(t.entry_x, u.entry_x) for t, u in zip(ta, again, strict=True))
+    # only the held set, the second A's, gets its stack back; the rest are stacked anew
+    for tables, stack in ((ta, sa), (tb, sb), (again, sa2)):
+        got = table_stack(tables)
+        assert (got is sa2) == (tables is again) and got is not sa and got is not sb
+        assert all(same_bits(x, y) for x, y in zip(got, stack, strict=True))
 
 
 @PROPERTY
@@ -522,6 +583,25 @@ def profit_families(draw):
         rows.append(row)
         caps.append(draw(st.one_of(st.just(J), st.integers(0, J))))
     return np.stack(rows), caps
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(0, 3000), st.data())
+def test_last_live_column_matches_the_column_scan(J, data):
+    # before opt's first class the live columns are lo..top; the bisection must
+    # give the top of the scan that tests every column's float bound, where
+    # rounding blurs the boundary too (a tiny lam beside a large rest)
+    lo = data.draw(st.integers(0, J), label="lo")
+    lam = data.draw(st.sampled_from([0.0, 1e-300, 1e-12]) | st.floats(1e-9, 1e8), label="lam")
+    rest = data.draw(st.sampled_from([0.0, 1e8]) | st.floats(0.0, 1e12), label="rest")
+    d = data.draw(st.integers(-2, J + 2), label="units")
+    floor = data.draw(st.sampled_from([-math.inf, math.inf, rest - lam * d,
+                                       np.nextafter(rest, math.inf), rest]), label="floor")
+    ks = np.arange(lo, J + 1)
+    live = lam * (J - ks) + rest >= floor
+    count = int(live.sum())
+    assert live[:count].all()
+    assert jspa._last_live(lo, J, lam, rest, float(floor)) == lo + count - 1
 
 
 @settings(PROPERTY, max_examples=100)

@@ -45,6 +45,7 @@ from nomajspa.single_carrier import (
     scpc,
     scus,
     stack_candidates,
+    table_stack,
 )
 
 
@@ -553,14 +554,17 @@ class TestTableSet:
         assert again is not first and np.array_equal(again.entry_x, first.entry_x)
 
     def test_keeps_no_instance_alive(self):
+        # the memo's DP, its sets of every M and a set's stack hold neither
         inst = small_instance(82, users=3, carriers=2, max_mux=2)
         order = build_decoding_order(inst)
-        tables = iscus_precompute(inst, order, 0, 2)
+        sets = [[iscus_precompute(inst, order, n, m) for n in range(2)] for m in (2, 1)]
+        stack = table_stack(sets[1])
         refs = weakref.ref(inst), weakref.ref(order)
         del inst, order
         gc.collect()
         assert refs[0]() is None and refs[1]() is None
-        assert tables.entry_x.shape == (3, 3)
+        assert sets[0][0].entry_x.shape == (3, 3)
+        assert table_stack(sets[1]) is stack
 
     def test_first_call_charges_the_whole_set(self):
         inst = small_instance(83, users=5, carriers=3, max_mux=3)
